@@ -35,7 +35,6 @@ from .quadform import (
     bilinear_eval,
     kappa_eval,
     lattice_enumerate,
-    lattice_enumerate_oracle,
     lattice_sum_series,
 )
 from .affine import (
@@ -92,7 +91,6 @@ __all__ = [
     "bilinear_eval",
     "kappa_eval",
     "lattice_enumerate",
-    "lattice_enumerate_oracle",
     "lattice_sum_series",
     "as_rational",
     "format_rational",

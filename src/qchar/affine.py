@@ -31,7 +31,7 @@ from .qseries import (
     product_series,
     series_mul,
 )
-from .quadform import KappaForm, LatticeSum, _series_from_parts, lattice_sum_series
+from .quadform import KappaForm, LatticeSum, _chain_series, lattice_sum_series
 
 __all__ = [
     "PartitionData",
@@ -240,26 +240,27 @@ def trace_series(parts: Sequence[int], k: int, bound) -> QSeries:
     """Trace route: constrained theta sum with Euler-product corrections.
 
     phi(q^N) times the sum of q^((N/2) sum k_i^2/n_i) over integer r-tuples
-    with sum k, divided by one phi(q^(N/n_i)) per part.  The constraint is
-    eliminated through the last variable, leaving an (r-1)-dimensional
-    positive-definite lattice sum; r = 1 degenerates to a single monomial.
+    with sum k, divided by one phi(q^(N/n_i)) per part.  In the partial sums
+    s_i = k_1 + ... + k_i, with s_0 = 0 and s_r = k fixed, the exponent is
+    (N/2) sum_i (s_i - s_(i-1))^2 / n_i: a chain in s_1..s_(r-1), in
+    bijection with the r-tuples.  r = 1 degenerates to a single monomial.
     """
     data = PartitionData.from_parts(parts)
     if not isinstance(k, int) or not 0 <= k <= data.n - 1:
         raise ValueError("weight index out of range")
     t = as_rational(bound)
     big = data.N
-    last = data.parts[-1]
-    dim = len(data.parts) - 1
+    ps = data.parts
     half = Fraction(big, 2)
-    gram = [[half / last for _ in range(dim)] for _ in range(dim)]
-    for i in range(dim):
-        gram[i][i] += half / data.parts[i]
-    lin = [Fraction(-big * k, last)] * dim
-    const = half * k * k / last
-    theta = _series_from_parts(gram, lin, const, None, t)
+    diag = [half / ps[i] + half / ps[i + 1] for i in range(len(ps) - 1)]
+    off = [Fraction(-big, p) for p in ps[1:-1]]
+    lin = [Fraction(0)] * len(diag)
+    if lin:
+        lin[-1] = Fraction(-big * k, ps[-1])
+    const = half * k * k / ps[-1]
+    theta = _chain_series(diag, off, lin, const, None, t)
     factors = [(Fraction(big), 1)]
-    factors.extend((Fraction(big, p), -1) for p in data.parts)
+    factors.extend((Fraction(big, p), -1) for p in ps)
     correction = product_series(ProductSpec(tuple(factors)), t)
     return series_mul(theta, correction)
 

@@ -1,11 +1,10 @@
 """Command-line front end: verify identities, print series, emit JSON reports.
 
 Exit codes: 0 for a verified match (or a printed series), 1 for a mismatch,
-2 for usage errors (bad flags, invalid partitions, nonpositive scales).
-Output is deterministic byte-for-byte for identical invocations; timing is
-excluded unless --timing is passed so reports stay reproducible.  The env
-var QSERIES_THREADS caps internal parallelism (0/unset = sequential) and
-never changes the bytes printed.
+2 for usage errors (bad flags, invalid partitions, nonpositive scales,
+negative verify orders, malformed --spec JSON), reported on one "error:"
+line.  Output is deterministic byte-for-byte for identical invocations;
+timing is excluded unless --timing is passed so reports stay reproducible.
 """
 
 from __future__ import annotations

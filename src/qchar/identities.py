@@ -20,6 +20,8 @@ from .qseries import (
     QSeries,
     VerifyReport,
     _compare_builders,
+    _json_field,
+    _json_int,
     as_rational,
     product_series,
 )
@@ -71,12 +73,15 @@ class IdentitySpec:
 
     @staticmethod
     def from_json(data: dict) -> "IdentitySpec":
+        name = _json_field(data, "name", "identity")
+        if not isinstance(name, str):
+            raise ValueError(f"identity name must be a string, got {name!r}")
         params = data.get("params")
         return IdentitySpec(
-            str(data["name"]),
-            ProductSpec.from_json(data["lhs"]),
-            LatticeSum.from_json(data["rhs"]),
-            None if params is None else int(params),
+            name,
+            ProductSpec.from_json(_json_field(data, "lhs", "identity")),
+            LatticeSum.from_json(_json_field(data, "rhs", "identity")),
+            None if params is None else _json_int(params, "identity params"),
         )
 
 

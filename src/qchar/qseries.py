@@ -11,9 +11,8 @@ floating point.
 
 from __future__ import annotations
 
-import os
+import re
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import floor, gcd, lcm
@@ -59,6 +58,42 @@ def as_rational(x: RationalLike) -> Fraction:
 def format_rational(x: Fraction) -> str:
     """Render a Fraction as "num/den", or plain "num" when integral."""
     return str(x)
+
+
+# -- strict readers for from_json ------------------------------------------
+
+_INT_RE = re.compile(r"[+-]?\d+\Z")
+
+
+def _json_field(data, key: str, what: str):
+    """data[key], refusing anything but a JSON object that has the key."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} must be a JSON object, got {data!r}")
+    if key not in data:
+        raise ValueError(f"{what} is missing the {key!r} field")
+    return data[key]
+
+
+def _json_list(data, key: str, what: str) -> list:
+    value = _json_field(data, key, what)
+    if not isinstance(value, list):
+        raise ValueError(f"{what} field {key!r} must be a list, got {value!r}")
+    return value
+
+
+def _json_int(value, what: str) -> int:
+    """An int or an integer string; floats and booleans are refused, not cut."""
+    if isinstance(value, str) and _INT_RE.match(value.strip()):
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ValueError(f"{what} must be an integer, got {value!r}")
+
+
+def _json_rational(value, what: str) -> Fraction:
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise ValueError(f"{what} must be an integer or num/den string, got {value!r}")
+    return as_rational(value)
 
 
 @dataclass(frozen=True)
@@ -272,11 +307,15 @@ class QSeries:
 
     @staticmethod
     def from_json(data: dict) -> "QSeries":
+        def field(key: str) -> int:
+            return _json_int(_json_field(data, key, "series"), f"series {key}")
+
+        coeffs = _json_list(data, "coeffs", "series")
         return QSeries(
-            int(data["denom"]),
-            int(data["lo"]),
-            tuple(int(c) for c in data["coeffs"]),
-            int(data["order"]),
+            field("denom"),
+            field("lo"),
+            tuple(_json_int(c, "series coefficient") for c in coeffs),
+            field("order"),
         )
 
     def __str__(self) -> str:
@@ -455,8 +494,11 @@ class ProductSpec:
     def from_json(data: dict) -> "ProductSpec":
         return ProductSpec(
             tuple(
-                (as_rational(f["scale"]), int(f["power"]))
-                for f in data["factors"]
+                (
+                    _json_rational(_json_field(f, "scale", "factor"), "factor scale"),
+                    _json_int(_json_field(f, "power", "factor"), "factor power"),
+                )
+                for f in _json_list(data, "factors", "product spec")
             )
         )
 
@@ -581,14 +623,6 @@ def series_compare(lhs: QSeries, rhs: QSeries) -> VerifyReport:
     return VerifyReport(mism is None, Fraction(units, m), mism, sa, sb)
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("QSERIES_THREADS", "")
-    try:
-        return max(0, int(raw))
-    except ValueError:
-        return 0
-
-
 def _compare_builders(
     make_lhs: Callable[[Fraction], QSeries],
     make_rhs: Callable[[Fraction], QSeries],
@@ -596,23 +630,18 @@ def _compare_builders(
 ) -> VerifyReport:
     """Build both sides of an identity at the given order and compare them.
 
-    Two adjustments keep the comparison honest through the full request.  A
-    side that comes back identically zero may simply start above the order,
-    so its window is grown geometrically a few times to find the leading
-    term.  A side starting at q^e with e > 0 loses e of guaranteed window to
+    A negative order is refused: it would check nothing.  Two adjustments
+    keep the comparison honest through the full request.  A side that comes
+    back identically zero may simply start above the order, so its window is
+    grown geometrically a few times to find the leading term.  A side
+    starting at q^e with e > 0 loses e of guaranteed window to
     normalization, so it is rebuilt at order + e.  Both adjustments depend
-    only on series content, so reports are reproducible; with QSERIES_THREADS
-    positive the two sides are built on separate threads, with no effect on
-    the result.
+    only on series content, so reports are reproducible.
     """
+    if order < 0:
+        raise ValueError(f"order must be nonnegative, got {format_rational(order)}")
     start = time.perf_counter()
-    if _worker_count() > 0:
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            fut_l = pool.submit(make_lhs, order)
-            fut_r = pool.submit(make_rhs, order)
-            lhs, rhs = fut_l.result(), fut_r.result()
-    else:
-        lhs, rhs = make_lhs(order), make_rhs(order)
+    lhs, rhs = make_lhs(order), make_rhs(order)
 
     def settled(side: QSeries, make: Callable[[Fraction], QSeries]) -> QSeries:
         step = max(order, Fraction(8))

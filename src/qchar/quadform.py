@@ -1,29 +1,39 @@
-"""Positive-definite lattice sums over the A-chain quadratic form.
+"""Positive-definite lattice sums over chain quadratic forms.
 
 The exponent function of a LatticeSum is E(k) = c*kappa(k) + lin.k + const,
 where kappa(k) = sum k_i^2 - sum k_i k_{i+1} is half the Gram form of the
-A_l chain and positive definite in every dimension.  Enumeration writes E as
-cstar + sum_i d_i (x_i + phi_i(x_1..x_{i-1}))^2 by repeatedly completing the
-square in the last coordinate; every d_i is positive, so once x_1..x_{i-1}
-are fixed the admissible x_i fill an interval computed exactly with integer
-square roots of rescaled integers.  No floating point enters anywhere.
+A_l chain and positive definite in every dimension.  Its quadratic part is a
+chain: each coordinate meets only its neighbours.  Completing the square in
+the last coordinate, again and again, writes a chain exponent as
+cstar + sum_i d_i (x_i + u_i x_{i-1} + t_i)^2 with every d_i positive, so
+once x_{i-1} and the budget left are fixed the admissible x_i fill an
+interval computed exactly with integer square roots of rescaled integers.
 
-A deliberately crude second enumerator scans a certified coordinate box and
-evaluates the exponent directly.  It shares no machinery with the
-nested-squares path and exists so the two can be checked against each other.
+One engine expands every lattice series on that recursion: a transfer-matrix
+walk that keeps, per value of the current coordinate, an exact map from
+budget spent to weighted count, so it never visits points one by one.  The
+trace route of qchar.affine feeds it its own chain, written in partial sums.
+lattice_enumerate walks the same recursion point by point.  No floating
+point enters anywhere; the tests check both against a box-scan oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product as iter_product
-from math import ceil, floor, isqrt, lcm
+from math import floor, isqrt, lcm
 from typing import Iterator, Optional, Sequence
 
-import numpy as np
-
-from .qseries import QSeries, RationalLike, as_rational, format_rational
+from .qseries import (
+    QSeries,
+    RationalLike,
+    _json_field,
+    _json_int,
+    _json_list,
+    _json_rational,
+    as_rational,
+    format_rational,
+)
 
 __all__ = [
     "KappaForm",
@@ -34,15 +44,12 @@ __all__ = [
     "kappa_eval",
     "bilinear_eval",
     "lattice_enumerate",
-    "lattice_enumerate_oracle",
     "lattice_sum_series",
 ]
 
 WEIGHT_ALTERNATING = "alternating_sign"
 WEIGHT_FOUR_K_PLUS_ONE = "four_k_plus_one"
 _WEIGHTS = (WEIGHT_ALTERNATING, WEIGHT_FOUR_K_PLUS_ONE)
-
-_INT64_CAP = 1 << 62
 
 
 def kappa_eval(k: Sequence[int]) -> int:
@@ -195,11 +202,16 @@ class LatticeSum:
 
     @staticmethod
     def from_json(data: dict) -> "LatticeSum":
+        def field(key: str) -> Fraction:
+            value = _json_field(data, key, "lattice sum")
+            return _json_rational(value, f"lattice {key}")
+
+        lin = _json_list(data, "lin", "lattice sum")
         return LatticeSum(
-            int(data["l"]),
-            as_rational(data["c"]),
-            tuple(as_rational(v) for v in data["lin"]),
-            as_rational(data["const"]),
+            _json_int(_json_field(data, "l", "lattice sum"), "lattice dimension"),
+            field("c"),
+            tuple(_json_rational(v, "lattice lin entry") for v in lin),
+            field("const"),
             data.get("weight"),
         )
 
@@ -215,47 +227,44 @@ def _weight_value(weight: Optional[str], point: tuple[int, ...]) -> int:
     raise ValueError(f"unknown weight shape: {weight!r}")
 
 
-# -- nested completed squares -------------------------------------------------
+# -- chain completed squares ---------------------------------------------------
+#
+# Inside this module a quadratic exponent function on Z^l is a chain: E(x) =
+# sum_i diag[i] x_i^2 + sum_i off[i] x_i x_(i+1) + lin.x + const.
 
 
 def _kappa_parts(s: LatticeSum):
-    g = [[Fraction(0)] * s.l for _ in range(s.l)]
-    for i in range(s.l):
-        g[i][i] = s.c
-        if i + 1 < s.l:
-            g[i][i + 1] = -s.c / 2
-            g[i + 1][i] = -s.c / 2
-    return g, list(s.lin), s.const
+    """The chain (diag, off, lin, const) of a kappa-form lattice sum."""
+    return [s.c] * s.l, [-s.c] * max(s.l - 1, 0), list(s.lin), s.const
 
 
-def _complete_squares(gram, lin, const):
+def _complete_squares(diag, off, lin, const):
     """Peel squares off the last coordinate until none remain.
 
     Returns per-level data (d_i, u_i, t_i) with
-    E(x) = cstar + sum_i d_i (x_i + u_i . x_(<i) + t_i)^2,
-    raising if any pivot fails to be positive.
+    E(x) = cstar + sum_i d_i (x_i + u_i x_(i-1) + t_i)^2 (u_0 = 0),
+    raising if any pivot fails to be positive.  Eliminating x_i changes only
+    the diagonal and linear entries of x_(i-1), so the form stays a chain.
     """
     l = len(lin)
-    g = [[as_rational(v) for v in row] for row in gram]
+    a = [as_rational(v) for v in diag]
+    b = [as_rational(v) for v in off]
     lin = [as_rational(v) for v in lin]
     c = as_rational(const)
     d: list[Fraction] = [Fraction(0)] * l
-    u: list[tuple[Fraction, ...]] = [()] * l
+    u: list[Fraction] = [Fraction(0)] * l
     t: list[Fraction] = [Fraction(0)] * l
     for i in reversed(range(l)):
-        di = g[i][i]
+        di = a[i]
         if di <= 0:
             raise ValueError("indefinite exponent function")
-        ui = [g[i][j] / di for j in range(i)]
         ti = lin[i] / (2 * di)
-        d[i], u[i], t[i] = di, tuple(ui), ti
-        for a in range(i):
-            ua = ui[a]
-            if not ua:
-                continue
-            for b in range(i):
-                g[a][b] -= di * ua * ui[b]
-            lin[a] -= 2 * di * ua * ti
+        d[i], t[i] = di, ti
+        if i:
+            ui = b[i - 1] / (2 * di)
+            u[i] = ui
+            a[i - 1] -= di * ui * ui
+            lin[i - 1] -= 2 * di * ui * ti
         c -= di * ti * ti
     return d, u, t, c
 
@@ -266,9 +275,10 @@ class _ScaledForm:
 
     sigma is a common denominator for everything: budgets, square multipliers
     and the truncation bound all become plain integers, so the recursion runs
-    on exact integer arithmetic only.  sigma is a multiple of grid_denom, and
-    ehat values (sigma times an exponent) divide exactly by sigma/grid_denom
-    to give grid slots.
+    on exact integer arithmetic only.  With x_(-1) = 0, level i spends
+    K_i * (W_i x_i + w_prev_i x_(i-1) + w0_i)^2 of the budget.  sigma is a
+    multiple of grid_denom, and ehat values (sigma times an exponent) divide
+    exactly by sigma/grid_denom to give grid slots.
     """
 
     levels: int
@@ -276,37 +286,22 @@ class _ScaledForm:
     sigma: int
     sigma_t: int
     budget: int
-    cstar: Fraction
     K: tuple[int, ...]
     W: tuple[int, ...]
-    w_rows: tuple[tuple[int, ...], ...]
+    w_prev: tuple[int, ...]
     w0: tuple[int, ...]
 
 
-def _grid_denominator(gram, lin, const) -> int:
+def _grid_denominator(diag, off, lin, const) -> int:
     """Smallest D with D*E(x) integral for every integer x."""
-    d = 1
-    l = len(lin)
-    for i in range(l):
-        d = lcm(d, as_rational(gram[i][i]).denominator)
-        for j in range(i + 1, l):
-            d = lcm(d, (2 * as_rational(gram[i][j])).denominator)
-    for v in lin:
-        d = lcm(d, as_rational(v).denominator)
-    d = lcm(d, as_rational(const).denominator)
-    return d
+    return lcm(*(as_rational(v).denominator for v in (*diag, *off, *lin, const)))
 
 
-def _scale_form(gram, lin, const, bound: Fraction) -> _ScaledForm:
+def _scale_form(diag, off, lin, const, bound: Fraction) -> _ScaledForm:
     l = len(lin)
-    d, u, t, cstar = _complete_squares(gram, lin, const)
-    grid = _grid_denominator(gram, lin, const)
-    ws: list[int] = []
-    for i in range(l):
-        wi = t[i].denominator
-        for v in u[i]:
-            wi = lcm(wi, v.denominator)
-        ws.append(wi)
+    d, u, t, cstar = _complete_squares(diag, off, lin, const)
+    grid = _grid_denominator(diag, off, lin, const)
+    ws = [lcm(t[i].denominator, u[i].denominator) for i in range(l)]
     sigma = lcm(grid, bound.denominator, cstar.denominator)
     for i in range(l):
         sigma = lcm(sigma, d[i].denominator * ws[i] * ws[i])
@@ -316,11 +311,15 @@ def _scale_form(gram, lin, const, bound: Fraction) -> _ScaledForm:
         int(sigma * d[i].numerator) // (d[i].denominator * ws[i] * ws[i])
         for i in range(l)
     )
-    w_rows = tuple(tuple(int(v * ws[i]) for v in u[i]) for i in range(l))
+    w_prev = tuple(int(u[i] * ws[i]) for i in range(l))
     w0 = tuple(int(t[i] * ws[i]) for i in range(l))
-    return _ScaledForm(
-        l, grid, sigma, sigma_t, budget, cstar, kk, tuple(ws), w_rows, w0
-    )
+    return _ScaledForm(l, grid, sigma, sigma_t, budget, kk, tuple(ws), w_prev, w0)
+
+
+def _level_range(k: int, w: int, p: int, budget: int) -> range:
+    """All x with k * (w*x + p)^2 <= budget."""
+    r = isqrt(budget // k)
+    return range(-((r + p) // w), (r - p) // w + 1)
 
 
 def _scaled_points(form: _ScaledForm) -> Iterator[tuple[tuple[int, ...], int]]:
@@ -331,171 +330,73 @@ def _scaled_points(form: _ScaledForm) -> Iterator[tuple[tuple[int, ...], int]]:
     if l == 0:
         yield (), form.sigma_t - form.budget
         return
-    kk, ws, rows, w0 = form.K, form.W, form.w_rows, form.w0
+    kk, ws, w_prev, w0 = form.K, form.W, form.w_prev, form.w0
     sigma_t = form.sigma_t
     x = [0] * l
-    pend = list(w0)
 
-    def rec(i: int, budget: int):
-        ki, wi, pi = kk[i], ws[i], pend[i]
-        r = isqrt(budget // ki)
-        lo = -((r + pi) // wi)
-        hi = (r - pi) // wi
+    def rec(i: int, prev: int, budget: int):
+        ki, wi = kk[i], ws[i]
+        pi = w0[i] + w_prev[i] * prev
         last = i == l - 1
-        for xi in range(lo, hi + 1):
+        for xi in _level_range(ki, wi, pi, budget):
             v = wi * xi + pi
             nb = budget - ki * v * v
             x[i] = xi
             if last:
                 yield tuple(x), sigma_t - nb
             else:
-                for j in range(i + 1, l):
-                    pend[j] += rows[j][i] * xi
-                yield from rec(i + 1, nb)
-                for j in range(i + 1, l):
-                    pend[j] -= rows[j][i] * xi
+                yield from rec(i + 1, xi, nb)
 
-    yield from rec(0, form.budget)
+    yield from rec(0, 0, form.budget)
 
 
-def _fast_safe(form: _ScaledForm) -> bool:
-    """Conservative check that the vectorized path stays far inside int64."""
-    if form.levels == 0 or form.budget < 0:
-        return True
-    xmax: list[int] = []
-    pmax: list[int] = []
-    for i in range(form.levels):
-        r = isqrt(form.budget // form.K[i])
-        p = abs(form.w0[i]) + sum(
-            abs(form.w_rows[i][j]) * xmax[j] for j in range(i)
-        )
-        pmax.append(p)
-        xmax.append((r + p) // form.W[i] + 1)
-    i = form.levels - 1
-    vbound = form.W[i] * (xmax[i] + 1) + pmax[i]
-    ehat_bound = abs(form.sigma_t) + 2 * form.budget + form.K[i] * vbound * vbound
-    return max(vbound, ehat_bound) < _INT64_CAP
+def _chain_series(diag, off, lin, const, weight, bound: Fraction) -> QSeries:
+    """The one lattice engine: expand a positive-definite chain sum as a QSeries.
 
-
-def _counts_numpy(form: _ScaledForm, t_units: int, slot_min: int) -> list[int]:
-    """Accumulate grid-slot counts, vectorizing the innermost coordinate.
-
-    Leaf intervals are often short, so instead of one array op per leaf the
-    recursion records (base, offset, lo, hi) rows and a flush expands a
-    million candidates at a time with repeat/cumsum index arithmetic.
+    A transfer-matrix walk over the completed squares.  After level i it
+    keeps, for each value of x_i, an exact map from budget spent on levels
+    0..i to the weighted number of prefixes spending it; the square at level
+    i+1 depends only on x_i, so prefixes agreeing on x_i and the spend merge
+    and no point is visited one by one.  The weight shape reads the first
+    coordinate, so it is applied once, after level 0 (the empty point of
+    l = 0 weighs 1 under every shape).  The last level's maps fold into grid
+    slots.
     """
-    length = t_units - slot_min + 1
-    counts = np.zeros(length, dtype=np.int64)
-    slot_div = form.sigma // form.grid_denom
-    l = form.levels
-    if l == 0:
-        slot = (form.sigma_t - form.budget) // slot_div
-        counts[slot - slot_min] += 1
-        return [int(c) for c in counts]
-    kk, ws, rows, w0 = form.K, form.W, form.w_rows, form.w0
-    sigma_t = form.sigma_t
-    k_leaf, w_leaf = kk[l - 1], ws[l - 1]
-    bases: list[int] = []
-    offsets: list[int] = []
-    los: list[int] = []
-    his: list[int] = []
-    pending = 0
-
-    def flush() -> None:
-        nonlocal pending, counts
-        if not bases:
-            return
-        lo_a = np.array(los, dtype=np.int64)
-        lens = np.array(his, dtype=np.int64) - lo_a + 1
-        starts = np.zeros(len(lens), dtype=np.int64)
-        np.cumsum(lens[:-1], out=starts[1:])
-        seg = np.repeat(np.arange(len(lens), dtype=np.int64), lens)
-        pos = np.arange(int(lens.sum()), dtype=np.int64) - starts[seg]
-        v = w_leaf * (lo_a[seg] + pos) + np.array(offsets, dtype=np.int64)[seg]
-        ehat = np.array(bases, dtype=np.int64)[seg] + k_leaf * v * v
-        counts += np.bincount(ehat // slot_div - slot_min, minlength=length)
-        bases.clear()
-        offsets.clear()
-        los.clear()
-        his.clear()
-        pending = 0
-
-    pend = list(w0)
-
-    def rec(i: int, budget: int) -> None:
-        nonlocal pending
-        ki, wi, pi = kk[i], ws[i], pend[i]
-        r = isqrt(budget // ki)
-        lo = -((r + pi) // wi)
-        hi = (r - pi) // wi
-        if hi < lo:
-            return
-        if i == l - 1:
-            bases.append(sigma_t - budget)
-            offsets.append(pi)
-            los.append(lo)
-            his.append(hi)
-            pending += hi - lo + 1
-            if pending >= 1 << 20:
-                flush()
-            return
-        for xi in range(lo, hi + 1):
-            v = wi * xi + pi
-            nb = budget - ki * v * v
-            for j in range(i + 1, l):
-                pend[j] += rows[j][i] * xi
-            rec(i + 1, nb)
-            for j in range(i + 1, l):
-                pend[j] -= rows[j][i] * xi
-
-    rec(0, form.budget)
-    flush()
-    return [int(c) for c in counts]
-
-
-def _series_from_parts(gram, lin, const, weight, bound: Fraction) -> QSeries:
-    """Shared engine: expand a positive-definite quadratic lattice sum."""
-    grid = _grid_denominator(gram, lin, const)
-    t_units = floor(bound * grid)
-    l = len(lin)
-    if l == 0:
-        c0 = as_rational(const)
-        if c0 <= bound:
-            return QSeries.from_terms([(c0, _weight_value(weight, ()))], bound, grid)
-        return QSeries.zero(bound, grid)
-    form = _scale_form(gram, lin, const, bound)
+    form = _scale_form(diag, off, lin, const, bound)
+    grid = form.grid_denom
     if form.budget < 0:
         return QSeries.zero(bound, grid)
-    if weight is None and _fast_safe(form):
-        slot_min = ceil(form.cstar * grid)
-        if t_units < slot_min:
-            return QSeries.zero(bound, grid)
-        window = _counts_numpy(form, t_units, slot_min)
-        return QSeries.from_window(grid, slot_min, window, t_units)
+    states: dict[int, dict[int, int]] = {0: {0: 1}}
+    for i in range(form.levels):
+        ki, wi, ci, ti = form.K[i], form.W[i], form.w_prev[i], form.w0[i]
+        nxt: dict[int, dict[int, int]] = {}
+        for prev, spent in states.items():
+            pi = ti + ci * prev
+            for used, count in spent.items():
+                for xi in _level_range(ki, wi, pi, form.budget - used):
+                    v = wi * xi + pi
+                    key = used + ki * v * v
+                    row = nxt.setdefault(xi, {})
+                    row[key] = row.get(key, 0) + count
+        states = nxt
+        if i == 0 and weight is not None:
+            for xi, row in states.items():
+                w = _weight_value(weight, (xi,))
+                for key in row:
+                    row[key] *= w
+    base = form.sigma_t - form.budget
     slot_div = form.sigma // grid
     acc: dict[int, int] = {}
-    for point, ehat in _scaled_points(form):
-        w = _weight_value(weight, point)
-        slot = ehat // slot_div
-        acc[slot] = acc.get(slot, 0) + w
+    for row in states.values():
+        for used, count in row.items():
+            slot = (base + used) // slot_div
+            acc[slot] = acc.get(slot, 0) + count
     if not acc:
         return QSeries.zero(bound, grid)
+    t_units = floor(bound * grid)
     lo = min(acc)
     window = [acc.get(i, 0) for i in range(lo, t_units + 1)]
     return QSeries.from_window(grid, lo, window, t_units)
-
-
-def _points_from_parts(gram, lin, const, bound: Fraction):
-    """Exact point stream for an arbitrary positive-definite quadratic form."""
-    l = len(lin)
-    if l == 0:
-        c0 = as_rational(const)
-        if c0 <= bound:
-            yield (), c0
-        return
-    form = _scale_form(gram, lin, const, bound)
-    for point, ehat in _scaled_points(form):
-        yield point, Fraction(ehat, form.sigma)
 
 
 # -- public enumeration over kappa-form sums -----------------------------------
@@ -508,8 +409,9 @@ def lattice_enumerate(
     t = as_rational(bound)
     if s.c <= 0:
         raise ValueError("indefinite exponent function")
-    gram, lin, const = _kappa_parts(s)
-    yield from _points_from_parts(gram, lin, const, t)
+    form = _scale_form(*_kappa_parts(s), t)
+    for point, ehat in _scaled_points(form):
+        yield point, Fraction(ehat, form.sigma)
 
 
 def lattice_sum_series(s: LatticeSum, bound: RationalLike) -> QSeries:
@@ -522,96 +424,4 @@ def lattice_sum_series(s: LatticeSum, bound: RationalLike) -> QSeries:
     t = as_rational(bound)
     if s.c <= 0:
         raise ValueError("indefinite exponent function")
-    gram, lin, const = _kappa_parts(s)
-    return _series_from_parts(gram, lin, const, s.weight, t)
-
-
-# -- independent box-scan oracle ------------------------------------------------
-
-# 333/106 is a classical continued-fraction convergent strictly below pi.
-_PI_LOWER = Fraction(333, 106)
-
-
-def _kappa_lambda_lower(l: int) -> Fraction:
-    """Certified positive rational below the least eigenvalue of the kappa Gram.
-
-    The exact value is 2*sin(pi/(2(l+1)))^2; sin is bounded below on [0, pi/2]
-    by its alternating series truncation x - x^3/6 evaluated at a rational
-    point below the true angle.
-    """
-    x = _PI_LOWER / (2 * (l + 1))
-    s = x - x**3 / 6
-    assert s > 0
-    return 2 * s * s
-
-
-def _sqrt_upper(x: Fraction) -> Fraction:
-    """A rational upper bound for sqrt(x), x >= 0."""
-    if x < 0:
-        raise ValueError("negative radicand")
-    return Fraction(isqrt(x.numerator * x.denominator) + 1, x.denominator)
-
-
-def lattice_enumerate_oracle(
-    s: LatticeSum, bound: RationalLike
-) -> Iterator[tuple[tuple[int, ...], Fraction]]:
-    """Reference enumerator: scan a certified box, evaluate E directly.
-
-    The box radius comes from c*lambda*|k|^2 - |lin|*|k| + const <= bound
-    with lambda a certified rational lower bound on the least eigenvalue of
-    the kappa Gram matrix, so no admissible point can escape the box.
-    """
-    t = as_rational(bound)
-    if s.c <= 0:
-        raise ValueError("indefinite exponent function")
-    if s.l == 0:
-        if s.const <= t:
-            yield (), s.const
-        return
-    lam = s.c * _kappa_lambda_lower(s.l)
-    norm2 = sum(v * v for v in s.lin)
-    lin_norm = _sqrt_upper(Fraction(norm2)) if norm2 else Fraction(0)
-    disc = lin_norm * lin_norm + 4 * lam * (t - s.const)
-    if disc < 0:
-        return
-    radius = floor((lin_norm + _sqrt_upper(disc)) / (2 * lam))
-    if radius < 0:
-        return
-
-    gram, lin, const = _kappa_parts(s)
-    scale = lcm(_grid_denominator(gram, lin, const), t.denominator)
-    diag = int(scale * s.c)
-    cross = -diag
-    lin_s = [int(scale * v) for v in s.lin]
-    const_s = int(scale * s.const)
-    t_s = int(scale * t)
-    l = s.l
-
-    side = 2 * radius + 1
-    volume = side**l
-    emax = diag * l * radius * radius + abs(cross) * l * radius * radius
-    emax += sum(abs(v) for v in lin_s) * radius + abs(const_s)
-    if l >= 2 and volume > 100_000 and emax < _INT64_CAP:
-        tail_axes = np.arange(-radius, radius + 1, dtype=np.int64)
-        shape = [side] * (l - 1)
-        tails = np.meshgrid(*([tail_axes] * (l - 1)), indexing="ij")
-        tail_e = np.zeros(shape, dtype=np.int64)
-        for i, axis in enumerate(tails):
-            tail_e += diag * axis * axis + lin_s[i + 1] * axis
-            if i + 2 < l:
-                tail_e += cross * axis * tails[i + 1]
-        tail_e += const_s
-        for x0 in range(-radius, radius + 1):
-            e = tail_e + (diag * x0 * x0 + lin_s[0] * x0) + cross * x0 * tails[0]
-            hits = np.argwhere(e <= t_s)
-            for idx in hits:
-                point = (x0,) + tuple(int(v) - radius for v in idx)
-                yield point, Fraction(int(e[tuple(idx)]), scale)
-        return
-
-    for point in iter_product(range(-radius, radius + 1), repeat=l):
-        e = diag * sum(v * v for v in point)
-        e += cross * sum(point[i] * point[i + 1] for i in range(l - 1))
-        e += sum(a * b for a, b in zip(lin_s, point)) + const_s
-        if e <= t_s:
-            yield point, Fraction(e, scale)
+    return _chain_series(*_kappa_parts(s), s.weight, t)

@@ -10,6 +10,7 @@ import random
 import time
 from fractions import Fraction
 
+from box_oracle import lattice_enumerate_oracle
 from qchar.affine import (
     compute_N,
     compute_s,
@@ -38,7 +39,6 @@ from qchar.quadform import (
     WEIGHT_FOUR_K_PLUS_ONE,
     kappa_eval,
     lattice_enumerate,
-    lattice_enumerate_oracle,
     lattice_sum_series,
 )
 

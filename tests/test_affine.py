@@ -3,7 +3,7 @@
 import json
 from fractions import Fraction
 from itertools import product as iter_product
-from math import lcm
+from math import isqrt, lcm
 
 import pytest
 
@@ -26,6 +26,7 @@ from qchar.qseries import (
     normalize_shift,
     product_series,
     series_compare,
+    series_mul,
 )
 from qchar.quadform import LatticeSum, lattice_sum_series
 
@@ -271,6 +272,29 @@ def test_trace_single_part_nonzero_weight_shifts():
     normalized, shift = normalize_shift(got)
     assert shift == 2
     assert series_compare(normalized, base).match
+
+
+def box_trace(parts, k, bound):
+    """Trace route with the theta sum from a plain scan over r-tuples summing to k."""
+    data = PartitionData.from_parts(parts)
+    big, t = data.N, Fraction(bound)
+    # every admissible tuple has (N/2) k_i^2 / n_i <= t
+    radius = isqrt(int(2 * t * max(parts) / big)) + 1
+    terms = []
+    for head in iter_product(range(-radius, radius + 1), repeat=len(parts) - 1):
+        ks = head + (k - sum(head),)
+        e = Fraction(big, 2) * sum(Fraction(v * v, p) for v, p in zip(ks, parts))
+        if e <= t:
+            terms.append((e, 1))
+    theta = QSeries.from_terms(terms, t)
+    factors = [(Fraction(big), 1)] + [(Fraction(big, p), -1) for p in parts]
+    return series_mul(theta, product_series(ProductSpec(tuple(factors)), t))
+
+
+def test_trace_theta_matches_box_scan():
+    for parts in ((1, 1, 2), (1, 2, 3), (1, 1, 1, 1)):
+        for k in range(sum(parts)):
+            assert trace_series(parts, k, 20) == box_trace(parts, k, 20), (parts, k)
 
 
 def test_trace_weight_index_validation():

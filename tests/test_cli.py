@@ -1,9 +1,13 @@
 """Exit codes, output formats, and determinism of the command-line interface."""
 
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
+
+import pytest
 
 from qchar.cli import main
 from qchar.qseries import QSeries, VerifyReport, series_compare
@@ -159,6 +163,33 @@ def test_series_product_bad_json_is_usage_error(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "[]",
+        "{}",
+        '{"factors": [{"scale": 1.5, "power": 1}]}',
+        '{"factors": [{"scale": "1", "power": 1.5}]}',
+    ],
+)
+def test_series_product_malformed_spec_is_one_line_usage_error(capsys, spec):
+    code, out, err = run_cli(capsys, "series", "product", "--spec", spec)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_negative_verify_order_is_usage_error(capsys):
+    for argv in (
+        ("verify", "classical", "euler", "--order", "-5"),
+        ("verify", "proposition", "--partition", "1,3", "--k", "3", "--order", "-5"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert err == "error: order must be nonnegative, got -5\n"
+
+
 def test_series_character_trace_agree_after_normalization(capsys):
     _, out_c, _ = run_cli(
         capsys, "series", "character", "--partition", "1,3", "--k", "3",
@@ -175,6 +206,36 @@ def test_series_character_trace_agree_after_normalization(capsys):
     report = series_compare(char, trace)
     assert report.match
     assert report.checked_through >= Fraction(10) - Fraction(7, 2)
+
+
+# Output bytes recorded from the earlier dense-Gram lattice engine, so the
+# chain engine is held to values it did not produce (two multi-part partitions).
+FROZEN_ROUTES = [
+    (
+        ("--partition", "1,1,2", "--k", "1", "--order", "6"),
+        "q + 2*q^2 + q^3 + 2*q^4 + 6*q^5 + 8*q^6 + O(q^7)\n",
+        '{"coeffs": ["1", "2", "1", "2", "6", "8"], "denom": 1, "lo": 1, "order": 6}\n',
+        '{"coeffs": ["1", "0", "2", "0", "1", "0", "2", "0", "6", "0", "8", "0"], '
+        '"denom": 2, "lo": 1, "order": 12}\n',
+    ),
+    (
+        ("--partition", "1,2,3", "--k", "2", "--order", "12"),
+        "q^5 + 2*q^8 + 2*q^9 + q^11 + 3*q^12 + O(q^13)\n",
+        '{"coeffs": ["1", "0", "0", "2", "2", "0", "1", "3"], "denom": 1, "lo": 5, '
+        '"order": 12}\n',
+        '{"coeffs": ["1", "0", "0", "2", "2", "0", "1", "3", "3", "2", "2", "5"], '
+        '"denom": 1, "lo": 1, "order": 12}\n',
+    ),
+]
+
+
+def test_series_routes_frozen_bytes(capsys):
+    for args, trace_text, trace_json, char_json in FROZEN_ROUTES:
+        assert run_cli(capsys, "series", "trace", *args) == (0, trace_text, "")
+        got = run_cli(capsys, "series", "trace", *args, "--json")
+        assert got == (0, trace_json, "")
+        got = run_cli(capsys, "series", "character", *args, "--json")
+        assert got == (0, char_json, "")
 
 
 def test_series_json_round_trip(capsys):
@@ -246,3 +307,15 @@ def test_installed_entry_point_smoke():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["match"] is True
+
+
+def test_import_leaves_numpy_unloaded():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = "import sys, qchar, qchar.cli; print('numpy' in sys.modules)"
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"

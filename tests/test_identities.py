@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from qchar.affine import specialized_character
+from qchar.affine import specialized_character, verify_proposition
 from qchar.identities import (
     CLASSICAL_NAMES,
     IdentitySpec,
@@ -183,7 +183,24 @@ def test_identity_spec_json_round_trip():
     assert class1_identity(1).to_json()["params"] == 1
 
 
+@pytest.mark.parametrize(
+    "patch",
+    [{"params": True}, {"params": 1.5}, {"name": 7}, {"lhs": []}],
+)
+def test_identity_spec_from_json_is_strict(patch):
+    data = dict(class1_identity(1).to_json(), **patch)
+    with pytest.raises(ValueError):
+        IdentitySpec.from_json(data)
+
+
 # -- verification runs --------------------------------------------------------
+
+
+def test_negative_order_is_refused():
+    with pytest.raises(ValueError, match="nonnegative"):
+        verify_identity(classical_identity("euler"), -5)
+    with pytest.raises(ValueError, match="nonnegative"):
+        verify_proposition((1, 3), 3, Fraction(-1, 2))
 
 
 def test_classical_identities_hold():

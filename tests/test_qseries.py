@@ -464,6 +464,31 @@ def test_product_spec_json_roundtrip():
     assert ProductSpec.from_json(json.loads(json.dumps(spec.to_json()))) == spec
 
 
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"factors": [{"scale": "1", "power": 1.5}]},
+        {"factors": [{"scale": "1", "power": True}]},
+        {"factors": [{"scale": 1.5, "power": 1}]},
+        {"factors": [{"scale": "1"}]},
+        {"factors": {}},
+        {},
+        [],
+    ],
+)
+def test_product_spec_from_json_is_strict(data):
+    with pytest.raises(ValueError):
+        ProductSpec.from_json(data)
+
+
+@pytest.mark.parametrize(
+    "coeffs", [["1", 1.9], ["1", True], ["1", "1.9"], "12"]
+)
+def test_qseries_from_json_is_strict(coeffs):
+    with pytest.raises(ValueError):
+        QSeries.from_json({"denom": 1, "lo": 0, "order": 1, "coeffs": coeffs})
+
+
 def test_render_matches_expected_shape():
     assert render(phi_series(1, 7)) == "1 - q - q^2 + q^5 + q^7 + O(q^8)"
     assert render(QSeries.zero(3)) == "0 + O(q^4)"

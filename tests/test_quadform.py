@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from box_oracle import _kappa_lambda_lower, lattice_enumerate_oracle
 from qchar.qseries import ProductSpec, QSeries, phi_series, product_series, series_mul
 from qchar.quadform import (
     WEIGHT_ALTERNATING,
@@ -16,11 +17,9 @@ from qchar.quadform import (
     BilinearForm,
     KappaForm,
     LatticeSum,
-    _kappa_lambda_lower,
     bilinear_eval,
     kappa_eval,
     lattice_enumerate,
-    lattice_enumerate_oracle,
     lattice_sum_series,
 )
 
@@ -45,6 +44,10 @@ def brute_points(s, bound, radius):
         if e <= bound:
             hits.append((point, Fraction(e)))
     return hits
+
+
+def fracs(text):
+    return tuple(Fraction(v) for v in text.split())
 
 
 def lattice_grid(s):
@@ -203,6 +206,22 @@ def test_lattice_sum_json_round_trip():
     plain = LatticeSum(1, Fraction(2), (Fraction(1),))
     assert "weight" not in plain.to_json()
     assert LatticeSum.from_json(plain.to_json()) == plain
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"l": 1.5, "c": "1", "lin": ["0"], "const": "0"},
+        {"l": True, "c": "1", "lin": ["0"], "const": "0"},
+        {"l": 1, "c": 1.5, "lin": ["0"], "const": "0"},
+        {"l": 1, "c": "1", "lin": "0", "const": "0"},
+        {"l": 1, "c": "1", "lin": ["0"]},
+        [],
+    ],
+)
+def test_lattice_sum_from_json_is_strict(data):
+    with pytest.raises(ValueError):
+        LatticeSum.from_json(data)
 
 
 def test_weight_values():
@@ -367,6 +386,19 @@ def test_series_matches_hand_aggregation():
         LatticeSum(1, Fraction(5, 2), (Fraction(-3, 2),), Fraction(-2)),
         LatticeSum(2, Fraction(3), (Fraction(2), Fraction(2)), weight=WEIGHT_ALTERNATING),
         LatticeSum(4, Fraction(1), (Fraction(0),) * 4),
+        # 5- to 7-dimensional chains, fractional c, lin and const, both weights
+        LatticeSum(
+            5, Fraction(5, 2), fracs("1/2 -3/2 0 1 -1/3"), Fraction(-1, 4),
+            WEIGHT_ALTERNATING,
+        ),
+        LatticeSum(
+            6, Fraction(7, 3), fracs("-1 1/3 2/3 0 -1/2 1"), Fraction(1, 6),
+            WEIGHT_FOUR_K_PLUS_ONE,
+        ),
+        LatticeSum(7, Fraction(3, 2), fracs("1/2 0 -1/2 1 0 -1 1/4"), Fraction(-3, 4)),
+        LatticeSum(
+            7, Fraction(9, 4), fracs("-1/2 " * 7), Fraction(1, 3), WEIGHT_ALTERNATING
+        ),
     ]
     for s in cases:
         t = Fraction(21, 2)

@@ -35,6 +35,7 @@ from .quadform import (
     bilinear_eval,
     kappa_eval,
     lattice_enumerate,
+    lattice_min_exponent,
     lattice_sum_series,
 )
 from .affine import (
@@ -91,6 +92,7 @@ __all__ = [
     "bilinear_eval",
     "kappa_eval",
     "lattice_enumerate",
+    "lattice_min_exponent",
     "lattice_sum_series",
     "as_rational",
     "format_rational",

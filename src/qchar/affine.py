@@ -31,7 +31,8 @@ from .qseries import (
     product_series,
     series_mul,
 )
-from .quadform import KappaForm, LatticeSum, _chain_series, lattice_sum_series
+from .quadform import KappaForm, LatticeSum, _chain_min, _chain_series
+from .quadform import lattice_min_exponent, lattice_sum_series
 
 __all__ = [
     "PartitionData",
@@ -220,24 +221,21 @@ def specialized_character_series(
 ) -> QSeries:
     """Character route: numerator lattice sum over phi(q^N)^(n-1).
 
-    When the numerator dips below q^0 both factors are recomputed with the
-    window widened by the dip, so the quotient stays guaranteed through the
-    requested order.
+    The quotient is guaranteed through min(bound, bound + lead) with lead the
+    numerator's exact leading exponent, so when lead < 0 both factors are
+    built through bound - lead and the result still reaches the bound.
     """
     data = specialized_character(parts, k)
     t = as_rational(bound)
-    num = lattice_sum_series(data.numerator, t)
-    low = num.lowest_exponent() if not num.is_zero() else Fraction(0)
-    pad = -low if low < 0 else Fraction(0)
-    if pad:
-        num = lattice_sum_series(data.numerator, t + pad)
+    pad = max(-lattice_min_exponent(data.numerator), Fraction(0))
+    num = lattice_sum_series(data.numerator, t + pad)
     inv = ProductSpec(tuple((sc, -p) for sc, p in data.denominator.factors))
     den = product_series(inv, t + pad)
     return series_mul(num, den)
 
 
-def trace_series(parts: Sequence[int], k: int, bound) -> QSeries:
-    """Trace route: constrained theta sum with Euler-product corrections.
+def _trace_parts(parts: Sequence[int], k: int):
+    """The trace route's theta chain (diag, off, lin, const) and its correction.
 
     phi(q^N) times the sum of q^((N/2) sum k_i^2/n_i) over integer r-tuples
     with sum k, divided by one phi(q^(N/n_i)) per part.  In the partial sums
@@ -248,7 +246,6 @@ def trace_series(parts: Sequence[int], k: int, bound) -> QSeries:
     data = PartitionData.from_parts(parts)
     if not isinstance(k, int) or not 0 <= k <= data.n - 1:
         raise ValueError("weight index out of range")
-    t = as_rational(bound)
     big = data.N
     ps = data.parts
     half = Fraction(big, 2)
@@ -258,25 +255,33 @@ def trace_series(parts: Sequence[int], k: int, bound) -> QSeries:
     if lin:
         lin[-1] = Fraction(-big * k, ps[-1])
     const = half * k * k / ps[-1]
-    theta = _chain_series(diag, off, lin, const, None, t)
     factors = [(Fraction(big), 1)]
     factors.extend((Fraction(big, p), -1) for p in ps)
-    correction = product_series(ProductSpec(tuple(factors)), t)
-    return series_mul(theta, correction)
+    return (diag, off, lin, const), ProductSpec(tuple(factors))
+
+
+def trace_series(parts: Sequence[int], k: int, bound) -> QSeries:
+    """Trace route: constrained theta sum with Euler-product corrections."""
+    chain, correction = _trace_parts(parts, k)
+    t = as_rational(bound)
+    return series_mul(_chain_series(*chain, None, t), product_series(correction, t))
 
 
 def verify_proposition(parts: Sequence[int], k: int, bound) -> VerifyReport:
     """Expand both routes and compare coefficients through the bound.
 
-    The two sides differ by a monomial factor, so the comparison normalizes
-    each to start at q^0 and reports the shifts alongside the verdict.
+    The sides differ by a monomial factor.  Each route's leading exponent is an
+    unweighted lattice minimum (every other factor starts at 1), so each side
+    is built once, through the bound above it; the shifts are reported.
     """
     t = as_rational(bound)
 
     def lhs(order: Fraction) -> QSeries:
-        return specialized_character_series(parts, k, order)
+        lead = lattice_min_exponent(specialized_character(parts, k).numerator)
+        return specialized_character_series(parts, k, lead + order)
 
     def rhs(order: Fraction) -> QSeries:
-        return trace_series(parts, k, order)
+        lead = _chain_min(*_trace_parts(parts, k)[0])
+        return trace_series(parts, k, lead + order)
 
     return _compare_builders(lhs, rhs, t)

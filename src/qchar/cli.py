@@ -2,7 +2,7 @@
 
 Exit codes: 0 for a verified match (or a printed series), 1 for a mismatch,
 2 for usage errors (bad flags, invalid partitions, nonpositive scales,
-negative verify orders, malformed --spec JSON), reported on one "error:"
+negative orders, malformed --spec JSON), reported on one "error:"
 line.  Output is deterministic byte-for-byte for identical invocations;
 timing is excluded unless --timing is passed so reports stay reproducible.
 """
@@ -256,6 +256,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # argparse already printed usage/help; fold its exit into our code
         return 0 if exc.code in (0, None) else int(exc.code)
     try:
+        if args.command == "series" and args.order < 0:
+            # the verify driver refuses these itself
+            order = format_rational(args.order)
+            raise ValueError(f"order must be nonnegative, got {order}")
         return args.func(args)
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)

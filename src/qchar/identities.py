@@ -29,6 +29,7 @@ from .quadform import (
     WEIGHT_ALTERNATING,
     WEIGHT_FOUR_K_PLUS_ONE,
     LatticeSum,
+    lattice_min_exponent,
     lattice_sum_series,
 )
 
@@ -168,13 +169,17 @@ def class2_identity(m: int) -> IdentitySpec:
 
 
 def verify_identity(spec: IdentitySpec, bound) -> VerifyReport:
-    """Expand both sides through the bound and compare after normalization."""
+    """Expand both sides through the bound and compare after normalization.
+
+    The product side starts at q^0; the lattice side is built through the
+    bound above its minimum exponent, or less if weights cancel there.
+    """
     t = as_rational(bound)
 
     def lhs(order: Fraction) -> QSeries:
         return product_series(spec.lhs, order)
 
     def rhs(order: Fraction) -> QSeries:
-        return lattice_sum_series(spec.rhs, order)
+        return lattice_sum_series(spec.rhs, lattice_min_exponent(spec.rhs) + order)
 
     return _compare_builders(lhs, rhs, t)

@@ -91,9 +91,12 @@ def _json_int(value, what: str) -> int:
 
 
 def _json_rational(value, what: str) -> Fraction:
-    if isinstance(value, bool) or not isinstance(value, (int, str)):
-        raise ValueError(f"{what} must be an integer or num/den string, got {value!r}")
-    return as_rational(value)
+    try:
+        if not isinstance(value, bool) and isinstance(value, (int, str)):
+            return as_rational(value)
+    except (ValueError, ZeroDivisionError):
+        pass
+    raise ValueError(f"{what} must be an integer or a num/den rational, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -628,39 +631,19 @@ def _compare_builders(
     make_rhs: Callable[[Fraction], QSeries],
     order: Fraction,
 ) -> VerifyReport:
-    """Build both sides of an identity at the given order and compare them.
+    """Build each side of an identity once and compare them through the order.
 
-    A negative order is refused: it would check nothing.  Two adjustments
-    keep the comparison honest through the full request.  A side that comes
-    back identically zero may simply start above the order, so its window is
-    grown geometrically a few times to find the leading term.  A side
-    starting at q^e with e > 0 loses e of guaranteed window to
-    normalization, so it is rebuilt at order + e.  Both adjustments depend
-    only on series content, so reports are reproducible.
+    Builders take a relative order: make(order) returns its side guaranteed
+    through order above the side's exact leading exponent, which the caller
+    computes up front, so after normalization each window spans the request
+    and nothing is rebuilt.  A side whose leading terms cancel starts higher
+    and its shorter window shows in checked_through.  A negative order is
+    refused: it would check nothing.
     """
     if order < 0:
         raise ValueError(f"order must be nonnegative, got {format_rational(order)}")
     start = time.perf_counter()
-    lhs, rhs = make_lhs(order), make_rhs(order)
-
-    def settled(side: QSeries, make: Callable[[Fraction], QSeries]) -> QSeries:
-        step = max(order, Fraction(8))
-        tries = 0
-        while side.is_zero() and tries < 6:
-            side = make(order + step)
-            step *= 2
-            tries += 1
-        if side.is_zero():
-            return side
-        low = side.lowest_exponent()
-        if low > 0:
-            side = make(order + low)
-        return side
-
-    lhs, rhs = settled(lhs, make_lhs), settled(rhs, make_rhs)
-    report = series_compare(lhs, rhs)
-    if report.checked_through > order:
-        report = replace(report, checked_through=order)
+    report = series_compare(make_lhs(order), make_rhs(order))
     elapsed = int((time.perf_counter() - start) * 1000)
     return replace(report, wall_time_ms=elapsed)
 

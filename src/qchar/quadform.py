@@ -13,6 +13,7 @@ One engine expands every lattice series on that recursion: a transfer-matrix
 walk that keeps, per value of the current coordinate, an exact map from
 budget spent to weighted count, so it never visits points one by one.  The
 trace route of qchar.affine feeds it its own chain, written in partial sums.
+Unweighted, through a rounding bound, the walk yields exact minimum exponents.
 lattice_enumerate walks the same recursion point by point.  No floating
 point enters anywhere; the tests check both against a box-scan oracle.
 """
@@ -44,6 +45,7 @@ __all__ = [
     "kappa_eval",
     "bilinear_eval",
     "lattice_enumerate",
+    "lattice_min_exponent",
     "lattice_sum_series",
 ]
 
@@ -399,6 +401,19 @@ def _chain_series(diag, off, lin, const, weight, bound: Fraction) -> QSeries:
     return QSeries.from_window(grid, lo, window, t_units)
 
 
+def _chain_min(diag, off, lin, const) -> Fraction:
+    """Exact minimum of a positive-definite chain exponent over Z^l.
+
+    Rounding each completed square in turn, level 0 first, leaves every square
+    at most 1/4, so some point lies within cstar + sum(d_i)/4 (Babai's
+    nearest-plane bound).  Unweighted counts cannot cancel, so the lowest
+    exponent of the unweighted expansion through that bound is the minimum.
+    """
+    d, _, _, cstar = _complete_squares(diag, off, lin, const)
+    bound = cstar + sum(d, Fraction(0)) / 4
+    return _chain_series(diag, off, lin, const, None, bound).lowest_exponent()
+
+
 # -- public enumeration over kappa-form sums -----------------------------------
 
 
@@ -412,6 +427,11 @@ def lattice_enumerate(
     form = _scale_form(*_kappa_parts(s), t)
     for point, ehat in _scaled_points(form):
         yield point, Fraction(ehat, form.sigma)
+
+
+def lattice_min_exponent(s: LatticeSum) -> Fraction:
+    """Smallest exponent_at(k) over Z^l, ignoring the weight (it may cancel there)."""
+    return _chain_min(*_kappa_parts(s))
 
 
 def lattice_sum_series(s: LatticeSum, bound: RationalLike) -> QSeries:

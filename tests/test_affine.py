@@ -11,6 +11,7 @@ from qchar.affine import (
     PartitionData,
     SpecializedCharacter,
     WeightConfig,
+    _trace_parts,
     compute_N,
     compute_s,
     fundamental_weight_coeffs,
@@ -28,7 +29,7 @@ from qchar.qseries import (
     series_compare,
     series_mul,
 )
-from qchar.quadform import LatticeSum, lattice_sum_series
+from qchar.quadform import LatticeSum, _chain_min, lattice_sum_series
 
 # -- oracles ----------------------------------------------------------------
 
@@ -274,8 +275,8 @@ def test_trace_single_part_nonzero_weight_shifts():
     assert series_compare(normalized, base).match
 
 
-def box_trace(parts, k, bound):
-    """Trace route with the theta sum from a plain scan over r-tuples summing to k."""
+def box_theta_terms(parts, k, bound):
+    """Theta exponents through the bound, from a plain scan of r-tuples summing to k."""
     data = PartitionData.from_parts(parts)
     big, t = data.N, Fraction(bound)
     # every admissible tuple has (N/2) k_i^2 / n_i <= t
@@ -286,7 +287,13 @@ def box_trace(parts, k, bound):
         e = Fraction(big, 2) * sum(Fraction(v * v, p) for v, p in zip(ks, parts))
         if e <= t:
             terms.append((e, 1))
-    theta = QSeries.from_terms(terms, t)
+    return terms
+
+
+def box_trace(parts, k, bound):
+    """Trace route with the theta sum from box_theta_terms."""
+    big, t = compute_N(parts), Fraction(bound)
+    theta = QSeries.from_terms(box_theta_terms(parts, k, bound), t)
     factors = [(Fraction(big), 1)] + [(Fraction(big, p), -1) for p in parts]
     return series_mul(theta, product_series(ProductSpec(tuple(factors)), t))
 
@@ -295,6 +302,10 @@ def test_trace_theta_matches_box_scan():
     for parts in ((1, 1, 2), (1, 2, 3), (1, 1, 1, 1)):
         for k in range(sum(parts)):
             assert trace_series(parts, k, 20) == box_trace(parts, k, 20), (parts, k)
+            # the tuple (0, ..., 0, k) bounds the minimum from above
+            top = Fraction(compute_N(parts) * k * k, 2 * parts[-1])
+            scanned = min(e for e, _ in box_theta_terms(parts, k, top))
+            assert _chain_min(*_trace_parts(parts, k)[0]) == scanned, (parts, k)
 
 
 def test_trace_weight_index_validation():
@@ -346,12 +357,41 @@ def test_proposition_sweep_small():
 
 
 def test_proposition_trace_starts_beyond_order():
-    # lhs has terms below order 10 but the trace side starts near 37, so the
-    # driver must widen the trace window instead of misreading it as zero
+    # lhs has terms below order 10 but the trace side starts near 37, so it
+    # must be built above its own leading term instead of misread as zero
     rep = verify_proposition((1, 1, 6), 7, 10)
     assert rep.match
     assert rep.checked_through == 10
     assert rep.rhs_shift > 10
+
+
+@pytest.mark.parametrize(
+    "parts, k, order, rhs_shift",
+    [((5, 6), 10, 0, 275), ((3, 4, 5), 11, 0, 612), ((3, 4, 5), 11, 18, 612)],
+)
+def test_proposition_trace_far_above_order_matches(parts, k, order, rhs_shift):
+    # the trace side starts far beyond any fixed widening of the window
+    rep = verify_proposition(parts, k, order)
+    assert rep.match
+    assert rep.checked_through == order
+    assert rep.rhs_shift == rhs_shift
+
+
+def test_proposition_builds_each_route_once(monkeypatch):
+    import qchar.affine as affine
+
+    calls = {"specialized_character_series": 0, "trace_series": 0}
+    for name in calls:
+        route = getattr(affine, name)
+
+        def counted(*args, name=name, route=route):
+            calls[name] += 1
+            return route(*args)
+
+        monkeypatch.setattr(affine, name, counted)
+    rep = verify_proposition((1, 1, 6), 7, 10)
+    assert rep.match and rep.checked_through == 10
+    assert calls == {"specialized_character_series": 1, "trace_series": 1}
 
 
 def test_proposition_json_shape():

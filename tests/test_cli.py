@@ -190,6 +190,32 @@ def test_negative_verify_order_is_usage_error(capsys):
         assert err == "error: order must be nonnegative, got -5\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("phi", "--scale", "1"),
+        ("product", "--spec", '{"factors": [{"scale": "1", "power": 1}]}'),
+        ("character", "--partition", "1,3", "--k", "3"),
+        ("trace", "--partition", "1,3", "--k", "3"),
+    ],
+)
+def test_negative_series_order_is_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, "series", *argv, "--order", "-5")
+    assert code == 2
+    assert out == ""
+    assert err == "error: order must be nonnegative, got -5\n"
+
+
+def test_verify_proposition_trace_far_above_order(capsys):
+    # the trace side starts at q^612, far beyond the requested window
+    code, out, _ = run_cli(
+        capsys, "verify", "proposition", "--partition", "3,4,5", "--k", "11",
+        "--order", "18",
+    )
+    assert code == 0
+    assert out == "match\nchecked through: q^18\nleading shifts: lhs q^7, rhs q^612\n"
+
+
 def test_series_character_trace_agree_after_normalization(capsys):
     _, out_c, _ = run_cli(
         capsys, "series", "character", "--partition", "1,3", "--k", "3",

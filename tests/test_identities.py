@@ -1,6 +1,7 @@
 """Identity builders, JSON mirrors, and full verification runs for both families."""
 
 import json
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -201,6 +202,39 @@ def test_negative_order_is_refused():
         verify_identity(classical_identity("euler"), -5)
     with pytest.raises(ValueError, match="nonnegative"):
         verify_proposition((1, 3), 3, Fraction(-1, 2))
+
+
+def test_lattice_side_far_above_order_is_checked_in_full():
+    # euler's pentagonal sum times q^1000 against phi(q)
+    euler = classical_identity("euler")
+    spec = IdentitySpec("shifted", euler.lhs, replace(euler.rhs, const=Fraction(1000)))
+    report = verify_identity(spec, 10)
+    assert report.match
+    assert report.checked_through == 10
+    assert report.rhs_shift == 1000
+
+
+def test_vanishing_lattice_side_is_built_once(monkeypatch):
+    # (-1)^k q^(k^2+k) cancels pairwise between k and -1-k, so the sum is 0
+    import qchar.identities as identities
+
+    calls = []
+    for name in ("product_series", "lattice_sum_series"):
+        route = getattr(identities, name)
+
+        def counted(*args, name=name, route=route):
+            calls.append(name)
+            return route(*args)
+
+        monkeypatch.setattr(identities, name, counted)
+    rhs = LatticeSum(1, Fraction(1), (Fraction(1),), Fraction(0), WEIGHT_ALTERNATING)
+    spec = IdentitySpec("vanishing", ProductSpec(((Fraction(1), 1),)), rhs)
+    report = verify_identity(spec, 20)
+    assert not report.match
+    assert report.first_mismatch.to_json() == {
+        "exponent": "0", "lhs_coeff": "1", "rhs_coeff": "0"
+    }
+    assert sorted(calls) == ["lattice_sum_series", "product_series"]
 
 
 def test_classical_identities_hold():

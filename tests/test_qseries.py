@@ -481,6 +481,13 @@ def test_product_spec_from_json_is_strict(data):
         ProductSpec.from_json(data)
 
 
+@pytest.mark.parametrize("scale", ["1/0", "abc"])
+def test_product_spec_bad_rational_names_field_and_value(scale):
+    data = {"factors": [{"scale": scale, "power": 1}]}
+    with pytest.raises(ValueError, match=f"factor scale .*got '{scale}'"):
+        ProductSpec.from_json(data)
+
+
 @pytest.mark.parametrize(
     "coeffs", [["1", 1.9], ["1", True], ["1", "1.9"], "12"]
 )

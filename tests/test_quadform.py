@@ -20,6 +20,7 @@ from qchar.quadform import (
     bilinear_eval,
     kappa_eval,
     lattice_enumerate,
+    lattice_min_exponent,
     lattice_sum_series,
 )
 
@@ -221,6 +222,14 @@ def test_lattice_sum_json_round_trip():
 )
 def test_lattice_sum_from_json_is_strict(data):
     with pytest.raises(ValueError):
+        LatticeSum.from_json(data)
+
+
+@pytest.mark.parametrize("field", ["c", "const"])
+@pytest.mark.parametrize("value", ["1/0", "abc"])
+def test_lattice_sum_bad_rational_names_field_and_value(field, value):
+    data = dict({"l": 1, "c": "1", "lin": ["0"], "const": "0"}, **{field: value})
+    with pytest.raises(ValueError, match=f"lattice {field} .*got '{value}'"):
         LatticeSum.from_json(data)
 
 
@@ -467,6 +476,29 @@ def test_oracle_agrees_with_enumerate_on_seeded_instances():
         assert got == want
         checked += len(got)
     assert checked > 300
+
+
+def test_lattice_min_exponent_matches_box_oracle():
+    # c and lin shrink the box with dimension so the scans stay small; any
+    # point's exponent bounds the minimum, so the box scan below it finds it
+    rng = random.Random(4242)
+    moved = 0
+    for _ in range(70):
+        l = rng.randrange(0, 7)
+        c = Fraction(rng.randrange(2, 7), rng.choice((1, 2))) + (2 if l >= 5 else 0)
+        span = (4, 4, 4, 2, 2, 1, 1)[l]
+        lin = tuple(
+            Fraction(rng.randrange(-span, span + 1), rng.choice((1, 2)))
+            for _ in range(l)
+        )
+        const = Fraction(rng.randrange(-8, 9), rng.choice((1, 2, 4)))
+        weight = rng.choice((None, WEIGHT_ALTERNATING, WEIGHT_FOUR_K_PLUS_ONE))
+        s = LatticeSum(l, c, lin, const, weight)
+        top = min(s.exponent_at(p) for p in iter_product((-1, 0, 1), repeat=l))
+        want = min(e for _, e in lattice_enumerate_oracle(s, top))
+        assert lattice_min_exponent(s) == want, s
+        moved += want < const
+    assert moved > 10
 
 
 def test_oracle_zero_dimensional_and_empty():

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -32,6 +31,7 @@ from .qseries import (
     ProductSpec,
     QSeries,
     VerifyReport,
+    as_rational,
     format_rational,
     product_series,
     render,
@@ -40,17 +40,12 @@ from .qseries import (
 __all__ = ["VerifyReport", "build_parser", "entry", "main"]
 
 
-_RATIONAL_RE = re.compile(r"[+-]?\d+(/[1-9]\d*)?\Z")
-
-
 def _rational_arg(text: str) -> Fraction:
-    # accepts "7", "-3", "1/8"; decimals and junk are usage errors
-    cleaned = text.strip()
-    if not _RATIONAL_RE.match(cleaned):
-        raise argparse.ArgumentTypeError(
-            f"not a rational number (use an integer or num/den): {text!r}"
-        )
-    return Fraction(cleaned)
+    # the grammar of as_rational: decimals and junk are usage errors
+    try:
+        return as_rational(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
 
 
 def _partition_arg(text: str) -> tuple[int, ...]:

@@ -41,17 +41,29 @@ __all__ = [
 ]
 
 
+# the one rational grammar of every boundary: "7", "-3", "1/8"; no decimals,
+# exponents or zero denominators
+_RATIONAL_RE = re.compile(r"[+-]?\d+(/[1-9]\d*)?\Z")
+
+
 def as_rational(x: RationalLike) -> Fraction:
     """Coerce an int, Fraction, or "num/den" string to an exact Fraction.
 
     Floats are deliberately rejected: every quantity in this package is exact.
+    Strings must be an integer or num/den with a positive denominator;
+    anything else, decimals included, raises ValueError.
     """
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
-        return Fraction(x.strip())
+        cleaned = x.strip()
+        if not _RATIONAL_RE.match(cleaned):
+            raise ValueError(
+                f"not a rational number (use an integer or num/den): {x!r}"
+            )
+        return Fraction(cleaned)
     raise TypeError(f"not an exact rational value: {x!r}")
 
 
@@ -94,7 +106,7 @@ def _json_rational(value, what: str) -> Fraction:
     try:
         if not isinstance(value, bool) and isinstance(value, (int, str)):
             return as_rational(value)
-    except (ValueError, ZeroDivisionError):
+    except ValueError:
         pass
     raise ValueError(f"{what} must be an integer or a num/den rational, got {value!r}")
 
@@ -438,29 +450,13 @@ def series_inv(a: QSeries) -> QSeries:
 def phi_series(scale: RationalLike, order: RationalLike) -> QSeries:
     """Expansion of the infinite product over j >= 1 of (1 - q^(scale*j)).
 
-    Computed by multiplying out the finitely many factors whose exponent
-    does not exceed the truncation order; each factor is a two-term in-place
-    update, so no identity about this product is assumed anywhere.
+    The one-factor case of product_series, on the grid of the scale's
+    denominator: with x = q^(1/d) and t = scale*d, the logarithmic derivative
+    of prod (1 - x^(t j)) gives m F_m = -t sum_j sigma(j) F_(m - t j).  No
+    identity about this product (pentagonal theorem, triple product) is
+    assumed anywhere.
     """
-    a = as_rational(scale)
-    if a <= 0:
-        raise ValueError("phi_series requires a positive scale")
-    t = as_rational(order)
-    d = a.denominator
-    units = floor(t * d)
-    if units < 0:
-        return QSeries.zero(t, d)
-    step = a.numerator
-    out = [0] * (units + 1)
-    out[0] = 1
-    e = step
-    while e <= units:
-        for i in range(units, e - 1, -1):
-            c = out[i - e]
-            if c:
-                out[i] -= c
-        e += step
-    return QSeries.from_window(d, 0, out, units)
+    return product_series(ProductSpec(((scale, 1),)), order)
 
 
 @dataclass(frozen=True)
@@ -509,20 +505,47 @@ class ProductSpec:
 def product_series(spec: ProductSpec, order: RationalLike) -> QSeries:
     """Expand a ProductSpec through the requested order.
 
-    Every factor is a unit starting at q^0, so truncation orders stay aligned
-    at the request and the result is guaranteed through it.
+    On the common grid x = q^(1/d), d the lcm of the scale denominators, the
+    product is F = prod_i prod_(j>=1) (1 - x^(t_i j))^(p_i) with t_i = a_i d.
+    Its logarithmic derivative x F'/F = sum_(k>=1) L_k x^k has
+    L_k = -sum_i p_i t_i sigma(k / t_i) over the t_i dividing k, and
+    comparing coefficients in x F' = F * (x F'/F) gives F_0 = 1 and
+    m F_m = sum_(j<m) L_(m-j) F_j, the recurrence behind
+    n p(n) = sum sigma(k) p(n-k) for partitions (Apostol, ch. 14).  It is
+    exact over the integers and assumes no identity about the product; a
+    division that leaves a remainder raises ArithmeticError.  Every factor
+    starts at q^0, so the result is guaranteed through the request; a
+    negative request gives the zero series.
     """
     t = as_rational(order)
     d = 1
     for s, _ in spec.factors:
         d = lcm(d, s.denominator)
-    result = QSeries.one(t, d)
+    units = floor(t * d)
+    if units < 0:
+        return QSeries.zero(t, d)
+    # divisor sieve: step j of factor i adds -p_i t_i j at every multiple of t_i j
+    logd = [0] * (units + 1)
     for scale, power in spec.factors:
-        f = phi_series(scale, t)
-        if power < 0:
-            f = series_inv(f)
-        result = series_mul(result, series_pow(f, abs(power)))
-    return result
+        step = int(scale * d)
+        for e in range(step, units + 1, step):
+            w = power * e
+            for k in range(e, units + 1, e):
+                logd[k] -= w
+    coeffs = [0] * (units + 1)
+    coeffs[0] = 1
+    support = [0]
+    for m in range(1, units + 1):
+        acc = 0
+        for j in support:
+            acc += logd[m - j] * coeffs[j]
+        c, r = divmod(acc, m)
+        if r:
+            raise ArithmeticError(f"product recurrence: {acc} is not divisible by {m}")
+        if c:
+            coeffs[m] = c
+            support.append(m)
+    return QSeries.from_window(d, 0, coeffs, units)
 
 
 # -- comparison up to a monomial shift --------------------------------------

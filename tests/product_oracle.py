@@ -1,0 +1,58 @@
+"""Literal factor-by-factor expansion of Euler products, used only by the tests.
+
+Each factor phi(q^a) = prod_(j>=1) (1 - q^(a j)) is multiplied out by
+two-term in-place updates over the finitely many factors below the order,
+and a product spec is assembled from those with series_pow, series_inv and
+series_mul.  It shares no machinery with the logarithmic-derivative
+recurrence in qchar.qseries.product_series, so the two check each other.
+"""
+
+from math import floor, lcm
+
+from qchar.qseries import (
+    ProductSpec,
+    QSeries,
+    RationalLike,
+    as_rational,
+    series_inv,
+    series_mul,
+    series_pow,
+)
+
+
+def phi_oracle(scale: RationalLike, order: RationalLike, denom: int) -> QSeries:
+    """phi(q^scale) through the order, on the grid of multiples of 1/denom."""
+    a = as_rational(scale)
+    t = as_rational(order)
+    step = a * denom
+    if a <= 0 or step.denominator != 1:
+        raise ValueError("scale must be positive and lie on the grid")
+    units = floor(t * denom)
+    if units < 0:
+        return QSeries.zero(t, denom)
+    step = int(step)
+    out = [0] * (units + 1)
+    out[0] = 1
+    e = step
+    while e <= units:
+        for i in range(units, e - 1, -1):
+            c = out[i - e]
+            if c:
+                out[i] -= c
+        e += step
+    return QSeries.from_window(denom, 0, out, units)
+
+
+def product_oracle(spec: ProductSpec, order: RationalLike) -> QSeries:
+    """The spec's product through the order, one phi factor at a time."""
+    t = as_rational(order)
+    d = 1
+    for s, _ in spec.factors:
+        d = lcm(d, s.denominator)
+    result = QSeries.one(t, d)
+    for scale, power in spec.factors:
+        f = phi_oracle(scale, t, d)
+        if power < 0:
+            f = series_inv(f)
+        result = series_mul(result, series_pow(f, abs(power)))
+    return result

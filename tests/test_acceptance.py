@@ -11,7 +11,9 @@ import time
 from fractions import Fraction
 
 from box_oracle import lattice_enumerate_oracle
+from product_oracle import product_oracle
 from qchar.affine import (
+    _trace_parts,
     compute_N,
     compute_s,
     fundamental_weight_coeffs,
@@ -27,7 +29,9 @@ from qchar.identities import (
     verify_identity,
 )
 from qchar.qseries import (
+    ProductSpec,
     QSeries,
+    product_series,
     series_add,
     series_compare,
     series_inv,
@@ -52,6 +56,15 @@ def test_classical_suite_order_500():
         assert report.match, name
         assert report.checked_through == 500
         assert report.first_mismatch is None
+    assert time.perf_counter() - start < 5.0
+
+
+def test_classical_suite_order_3000():
+    start = time.perf_counter()
+    for name in CLASSICAL_NAMES:
+        report = verify_identity(classical_identity(name), 3000)
+        assert report.match, name
+        assert report.checked_through == 3000
     assert time.perf_counter() - start < 5.0
 
 
@@ -85,7 +98,7 @@ def test_intro_example_numerator_explicit_form():
 
 
 def test_class1_family_budgets():
-    for m, order in ((1, 200), (2, 80), (3, 40)):
+    for m, order in ((1, 200), (2, 80), (3, 40), (4, 100)):
         start = time.perf_counter()
         report = verify_identity(class1_identity(m), order)
         elapsed = time.perf_counter() - start
@@ -96,7 +109,7 @@ def test_class1_family_budgets():
 
 
 def test_class2_family_budgets():
-    for m, order in ((1, 200), (2, 60)):
+    for m, order in ((1, 200), (2, 60), (3, 80)):
         start = time.perf_counter()
         report = verify_identity(class2_identity(m), order)
         elapsed = time.perf_counter() - start
@@ -158,6 +171,40 @@ def test_enumerator_matches_box_oracle_on_100_instances():
         assert got == want, (s, bound)
         checked += 1
     assert checked >= 100
+
+
+# -- criterion 7a, products: the recurrence against the literal factor oracle ------
+
+
+def _window(s):
+    return (s.denom, s.lo, s.coeffs, s.order)
+
+
+def test_identity_product_sides_match_literal_oracle():
+    sides = [(classical_identity(name).lhs, order)
+             for name in CLASSICAL_NAMES for order in (500, 3000)]
+    sides += [(class1_identity(m).lhs, order)
+              for m, order in ((1, 200), (2, 80), (3, 40), (4, 100))]
+    sides += [(class2_identity(m).lhs, order)
+              for m, order in ((1, 200), (2, 60), (3, 80))]
+    for spec, order in sides:
+        assert _window(product_series(spec, order)) == _window(
+            product_oracle(spec, order)
+        ), (spec, order)
+
+
+def test_proposition_product_specs_match_literal_oracle():
+    specs = set()
+    for n in range(1, 9):
+        for parts in partitions(n):
+            denominator = specialized_character(parts, 0).denominator
+            specs.add(denominator)
+            specs.add(ProductSpec(tuple((s, -p) for s, p in denominator.factors)))
+            specs.add(_trace_parts(parts, 0)[1])
+    for spec in specs:
+        assert _window(product_series(spec, 30)) == _window(
+            product_oracle(spec, 30)
+        ), spec
 
 
 # -- criterion 7b: s-vector checksum ----------------------------------------------

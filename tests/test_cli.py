@@ -170,6 +170,9 @@ def test_series_product_bad_json_is_usage_error(capsys):
         "{}",
         '{"factors": [{"scale": 1.5, "power": 1}]}',
         '{"factors": [{"scale": "1", "power": 1.5}]}',
+        '{"factors": [{"scale": "1.5", "power": 1}]}',
+        '{"factors": [{"scale": "1e400", "power": 1}]}',
+        '{"factors": [{"scale": "1/0", "power": 1}]}',
     ],
 )
 def test_series_product_malformed_spec_is_one_line_usage_error(capsys, spec):
@@ -324,24 +327,30 @@ def test_json_reports_identical_across_thread_counts(capsys, monkeypatch):
         assert outputs[0] == outputs[1], argv
 
 
+def _child_env():
+    """The environment with this checkout's src first on PYTHONPATH."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    return dict(os.environ, PYTHONPATH=path)
+
+
 def test_installed_entry_point_smoke():
     proc = subprocess.run(
         [sys.executable, "-m", "qchar", "verify", "classical", "euler",
          "--order", "30", "--json"],
         capture_output=True,
         text=True,
+        env=_child_env(),
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["match"] is True
 
 
 def test_import_leaves_numpy_unloaded():
-    src = str(Path(__file__).resolve().parents[1] / "src")
     code = "import sys, qchar, qchar.cli; print('numpy' in sys.modules)"
-    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
-    env = dict(os.environ, PYTHONPATH=path)
     proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env=_child_env(),
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"

@@ -6,12 +6,15 @@ counter, the generalized pentagonal pattern), never from the code under test.
 """
 
 import json
+import random
 from fractions import Fraction
+from math import floor
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from product_oracle import product_oracle
 from qchar.qseries import (
     Mismatch,
     ProductSpec,
@@ -341,6 +344,45 @@ def test_product_series_matches_manual_assembly():
         series_pow(phi_series(1, 18), 2), series_inv(phi_series(3, 18))
     )
     assert direct == manual
+
+
+@pytest.mark.parametrize(
+    "factors, denom, order",
+    [
+        (((Fraction(1), 1),), 1, -5),
+        (((Fraction(1, 2), 1),), 2, -10),
+        (((Fraction(1), 3), (Fraction(2), -1)), 1, -5),
+    ],
+)
+def test_product_series_negative_order_is_zero(factors, denom, order):
+    got = [product_series(ProductSpec(factors), -5)]
+    if len(factors) == 1:
+        got.append(phi_series(factors[0][0], -5))
+    for s in got:
+        assert (s.denom, s.lo, s.coeffs, s.order) == (denom, order, (0,), order)
+
+
+def test_product_series_matches_literal_oracle_on_random_specs():
+    """The recurrence against the literal phi loop with pow, inv and mul.
+
+    Equal means the same window: denom, lo, coefficients and order, which is
+    the request on the common grid even when the order is fractional.
+    """
+    rng = random.Random(20261017)
+    for _ in range(60):
+        factors = tuple(
+            (Fraction(rng.randint(1, 6), rng.randint(1, 4)), rng.randint(-3, 3))
+            for _ in range(rng.randint(0, 4))
+        )
+        spec = ProductSpec(factors)
+        den = rng.choice((1, 1, 2, 3, 4))
+        order = Fraction(rng.randint(0, 120 * den), den)
+        got = product_series(spec, order)
+        want = product_oracle(spec, order)
+        assert (got.denom, got.lo, got.coeffs, got.order) == (
+            want.denom, want.lo, want.coeffs, want.order
+        ), (spec, order)
+        assert got.order == floor(order * got.denom)
 
 
 # -- normalization and comparison ----------------------------------------------

@@ -11,8 +11,9 @@ interval computed exactly with integer square roots of rescaled integers.
 
 One engine expands every lattice series on that recursion: a transfer-matrix
 walk that keeps, per value of the current coordinate, an exact map from
-budget spent to weighted count, so it never visits points one by one.  The
-trace route of qchar.affine feeds it its own chain, written in partial sums.
+budget spent to weighted count, so it never visits points one by one, and
+prices each value of the next coordinate once per value of the current one.
+The trace route of qchar.affine feeds it its own chain, written in partial sums.
 Unweighted, through a rounding bound, the walk yields exact minimum exponents.
 lattice_enumerate walks the same recursion point by point.  No floating
 point enters anywhere; the tests check both against a box-scan oracle.
@@ -279,12 +280,11 @@ class _ScaledForm:
     and the truncation bound all become plain integers, so the recursion runs
     on exact integer arithmetic only.  With x_(-1) = 0, level i spends
     K_i * (W_i x_i + w_prev_i x_(i-1) + w0_i)^2 of the budget.  sigma is a
-    multiple of grid_denom, and ehat values (sigma times an exponent) divide
-    exactly by sigma/grid_denom to give grid slots.
+    multiple of the grid denominator, and ehat values (sigma times an
+    exponent) divide exactly by sigma/grid to give grid slots.
     """
 
     levels: int
-    grid_denom: int
     sigma: int
     sigma_t: int
     budget: int
@@ -299,10 +299,10 @@ def _grid_denominator(diag, off, lin, const) -> int:
     return lcm(*(as_rational(v).denominator for v in (*diag, *off, *lin, const)))
 
 
-def _scale_form(diag, off, lin, const, bound: Fraction) -> _ScaledForm:
-    l = len(lin)
-    d, u, t, cstar = _complete_squares(diag, off, lin, const)
-    grid = _grid_denominator(diag, off, lin, const)
+def _scale_form(squares, grid: int, bound: Fraction) -> _ScaledForm:
+    """Integer-scale completed squares (d, u, t, cstar) on the 1/grid lattice."""
+    d, u, t, cstar = squares
+    l = len(d)
     ws = [lcm(t[i].denominator, u[i].denominator) for i in range(l)]
     sigma = lcm(grid, bound.denominator, cstar.denominator)
     for i in range(l):
@@ -315,7 +315,7 @@ def _scale_form(diag, off, lin, const, bound: Fraction) -> _ScaledForm:
     )
     w_prev = tuple(int(u[i] * ws[i]) for i in range(l))
     w0 = tuple(int(t[i] * ws[i]) for i in range(l))
-    return _ScaledForm(l, grid, sigma, sigma_t, budget, kk, tuple(ws), w_prev, w0)
+    return _ScaledForm(l, sigma, sigma_t, budget, kk, tuple(ws), w_prev, w0)
 
 
 def _level_range(k: int, w: int, p: int, budget: int) -> range:
@@ -352,20 +352,21 @@ def _scaled_points(form: _ScaledForm) -> Iterator[tuple[tuple[int, ...], int]]:
     yield from rec(0, 0, form.budget)
 
 
-def _chain_series(diag, off, lin, const, weight, bound: Fraction) -> QSeries:
-    """The one lattice engine: expand a positive-definite chain sum as a QSeries.
+def _walk(squares, grid: int, weight, bound: Fraction) -> QSeries:
+    """The one lattice engine: expand completed squares as a QSeries.
 
-    A transfer-matrix walk over the completed squares.  After level i it
-    keeps, for each value of x_i, an exact map from budget spent on levels
-    0..i to the weighted number of prefixes spending it; the square at level
-    i+1 depends only on x_i, so prefixes agreeing on x_i and the spend merge
-    and no point is visited one by one.  The weight shape reads the first
-    coordinate, so it is applied once, after level 0 (the empty point of
+    A transfer-matrix walk.  After level i it keeps, for each value of x_i, an
+    exact map from budget spent on levels 0..i to the weighted number of
+    prefixes spending it; the square at level i+1 depends only on x_i, so
+    prefixes agreeing on x_i and the spend merge and no point is visited one
+    by one.  Each value x_(i+1) is priced once per predecessor x_i: its range
+    is taken at the predecessor's least spend, and each spend joins only when
+    the square still fits in the room it leaves.  The weight shape reads the
+    first coordinate, so it is applied once, after level 0 (the empty point of
     l = 0 weighs 1 under every shape).  The last level's maps fold into grid
     slots.
     """
-    form = _scale_form(diag, off, lin, const, bound)
-    grid = form.grid_denom
+    form = _scale_form(squares, grid, bound)
     if form.budget < 0:
         return QSeries.zero(bound, grid)
     states: dict[int, dict[int, int]] = {0: {0: 1}}
@@ -374,12 +375,15 @@ def _chain_series(diag, off, lin, const, weight, bound: Fraction) -> QSeries:
         nxt: dict[int, dict[int, int]] = {}
         for prev, spent in states.items():
             pi = ti + ci * prev
-            for used, count in spent.items():
-                for xi in _level_range(ki, wi, pi, form.budget - used):
-                    v = wi * xi + pi
-                    key = used + ki * v * v
-                    row = nxt.setdefault(xi, {})
-                    row[key] = row.get(key, 0) + count
+            for xi in _level_range(ki, wi, pi, form.budget - min(spent)):
+                v = wi * xi + pi
+                cost = ki * v * v
+                room = form.budget - cost
+                row = nxt.setdefault(xi, {})
+                for used, count in spent.items():
+                    if used <= room:
+                        key = used + cost
+                        row[key] = row.get(key, 0) + count
         states = nxt
         if i == 0 and weight is not None:
             for xi, row in states.items():
@@ -401,17 +405,26 @@ def _chain_series(diag, off, lin, const, weight, bound: Fraction) -> QSeries:
     return QSeries.from_window(grid, lo, window, t_units)
 
 
+def _chain_series(diag, off, lin, const, weight, bound: Fraction) -> QSeries:
+    """Expand a positive-definite chain sum through the bound (see _walk)."""
+    squares = _complete_squares(diag, off, lin, const)
+    return _walk(squares, _grid_denominator(diag, off, lin, const), weight, bound)
+
+
 def _chain_min(diag, off, lin, const) -> Fraction:
     """Exact minimum of a positive-definite chain exponent over Z^l.
 
     Rounding each completed square in turn, level 0 first, leaves every square
     at most 1/4, so some point lies within cstar + sum(d_i)/4 (Babai's
     nearest-plane bound).  Unweighted counts cannot cancel, so the lowest
-    exponent of the unweighted expansion through that bound is the minimum.
+    exponent of the unweighted walk through that bound is the minimum.  The
+    squares are completed once and serve both the bound and the walk.
     """
-    d, _, _, cstar = _complete_squares(diag, off, lin, const)
+    squares = _complete_squares(diag, off, lin, const)
+    d, _, _, cstar = squares
     bound = cstar + sum(d, Fraction(0)) / 4
-    return _chain_series(diag, off, lin, const, None, bound).lowest_exponent()
+    grid = _grid_denominator(diag, off, lin, const)
+    return _walk(squares, grid, None, bound).lowest_exponent()
 
 
 # -- public enumeration over kappa-form sums -----------------------------------
@@ -424,7 +437,8 @@ def lattice_enumerate(
     t = as_rational(bound)
     if s.c <= 0:
         raise ValueError("indefinite exponent function")
-    form = _scale_form(*_kappa_parts(s), t)
+    parts = _kappa_parts(s)
+    form = _scale_form(_complete_squares(*parts), _grid_denominator(*parts), t)
     for point, ehat in _scaled_points(form):
         yield point, Fraction(ehat, form.sigma)
 

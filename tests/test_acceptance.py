@@ -146,6 +146,20 @@ def test_proposition_sweep_n_up_to_8():
     assert time.perf_counter() - start < 600.0
 
 
+def test_proposition_sweep_n_up_to_12():
+    start = time.perf_counter()
+    runs = 0
+    for n in range(1, 13):
+        for parts in partitions(n):
+            for k in range(n):
+                report = verify_proposition(parts, k, 30)
+                assert report.match, (parts, k)
+                assert report.checked_through == 30, (parts, k)
+                runs += 1
+    assert runs == 2646
+    assert time.perf_counter() - start < 600.0
+
+
 # -- criterion 7a: enumerator against the independent box oracle -------------------
 
 

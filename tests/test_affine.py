@@ -29,7 +29,12 @@ from qchar.qseries import (
     series_compare,
     series_mul,
 )
-from qchar.quadform import LatticeSum, _chain_min, lattice_sum_series
+from qchar.quadform import (
+    LatticeSum,
+    _chain_min,
+    lattice_min_exponent,
+    lattice_sum_series,
+)
 
 # -- oracles ----------------------------------------------------------------
 
@@ -248,6 +253,46 @@ def test_character_series_intro_quotient():
 def test_character_series_trivial_rank():
     got = specialized_character_series((1,), 0, 12)
     assert got == QSeries.one(12)
+
+
+def padded_character_oracle(parts, k, bound):
+    # a separate exact-minimum walk pads both factors by max(-min, 0)
+    # before either is built
+    data = specialized_character(parts, k)
+    t = Fraction(bound)
+    pad = max(-lattice_min_exponent(data.numerator), Fraction(0))
+    num = lattice_sum_series(data.numerator, t + pad)
+    inv = ProductSpec(tuple((sc, -p) for sc, p in data.denominator.factors))
+    return series_mul(num, product_series(inv, t + pad))
+
+
+def test_character_series_matches_padded_oracle():
+    def window(a):
+        return a.denom, a.lo, a.coeffs, a.order
+
+    cases = 0
+    for n in range(1, 7):
+        for parts in partitions(n):
+            for k in range(n):
+                for bound in ("-3", "-1/2", "0", "7/3", "61/2"):
+                    got = specialized_character_series(parts, k, Fraction(bound))
+                    want = padded_character_oracle(parts, k, Fraction(bound))
+                    assert window(got) == window(want), (parts, k, bound)
+                    cases += 1
+    assert cases == 675
+
+
+def test_character_numerator_minimum_is_never_negative():
+    # characterization: the character route's pad for a negative leading
+    # exponent never fires on these pairs
+    pairs = 0
+    for n in range(1, 10):
+        for parts in partitions(n):
+            for k in range(n):
+                numerator = specialized_character(parts, k).numerator
+                assert lattice_min_exponent(numerator) >= 0, (parts, k)
+                pairs += 1
+    assert pairs == 686
 
 
 # -- trace side -------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """Lattice enumeration checked against brute scans and frozen small cases."""
 
+import inspect
 import math
 import random
+import sys
 from fractions import Fraction
 from itertools import product as iter_product
 
@@ -499,6 +501,68 @@ def test_lattice_min_exponent_matches_box_oracle():
         assert lattice_min_exponent(s) == want, s
         moved += want < const
     assert moved > 10
+
+
+def counting(monkeypatch, name):
+    import qchar.quadform as quadform
+
+    calls = [0]
+    inner = getattr(quadform, name)
+
+    def counted(*args):
+        calls[0] += 1
+        return inner(*args)
+
+    monkeypatch.setattr(quadform, name, counted)
+    return calls
+
+
+def test_lattice_min_exponent_completes_squares_once(monkeypatch):
+    calls = counting(monkeypatch, "_complete_squares")
+    s = LatticeSum(3, Fraction(3, 2), fracs("1/2 -1 2"), Fraction(-5, 4))
+    lattice_min_exponent(s)
+    assert calls[0] == 1
+
+
+def counting_merges(run):
+    """Run run() and count how often the walk merges a spend into a row."""
+    import qchar.quadform as quadform
+
+    lines, first = inspect.getsourcelines(quadform._walk)
+    merge = "row[key] = row.get(key, 0) + count"
+    target = first + next(i for i, text in enumerate(lines) if merge in text)
+    code = quadform._walk.__code__
+    merges = [0]
+
+    def local(frame, event, arg):
+        if event == "line" and frame.f_lineno == target:
+            merges[0] += 1
+        return local
+
+    def tracer(frame, event, arg):
+        return local if frame.f_code is code else None
+
+    previous = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        result = run()
+    finally:
+        sys.settrace(previous)
+    return result, merges[0]
+
+
+def test_walk_prices_each_coordinate_once_per_predecessor(monkeypatch):
+    # work counts are the only guard here: a walk that prices every (value,
+    # spend) pair, or keeps spends past the room a square leaves, gives the
+    # same series (the extra spends fold above the order).  The sum is the
+    # character numerator of (1^7), k = 0.
+    calls = counting(monkeypatch, "_level_range")
+    s = LatticeSum(6, Fraction(1), (Fraction(0),) * 6)
+    got, merges = counting_merges(lambda: lattice_sum_series(s, 30))
+    assert calls[0] == 96
+    assert merges == 8466
+    assert got.order == 30 and got[1] == 42
+    assert got.truncated(6) == series_by_hand(s, 6)
 
 
 def test_oracle_zero_dimensional_and_empty():

@@ -27,12 +27,9 @@ from .qseries import (
     series_sub,
 )
 from .quadform import (
-    BilinearForm,
-    KappaForm,
     LatticeSum,
     WEIGHT_ALTERNATING,
     WEIGHT_FOUR_K_PLUS_ONE,
-    bilinear_eval,
     kappa_eval,
     lattice_enumerate,
     lattice_min_exponent,
@@ -41,7 +38,6 @@ from .quadform import (
 from .affine import (
     PartitionData,
     SpecializedCharacter,
-    WeightConfig,
     compute_N,
     compute_s,
     fundamental_weight_coeffs,
@@ -63,14 +59,11 @@ from .identities import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BilinearForm",
     "CLASSICAL_NAMES",
     "IdentitySpec",
-    "KappaForm",
     "LatticeSum",
     "PartitionData",
     "SpecializedCharacter",
-    "WeightConfig",
     "class1_identity",
     "class2_identity",
     "classical_identity",
@@ -89,7 +82,6 @@ __all__ = [
     "VerifyReport",
     "WEIGHT_ALTERNATING",
     "WEIGHT_FOUR_K_PLUS_ONE",
-    "bilinear_eval",
     "kappa_eval",
     "lattice_enumerate",
     "lattice_min_exponent",

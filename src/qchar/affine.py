@@ -6,13 +6,16 @@ highest-weight character along s collapses it to a one-variable q-series with
 numerator a lattice sum over Z^(n-1) and denominator phi(q^N)^(n-1).  The
 same series, up to a monomial shift, arises from a trace formula indexed by
 the partition: a constrained theta sum over r integers summing to the weight
-index, divided by one rescaled Euler product per part.  verify_proposition
-expands both and compares coefficients through the requested order.
+index, divided by one rescaled Euler product per part.  Both readings have
+one shape, an unweighted chain lattice sum times an Euler-product quotient,
+so one builder (_route) expands either from its completed squares and its
+product; the two routes share that mechanism but no data.
+verify_proposition expands both and compares coefficients through the
+requested order.
 
 Everything is exact: moduli and specialization vectors are integers by
-construction (non-integrality raises rather than rounds), exponents are
-rationals on a fixed grid, and both routes share no series machinery beyond
-the underlying lattice engine's arithmetic.
+construction (non-integrality raises rather than rounds), and exponents are
+rationals on a fixed grid.
 """
 
 from __future__ import annotations
@@ -31,12 +34,10 @@ from .qseries import (
     product_series,
     series_mul,
 )
-from .quadform import KappaForm, LatticeSum, _chain_min, _chain_series
-from .quadform import lattice_min_exponent, lattice_sum_series
+from .quadform import LatticeSum, _chain_min, _complete_squares, _kappa_parts, _walk
 
 __all__ = [
     "PartitionData",
-    "WeightConfig",
     "SpecializedCharacter",
     "partitions",
     "compute_N",
@@ -164,24 +165,9 @@ class PartitionData:
 
 
 @dataclass(frozen=True)
-class WeightConfig:
-    """A fundamental-weight index with its simple-root expansion."""
-
-    n: int
-    k: int
-    coeffs: tuple[Fraction, ...]
-
-    @staticmethod
-    def build(n: int, k: int) -> "WeightConfig":
-        return WeightConfig(n, k, fundamental_weight_coeffs(n, k))
-
-
-@dataclass(frozen=True)
 class SpecializedCharacter:
     """Numerator lattice sum and denominator product of one specialization."""
 
-    partition: PartitionData
-    weight: WeightConfig
     numerator: LatticeSum
     denominator: ProductSpec
 
@@ -197,47 +183,45 @@ def specialized_character(parts: Sequence[int], k: int) -> SpecializedCharacter:
     exponent function is the specialization verbatim, not a shifted cousin.
     """
     data = PartitionData.from_parts(parts)
-    weight = WeightConfig.build(data.n, k)
+    c = fundamental_weight_coeffs(data.n, k)
     n, big = data.n, data.N
     dim = n - 1
     tail = data.s[1:]
     lin = tuple(
         Fraction(big * (1 if i == k else 0) - tail[i - 1]) for i in range(1, n)
     )
-    if dim:
-        kappa_c = KappaForm(dim).eval_rational(weight.coeffs)
-    else:
-        kappa_c = Fraction(0)
-    const = big * kappa_c - sum(
-        si * ci for si, ci in zip(tail, weight.coeffs)
-    )
+    kappa_c = sum(v * v for v in c) - sum(a * b for a, b in zip(c, c[1:]))
+    const = big * kappa_c - sum(si * ci for si, ci in zip(tail, c))
     numerator = LatticeSum(dim, Fraction(big), lin, Fraction(const))
     denominator = ProductSpec(((Fraction(big), dim),))
-    return SpecializedCharacter(data, weight, numerator, denominator)
+    return SpecializedCharacter(numerator, denominator)
 
 
-def specialized_character_series(
-    parts: Sequence[int], k: int, bound
-) -> QSeries:
-    """Character route: numerator lattice sum over phi(q^N)^(n-1).
+def _route(squares, product: ProductSpec, bound) -> QSeries:
+    """One route: an unweighted chain lattice sum times an Euler-product quotient.
 
-    The numerator is expanded through the bound.  It is unweighted, so the
-    lowest exponent of that expansion, lead, is exact, and the quotient is
-    guaranteed through min(bound, order of the inverse + lead).  When
-    lead < 0 the inverse product is therefore built through bound - lead; a
-    zero numerator gets no pad.  No character numerator with n <= 9 starts
-    below q^0 (the tests pin that), so in practice the pad is 0.
+    The lattice sum's completed squares are walked through the bound.  The
+    sum is unweighted, so the lowest exponent of that walk, lead, is exact,
+    and the product (which starts at q^0) is built through bound - lead when
+    lead < 0, so that the quotient stays guaranteed through the bound; a zero
+    lattice factor gets no pad.
     """
-    data = specialized_character(parts, k)
     t = as_rational(bound)
-    num = lattice_sum_series(data.numerator, t)
-    pad = Fraction(0) if num.is_zero() else max(-num.lowest_exponent(), Fraction(0))
-    inv = ProductSpec(tuple((sc, -p) for sc, p in data.denominator.factors))
-    return series_mul(num, product_series(inv, t + pad))
+    lattice = _walk(squares, None, t)
+    lead = Fraction(0) if lattice.is_zero() else lattice.lowest_exponent()
+    pad = max(-lead, Fraction(0))
+    return series_mul(lattice, product_series(product, t + pad))
+
+
+def _character_parts(parts: Sequence[int], k: int):
+    """The character route's numerator squares and inverse denominator."""
+    data = specialized_character(parts, k)
+    inverse = ProductSpec(tuple((sc, -p) for sc, p in data.denominator.factors))
+    return _complete_squares(*_kappa_parts(data.numerator)), inverse
 
 
 def _trace_parts(parts: Sequence[int], k: int):
-    """The trace route's theta chain (diag, off, lin, const) and its correction.
+    """The trace route's theta-chain squares and its Euler-product correction.
 
     phi(q^N) times the sum of q^((N/2) sum k_i^2/n_i) over integer r-tuples
     with sum k, divided by one phi(q^(N/n_i)) per part.  In the partial sums
@@ -259,31 +243,40 @@ def _trace_parts(parts: Sequence[int], k: int):
     const = half * k * k / ps[-1]
     factors = [(Fraction(big), 1)]
     factors.extend((Fraction(big, p), -1) for p in ps)
-    return (diag, off, lin, const), ProductSpec(tuple(factors))
+    return _complete_squares(diag, off, lin, const), ProductSpec(tuple(factors))
+
+
+def specialized_character_series(
+    parts: Sequence[int], k: int, bound
+) -> QSeries:
+    """Character route: numerator lattice sum over phi(q^N)^(n-1), through the bound.
+
+    No character numerator with n <= 9 starts below q^0 (the tests pin
+    that), so in practice _route's pad is 0 here.
+    """
+    return _route(*_character_parts(parts, k), bound)
 
 
 def trace_series(parts: Sequence[int], k: int, bound) -> QSeries:
     """Trace route: constrained theta sum with Euler-product corrections."""
-    chain, correction = _trace_parts(parts, k)
-    t = as_rational(bound)
-    return series_mul(_chain_series(*chain, None, t), product_series(correction, t))
+    return _route(*_trace_parts(parts, k), bound)
 
 
 def verify_proposition(parts: Sequence[int], k: int, bound) -> VerifyReport:
     """Expand both routes and compare coefficients through the bound.
 
     The sides differ by a monomial factor.  Each route's leading exponent is an
-    unweighted lattice minimum (every other factor starts at 1), so each side
-    is built once, through the bound above it; the shifts are reported.
+    unweighted lattice minimum (every other factor starts at 1), so each side's
+    data and squares are built once, walked first for that minimum and then
+    through the bound above it; the shifts are reported.
     """
     t = as_rational(bound)
 
-    def lhs(order: Fraction) -> QSeries:
-        lead = lattice_min_exponent(specialized_character(parts, k).numerator)
-        return specialized_character_series(parts, k, lead + order)
+    def side(route_parts):
+        def build(order: Fraction) -> QSeries:
+            squares, product = route_parts(parts, k)
+            return _route(squares, product, _chain_min(squares) + order)
 
-    def rhs(order: Fraction) -> QSeries:
-        lead = _chain_min(*_trace_parts(parts, k)[0])
-        return trace_series(parts, k, lead + order)
+        return build
 
-    return _compare_builders(lhs, rhs, t)
+    return _compare_builders(side(_character_parts), side(_trace_parts), t)

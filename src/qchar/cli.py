@@ -55,8 +55,6 @@ def _partition_arg(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(
             f"partition must be comma-separated integers, got {text!r}"
         )
-    if not parts:
-        raise argparse.ArgumentTypeError("partition must be nonempty")
     return parts
 
 
@@ -120,12 +118,12 @@ def _cmd_verify_classical(args: argparse.Namespace) -> int:
     return _emit_report(verify_identity(classical_identity(args.name), args.order), args)
 
 
-def _cmd_verify_class1(args: argparse.Namespace) -> int:
-    return _emit_report(verify_identity(class1_identity(args.m), args.order), args)
+_FAMILIES = {"class1": class1_identity, "class2": class2_identity}
 
 
-def _cmd_verify_class2(args: argparse.Namespace) -> int:
-    return _emit_report(verify_identity(class2_identity(args.m), args.order), args)
+def _cmd_verify_family(args: argparse.Namespace) -> int:
+    spec = _FAMILIES[args.target](args.m)
+    return _emit_report(verify_identity(spec, args.order), args)
 
 
 def _cmd_verify_proposition(args: argparse.Namespace) -> int:
@@ -180,17 +178,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_flags(p, timing=True)
     p.set_defaults(func=_cmd_verify_classical)
 
-    p = vsub.add_parser("class1", help="first identity family, parameter m")
-    p.add_argument("--m", type=int, required=True, help="family parameter, m >= 1")
-    _add_order_flag(p)
-    _add_output_flags(p, timing=True)
-    p.set_defaults(func=_cmd_verify_class1)
-
-    p = vsub.add_parser("class2", help="second identity family, parameter m")
-    p.add_argument("--m", type=int, required=True, help="family parameter, m >= 1")
-    _add_order_flag(p)
-    _add_output_flags(p, timing=True)
-    p.set_defaults(func=_cmd_verify_class2)
+    for target, which in zip(_FAMILIES, ("first", "second")):
+        p = vsub.add_parser(target, help=f"{which} identity family, parameter m")
+        p.add_argument("--m", type=int, required=True, help="family parameter, m >= 1")
+        _add_order_flag(p)
+        _add_output_flags(p, timing=True)
+        p.set_defaults(func=_cmd_verify_family)
 
     p = vsub.add_parser(
         "proposition", help="character route vs trace route for a partition"

@@ -58,7 +58,7 @@ class IdentitySpec:
         if not self.name:
             raise ValueError("identity needs a name")
         if self.params is not None and (
-            not isinstance(self.params, int) or self.params < 1
+            type(self.params) is not int or self.params < 1
         ):
             raise ValueError("family parameter must be a positive integer")
 

@@ -127,14 +127,17 @@ class QSeries:
     order: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.denom, int) or self.denom < 1:
+        # bool is an int, but to_json would write it as a JSON boolean
+        if type(self.denom) is not int or self.denom < 1:
             raise ValueError("denom must be a positive integer")
+        if type(self.lo) is not int or type(self.order) is not int:
+            raise ValueError("window bounds must be plain integers")
         if self.lo > self.order:
             raise ValueError("window start exceeds the guaranteed order")
         if len(self.coeffs) != self.order - self.lo + 1:
             raise ValueError("coefficient window does not span [lo, order]")
         for c in self.coeffs:
-            if not isinstance(c, int):
+            if type(c) is not int:
                 raise ValueError("coefficients must be plain integers")
         if self.coeffs[0] == 0 and any(self.coeffs):
             raise ValueError("window start is not tight")
@@ -476,7 +479,7 @@ class ProductSpec:
             s = as_rational(scale)
             if s <= 0:
                 raise ValueError("factor scales must be positive")
-            if not isinstance(power, int):
+            if type(power) is not int:
                 raise ValueError("factor powers must be integers")
             merged[s] = merged.get(s, 0) + power
         canon = tuple(sorted((s, p) for s, p in merged.items() if p))

@@ -13,10 +13,13 @@ One engine expands every lattice series on that recursion: a transfer-matrix
 walk that keeps, per value of the current coordinate, an exact map from
 budget spent to weighted count, so it never visits points one by one, and
 prices each value of the next coordinate once per value of the current one.
-The trace route of qchar.affine feeds it its own chain, written in partial sums.
-Unweighted, through a rounding bound, the walk yields exact minimum exponents.
-lattice_enumerate walks the same recursion point by point.  No floating
-point enters anywhere; the tests check both against a box-scan oracle.
+A chain's squares, with its grid denominator, are completed once and can be
+walked at any bound: both routes of qchar.affine hand theirs to the engine,
+the trace route's chain written in partial sums.  Unweighted, through a
+rounding bound, the walk yields exact minimum exponents (lattice_min_exponent).
+lattice_enumerate walks the same recursion point by point; it is kept as the
+oracle of the tests' hand expansions.  No floating point enters anywhere; the
+tests check both against a box-scan oracle.
 """
 
 from __future__ import annotations
@@ -38,13 +41,10 @@ from .qseries import (
 )
 
 __all__ = [
-    "KappaForm",
-    "BilinearForm",
     "LatticeSum",
     "WEIGHT_ALTERNATING",
     "WEIGHT_FOUR_K_PLUS_ONE",
     "kappa_eval",
-    "bilinear_eval",
     "lattice_enumerate",
     "lattice_min_exponent",
     "lattice_sum_series",
@@ -68,88 +68,6 @@ def kappa_eval(k: Sequence[int]) -> int:
     return total
 
 
-def bilinear_eval(x: Sequence[RationalLike], y: Sequence[RationalLike]) -> Fraction:
-    """Chain bilinear form: (x|y) = 2 sum x_i y_i - sum over adjacent pairs."""
-    xs = [as_rational(v) for v in x]
-    ys = [as_rational(v) for v in y]
-    if len(xs) != len(ys):
-        raise ValueError("bilinear_eval needs vectors of equal length")
-    if not xs:
-        raise ValueError("bilinear_eval needs at least one coordinate")
-    total = 2 * sum(a * b for a, b in zip(xs, ys))
-    for i in range(len(xs) - 1):
-        total -= xs[i] * ys[i + 1] + xs[i + 1] * ys[i]
-    return Fraction(total)
-
-
-@dataclass(frozen=True)
-class KappaForm:
-    """The chain quadratic form on Z^l.  (x|x) under BilinearForm is 2*kappa(x)."""
-
-    l: int
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.l, int) or self.l < 1:
-            raise ValueError("KappaForm needs a positive dimension")
-
-    def eval(self, k: Sequence[int]) -> int:
-        ks = tuple(k)
-        if len(ks) != self.l:
-            raise ValueError("dimension mismatch")
-        return kappa_eval(ks)
-
-    def eval_rational(self, x: Sequence[RationalLike]) -> Fraction:
-        xs = [as_rational(v) for v in x]
-        if len(xs) != self.l:
-            raise ValueError("dimension mismatch")
-        total = sum(v * v for v in xs)
-        total -= sum(xs[i] * xs[i + 1] for i in range(len(xs) - 1))
-        return Fraction(total)
-
-    def gram(self) -> tuple[tuple[Fraction, ...], ...]:
-        """Matrix G with kappa(x) = x.G.x: ones on the diagonal, -1/2 off it."""
-        half = Fraction(-1, 2)
-        rows = []
-        for i in range(self.l):
-            row = [Fraction(0)] * self.l
-            row[i] = Fraction(1)
-            if i > 0:
-                row[i - 1] = half
-            if i + 1 < self.l:
-                row[i + 1] = half
-            rows.append(tuple(row))
-        return tuple(rows)
-
-
-@dataclass(frozen=True)
-class BilinearForm:
-    """Symmetric bilinear form with matrix 2 on the diagonal, -1 off it."""
-
-    l: int
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.l, int) or self.l < 1:
-            raise ValueError("BilinearForm needs a positive dimension")
-
-    def eval(self, x: Sequence[RationalLike], y: Sequence[RationalLike]) -> Fraction:
-        xs = tuple(x)
-        if len(xs) != self.l or len(tuple(y)) != self.l:
-            raise ValueError("dimension mismatch")
-        return bilinear_eval(x, y)
-
-    def matrix(self) -> tuple[tuple[int, ...], ...]:
-        rows = []
-        for i in range(self.l):
-            row = [0] * self.l
-            row[i] = 2
-            if i > 0:
-                row[i - 1] = -1
-            if i + 1 < self.l:
-                row[i + 1] = -1
-            rows.append(tuple(row))
-        return tuple(rows)
-
-
 @dataclass(frozen=True)
 class LatticeSum:
     """Formal sum over Z^l of weight(k) * q^(c*kappa(k) + lin.k + const).
@@ -168,7 +86,7 @@ class LatticeSum:
     weight: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if not isinstance(self.l, int) or self.l < 0:
+        if type(self.l) is not int or self.l < 0:
             raise ValueError("dimension must be a nonnegative integer")
         object.__setattr__(self, "c", as_rational(self.c))
         object.__setattr__(self, "lin", tuple(as_rational(v) for v in self.lin))
@@ -244,16 +162,19 @@ def _kappa_parts(s: LatticeSum):
 def _complete_squares(diag, off, lin, const):
     """Peel squares off the last coordinate until none remain.
 
-    Returns per-level data (d_i, u_i, t_i) with
-    E(x) = cstar + sum_i d_i (x_i + u_i x_(i-1) + t_i)^2 (u_0 = 0),
-    raising if any pivot fails to be positive.  Eliminating x_i changes only
-    the diagonal and linear entries of x_(i-1), so the form stays a chain.
+    Returns (d, u, t, cstar, grid): per-level data with
+    E(x) = cstar + sum_i d_i (x_i + u_i x_(i-1) + t_i)^2 (u_0 = 0), and the
+    grid denominator, the smallest D with D*E(x) integral for every integer
+    x, read off the chain's entries before elimination rewrites them.  Raises
+    if any pivot fails to be positive.  Eliminating x_i changes only the
+    diagonal and linear entries of x_(i-1), so the form stays a chain.
     """
     l = len(lin)
     a = [as_rational(v) for v in diag]
     b = [as_rational(v) for v in off]
     lin = [as_rational(v) for v in lin]
     c = as_rational(const)
+    grid = lcm(*(v.denominator for v in (*a, *b, *lin, c)))
     d: list[Fraction] = [Fraction(0)] * l
     u: list[Fraction] = [Fraction(0)] * l
     t: list[Fraction] = [Fraction(0)] * l
@@ -269,7 +190,7 @@ def _complete_squares(diag, off, lin, const):
             a[i - 1] -= di * ui * ui
             lin[i - 1] -= 2 * di * ui * ti
         c -= di * ti * ti
-    return d, u, t, c
+    return d, u, t, c, grid
 
 
 @dataclass(frozen=True)
@@ -294,14 +215,9 @@ class _ScaledForm:
     w0: tuple[int, ...]
 
 
-def _grid_denominator(diag, off, lin, const) -> int:
-    """Smallest D with D*E(x) integral for every integer x."""
-    return lcm(*(as_rational(v).denominator for v in (*diag, *off, *lin, const)))
-
-
-def _scale_form(squares, grid: int, bound: Fraction) -> _ScaledForm:
-    """Integer-scale completed squares (d, u, t, cstar) on the 1/grid lattice."""
-    d, u, t, cstar = squares
+def _scale_form(squares, bound: Fraction) -> _ScaledForm:
+    """Integer-scale completed squares (d, u, t, cstar, grid) on their grid."""
+    d, u, t, cstar, grid = squares
     l = len(d)
     ws = [lcm(t[i].denominator, u[i].denominator) for i in range(l)]
     sigma = lcm(grid, bound.denominator, cstar.denominator)
@@ -352,10 +268,12 @@ def _scaled_points(form: _ScaledForm) -> Iterator[tuple[tuple[int, ...], int]]:
     yield from rec(0, 0, form.budget)
 
 
-def _walk(squares, grid: int, weight, bound: Fraction) -> QSeries:
-    """The one lattice engine: expand completed squares as a QSeries.
+def _walk(squares, weight, bound: Fraction) -> QSeries:
+    """The one lattice engine: walk the squares of _complete_squares.
 
-    A transfer-matrix walk.  After level i it keeps, for each value of x_i, an
+    The squares (d, u, t, cstar, grid) expand through the bound, on their
+    grid, weighted by the weight shape (None for plain counts).  A
+    transfer-matrix walk.  After level i it keeps, for each value of x_i, an
     exact map from budget spent on levels 0..i to the weighted number of
     prefixes spending it; the square at level i+1 depends only on x_i, so
     prefixes agreeing on x_i and the spend merge and no point is visited one
@@ -366,7 +284,8 @@ def _walk(squares, grid: int, weight, bound: Fraction) -> QSeries:
     l = 0 weighs 1 under every shape).  The last level's maps fold into grid
     slots.
     """
-    form = _scale_form(squares, grid, bound)
+    grid = squares[4]
+    form = _scale_form(squares, bound)
     if form.budget < 0:
         return QSeries.zero(bound, grid)
     states: dict[int, dict[int, int]] = {0: {0: 1}}
@@ -405,26 +324,17 @@ def _walk(squares, grid: int, weight, bound: Fraction) -> QSeries:
     return QSeries.from_window(grid, lo, window, t_units)
 
 
-def _chain_series(diag, off, lin, const, weight, bound: Fraction) -> QSeries:
-    """Expand a positive-definite chain sum through the bound (see _walk)."""
-    squares = _complete_squares(diag, off, lin, const)
-    return _walk(squares, _grid_denominator(diag, off, lin, const), weight, bound)
-
-
-def _chain_min(diag, off, lin, const) -> Fraction:
-    """Exact minimum of a positive-definite chain exponent over Z^l.
+def _chain_min(squares) -> Fraction:
+    """Exact minimum over Z^l of the chain exponent with these completed squares.
 
     Rounding each completed square in turn, level 0 first, leaves every square
     at most 1/4, so some point lies within cstar + sum(d_i)/4 (Babai's
     nearest-plane bound).  Unweighted counts cannot cancel, so the lowest
     exponent of the unweighted walk through that bound is the minimum.  The
-    squares are completed once and serve both the bound and the walk.
+    caller completes the squares once and can walk them again at any bound.
     """
-    squares = _complete_squares(diag, off, lin, const)
-    d, _, _, cstar = squares
-    bound = cstar + sum(d, Fraction(0)) / 4
-    grid = _grid_denominator(diag, off, lin, const)
-    return _walk(squares, grid, None, bound).lowest_exponent()
+    d, _, _, cstar, _ = squares
+    return _walk(squares, None, cstar + sum(d, Fraction(0)) / 4).lowest_exponent()
 
 
 # -- public enumeration over kappa-form sums -----------------------------------
@@ -437,15 +347,14 @@ def lattice_enumerate(
     t = as_rational(bound)
     if s.c <= 0:
         raise ValueError("indefinite exponent function")
-    parts = _kappa_parts(s)
-    form = _scale_form(_complete_squares(*parts), _grid_denominator(*parts), t)
+    form = _scale_form(_complete_squares(*_kappa_parts(s)), t)
     for point, ehat in _scaled_points(form):
         yield point, Fraction(ehat, form.sigma)
 
 
 def lattice_min_exponent(s: LatticeSum) -> Fraction:
     """Smallest exponent_at(k) over Z^l, ignoring the weight (it may cancel there)."""
-    return _chain_min(*_kappa_parts(s))
+    return _chain_min(_complete_squares(*_kappa_parts(s)))
 
 
 def lattice_sum_series(s: LatticeSum, bound: RationalLike) -> QSeries:
@@ -458,4 +367,4 @@ def lattice_sum_series(s: LatticeSum, bound: RationalLike) -> QSeries:
     t = as_rational(bound)
     if s.c <= 0:
         raise ValueError("indefinite exponent function")
-    return _chain_series(*_kappa_parts(s), s.weight, t)
+    return _walk(_complete_squares(*_kappa_parts(s)), s.weight, t)

@@ -10,7 +10,6 @@ import pytest
 from qchar.affine import (
     PartitionData,
     SpecializedCharacter,
-    WeightConfig,
     _trace_parts,
     compute_N,
     compute_s,
@@ -198,8 +197,9 @@ def test_weight_coeffs_validation():
 def test_weight_config_and_partition_data():
     pd = PartitionData.from_parts((1, 3))
     assert (pd.parts, pd.n, pd.N, pd.s) == ((1, 3), 4, 3, (2, -1, 1, 1))
-    wc = WeightConfig.build(4, 3)
-    assert wc.coeffs == fundamental_weight_coeffs(4, 3)
+    assert fundamental_weight_coeffs(4, 3) == (
+        Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)
+    )
     with pytest.raises(ValueError):
         PartitionData.from_parts((2, 1))
 
@@ -350,7 +350,7 @@ def test_trace_theta_matches_box_scan():
             # the tuple (0, ..., 0, k) bounds the minimum from above
             top = Fraction(compute_N(parts) * k * k, 2 * parts[-1])
             scanned = min(e for e, _ in box_theta_terms(parts, k, top))
-            assert _chain_min(*_trace_parts(parts, k)[0]) == scanned, (parts, k)
+            assert _chain_min(_trace_parts(parts, k)[0]) == scanned, (parts, k)
 
 
 def test_trace_weight_index_validation():
@@ -423,20 +423,33 @@ def test_proposition_trace_far_above_order_matches(parts, k, order, rhs_shift):
 
 
 def test_proposition_builds_each_route_once(monkeypatch):
+    # each side's data and squares are built once per verify; the lead walk
+    # and the bounded walk share them
     import qchar.affine as affine
+    import qchar.quadform as quadform
 
-    calls = {"specialized_character_series": 0, "trace_series": 0}
-    for name in calls:
-        route = getattr(affine, name)
+    calls = dict.fromkeys(
+        ("_route", "specialized_character", "_trace_parts", "_complete_squares"), 0
+    )
+    for module in (affine, quadform):
+        for name in calls:
+            inner = getattr(module, name, None)
+            if inner is None:
+                continue
 
-        def counted(*args, name=name, route=route):
-            calls[name] += 1
-            return route(*args)
+            def counted(*args, name=name, inner=inner):
+                calls[name] += 1
+                return inner(*args)
 
-        monkeypatch.setattr(affine, name, counted)
+            monkeypatch.setattr(module, name, counted)
     rep = verify_proposition((1, 1, 6), 7, 10)
     assert rep.match and rep.checked_through == 10
-    assert calls == {"specialized_character_series": 1, "trace_series": 1}
+    assert calls == {
+        "_route": 2,
+        "specialized_character": 1,
+        "_trace_parts": 1,
+        "_complete_squares": 2,
+    }
 
 
 def test_proposition_json_shape():

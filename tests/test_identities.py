@@ -184,6 +184,15 @@ def test_identity_spec_json_round_trip():
     assert class1_identity(1).to_json()["params"] == 1
 
 
+def test_identity_spec_refuses_bool_params():
+    # to_json would write "params": true, which from_json refuses
+    base = class1_identity(1)
+    with pytest.raises(ValueError):
+        IdentitySpec("x", base.lhs, base.rhs, True)
+    spec = IdentitySpec("x", base.lhs, base.rhs, 1)
+    assert IdentitySpec.from_json(json.loads(json.dumps(spec.to_json()))) == spec
+
+
 @pytest.mark.parametrize(
     "patch",
     [{"params": True}, {"params": 1.5}, {"name": 7}, {"lhs": []}],

@@ -507,6 +507,25 @@ def test_product_spec_json_roundtrip():
 
 
 @pytest.mark.parametrize(
+    "fields",
+    [(1, 0, (True, False, True), 2), (True, 0, (1,), 0), (1, False, (1,), False)],
+)
+def test_qseries_refuses_bool(fields):
+    # to_json would write a bool that from_json refuses
+    with pytest.raises(ValueError):
+        QSeries(*fields)
+    plain = QSeries(1, 0, (1, 0, 1), 2)
+    assert QSeries.from_json(json.loads(json.dumps(plain.to_json()))) == plain
+
+
+def test_product_spec_refuses_bool_power():
+    with pytest.raises(ValueError):
+        ProductSpec(((Fraction(2), True),))
+    spec = ProductSpec(((Fraction(2), 1),))
+    assert ProductSpec.from_json(json.loads(json.dumps(spec.to_json()))) == spec
+
+
+@pytest.mark.parametrize(
     "data",
     [
         {"factors": [{"scale": "1", "power": 1.5}]},

@@ -1,6 +1,7 @@
 """Lattice enumeration checked against brute scans and frozen small cases."""
 
 import inspect
+import json
 import math
 import random
 import sys
@@ -16,10 +17,7 @@ from qchar.qseries import ProductSpec, QSeries, phi_series, product_series, seri
 from qchar.quadform import (
     WEIGHT_ALTERNATING,
     WEIGHT_FOUR_K_PLUS_ONE,
-    BilinearForm,
-    KappaForm,
     LatticeSum,
-    bilinear_eval,
     kappa_eval,
     lattice_enumerate,
     lattice_min_exponent,
@@ -73,7 +71,7 @@ def series_by_hand(s, bound):
     return QSeries.from_terms(terms, t, grid)
 
 
-# -- quadratic and bilinear forms -------------------------------------------
+# -- the kappa form ---------------------------------------------------------
 
 
 def test_kappa_frozen_values():
@@ -110,60 +108,6 @@ def test_kappa_eval_rejects_bad_input():
         kappa_eval(())
     with pytest.raises(ValueError):
         kappa_eval((1, Fraction(1, 2)))
-
-
-def test_kappa_form_type():
-    f = KappaForm(3)
-    assert f.eval((2, -1, 3)) == 19
-    assert f.eval_rational((Fraction(1, 2), 0, 0)) == Fraction(1, 4)
-    with pytest.raises(ValueError):
-        f.eval((1, 2))
-    with pytest.raises(ValueError):
-        KappaForm(0)
-
-
-def test_kappa_form_gram_matches_eval():
-    f = KappaForm(4)
-    g = f.gram()
-    rng = random.Random(3)
-    for _ in range(50):
-        x = [Fraction(rng.randrange(-6, 7), rng.choice((1, 2, 3))) for _ in range(4)]
-        quad = sum(x[i] * g[i][j] * x[j] for i in range(4) for j in range(4))
-        assert quad == f.eval_rational(x)
-
-
-def test_bilinear_frozen_value():
-    x = (Fraction(1, 4), Fraction(2, 4), Fraction(3, 4))
-    assert bilinear_eval(x, x) == Fraction(3, 4)
-
-
-def test_bilinear_vs_kappa():
-    # (x|x) is twice the quadratic form, on integer and rational vectors
-    rng = random.Random(19)
-    for _ in range(200):
-        l = rng.randrange(1, 7)
-        x = [Fraction(rng.randrange(-8, 9), rng.choice((1, 2, 4))) for _ in range(l)]
-        assert bilinear_eval(x, x) == 2 * KappaForm(l).eval_rational(x)
-
-
-def test_bilinear_symmetry_and_linearity():
-    rng = random.Random(23)
-    for _ in range(100):
-        l = rng.randrange(1, 6)
-        x = [rng.randrange(-5, 6) for _ in range(l)]
-        y = [rng.randrange(-5, 6) for _ in range(l)]
-        z = [rng.randrange(-5, 6) for _ in range(l)]
-        assert bilinear_eval(x, y) == bilinear_eval(y, x)
-        xs = [a + b for a, b in zip(x, z)]
-        assert bilinear_eval(xs, y) == bilinear_eval(x, y) + bilinear_eval(z, y)
-
-
-def test_bilinear_form_matrix():
-    assert BilinearForm(3).matrix() == ((2, -1, 0), (-1, 2, -1), (0, -1, 2))
-    with pytest.raises(ValueError):
-        bilinear_eval((1, 2), (1,))
-    with pytest.raises(ValueError):
-        bilinear_eval((), ())
 
 
 # -- LatticeSum construction --------------------------------------------------
@@ -209,6 +153,14 @@ def test_lattice_sum_json_round_trip():
     plain = LatticeSum(1, Fraction(2), (Fraction(1),))
     assert "weight" not in plain.to_json()
     assert LatticeSum.from_json(plain.to_json()) == plain
+
+
+def test_lattice_sum_refuses_bool_dimension():
+    # to_json would write "l": true, which from_json refuses
+    with pytest.raises(ValueError):
+        LatticeSum(True, Fraction(1), (Fraction(0),))
+    s = LatticeSum(1, Fraction(1), (Fraction(0),))
+    assert LatticeSum.from_json(json.loads(json.dumps(s.to_json()))) == s
 
 
 @pytest.mark.parametrize(

@@ -1,0 +1,47 @@
+"""The benchmark tracer's contract with the package it traces.
+
+perfbench/layers.py wraps qchar functions by name; a deleted or renamed
+target breaks `perfbench/run.py --trace 1`, so this loads the tracer as the
+benchmark does and runs one verify of each kind under it.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import qchar.affine
+import qchar.identities
+import qchar.qseries
+
+LAYERS = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
+
+
+def load_layers():
+    spec = importlib.util.spec_from_file_location("perfbench_layers", LAYERS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_installs_counts_builds_and_uninstalls():
+    layers = load_layers()
+    originals = {
+        (module, attr): getattr(module, attr)
+        for module, attr, _, _ in layers._TARGETS
+    }
+    originals[qchar.qseries, "_compare_builders"] = qchar.qseries._compare_builders
+    originals[qchar.affine, "_compare_builders"] = qchar.affine._compare_builders
+    tracer = layers.Tracer()
+    tracer.install()
+    try:
+        assert qchar.affine.verify_proposition is not originals[
+            qchar.affine, "verify_proposition"
+        ]
+        spec = qchar.identities.classical_identity("euler")
+        assert qchar.identities.verify_identity(spec, 20).match
+        assert qchar.affine.verify_proposition((1, 3), 3, 10).match
+        metrics = layers.layer_metrics(tracer)
+        assert metrics["qseries.driver.builds_per_verify"] == (2.0, "builds/verify")
+    finally:
+        tracer.uninstall()
+        for (module, attr), value in originals.items():
+            assert getattr(module, attr) is value, attr

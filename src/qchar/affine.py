@@ -8,8 +8,9 @@ same series, up to a monomial shift, arises from a trace formula indexed by
 the partition: a constrained theta sum over r integers summing to the weight
 index, divided by one rescaled Euler product per part.  Both readings have
 one shape, an unweighted chain lattice sum times an Euler-product quotient,
-so one builder (_route) expands either from its completed squares and its
-product; the two routes share that mechanism but no data.
+so one builder (_route) expands either from the completed squares of its
+integer chain and its product; the two routes share that mechanism but no
+data.
 verify_proposition expands both and compares coefficients through the
 requested order.
 
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import floor, lcm
 from typing import Iterator, Sequence
 
 from .qseries import (
@@ -34,7 +35,7 @@ from .qseries import (
     product_series,
     series_mul,
 )
-from .quadform import LatticeSum, _chain_min, _complete_squares, _kappa_parts, _walk
+from .quadform import LatticeSum, _chain_min, _complete_squares, _walk
 
 __all__ = [
     "PartitionData",
@@ -55,7 +56,7 @@ def _validate_parts(parts: Sequence[int]) -> tuple[int, ...]:
     if not ps:
         raise ValueError("partition must have at least one part")
     for p in ps:
-        if not isinstance(p, int) or p < 1:
+        if type(p) is not int or p < 1:
             raise ValueError("partition parts must be positive integers")
     if any(a > b for a, b in zip(ps, ps[1:])):
         raise ValueError("partition parts must be ascending")
@@ -64,7 +65,7 @@ def _validate_parts(parts: Sequence[int]) -> tuple[int, ...]:
 
 def partitions(n: int) -> Iterator[tuple[int, ...]]:
     """All partitions of n as ascending tuples, in ascending generation order."""
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:
         raise ValueError("partitions are defined for positive integers")
     # Kelleher's accelerated ascending-composition walk
     a = [0] * (n + 1)
@@ -116,19 +117,22 @@ def compute_s(parts: Sequence[int]) -> tuple[int, ...]:
     ps = _validate_parts(parts)
     n = sum(ps)
     big = compute_N(ps)
-    vals: list[Fraction] = [Fraction(big * (ps[0] + ps[-1]), 2 * ps[0] * ps[-1])]
+
+    def entry(num: int, den: int) -> int:
+        v, r = divmod(num, den)
+        if r:
+            raise ArithmeticError(
+                f"specialization entry {Fraction(num, den)} is not an integer "
+                f"for parts {ps}"
+            )
+        return v
+
+    out = [entry(big * (ps[0] + ps[-1]), 2 * ps[0] * ps[-1])]
     for i, p in enumerate(ps):
-        vals.extend([Fraction(big, p)] * (p - 1))
+        out.extend([big // p] * (p - 1))
         if i + 1 < len(ps):
             q = ps[i + 1]
-            vals.append(Fraction(big * (p + q), 2 * p * q) - big)
-    out = []
-    for v in vals:
-        if v.denominator != 1:
-            raise ArithmeticError(
-                f"specialization entry {v} is not an integer for parts {ps}"
-            )
-        out.append(int(v))
+            out.append(entry(big * (p + q) - 2 * p * q * big, 2 * p * q))
     if len(out) != n or sum(out) != big:
         raise ArithmeticError(f"specialization vector failed its checksum for {ps}")
     return tuple(out)
@@ -140,13 +144,18 @@ def fundamental_weight_coeffs(n: int, k: int) -> tuple[Fraction, ...]:
     c_i = min(i,k)(n - max(i,k))/n; index 0 gives the zero vector.  Against
     the Cartan matrix C this is the delta property (C c)_j = [j == k].
     """
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:
         raise ValueError("rank parameter must be a positive integer")
-    if not isinstance(k, int) or not 0 <= k <= n - 1:
-        raise ValueError("weight index out of range")
+    _check_index(n, k)
     return tuple(
         Fraction(min(i, k) * (n - max(i, k)), n) for i in range(1, n)
     )
+
+
+def _check_index(n: int, k: int) -> None:
+    # bool is an int, but True is no weight index
+    if type(k) is not int or not 0 <= k <= n - 1:
+        raise ValueError("weight index out of range")
 
 
 @dataclass(frozen=True)
@@ -197,53 +206,65 @@ def specialized_character(parts: Sequence[int], k: int) -> SpecializedCharacter:
     return SpecializedCharacter(numerator, denominator)
 
 
-def _route(squares, product: ProductSpec, bound) -> QSeries:
+def _route(form, product: ProductSpec, bound) -> QSeries:
     """One route: an unweighted chain lattice sum times an Euler-product quotient.
 
-    The lattice sum's completed squares are walked through the bound.  The
-    sum is unweighted, so the lowest exponent of that walk, lead, is exact,
-    and the product (which starts at q^0) is built through bound - lead when
-    lead < 0, so that the quotient stays guaranteed through the bound; a zero
-    lattice factor gets no pad.
+    The lattice sum's completed integer form is walked through the bound,
+    floor(bound*grid) slots of its grid.  The sum is unweighted, so the lowest
+    exponent of that walk, lead, is exact, and the product (which starts at
+    q^0) is built through bound - lead when lead < 0, so that the quotient
+    stays guaranteed through the bound; a zero lattice factor gets no pad.
     """
     t = as_rational(bound)
-    lattice = _walk(squares, None, t)
+    lattice = _walk(form, None, floor(t * form.grid))
     lead = Fraction(0) if lattice.is_zero() else lattice.lowest_exponent()
     pad = max(-lead, Fraction(0))
     return series_mul(lattice, product_series(product, t + pad))
 
 
 def _character_parts(parts: Sequence[int], k: int):
-    """The character route's numerator squares and inverse denominator."""
-    data = specialized_character(parts, k)
-    inverse = ProductSpec(tuple((sc, -p) for sc, p in data.denominator.factors))
-    return _complete_squares(*_kappa_parts(data.numerator)), inverse
+    """The character route's integer numerator chain and inverse denominator.
+
+    specialized_character's numerator times n^2, built in integers: n*c_i =
+    min(i,k)(n - max(i,k)) is integral, so the constant n^2(N kappa(c) - s.c)
+    is N kappa(nc) - n s.(nc).  The chain is (diag, off, lin, const, denom)
+    with denom = n^2.
+    """
+    data = PartitionData.from_parts(parts)
+    n, big = data.n, data.N
+    _check_index(n, k)
+    tail = data.s[1:]
+    nc = [min(i, k) * (n - max(i, k)) for i in range(1, n)]
+    sq = n * n
+    lin = [sq * ((big if i == k else 0) - tail[i - 1]) for i in range(1, n)]
+    kappa_nc = sum(v * v for v in nc) - sum(a * b for a, b in zip(nc, nc[1:]))
+    const = big * kappa_nc - n * sum(si * ci for si, ci in zip(tail, nc))
+    chain = [sq * big] * (n - 1), [-sq * big] * max(n - 2, 0), lin, const, sq
+    return chain, ProductSpec(((big, 1 - n),))
 
 
 def _trace_parts(parts: Sequence[int], k: int):
-    """The trace route's theta-chain squares and its Euler-product correction.
+    """The trace route's integer theta chain and its Euler-product correction.
 
     phi(q^N) times the sum of q^((N/2) sum k_i^2/n_i) over integer r-tuples
     with sum k, divided by one phi(q^(N/n_i)) per part.  In the partial sums
     s_i = k_1 + ... + k_i, with s_0 = 0 and s_r = k fixed, the exponent is
     (N/2) sum_i (s_i - s_(i-1))^2 / n_i: a chain in s_1..s_(r-1), in
-    bijection with the r-tuples.  r = 1 degenerates to a single monomial.
+    bijection with the r-tuples, and twice it is integral because every N/n_i
+    is, so the chain carries denom 2.  r = 1 degenerates to a single
+    monomial.
     """
     data = PartitionData.from_parts(parts)
-    if not isinstance(k, int) or not 0 <= k <= data.n - 1:
-        raise ValueError("weight index out of range")
+    _check_index(data.n, k)
     big = data.N
-    ps = data.parts
-    half = Fraction(big, 2)
-    diag = [half / ps[i] + half / ps[i + 1] for i in range(len(ps) - 1)]
-    off = [Fraction(-big, p) for p in ps[1:-1]]
-    lin = [Fraction(0)] * len(diag)
+    steps = [big // p for p in data.parts]
+    diag = [steps[i] + steps[i + 1] for i in range(len(steps) - 1)]
+    off = [-2 * v for v in steps[1:-1]]
+    lin = [0] * len(diag)
     if lin:
-        lin[-1] = Fraction(-big * k, ps[-1])
-    const = half * k * k / ps[-1]
-    factors = [(Fraction(big), 1)]
-    factors.extend((Fraction(big, p), -1) for p in ps)
-    return _complete_squares(diag, off, lin, const), ProductSpec(tuple(factors))
+        lin[-1] = -2 * k * steps[-1]
+    factors = [(big, 1)] + [(v, -1) for v in steps]
+    return (diag, off, lin, k * k * steps[-1], 2), ProductSpec(tuple(factors))
 
 
 def specialized_character_series(
@@ -254,12 +275,14 @@ def specialized_character_series(
     No character numerator with n <= 9 starts below q^0 (the tests pin
     that), so in practice _route's pad is 0 here.
     """
-    return _route(*_character_parts(parts, k), bound)
+    chain, product = _character_parts(parts, k)
+    return _route(_complete_squares(*chain), product, bound)
 
 
 def trace_series(parts: Sequence[int], k: int, bound) -> QSeries:
     """Trace route: constrained theta sum with Euler-product corrections."""
-    return _route(*_trace_parts(parts, k), bound)
+    chain, product = _trace_parts(parts, k)
+    return _route(_complete_squares(*chain), product, bound)
 
 
 def verify_proposition(parts: Sequence[int], k: int, bound) -> VerifyReport:
@@ -267,15 +290,17 @@ def verify_proposition(parts: Sequence[int], k: int, bound) -> VerifyReport:
 
     The sides differ by a monomial factor.  Each route's leading exponent is an
     unweighted lattice minimum (every other factor starts at 1), so each side's
-    data and squares are built once, walked first for that minimum and then
-    through the bound above it; the shifts are reported.
+    integer chain is built and completed once, and the one form is walked
+    first for that minimum and then through the bound above it; the shifts
+    are reported.
     """
     t = as_rational(bound)
 
     def side(route_parts):
         def build(order: Fraction) -> QSeries:
-            squares, product = route_parts(parts, k)
-            return _route(squares, product, _chain_min(squares) + order)
+            chain, product = route_parts(parts, k)
+            form = _complete_squares(*chain)
+            return _route(form, product, _chain_min(form) + order)
 
         return build
 

@@ -50,12 +50,13 @@ def as_rational(x: RationalLike) -> Fraction:
     """Coerce an int, Fraction, or "num/den" string to an exact Fraction.
 
     Floats are deliberately rejected: every quantity in this package is exact.
+    Booleans are too: bool is an int, but True is no rational value here.
     Strings must be an integer or num/den with a positive denominator;
     anything else, decimals included, raises ValueError.
     """
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
+    if type(x) is int:
         return Fraction(x)
     if isinstance(x, str):
         cleaned = x.strip()

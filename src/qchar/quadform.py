@@ -7,26 +7,31 @@ chain: each coordinate meets only its neighbours.  Completing the square in
 the last coordinate, again and again, writes a chain exponent as
 cstar + sum_i d_i (x_i + u_i x_{i-1} + t_i)^2 with every d_i positive, so
 once x_{i-1} and the budget left are fixed the admissible x_i fill an
-interval computed exactly with integer square roots of rescaled integers.
+interval computed exactly with integer square roots.
 
-One engine expands every lattice series on that recursion: a transfer-matrix
-walk that keeps, per value of the current coordinate, an exact map from
-budget spent to weighted count, so it never visits points one by one, and
-prices each value of the next coordinate once per value of the current one.
-A chain's squares, with its grid denominator, are completed once and can be
-walked at any bound: both routes of qchar.affine hand theirs to the engine,
-the trace route's chain written in partial sums.  Unweighted, through a
-rounding bound, the walk yields exact minimum exponents (lattice_min_exponent).
+Chains enter as integers, grid*E for the grid denominator of their entries,
+and the squares are completed fraction-free (Bareiss elimination), straight
+into one integer form that depends on no bound: a walk through t reads only
+floor(t*grid), because every exponent lies on the grid.  One engine expands
+every lattice series from that form: a transfer-matrix walk that keeps, per
+value of the current coordinate, an exact map from budget spent to weighted
+count, so it never visits points one by one, and prices each value of the
+next coordinate once per value of the current one.  Both routes of
+qchar.affine build their integer chains directly and complete each once,
+the trace route's chain written in partial sums; the public functions scale
+a LatticeSum onto its grid first.  Unweighted, through a rounding bound, the
+walk yields exact minimum exponents (lattice_min_exponent).
 lattice_enumerate walks the same recursion point by point; it is kept as the
-oracle of the tests' hand expansions.  No floating point enters anywhere; the
-tests check both against a box-scan oracle.
+oracle of the tests' hand expansions.  No floating point, and no Fraction
+between a chain's entries and its walk's slots; the tests check the engine
+against a box-scan oracle and the completion against a Fraction one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import floor, isqrt, lcm
+from math import floor, gcd, isqrt, lcm
 from typing import Iterator, Optional, Sequence
 
 from .qseries import (
@@ -150,88 +155,98 @@ def _weight_value(weight: Optional[str], point: tuple[int, ...]) -> int:
 
 # -- chain completed squares ---------------------------------------------------
 #
-# Inside this module a quadratic exponent function on Z^l is a chain: E(x) =
-# sum_i diag[i] x_i^2 + sum_i off[i] x_i x_(i+1) + lin.x + const.
+# Inside this module a quadratic exponent function on Z^l is an integer chain:
+# denom*E(x) = sum_i diag[i] x_i^2 + sum_i off[i] x_i x_(i+1) + lin.x + const,
+# every entry and denom a plain int.
+
+
+def _on_grid(v: Fraction, denom: int) -> int:
+    """denom*v for a denom that v.denominator divides."""
+    return v.numerator * (denom // v.denominator)
 
 
 def _kappa_parts(s: LatticeSum):
-    """The chain (diag, off, lin, const) of a kappa-form lattice sum."""
-    return [s.c] * s.l, [-s.c] * max(s.l - 1, 0), list(s.lin), s.const
-
-
-def _complete_squares(diag, off, lin, const):
-    """Peel squares off the last coordinate until none remain.
-
-    Returns (d, u, t, cstar, grid): per-level data with
-    E(x) = cstar + sum_i d_i (x_i + u_i x_(i-1) + t_i)^2 (u_0 = 0), and the
-    grid denominator, the smallest D with D*E(x) integral for every integer
-    x, read off the chain's entries before elimination rewrites them.  Raises
-    if any pivot fails to be positive.  Eliminating x_i changes only the
-    diagonal and linear entries of x_(i-1), so the form stays a chain.
-    """
-    l = len(lin)
-    a = [as_rational(v) for v in diag]
-    b = [as_rational(v) for v in off]
-    lin = [as_rational(v) for v in lin]
-    c = as_rational(const)
-    grid = lcm(*(v.denominator for v in (*a, *b, *lin, c)))
-    d: list[Fraction] = [Fraction(0)] * l
-    u: list[Fraction] = [Fraction(0)] * l
-    t: list[Fraction] = [Fraction(0)] * l
-    for i in reversed(range(l)):
-        di = a[i]
-        if di <= 0:
-            raise ValueError("indefinite exponent function")
-        ti = lin[i] / (2 * di)
-        d[i], t[i] = di, ti
-        if i:
-            ui = b[i - 1] / (2 * di)
-            u[i] = ui
-            a[i - 1] -= di * ui * ui
-            lin[i - 1] -= 2 * di * ui * ti
-        c -= di * ti * ti
-    return d, u, t, c, grid
+    """The integer chain (diag, off, lin, const, denom) of a kappa-form lattice sum."""
+    denom = lcm(s.c.denominator, s.const.denominator, *(v.denominator for v in s.lin))
+    c = _on_grid(s.c, denom)
+    lin = [_on_grid(v, denom) for v in s.lin]
+    return [c] * s.l, [-c] * max(s.l - 1, 0), lin, _on_grid(s.const, denom), denom
 
 
 @dataclass(frozen=True)
 class _ScaledForm:
-    """Integer-scaled completed-squares data.
+    """A chain's completed squares in integers, one form for every bound.
 
-    sigma is a common denominator for everything: budgets, square multipliers
-    and the truncation bound all become plain integers, so the recursion runs
-    on exact integer arithmetic only.  With x_(-1) = 0, level i spends
-    K_i * (W_i x_i + w_prev_i x_(i-1) + w0_i)^2 of the budget.  sigma is a
-    multiple of the grid denominator, and ehat values (sigma times an
-    exponent) divide exactly by sigma/grid to give grid slots.
+    grid is the grid denominator, the lcm of the denominators of E's
+    entries, so grid*E(x) is an integer at every integer x, and sigma counts
+    integer units per grid slot.  With x_(-1) = 0,
+    sigma*grid*E(x) = base + sum_i K_i (W_i x_i + w_prev_i x_(i-1) + w0_i)^2,
+    so a walk through any bound t needs only units = floor(t*grid): every
+    exponent lies on the grid, the budget is sigma*units - base, and a spend
+    lands in grid slot (base + spend) // sigma exactly.
     """
 
-    levels: int
+    grid: int
     sigma: int
-    sigma_t: int
-    budget: int
+    base: int
     K: tuple[int, ...]
     W: tuple[int, ...]
     w_prev: tuple[int, ...]
     w0: tuple[int, ...]
 
 
-def _scale_form(squares, bound: Fraction) -> _ScaledForm:
-    """Integer-scale completed squares (d, u, t, cstar, grid) on their grid."""
-    d, u, t, cstar, grid = squares
-    l = len(d)
-    ws = [lcm(t[i].denominator, u[i].denominator) for i in range(l)]
-    sigma = lcm(grid, bound.denominator, cstar.denominator)
-    for i in range(l):
-        sigma = lcm(sigma, d[i].denominator * ws[i] * ws[i])
-    sigma_t = int(sigma * bound)
-    budget = sigma_t - int(sigma * cstar)
-    kk = tuple(
-        int(sigma * d[i].numerator) // (d[i].denominator * ws[i] * ws[i])
-        for i in range(l)
-    )
-    w_prev = tuple(int(u[i] * ws[i]) for i in range(l))
-    w0 = tuple(int(t[i] * ws[i]) for i in range(l))
-    return _ScaledForm(l, sigma, sigma_t, budget, kk, tuple(ws), w_prev, w0)
+def _complete_squares(diag, off, lin, const, denom) -> _ScaledForm:
+    """Peel squares off the last coordinate of an integer chain, fraction-free.
+
+    Dividing the chain and denom by their gcd gives grid and R = grid*E.
+    Keeping grid*E = R/m + (the squares peeled so far), m = 1 at the start,
+    eliminating x_i multiplies R and m by 4a_i, where a_i is x_i's diagonal
+    entry and b, l_i its entries beside x_(i-1) and alone (b = 0 at level 0):
+    4a_i (a_i x_i^2 + b x_(i-1) x_i + l_i x_i) is
+    (2a_i x_i + b x_(i-1) + l_i)^2 - (b x_(i-1) + l_i)^2, so the level's square
+    is (2a_i x_i + b x_(i-1) + l_i)^2 / (4a_i m) and the remainder, still a
+    chain, has only x_(i-1)'s diagonal and linear entries changed.  Dividing
+    the remainder and m by their gcd keeps every value a small exact integer
+    (Bareiss, Math. Comp. 22, 1968).  Each square's (W, w_prev, w0) is its
+    linear form divided by the gcd of its entries.  No square reads the
+    remainder's constant, so the elimination drops it and base is read off
+    x = 0 instead.  Raises if any pivot fails to be positive.
+    """
+    g = gcd(denom, const, *diag, *off, *lin)
+    grid, c = denom // g, const // g
+    a = [v // g for v in diag]
+    b = [v // g for v in off]
+    l = [v // g for v in lin]
+    m = 1
+    levels = []
+    while a:
+        ai, li = a.pop(), l.pop()
+        bi = b.pop() if b else 0
+        if ai <= 0:
+            raise ValueError("indefinite exponent function")
+        f = 4 * ai
+        m *= f
+        h = gcd(2 * ai, bi, li)
+        levels.append((m, h, 2 * ai // h, bi // h, li // h))
+        a = [v * f for v in a]
+        b = [v * f for v in b]
+        l = [v * f for v in l]
+        if a:
+            a[-1] -= bi * bi
+            l[-1] -= 2 * bi * li
+        g = gcd(m, *a, *b, *l)
+        m //= g
+        a = [v // g for v in a]
+        b = [v // g for v in b]
+        l = [v // g for v in l]
+    levels.reverse()
+    # the smallest sigma making every K_i = sigma*h_i^2/(4a_i m_i) integral
+    sigma = lcm(*(mi // gcd(mi, h * h) for mi, h, *_ in levels))
+    K = tuple(sigma * h * h // mi for mi, h, *_ in levels)
+    W, w_prev, w0 = (tuple(v[j] for v in levels) for j in (2, 3, 4))
+    # sigma*grid*E(0) = sigma*c = base + sum K_i w0_i^2, all integers
+    base = sigma * c - sum(k * t * t for k, t in zip(K, w0))
+    return _ScaledForm(grid, sigma, base, K, W, w_prev, w0)
 
 
 def _level_range(k: int, w: int, p: int, budget: int) -> range:
@@ -240,16 +255,17 @@ def _level_range(k: int, w: int, p: int, budget: int) -> range:
     return range(-((r + p) // w), (r - p) // w + 1)
 
 
-def _scaled_points(form: _ScaledForm) -> Iterator[tuple[tuple[int, ...], int]]:
-    """Yield (point, sigma*exponent) pairs in lexicographic order."""
-    if form.budget < 0:
+def _scaled_points(form: _ScaledForm, units: int) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Yield (point, sigma*grid*exponent) pairs through units, in lexicographic order."""
+    budget = form.sigma * units - form.base
+    if budget < 0:
         return
-    l = form.levels
+    l = len(form.K)
     if l == 0:
-        yield (), form.sigma_t - form.budget
+        yield (), form.base
         return
     kk, ws, w_prev, w0 = form.K, form.W, form.w_prev, form.w0
-    sigma_t = form.sigma_t
+    top = form.base + budget
     x = [0] * l
 
     def rec(i: int, prev: int, budget: int):
@@ -261,43 +277,43 @@ def _scaled_points(form: _ScaledForm) -> Iterator[tuple[tuple[int, ...], int]]:
             nb = budget - ki * v * v
             x[i] = xi
             if last:
-                yield tuple(x), sigma_t - nb
+                yield tuple(x), top - nb
             else:
                 yield from rec(i + 1, xi, nb)
 
-    yield from rec(0, 0, form.budget)
+    yield from rec(0, 0, budget)
 
 
-def _walk(squares, weight, bound: Fraction) -> QSeries:
-    """The one lattice engine: walk the squares of _complete_squares.
+def _walk(form: _ScaledForm, weight, units: int) -> QSeries:
+    """The one lattice engine: walk a _ScaledForm through units grid slots.
 
-    The squares (d, u, t, cstar, grid) expand through the bound, on their
-    grid, weighted by the weight shape (None for plain counts).  A
-    transfer-matrix walk.  After level i it keeps, for each value of x_i, an
-    exact map from budget spent on levels 0..i to the weighted number of
-    prefixes spending it; the square at level i+1 depends only on x_i, so
-    prefixes agreeing on x_i and the spend merge and no point is visited one
-    by one.  Each value x_(i+1) is priced once per predecessor x_i: its range
-    is taken at the predecessor's least spend, and each spend joins only when
-    the square still fits in the room it leaves.  The weight shape reads the
-    first coordinate, so it is applied once, after level 0 (the empty point of
-    l = 0 weighs 1 under every shape).  The last level's maps fold into grid
-    slots.
+    The form expands through the bound floor(units/grid), on its grid,
+    weighted by the weight shape (None for plain counts); every quantity is
+    a plain int.  A transfer-matrix walk.  After level i it keeps, for each
+    value of x_i, an exact map from budget spent on levels 0..i to the
+    weighted number of prefixes spending it; the square at level i+1 depends
+    only on x_i, so prefixes agreeing on x_i and the spend merge and no point
+    is visited one by one.  Each value x_(i+1) is priced once per predecessor
+    x_i: its range is taken at the predecessor's least spend, and each spend
+    joins only when the square still fits in the room it leaves.  The weight
+    shape reads the first coordinate, so it is applied once, after level 0
+    (the empty point of l = 0 weighs 1 under every shape).  The last level's
+    maps fold into grid slots.
     """
-    grid = squares[4]
-    form = _scale_form(squares, bound)
-    if form.budget < 0:
-        return QSeries.zero(bound, grid)
+    grid, sigma, base = form.grid, form.sigma, form.base
+    budget = sigma * units - base
+    if budget < 0:
+        return QSeries(grid, units, (0,), units)
     states: dict[int, dict[int, int]] = {0: {0: 1}}
-    for i in range(form.levels):
+    for i in range(len(form.K)):
         ki, wi, ci, ti = form.K[i], form.W[i], form.w_prev[i], form.w0[i]
         nxt: dict[int, dict[int, int]] = {}
         for prev, spent in states.items():
             pi = ti + ci * prev
-            for xi in _level_range(ki, wi, pi, form.budget - min(spent)):
+            for xi in _level_range(ki, wi, pi, budget - min(spent)):
                 v = wi * xi + pi
                 cost = ki * v * v
-                room = form.budget - cost
+                room = budget - cost
                 row = nxt.setdefault(xi, {})
                 for used, count in spent.items():
                     if used <= room:
@@ -309,32 +325,32 @@ def _walk(squares, weight, bound: Fraction) -> QSeries:
                 w = _weight_value(weight, (xi,))
                 for key in row:
                     row[key] *= w
-    base = form.sigma_t - form.budget
-    slot_div = form.sigma // grid
     acc: dict[int, int] = {}
     for row in states.values():
         for used, count in row.items():
-            slot = (base + used) // slot_div
+            slot = (base + used) // sigma
             acc[slot] = acc.get(slot, 0) + count
     if not acc:
-        return QSeries.zero(bound, grid)
-    t_units = floor(bound * grid)
+        return QSeries(grid, units, (0,), units)
     lo = min(acc)
-    window = [acc.get(i, 0) for i in range(lo, t_units + 1)]
-    return QSeries.from_window(grid, lo, window, t_units)
+    window = [acc.get(i, 0) for i in range(lo, units + 1)]
+    return QSeries.from_window(grid, lo, window, units)
 
 
-def _chain_min(squares) -> Fraction:
-    """Exact minimum over Z^l of the chain exponent with these completed squares.
+def _chain_min(form: _ScaledForm) -> Fraction:
+    """Exact minimum over Z^l of the chain exponent with this completed form.
 
     Rounding each completed square in turn, level 0 first, leaves every square
-    at most 1/4, so some point lies within cstar + sum(d_i)/4 (Babai's
-    nearest-plane bound).  Unweighted counts cannot cancel, so the lowest
-    exponent of the unweighted walk through that bound is the minimum.  The
-    caller completes the squares once and can walk them again at any bound.
+    at most 1/4 of its pivot, so some point lies within cstar + sum(d_i)/4
+    (Babai's nearest-plane bound), where sigma*grid*cstar = base and
+    sigma*grid*d_i = K_i W_i^2.  Unweighted counts cannot cancel, so the
+    lowest exponent of the unweighted walk through that bound, rounded down
+    to the grid in integers, is the minimum.  The caller completes the
+    squares once and can walk the same form again at any bound.
     """
-    d, _, _, cstar, _ = squares
-    return _walk(squares, None, cstar + sum(d, Fraction(0)) / 4).lowest_exponent()
+    pivots = sum(k * w * w for k, w in zip(form.K, form.W))
+    units = (4 * form.base + pivots) // (4 * form.sigma)
+    return _walk(form, None, units).lowest_exponent()
 
 
 # -- public enumeration over kappa-form sums -----------------------------------
@@ -347,9 +363,10 @@ def lattice_enumerate(
     t = as_rational(bound)
     if s.c <= 0:
         raise ValueError("indefinite exponent function")
-    form = _scale_form(_complete_squares(*_kappa_parts(s)), t)
-    for point, ehat in _scaled_points(form):
-        yield point, Fraction(ehat, form.sigma)
+    form = _complete_squares(*_kappa_parts(s))
+    scale = form.sigma * form.grid
+    for point, ehat in _scaled_points(form, floor(t * form.grid)):
+        yield point, Fraction(ehat, scale)
 
 
 def lattice_min_exponent(s: LatticeSum) -> Fraction:
@@ -367,4 +384,5 @@ def lattice_sum_series(s: LatticeSum, bound: RationalLike) -> QSeries:
     t = as_rational(bound)
     if s.c <= 0:
         raise ValueError("indefinite exponent function")
-    return _walk(_complete_squares(*_kappa_parts(s)), s.weight, t)
+    form = _complete_squares(*_kappa_parts(s))
+    return _walk(form, s.weight, floor(t * form.grid))

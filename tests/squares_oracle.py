@@ -1,0 +1,121 @@
+"""Completed squares of chain forms in Fraction arithmetic, used only by the tests.
+
+A chain exponent E(x) = sum_i diag[i] x_i^2 + sum_i off[i] x_i x_(i+1) +
+lin.x + const, with rational entries, is written as
+cstar + sum_i d_i (x_i + u_i x_(i-1) + t_i)^2 by dividing through by each
+pivot, last coordinate first.  qchar.quadform completes integer chains
+fraction-free instead; the two must agree on every level.  The trace route's
+chain is kept here in its Fraction form too, as the oracle of the integer
+chain qchar.affine builds.
+"""
+
+from fractions import Fraction
+from math import floor, isqrt, lcm
+
+from qchar.affine import PartitionData
+
+
+def complete_squares(diag, off, lin, const):
+    """Peel squares off the last coordinate until none remain.
+
+    Returns (d, u, t, cstar, grid): per-level data with
+    E(x) = cstar + sum_i d_i (x_i + u_i x_(i-1) + t_i)^2 (u_0 = 0), and the
+    grid denominator, the lcm of the chain's entry denominators, read off
+    before elimination rewrites them.  Raises if any pivot fails to be
+    positive.
+    """
+    l = len(lin)
+    a = [Fraction(v) for v in diag]
+    b = [Fraction(v) for v in off]
+    lin = [Fraction(v) for v in lin]
+    c = Fraction(const)
+    grid = lcm(*(v.denominator for v in (*a, *b, *lin, c)))
+    d = [Fraction(0)] * l
+    u = [Fraction(0)] * l
+    t = [Fraction(0)] * l
+    for i in reversed(range(l)):
+        di = a[i]
+        if di <= 0:
+            raise ValueError("indefinite exponent function")
+        ti = lin[i] / (2 * di)
+        d[i], t[i] = di, ti
+        if i:
+            ui = b[i - 1] / (2 * di)
+            u[i] = ui
+            a[i - 1] -= di * ui * ui
+            lin[i - 1] -= 2 * di * ui * ti
+        c -= di * ti * ti
+    return d, u, t, c, grid
+
+
+def chain_min(squares):
+    """Least exponent over Z^l, scanning the points within cstar + sum(d_i)/4.
+
+    Rounding each square in turn, level 0 first, reaches such a point, so the
+    scan is never empty.  Each level keeps every integer x_i whose square
+    fits in the room left, tested exactly.
+    """
+    d, u, t, cstar, _ = squares
+    bound = cstar + sum(d, Fraction(0)) / 4
+    best = [None]
+
+    def scan(i, prev, room):
+        if i == len(d):
+            e = bound - room
+            if best[0] is None or e < best[0]:
+                best[0] = e
+            return
+        center = -u[i] * prev - t[i]
+        r = room / d[i]
+        reach = isqrt(floor(r)) + 1
+        for x in range(floor(center) - reach, floor(center) + reach + 2):
+            spend = d[i] * (x - center) ** 2
+            if spend <= room:
+                scan(i + 1, x, room - spend)
+
+    scan(0, 0, bound - cstar)
+    return best[0]
+
+
+def scan_size(squares):
+    """An upper bound on the points chain_min scans: the product of its level widths."""
+    d, _, _, _, _ = squares
+    room = sum(d, Fraction(0)) / 4
+    size = 1
+    for di in d:
+        size *= 2 * isqrt(floor(room / di)) + 4
+    return size
+
+
+def integer_chain(diag, off, lin, const):
+    """The chain on the lcm of its denominators: (diag, off, lin, const, denom) in ints."""
+    entries = [Fraction(v) for v in (*diag, *off, *lin, const)]
+    denom = lcm(*(v.denominator for v in entries))
+    ints = [int(v * denom) for v in entries]
+    l = len(lin)
+    return (
+        ints[:l],
+        ints[l : l + len(off)],
+        ints[l + len(off) : -1],
+        ints[-1],
+        denom,
+    )
+
+
+def trace_chain(parts, k):
+    """The trace route's theta chain in partial sums, in Fraction arithmetic.
+
+    (N/2) sum_i (s_i - s_(i-1))^2 / n_i with s_0 = 0 and s_r = k, a chain in
+    s_1..s_(r-1).
+    """
+    data = PartitionData.from_parts(parts)
+    big = data.N
+    ps = data.parts
+    half = Fraction(big, 2)
+    diag = [half / ps[i] + half / ps[i + 1] for i in range(len(ps) - 1)]
+    off = [Fraction(-big, p) for p in ps[1:-1]]
+    lin = [Fraction(0)] * len(diag)
+    if lin:
+        lin[-1] = Fraction(-big * k, ps[-1])
+    const = half * k * k / ps[-1]
+    return diag, off, lin, const

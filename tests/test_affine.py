@@ -7,9 +7,11 @@ from math import isqrt, lcm
 
 import pytest
 
+from squares_oracle import trace_chain
 from qchar.affine import (
     PartitionData,
     SpecializedCharacter,
+    _character_parts,
     _trace_parts,
     compute_N,
     compute_s,
@@ -31,6 +33,8 @@ from qchar.qseries import (
 from qchar.quadform import (
     LatticeSum,
     _chain_min,
+    _complete_squares,
+    _kappa_parts,
     lattice_min_exponent,
     lattice_sum_series,
 )
@@ -350,7 +354,58 @@ def test_trace_theta_matches_box_scan():
             # the tuple (0, ..., 0, k) bounds the minimum from above
             top = Fraction(compute_N(parts) * k * k, 2 * parts[-1])
             scanned = min(e for e, _ in box_theta_terms(parts, k, top))
-            assert _chain_min(_trace_parts(parts, k)[0]) == scanned, (parts, k)
+            form = _complete_squares(*_trace_parts(parts, k)[0])
+            assert _chain_min(form) == scanned, (parts, k)
+
+
+def chain_values(chain):
+    """An integer chain (diag, off, lin, const, denom) as the rationals it denotes."""
+    diag, off, lin, const, denom = chain
+    parts = tuple([Fraction(v, denom) for v in part] for part in (diag, off, lin))
+    return parts + (Fraction(const, denom),)
+
+
+def test_route_chains_match_their_fraction_formulas():
+    # both routes build integer chains by hand; each must denote exactly the
+    # Fraction formula it replaces, with the same Euler-product part
+    for n in range(1, 10):
+        for parts in partitions(n):
+            for k in range(n):
+                data = specialized_character(parts, k)
+                chain, product = _character_parts(parts, k)
+                assert chain_values(chain) == chain_values(_kappa_parts(data.numerator))
+                inverse = tuple((sc, -p) for sc, p in data.denominator.factors)
+                assert product == ProductSpec(inverse), (parts, k)
+                chain, _ = _trace_parts(parts, k)
+                assert chain_values(chain) == tuple(trace_chain(parts, k)), (parts, k)
+
+
+def test_route_chains_and_forms_hold_plain_ints():
+    for parts, k in (((1,), 0), ((1, 3), 1), ((1, 1, 2), 0), ((2, 3, 4), 5), ((1, 1, 6), 7)):
+        for route_parts in (_character_parts, _trace_parts):
+            diag, off, lin, const, denom = route_parts(parts, k)[0]
+            form = _complete_squares(diag, off, lin, const, denom)
+            values = (*diag, *off, *lin, const, denom, form.grid, form.sigma, form.base)
+            values += (*form.K, *form.W, *form.w_prev, *form.w0)
+            assert all(type(v) is int for v in values), (parts, k, route_parts)
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: verify_proposition((1, 3), True, 5), ValueError),
+        (lambda: verify_proposition((1, 3), 1, True), TypeError),
+        (lambda: compute_N((True, 2)), ValueError),
+        (lambda: fundamental_weight_coeffs(4, True), ValueError),
+        (lambda: LatticeSum(1, True, (False,)), TypeError),
+    ],
+    ids=["weight-index", "bound", "partition-part", "fundamental-weight", "lattice-sum"],
+)
+def test_bool_is_refused(call, error):
+    # bool is an int subclass, but True is neither a weight index, a part nor
+    # a rational value
+    with pytest.raises(error):
+        call()
 
 
 def test_trace_weight_index_validation():
@@ -423,14 +478,20 @@ def test_proposition_trace_far_above_order_matches(parts, k, order, rhs_shift):
 
 
 def test_proposition_builds_each_route_once(monkeypatch):
-    # each side's data and squares are built once per verify; the lead walk
-    # and the bounded walk share them
+    # each side's integer chain is built and completed once per verify; the
+    # lead walk and the bounded walk share the form, and the character route
+    # never builds the Fraction data of specialized_character
     import qchar.affine as affine
     import qchar.quadform as quadform
 
-    calls = dict.fromkeys(
-        ("_route", "specialized_character", "_trace_parts", "_complete_squares"), 0
+    names = (
+        "_route",
+        "specialized_character",
+        "_character_parts",
+        "_trace_parts",
+        "_complete_squares",
     )
+    calls = dict.fromkeys(names, 0)
     for module in (affine, quadform):
         for name in calls:
             inner = getattr(module, name, None)
@@ -446,7 +507,8 @@ def test_proposition_builds_each_route_once(monkeypatch):
     assert rep.match and rep.checked_through == 10
     assert calls == {
         "_route": 2,
-        "specialized_character": 1,
+        "specialized_character": 0,
+        "_character_parts": 1,
         "_trace_parts": 1,
         "_complete_squares": 2,
     }

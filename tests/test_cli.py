@@ -47,6 +47,17 @@ def test_verify_class_families(capsys):
         assert out.startswith("match")
 
 
+def test_series_character_order_off_the_product_grid(capsys):
+    # the numerator walks floor(order*8) slots of its grid; the product's
+    # grid is coarser, so the quotient is guaranteed through 9/8 only
+    code, out, _ = run_cli(
+        capsys, "series", "character", "--partition", "1,3", "--k", "1",
+        "--order", "3/2",
+    )
+    assert code == 0
+    assert out == "q^(1/8) + 2*q^(9/8) + O(q^(5/4))\n"
+
+
 def test_bad_family_parameter_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "verify", "class1", "--m", "0")
     assert code == 2

@@ -9,15 +9,20 @@ from fractions import Fraction
 from itertools import product as iter_product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import squares_oracle
 from box_oracle import _kappa_lambda_lower, lattice_enumerate_oracle
 from qchar.qseries import ProductSpec, QSeries, phi_series, product_series, series_mul
 from qchar.quadform import (
     WEIGHT_ALTERNATING,
     WEIGHT_FOUR_K_PLUS_ONE,
     LatticeSum,
+    _chain_min,
+    _complete_squares,
+    _kappa_parts,
+    _walk,
     kappa_eval,
     lattice_enumerate,
     lattice_min_exponent,
@@ -570,3 +575,85 @@ def test_property_enumerate_sound_and_complete(s, bound):
 @given(lattice_sums(), st.integers(min_value=0, max_value=10))
 def test_property_series_aggregates_enumeration(s, bound):
     assert lattice_sum_series(s, bound) == series_by_hand(s, Fraction(bound))
+
+
+# -- the integer completion against the Fraction oracle ------------------------
+
+small_rationals = st.builds(
+    Fraction, st.integers(min_value=-4, max_value=4), st.sampled_from([1, 2, 3])
+)
+# slack above weak diagonal dominance; zero or negative slack may leave the
+# chain indefinite, which both completions must refuse.  A positive slack of
+# at least 1/2 everywhere keeps every eigenvalue at least 1/2, so the
+# nearest-plane box stays small.
+slacks = st.sampled_from(
+    [Fraction(-1, 2), Fraction(0), Fraction(1, 2), Fraction(1), Fraction(3, 2),
+     Fraction(2), Fraction(3), Fraction(5)]
+)
+
+
+@st.composite
+def rational_chains(draw):
+    l = draw(st.integers(min_value=0, max_value=6))
+    off = [draw(small_rationals) for _ in range(max(l - 1, 0))]
+    diag = []
+    for i in range(l):
+        near = (abs(off[i - 1]) if i else 0) + (abs(off[i]) if i < l - 1 else 0)
+        diag.append(near / 2 + draw(slacks))
+    lin = [draw(small_rationals) for _ in range(l)]
+    return diag, off, lin, draw(small_rationals)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rational_chains(), st.sampled_from([1, 2, 6]))
+def test_property_integer_squares_match_fraction_oracle(chain, extra):
+    # extra puts the chain on a finer denominator than its grid, which the
+    # completion must reduce away
+    diag, off, lin, const, denom = squares_oracle.integer_chain(*chain)
+    scaled = (
+        [v * extra for v in diag],
+        [v * extra for v in off],
+        [v * extra for v in lin],
+        const * extra,
+        denom * extra,
+    )
+    try:
+        squares = squares_oracle.complete_squares(*chain)
+    except ValueError:
+        with pytest.raises(ValueError):
+            _complete_squares(*scaled)
+        return
+    d, u, t, cstar, grid = squares
+    # uneven pivots can still leave too many points for the oracle's scan
+    assume(squares_oracle.scan_size(squares) <= 20000)
+    form = _complete_squares(*scaled)
+    assert form.grid == grid
+    scale = form.sigma * grid
+    assert form.base == scale * cstar
+    assert len(form.K) == len(d)
+    for i in range(len(d)):
+        assert form.W[i] > 0
+        assert form.K[i] * form.W[i] ** 2 == scale * d[i]
+        assert Fraction(form.w_prev[i], form.W[i]) == u[i]
+        assert Fraction(form.w0[i], form.W[i]) == t[i]
+    assert _chain_min(form) == squares_oracle.chain_min(squares)
+
+
+def test_one_form_walks_any_bound_like_fresh_builds():
+    # bounds on and off the grid (4 here), below the minimum and far above it
+    s = LatticeSum(3, Fraction(3, 2), fracs("1/2 -1 2"), Fraction(-5, 4), WEIGHT_ALTERNATING)
+    form = _complete_squares(*_kappa_parts(s))
+    assert form.grid == 4
+    for bound in (Fraction(-7, 2), Fraction(7, 3), 12, Fraction(61, 2)):
+        walked = _walk(form, s.weight, math.floor(bound * form.grid))
+        assert walked.to_json() == lattice_sum_series(s, bound).to_json(), bound
+        assert walked == series_by_hand(s, Fraction(bound)), bound
+
+
+def test_kappa_form_holds_plain_ints():
+    s = LatticeSum(3, Fraction(3, 2), fracs("1/2 -1 2"), Fraction(-5, 4))
+    chain = _kappa_parts(s)
+    assert chain == ([6, 6, 6], [-6, -6], [2, -4, 8], -5, 4)
+    form = _complete_squares(*chain)
+    for value in (form.grid, form.sigma, form.base, *form.K, *form.W, *form.w_prev, *form.w0):
+        assert type(value) is int

@@ -9,9 +9,10 @@ the partition: a constrained theta sum over r integers summing to the weight
 index, divided by one rescaled Euler product per part.  Both readings have
 one shape, an unweighted chain lattice sum times an Euler-product quotient,
 so one builder (_route) expands either from the completed squares of its
-integer chain and its product; the two routes share that mechanism but no
-data.
-verify_proposition expands both and compares coefficients through the
+integer chain and its product; the two routes share that mechanism and the
+partition's PartitionData, but no chain.  The character formula is written
+once, in integers (_character_parts); specialized_character is its rational
+view.  verify_proposition expands both and compares coefficients through the
 requested order.
 
 Everything is exact: moduli and specialization vectors are integers by
@@ -96,13 +97,7 @@ def compute_N(parts: Sequence[int]) -> int:
     Starting from the lcm N' of the parts, doubles it unless
     N'(1/n_i + 1/n_j) is even for every pair of parts, diagonal included.
     """
-    ps = _validate_parts(parts)
-    base = lcm(*ps)
-    for i, p in enumerate(ps):
-        for q in ps[i:]:
-            if (base // p + base // q) & 1:
-                return 2 * base
-    return base
+    return PartitionData.from_parts(parts).N
 
 
 def compute_s(parts: Sequence[int]) -> tuple[int, ...]:
@@ -114,28 +109,13 @@ def compute_s(parts: Sequence[int]) -> tuple[int, ...]:
     construction always lands on integers; a fractional entry means the
     partition data is inconsistent, so it raises instead of rounding.
     """
-    ps = _validate_parts(parts)
-    n = sum(ps)
-    big = compute_N(ps)
+    return PartitionData.from_parts(parts).s
 
-    def entry(num: int, den: int) -> int:
-        v, r = divmod(num, den)
-        if r:
-            raise ArithmeticError(
-                f"specialization entry {Fraction(num, den)} is not an integer "
-                f"for parts {ps}"
-            )
-        return v
 
-    out = [entry(big * (ps[0] + ps[-1]), 2 * ps[0] * ps[-1])]
-    for i, p in enumerate(ps):
-        out.extend([big // p] * (p - 1))
-        if i + 1 < len(ps):
-            q = ps[i + 1]
-            out.append(entry(big * (p + q) - 2 * p * q * big, 2 * p * q))
-    if len(out) != n or sum(out) != big:
-        raise ArithmeticError(f"specialization vector failed its checksum for {ps}")
-    return tuple(out)
+def _weight_numerators(n: int, k: int) -> list[int]:
+    """n times the k-th fundamental weight's coefficients: min(i,k)(n - max(i,k))."""
+    _check_index(n, k)
+    return [min(i, k) * (n - max(i, k)) for i in range(1, n)]
 
 
 def fundamental_weight_coeffs(n: int, k: int) -> tuple[Fraction, ...]:
@@ -146,10 +126,7 @@ def fundamental_weight_coeffs(n: int, k: int) -> tuple[Fraction, ...]:
     """
     if type(n) is not int or n < 1:
         raise ValueError("rank parameter must be a positive integer")
-    _check_index(n, k)
-    return tuple(
-        Fraction(min(i, k) * (n - max(i, k)), n) for i in range(1, n)
-    )
+    return tuple(Fraction(v, n) for v in _weight_numerators(n, k))
 
 
 def _check_index(n: int, k: int) -> None:
@@ -169,8 +146,31 @@ class PartitionData:
 
     @staticmethod
     def from_parts(parts: Sequence[int]) -> "PartitionData":
+        """Validate once, then derive N and, from N, s (see compute_N, compute_s)."""
         ps = _validate_parts(parts)
-        return PartitionData(ps, sum(ps), compute_N(ps), compute_s(ps))
+        big = lcm(*ps)
+        if any((big // p + big // q) & 1 for i, p in enumerate(ps) for q in ps[i:]):
+            big *= 2
+
+        def entry(num: int, den: int) -> int:
+            v, r = divmod(num, den)
+            if r:
+                raise ArithmeticError(
+                    f"specialization entry {Fraction(num, den)} is not an integer "
+                    f"for parts {ps}"
+                )
+            return v
+
+        s = [entry(big * (ps[0] + ps[-1]), 2 * ps[0] * ps[-1])]
+        for i, p in enumerate(ps):
+            s.extend([big // p] * (p - 1))
+            if i + 1 < len(ps):
+                q = ps[i + 1]
+                s.append(entry(big * (p + q) - 2 * p * q * big, 2 * p * q))
+        n = sum(ps)
+        if len(s) != n or sum(s) != big:
+            raise ArithmeticError(f"specialization vector failed its checksum for {ps}")
+        return PartitionData(ps, n, big, tuple(s))
 
 
 @dataclass(frozen=True)
@@ -182,27 +182,20 @@ class SpecializedCharacter:
 
 
 def specialized_character(parts: Sequence[int], k: int) -> SpecializedCharacter:
-    """Assemble the character-side data for a partition and weight index.
+    """The character-side data for a partition and weight index, in rationals.
 
-    Writing gamma = kvec + c with c the fundamental-weight coefficients, the
-    numerator exponent is (N/2)(gamma|gamma) - sum s_i gamma_i.  Expanding
-    in kvec, the quadratic part is exactly N*kappa, the linear part is
-    N*e_k - s (head entry of s excluded, it pairs with no lattice
-    coordinate), and the constant N*kappa(c) - s.c rides along so the stored
-    exponent function is the specialization verbatim, not a shifted cousin.
+    A view of _character_parts: its integer numerator chain divided by n^2,
+    and the inverse of its Euler-product quotient, phi(q^N)^(n-1).
     """
     data = PartitionData.from_parts(parts)
-    c = fundamental_weight_coeffs(data.n, k)
-    n, big = data.n, data.N
-    dim = n - 1
-    tail = data.s[1:]
-    lin = tuple(
-        Fraction(big * (1 if i == k else 0) - tail[i - 1]) for i in range(1, n)
+    (_, _, lin, const, denom), inverse = _character_parts(data, k)
+    numerator = LatticeSum(
+        data.n - 1,
+        Fraction(data.N),
+        tuple(Fraction(v, denom) for v in lin),
+        Fraction(const, denom),
     )
-    kappa_c = sum(v * v for v in c) - sum(a * b for a, b in zip(c, c[1:]))
-    const = big * kappa_c - sum(si * ci for si, ci in zip(tail, c))
-    numerator = LatticeSum(dim, Fraction(big), lin, Fraction(const))
-    denominator = ProductSpec(((Fraction(big), dim),))
+    denominator = ProductSpec(tuple((sc, -p) for sc, p in inverse.factors))
     return SpecializedCharacter(numerator, denominator)
 
 
@@ -222,19 +215,23 @@ def _route(form, product: ProductSpec, bound) -> QSeries:
     return series_mul(lattice, product_series(product, t + pad))
 
 
-def _character_parts(parts: Sequence[int], k: int):
+def _character_parts(data: PartitionData, k: int):
     """The character route's integer numerator chain and inverse denominator.
 
-    specialized_character's numerator times n^2, built in integers: n*c_i =
+    Writing gamma = kvec + c with c the fundamental-weight coefficients, the
+    numerator exponent is (N/2)(gamma|gamma) - sum s_i gamma_i.  Expanding
+    in kvec, the quadratic part is exactly N*kappa, the linear part is
+    N*e_k - s (head entry of s excluded, it pairs with no lattice
+    coordinate), and the constant N*kappa(c) - s.c rides along so the
+    exponent function is the specialization verbatim, not a shifted cousin.
+    The chain is that exponent times n^2, all in integers: n*c_i =
     min(i,k)(n - max(i,k)) is integral, so the constant n^2(N kappa(c) - s.c)
-    is N kappa(nc) - n s.(nc).  The chain is (diag, off, lin, const, denom)
-    with denom = n^2.
+    is N kappa(nc) - n s.(nc).  It is (diag, off, lin, const, denom) with
+    denom = n^2; the product is the quotient's 1/phi(q^N)^(n-1).
     """
-    data = PartitionData.from_parts(parts)
     n, big = data.n, data.N
-    _check_index(n, k)
+    nc = _weight_numerators(n, k)
     tail = data.s[1:]
-    nc = [min(i, k) * (n - max(i, k)) for i in range(1, n)]
     sq = n * n
     lin = [sq * ((big if i == k else 0) - tail[i - 1]) for i in range(1, n)]
     kappa_nc = sum(v * v for v in nc) - sum(a * b for a, b in zip(nc, nc[1:]))
@@ -243,7 +240,7 @@ def _character_parts(parts: Sequence[int], k: int):
     return chain, ProductSpec(((big, 1 - n),))
 
 
-def _trace_parts(parts: Sequence[int], k: int):
+def _trace_parts(data: PartitionData, k: int):
     """The trace route's integer theta chain and its Euler-product correction.
 
     phi(q^N) times the sum of q^((N/2) sum k_i^2/n_i) over integer r-tuples
@@ -254,7 +251,6 @@ def _trace_parts(parts: Sequence[int], k: int):
     is, so the chain carries denom 2.  r = 1 degenerates to a single
     monomial.
     """
-    data = PartitionData.from_parts(parts)
     _check_index(data.n, k)
     big = data.N
     steps = [big // p for p in data.parts]
@@ -275,13 +271,13 @@ def specialized_character_series(
     No character numerator with n <= 9 starts below q^0 (the tests pin
     that), so in practice _route's pad is 0 here.
     """
-    chain, product = _character_parts(parts, k)
+    chain, product = _character_parts(PartitionData.from_parts(parts), k)
     return _route(_complete_squares(*chain), product, bound)
 
 
 def trace_series(parts: Sequence[int], k: int, bound) -> QSeries:
     """Trace route: constrained theta sum with Euler-product corrections."""
-    chain, product = _trace_parts(parts, k)
+    chain, product = _trace_parts(PartitionData.from_parts(parts), k)
     return _route(_complete_squares(*chain), product, bound)
 
 
@@ -289,16 +285,17 @@ def verify_proposition(parts: Sequence[int], k: int, bound) -> VerifyReport:
     """Expand both routes and compare coefficients through the bound.
 
     The sides differ by a monomial factor.  Each route's leading exponent is an
-    unweighted lattice minimum (every other factor starts at 1), so each side's
-    integer chain is built and completed once, and the one form is walked
-    first for that minimum and then through the bound above it; the shifts
-    are reported.
+    unweighted lattice minimum (every other factor starts at 1), so the
+    partition's data is built once for both routes, each side's integer chain
+    is built and completed once, and the one form is walked first for that
+    minimum and then through the bound above it; the shifts are reported.
     """
     t = as_rational(bound)
+    data = PartitionData.from_parts(parts)
 
     def side(route_parts):
         def build(order: Fraction) -> QSeries:
-            chain, product = route_parts(parts, k)
+            chain, product = route_parts(data, k)
             form = _complete_squares(*chain)
             return _route(form, product, _chain_min(form) + order)
 

@@ -31,6 +31,7 @@ from .qseries import (
     ProductSpec,
     QSeries,
     VerifyReport,
+    _json_int,
     as_rational,
     format_rational,
     product_series,
@@ -48,14 +49,26 @@ def _rational_arg(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(str(exc))
 
 
-def _partition_arg(text: str) -> tuple[int, ...]:
+def _int_arg(text: str) -> int:
+    # the integer grammar of the JSON readers: ASCII digits, no underscores
     try:
-        parts = tuple(int(p) for p in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"partition must be comma-separated integers, got {text!r}"
-        )
-    return parts
+        return _json_int(text, "value")
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
+
+
+def _partition_arg(text: str) -> tuple[int, ...]:
+    return tuple(_int_arg(p) for p in text.split(","))
+
+
+def _add_partition_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument(
+        "--partition",
+        type=_partition_arg,
+        required=True,
+        help="ascending comma-separated parts, e.g. 1,3",
+    )
+    p.add_argument("--k", type=_int_arg, required=True, help="weight index, 0 <= k < n")
 
 
 def _add_order_flag(p: argparse.ArgumentParser) -> None:
@@ -180,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     for target, which in zip(_FAMILIES, ("first", "second")):
         p = vsub.add_parser(target, help=f"{which} identity family, parameter m")
-        p.add_argument("--m", type=int, required=True, help="family parameter, m >= 1")
+        p.add_argument("--m", type=_int_arg, required=True, help="family parameter >= 1")
         _add_order_flag(p)
         _add_output_flags(p, timing=True)
         p.set_defaults(func=_cmd_verify_family)
@@ -188,13 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = vsub.add_parser(
         "proposition", help="character route vs trace route for a partition"
     )
-    p.add_argument(
-        "--partition",
-        type=_partition_arg,
-        required=True,
-        help="ascending comma-separated parts, e.g. 1,3",
-    )
-    p.add_argument("--k", type=int, required=True, help="weight index, 0 <= k < n")
+    _add_partition_flags(p)
     _add_order_flag(p)
     _add_output_flags(p, timing=True)
     p.set_defaults(func=_cmd_verify_proposition)
@@ -204,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = ssub.add_parser("phi", help="phi(q^scale)^power")
     p.add_argument("--scale", type=_rational_arg, required=True)
-    p.add_argument("--power", type=int, default=1)
+    p.add_argument("--power", type=_int_arg, default=1)
     _add_order_flag(p)
     _add_output_flags(p, timing=False)
     p.set_defaults(func=_cmd_series_phi)
@@ -220,15 +227,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_series_product)
 
     p = ssub.add_parser("character", help="specialized character of a partition")
-    p.add_argument("--partition", type=_partition_arg, required=True)
-    p.add_argument("--k", type=int, required=True)
+    _add_partition_flags(p)
     _add_order_flag(p)
     _add_output_flags(p, timing=False)
     p.set_defaults(func=_cmd_series_character)
 
     p = ssub.add_parser("trace", help="trace-route series of a partition")
-    p.add_argument("--partition", type=_partition_arg, required=True)
-    p.add_argument("--k", type=int, required=True)
+    _add_partition_flags(p)
     _add_order_flag(p)
     _add_output_flags(p, timing=False)
     p.set_defaults(func=_cmd_series_trace)

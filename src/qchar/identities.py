@@ -4,17 +4,19 @@ Each identity pairs a finite Euler-product quotient with a lattice sum whose
 expansions must agree coefficient by coefficient.  Four one-dimensional
 classics (Euler's pentagonal identity, Jacobi's cube, and a signed and an
 unsigned identity of Gauss) share the data model with two infinite families
-in dimension 4m - 1.  The m = 1 members of the two families collapse to the
-same identity, and the builders make that literal: their canonical product
-and lattice sides compare equal structurally.
+in dimension 4m - 1.  Each family member is derived, not transcribed: it is
+the proposition of qchar.affine for a two-part partition, whose trace theta
+sum Gauss's identity gauss_b turns into an Euler-product quotient.  The
+m = 1 members of the two families are the same proposition.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
+from .affine import PartitionData, _trace_parts, specialized_character
 from .qseries import (
     ProductSpec,
     QSeries,
@@ -115,57 +117,51 @@ def classical_identity(name: str) -> IdentitySpec:
     return IdentitySpec(name, lhs, rhs)
 
 
-def class1_identity(m: int) -> IdentitySpec:
-    """First family: dimension 4m-1, quadratic multiplier 4m-1.
+def _proposition_identity(name: str, m: int, parts, k: int, a: int) -> IdentitySpec:
+    """The proposition for (parts, k), its trace theta read as gauss_b at q^a.
 
-    Product side phi(q^(4m-1))^(4m-1) phi(q^(2m))^2 / (phi(q) phi(q^m));
-    the linear form puts 2m-1 on the first coordinate, 4m-2 on coordinate
-    3m, and -1 everywhere else.  At m = 1 the two hub coordinates sit at
-    the ends and the scales m and 1 merge in the product.
+    numerator / phi(q^N)^(n-1) = q^shift phi(q^N) theta / prod_i phi(q^(N/n_i)),
+    and theta is gauss_b's lattice side at q^a up to a monomial, so the
+    numerator with its constant dropped is one Euler-product quotient.
     """
-    if not isinstance(m, int) or m < 1:
-        raise ValueError("family parameter must be a positive integer")
-    dim = 4 * m - 1
-    lin = [Fraction(-1)] * dim
-    lin[0] = Fraction(2 * m - 1)
-    lin[3 * m - 1] = Fraction(4 * m - 2)
+    data = PartitionData.from_parts(parts)
+    char = specialized_character(parts, k)
+    _, correction = _trace_parts(data, k)
+    gauss = classical_identity("gauss_b").lhs
     lhs = ProductSpec(
-        (
-            (Fraction(4 * m - 1), 4 * m - 1),
-            (Fraction(2 * m), 2),
-            (Fraction(1), -1),
-            (Fraction(m), -1),
-        )
+        char.denominator.factors
+        + correction.factors
+        + tuple((a * scale, power) for scale, power in gauss.factors)
     )
-    rhs = LatticeSum(dim, Fraction(4 * m - 1), tuple(lin), Fraction(0))
-    return IdentitySpec("class1", lhs, rhs, m)
+    return IdentitySpec(name, lhs, replace(char.numerator, const=Fraction(0)), m)
+
+
+def class1_identity(m: int) -> IdentitySpec:
+    """First family: the proposition for the partition (1, 4m-1) at k = 3m.
+
+    The trace theta sum_s q^(2m s^2 - 3m s) is gauss_b's at q^m, so the
+    numerator (dimension and multiplier 4m-1, shift m/8 dropped) equals
+    phi(q^(4m-1))^(4m-1) phi(q^(2m))^2 / (phi(q) phi(q^m)).  Its linear form
+    puts 2m-1 on the first coordinate, 4m-2 on coordinate 3m, and -1
+    everywhere else.
+    """
+    if type(m) is not int or m < 1:
+        raise ValueError("family parameter must be a positive integer")
+    return _proposition_identity("class1", m, (1, 4 * m - 1), 3 * m, m)
 
 
 def class2_identity(m: int) -> IdentitySpec:
-    """Second family: dimension 4m-1, quadratic multiplier 3m.
+    """Second family: the proposition for the partition (m, 3m) at k = 4m-1.
 
-    Product side phi(q^(3m))^(4m) phi(q^2)^2 / (phi(q)^2 phi(q^3)); the
-    linear form is -3 on coordinates below m, 3m-2 at coordinate m, 3m-1 at
-    the last coordinate, and -1 between.  Coincides with class1 at m = 1.
+    The trace theta sum_s q^(2 s^2 - (4m-1) s) is gauss_b's, so the
+    numerator (dimension 4m-1, multiplier 3m, shift 1/8 dropped) equals
+    phi(q^(3m))^(4m) phi(q^2)^2 / (phi(q)^2 phi(q^3)).  Its linear form is
+    -3 on coordinates below m, 3m-2 at coordinate m, 3m-1 at the last
+    coordinate, and -1 between.  At m = 1 it is class1's proposition.
     """
-    if not isinstance(m, int) or m < 1:
+    if type(m) is not int or m < 1:
         raise ValueError("family parameter must be a positive integer")
-    dim = 4 * m - 1
-    lin = [Fraction(-1)] * dim
-    for i in range(m - 1):
-        lin[i] = Fraction(-3)
-    lin[m - 1] = Fraction(3 * m - 2)
-    lin[dim - 1] = Fraction(3 * m - 1)
-    lhs = ProductSpec(
-        (
-            (Fraction(3 * m), 4 * m),
-            (Fraction(2), 2),
-            (Fraction(1), -2),
-            (Fraction(3), -1),
-        )
-    )
-    rhs = LatticeSum(dim, Fraction(3 * m), tuple(lin), Fraction(0))
-    return IdentitySpec("class2", lhs, rhs, m)
+    return _proposition_identity("class2", m, (m, 3 * m), 4 * m - 1, 1)
 
 
 def verify_identity(spec: IdentitySpec, bound) -> VerifyReport:

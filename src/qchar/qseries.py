@@ -42,8 +42,8 @@ __all__ = [
 
 
 # the one rational grammar of every boundary: "7", "-3", "1/8"; no decimals,
-# exponents or zero denominators
-_RATIONAL_RE = re.compile(r"[+-]?\d+(/[1-9]\d*)?\Z")
+# exponents, zero denominators or non-ASCII digits
+_RATIONAL_RE = re.compile(r"[+-]?\d+(/[1-9]\d*)?\Z", re.ASCII)
 
 
 def as_rational(x: RationalLike) -> Fraction:
@@ -75,7 +75,7 @@ def format_rational(x: Fraction) -> str:
 
 # -- strict readers for from_json ------------------------------------------
 
-_INT_RE = re.compile(r"[+-]?\d+\Z")
+_INT_RE = re.compile(r"[+-]?\d+\Z", re.ASCII)
 
 
 def _json_field(data, key: str, what: str):

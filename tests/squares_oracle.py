@@ -4,15 +4,18 @@ A chain exponent E(x) = sum_i diag[i] x_i^2 + sum_i off[i] x_i x_(i+1) +
 lin.x + const, with rational entries, is written as
 cstar + sum_i d_i (x_i + u_i x_(i-1) + t_i)^2 by dividing through by each
 pivot, last coordinate first.  qchar.quadform completes integer chains
-fraction-free instead; the two must agree on every level.  The trace route's
-chain is kept here in its Fraction form too, as the oracle of the integer
-chain qchar.affine builds.
+fraction-free instead; the two must agree on every level.  Both routes'
+chains are kept here in their Fraction form too (the character numerator
+with its Euler-product denominator, and the trace route's theta chain), as
+the oracles of the integer chains qchar.affine builds.
 """
 
 from fractions import Fraction
 from math import floor, isqrt, lcm
 
-from qchar.affine import PartitionData
+from qchar.affine import PartitionData, fundamental_weight_coeffs
+from qchar.qseries import ProductSpec
+from qchar.quadform import LatticeSum
 
 
 def complete_squares(diag, off, lin, const):
@@ -119,3 +122,26 @@ def trace_chain(parts, k):
         lin[-1] = Fraction(-big * k, ps[-1])
     const = half * k * k / ps[-1]
     return diag, off, lin, const
+
+
+def character_data(parts, k):
+    """The character route's numerator and denominator, in Fraction arithmetic.
+
+    Writing gamma = kvec + c with c the fundamental-weight coefficients, the
+    numerator exponent is (N/2)(gamma|gamma) - sum s_i gamma_i: quadratic
+    part N*kappa, linear part N*e_k - s (head entry of s excluded), and
+    constant N*kappa(c) - s.c.  The denominator is phi(q^N)^(n-1).
+    """
+    data = PartitionData.from_parts(parts)
+    c = fundamental_weight_coeffs(data.n, k)
+    n, big = data.n, data.N
+    dim = n - 1
+    tail = data.s[1:]
+    lin = tuple(
+        Fraction(big * (1 if i == k else 0) - tail[i - 1]) for i in range(1, n)
+    )
+    kappa_c = sum(v * v for v in c) - sum(a * b for a, b in zip(c, c[1:]))
+    const = big * kappa_c - sum(si * ci for si, ci in zip(tail, c))
+    numerator = LatticeSum(dim, Fraction(big), lin, Fraction(const))
+    denominator = ProductSpec(((Fraction(big), dim),))
+    return numerator, denominator

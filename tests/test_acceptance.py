@@ -13,6 +13,7 @@ from fractions import Fraction
 from box_oracle import lattice_enumerate_oracle
 from product_oracle import product_oracle
 from qchar.affine import (
+    PartitionData,
     _trace_parts,
     compute_N,
     compute_s,
@@ -214,7 +215,7 @@ def test_proposition_product_specs_match_literal_oracle():
             denominator = specialized_character(parts, 0).denominator
             specs.add(denominator)
             specs.add(ProductSpec(tuple((s, -p) for s, p in denominator.factors)))
-            specs.add(_trace_parts(parts, 0)[1])
+            specs.add(_trace_parts(PartitionData.from_parts(parts), 0)[1])
     for spec in specs:
         assert _window(product_series(spec, 30)) == _window(
             product_oracle(spec, 30)

@@ -7,7 +7,7 @@ from math import isqrt, lcm
 
 import pytest
 
-from squares_oracle import trace_chain
+from squares_oracle import character_data, trace_chain
 from qchar.affine import (
     PartitionData,
     SpecializedCharacter,
@@ -354,7 +354,8 @@ def test_trace_theta_matches_box_scan():
             # the tuple (0, ..., 0, k) bounds the minimum from above
             top = Fraction(compute_N(parts) * k * k, 2 * parts[-1])
             scanned = min(e for e, _ in box_theta_terms(parts, k, top))
-            form = _complete_squares(*_trace_parts(parts, k)[0])
+            chain, _ = _trace_parts(PartitionData.from_parts(parts), k)
+            form = _complete_squares(*chain)
             assert _chain_min(form) == scanned, (parts, k)
 
 
@@ -367,23 +368,29 @@ def chain_values(chain):
 
 def test_route_chains_match_their_fraction_formulas():
     # both routes build integer chains by hand; each must denote exactly the
-    # Fraction formula it replaces, with the same Euler-product part
+    # Fraction formula of tests/squares_oracle.py, with the same Euler-product
+    # part, and specialized_character, the rational view of the character
+    # chain, must equal that formula's data
     for n in range(1, 10):
         for parts in partitions(n):
+            data = PartitionData.from_parts(parts)
             for k in range(n):
-                data = specialized_character(parts, k)
-                chain, product = _character_parts(parts, k)
-                assert chain_values(chain) == chain_values(_kappa_parts(data.numerator))
-                inverse = tuple((sc, -p) for sc, p in data.denominator.factors)
+                numerator, denominator = character_data(parts, k)
+                want = SpecializedCharacter(numerator, denominator)
+                assert specialized_character(parts, k) == want, (parts, k)
+                chain, product = _character_parts(data, k)
+                assert chain_values(chain) == chain_values(_kappa_parts(numerator))
+                inverse = tuple((sc, -p) for sc, p in denominator.factors)
                 assert product == ProductSpec(inverse), (parts, k)
-                chain, _ = _trace_parts(parts, k)
+                chain, _ = _trace_parts(data, k)
                 assert chain_values(chain) == tuple(trace_chain(parts, k)), (parts, k)
 
 
 def test_route_chains_and_forms_hold_plain_ints():
     for parts, k in (((1,), 0), ((1, 3), 1), ((1, 1, 2), 0), ((2, 3, 4), 5), ((1, 1, 6), 7)):
+        data = PartitionData.from_parts(parts)
         for route_parts in (_character_parts, _trace_parts):
-            diag, off, lin, const, denom = route_parts(parts, k)[0]
+            diag, off, lin, const, denom = route_parts(data, k)[0]
             form = _complete_squares(diag, off, lin, const, denom)
             values = (*diag, *off, *lin, const, denom, form.grid, form.sigma, form.base)
             values += (*form.K, *form.W, *form.w_prev, *form.w0)
@@ -478,13 +485,15 @@ def test_proposition_trace_far_above_order_matches(parts, k, order, rhs_shift):
 
 
 def test_proposition_builds_each_route_once(monkeypatch):
-    # each side's integer chain is built and completed once per verify; the
-    # lead walk and the bounded walk share the form, and the character route
-    # never builds the Fraction data of specialized_character
+    # the partition is validated once per verify, and each side's integer
+    # chain is built and completed once; the lead walk and the bounded walk
+    # share the form, and the character route never builds the Fraction data
+    # of specialized_character
     import qchar.affine as affine
     import qchar.quadform as quadform
 
     names = (
+        "_validate_parts",
         "_route",
         "specialized_character",
         "_character_parts",
@@ -506,6 +515,7 @@ def test_proposition_builds_each_route_once(monkeypatch):
     rep = verify_proposition((1, 1, 6), 7, 10)
     assert rep.match and rep.checked_through == 10
     assert calls == {
+        "_validate_parts": 1,
         "_route": 2,
         "specialized_character": 0,
         "_character_parts": 1,

@@ -62,6 +62,13 @@ def test_bad_family_parameter_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "verify", "class1", "--m", "0")
     assert code == 2
     assert "positive" in err
+    # int() would read " 1_0 " as 10 and "\u0662" as 2; the flag takes ASCII
+    # digits only
+    for m in (" 1_0 ", "\u0662"):
+        code, out, err = run_cli(capsys, "verify", "class1", "--m", m)
+        assert code == 2, m
+        assert out == ""
+        assert "error: argument --m: value must be an integer" in err, m
 
 
 def test_unknown_classical_name_is_usage_error(capsys):
@@ -70,8 +77,13 @@ def test_unknown_classical_name_is_usage_error(capsys):
 
 
 def test_unparseable_order_is_usage_error(capsys):
-    code, _, _ = run_cli(capsys, "verify", "classical", "euler", "--order", "3.5")
-    assert code == 2
+    for order in ("3.5", "1_0", "\u0662\u0660"):
+        code, out, err = run_cli(
+            capsys, "verify", "classical", "euler", "--order", order
+        )
+        assert code == 2, order
+        assert out == ""
+        assert "error: argument --order: not a rational number" in err, order
 
 
 def test_descending_partition_is_usage_error(capsys):
@@ -80,6 +92,12 @@ def test_descending_partition_is_usage_error(capsys):
     )
     assert code == 2
     assert "ascending" in err
+    code, out, err = run_cli(
+        capsys, "verify", "proposition", "--partition", "1,\u0663", "--k", "0"
+    )
+    assert code == 2
+    assert out == ""
+    assert "error: argument --partition: value must be an integer, got '\u0663'" in err
 
 
 def test_out_of_range_weight_is_usage_error(capsys):
@@ -87,6 +105,13 @@ def test_out_of_range_weight_is_usage_error(capsys):
         capsys, "verify", "proposition", "--partition", "1,3", "--k", "9"
     )
     assert code == 2
+    for sub in ("verify proposition", "series character", "series trace"):
+        code, out, err = run_cli(
+            capsys, *sub.split(), "--partition", "1,3", "--k", "0_3"
+        )
+        assert code == 2, sub
+        assert out == ""
+        assert "error: argument --k: value must be an integer" in err, sub
 
 
 def test_missing_subcommand_is_usage_error(capsys):
@@ -158,6 +183,12 @@ def test_series_phi_zero_scale_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "series", "phi", "--scale", "0", "--power", "1")
     assert code == 2
     assert "positive" in err
+    code, out, err = run_cli(
+        capsys, "series", "phi", "--scale", "1", "--power", "\u0662"
+    )
+    assert code == 2
+    assert out == ""
+    assert "error: argument --power: value must be an integer" in err
 
 
 def test_series_product_json_spec(capsys):

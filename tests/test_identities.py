@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from family_oracle import class1_transcribed, class2_transcribed
 from qchar.affine import specialized_character, verify_proposition
 from qchar.identities import (
     CLASSICAL_NAMES,
@@ -148,6 +149,21 @@ def test_family_parameter_must_be_positive():
             class2_identity(bad)
     with pytest.raises(ValueError):
         class1_identity("2")
+
+
+@pytest.mark.parametrize(
+    "derived, transcribed",
+    [(class1_identity, class1_transcribed), (class2_identity, class2_transcribed)],
+    ids=["class1", "class2"],
+)
+def test_derived_families_equal_transcribed_builders(derived, transcribed):
+    # each member is derived from the proposition and gauss_b; it must be the
+    # hand-transcribed identity structurally and in canonical JSON
+    for m in range(1, 13):
+        got, want = derived(m), transcribed(m)
+        assert got.lhs == want.lhs, m
+        assert got.rhs == want.rhs, m
+        assert got.to_json() == want.to_json(), m
 
 
 def test_families_coincide_at_m1():

@@ -9,6 +9,7 @@ import importlib.util
 from pathlib import Path
 
 import qchar.affine
+import qchar.cli
 import qchar.identities
 import qchar.qseries
 
@@ -22,7 +23,7 @@ def load_layers():
     return module
 
 
-def test_tracer_installs_counts_builds_and_uninstalls():
+def test_tracer_installs_counts_builds_and_uninstalls(capsys):
     layers = load_layers()
     originals = {
         (module, attr): getattr(module, attr)
@@ -39,8 +40,14 @@ def test_tracer_installs_counts_builds_and_uninstalls():
         spec = qchar.identities.classical_identity("euler")
         assert qchar.identities.verify_identity(spec, 20).match
         assert qchar.affine.verify_proposition((1, 3), 3, 10).match
+        # a family verify must still reach the wrapped lattice_sum_series,
+        # or the families workload's per-dimension rows read 0
+        argv = ["verify", "class1", "--m", "2", "--order", "20", "--json"]
+        assert qchar.cli.main(argv) == 0
+        assert '"match": true' in capsys.readouterr().out
         metrics = layers.layer_metrics(tracer)
         assert metrics["qseries.driver.builds_per_verify"] == (2.0, "builds/verify")
+        assert metrics["lattice_sum_series.dim7.points"][0] > 0
     finally:
         tracer.uninstall()
         for (module, attr), value in originals.items():

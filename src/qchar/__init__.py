@@ -4,100 +4,22 @@ The package computes the same formal power series two independent ways --
 as a finite product of rescaled Euler products, and as a lattice sum over a
 positive-definite quadratic exponent function -- and checks the expansions
 against each other coefficient by coefficient, to any requested truncation
-order, in exact integer arithmetic.
+order, in exact integer arithmetic.  The public names are those of the four
+modules' __all__ lists, each listed once, in its module.
 """
 
-from .qseries import (
-    Mismatch,
-    ProductSpec,
-    QSeries,
-    VerifyReport,
-    as_rational,
-    format_rational,
-    normalize_shift,
-    phi_series,
-    product_series,
-    render,
-    series_add,
-    series_compare,
-    series_inv,
-    series_mul,
-    series_neg,
-    series_pow,
-    series_sub,
-)
-from .quadform import (
-    LatticeSum,
-    WEIGHT_ALTERNATING,
-    WEIGHT_FOUR_K_PLUS_ONE,
-    kappa_eval,
-    lattice_enumerate,
-    lattice_min_exponent,
-    lattice_sum_series,
-)
-from .affine import (
-    PartitionData,
-    SpecializedCharacter,
-    compute_N,
-    compute_s,
-    fundamental_weight_coeffs,
-    partitions,
-    specialized_character,
-    specialized_character_series,
-    trace_series,
-    verify_proposition,
-)
-from .identities import (
-    CLASSICAL_NAMES,
-    IdentitySpec,
-    class1_identity,
-    class2_identity,
-    classical_identity,
-    verify_identity,
-)
+from . import affine, identities, qseries, quadform
+from .qseries import *
+from .quadform import *
+from .affine import *
+from .identities import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CLASSICAL_NAMES",
-    "IdentitySpec",
-    "LatticeSum",
-    "PartitionData",
-    "SpecializedCharacter",
-    "class1_identity",
-    "class2_identity",
-    "classical_identity",
-    "compute_N",
-    "compute_s",
-    "fundamental_weight_coeffs",
-    "partitions",
-    "specialized_character",
-    "specialized_character_series",
-    "trace_series",
-    "verify_identity",
-    "verify_proposition",
-    "Mismatch",
-    "ProductSpec",
-    "QSeries",
-    "VerifyReport",
-    "WEIGHT_ALTERNATING",
-    "WEIGHT_FOUR_K_PLUS_ONE",
-    "kappa_eval",
-    "lattice_enumerate",
-    "lattice_min_exponent",
-    "lattice_sum_series",
-    "as_rational",
-    "format_rational",
-    "normalize_shift",
-    "phi_series",
-    "product_series",
-    "render",
-    "series_add",
-    "series_compare",
-    "series_inv",
-    "series_mul",
-    "series_neg",
-    "series_pow",
-    "series_sub",
+    *qseries.__all__,
+    *quadform.__all__,
+    *affine.__all__,
+    *identities.__all__,
     "__version__",
 ]

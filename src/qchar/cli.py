@@ -71,16 +71,14 @@ def _add_partition_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--k", type=_int_arg, required=True, help="weight index, 0 <= k < n")
 
 
-def _add_order_flag(p: argparse.ArgumentParser) -> None:
+def _finish_command(p: argparse.ArgumentParser, func, timing: bool) -> None:
+    """Add the flags every subcommand ends with, then bind its handler."""
     p.add_argument(
         "--order",
         type=_rational_arg,
         default=Fraction(50),
         help="truncation order, an integer or num/den rational (default 50)",
     )
-
-
-def _add_output_flags(p: argparse.ArgumentParser, timing: bool) -> None:
     p.add_argument("--json", action="store_true", help="emit JSON instead of text")
     if timing:
         p.add_argument(
@@ -88,6 +86,7 @@ def _add_output_flags(p: argparse.ArgumentParser, timing: bool) -> None:
             action="store_true",
             help="include wall_time_ms in the report (breaks byte reproducibility)",
         )
+    p.set_defaults(func=func)
 
 
 def _emit_report(report: VerifyReport, args: argparse.Namespace) -> int:
@@ -187,24 +186,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = vsub.add_parser("classical", help="a named one-dimensional identity")
     p.add_argument("name", choices=CLASSICAL_NAMES)
-    _add_order_flag(p)
-    _add_output_flags(p, timing=True)
-    p.set_defaults(func=_cmd_verify_classical)
+    _finish_command(p, _cmd_verify_classical, timing=True)
 
     for target, which in zip(_FAMILIES, ("first", "second")):
         p = vsub.add_parser(target, help=f"{which} identity family, parameter m")
         p.add_argument("--m", type=_int_arg, required=True, help="family parameter >= 1")
-        _add_order_flag(p)
-        _add_output_flags(p, timing=True)
-        p.set_defaults(func=_cmd_verify_family)
+        _finish_command(p, _cmd_verify_family, timing=True)
 
     p = vsub.add_parser(
         "proposition", help="character route vs trace route for a partition"
     )
     _add_partition_flags(p)
-    _add_order_flag(p)
-    _add_output_flags(p, timing=True)
-    p.set_defaults(func=_cmd_verify_proposition)
+    _finish_command(p, _cmd_verify_proposition, timing=True)
 
     series = sub.add_parser("series", help="print one truncated expansion")
     ssub = series.add_subparsers(dest="target", required=True)
@@ -212,9 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = ssub.add_parser("phi", help="phi(q^scale)^power")
     p.add_argument("--scale", type=_rational_arg, required=True)
     p.add_argument("--power", type=_int_arg, default=1)
-    _add_order_flag(p)
-    _add_output_flags(p, timing=False)
-    p.set_defaults(func=_cmd_series_phi)
+    _finish_command(p, _cmd_series_phi, timing=False)
 
     p = ssub.add_parser("product", help="a product given as JSON factors")
     p.add_argument(
@@ -222,21 +213,15 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         help='JSON like {"factors": [{"scale": "2", "power": -1}]}',
     )
-    _add_order_flag(p)
-    _add_output_flags(p, timing=False)
-    p.set_defaults(func=_cmd_series_product)
+    _finish_command(p, _cmd_series_product, timing=False)
 
     p = ssub.add_parser("character", help="specialized character of a partition")
     _add_partition_flags(p)
-    _add_order_flag(p)
-    _add_output_flags(p, timing=False)
-    p.set_defaults(func=_cmd_series_character)
+    _finish_command(p, _cmd_series_character, timing=False)
 
     p = ssub.add_parser("trace", help="trace-route series of a partition")
     _add_partition_flags(p)
-    _add_order_flag(p)
-    _add_output_flags(p, timing=False)
-    p.set_defaults(func=_cmd_series_trace)
+    _finish_command(p, _cmd_series_trace, timing=False)
 
     return parser
 

@@ -168,7 +168,8 @@ def verify_identity(spec: IdentitySpec, bound) -> VerifyReport:
     """Expand both sides through the bound and compare after normalization.
 
     The product side starts at q^0; the lattice side is built through the
-    bound above its minimum exponent, or less if weights cancel there.
+    bound above its minimum exponent, or less if weights cancel there.  Both
+    lattice walks read the sum's one completed form.
     """
     t = as_rational(bound)
 

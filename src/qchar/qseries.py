@@ -251,8 +251,6 @@ class QSeries:
         f = denom // self.denom
         if f == 1:
             return self
-        if self.is_zero():
-            return QSeries(denom, self.order * f, (0,), self.order * f)
         out = [0] * ((self.order - self.lo) * f + 1)
         for i, c in enumerate(self.coeffs):
             out[i * f] = c
@@ -268,8 +266,6 @@ class QSeries:
                     return self
         if g == 1:
             return self
-        if self.is_zero():
-            return QSeries(self.denom // g, self.order // g, (0,), self.order // g)
         return QSeries(
             self.denom // g, self.lo // g, self.coeffs[::g], self.order // g
         )
@@ -621,25 +617,14 @@ def series_compare(lhs: QSeries, rhs: QSeries) -> VerifyReport:
 
     Each nonzero side is first divided by its leading monomial (the shifts
     are reported), then coefficients are compared through the smaller of the
-    two normalized guaranteed orders.  Zero compares equal to zero.
+    two normalized guaranteed orders.  A zero side has no leading monomial:
+    it reads as 0 through q^0 with shift 0, so zero compares equal to zero,
+    through q^0, and differs from any nonzero side at q^0.
     """
-    zero = Fraction(0)
-    checked = min(
-        Fraction(lhs.order - lhs.lo, lhs.denom),
-        Fraction(rhs.order - rhs.lo, rhs.denom),
+    (na, sa), (nb, sb) = (
+        (QSeries(s.denom, 0, (0,), 0), Fraction(0)) if s.is_zero() else normalize_shift(s)
+        for s in (lhs, rhs)
     )
-    if lhs.is_zero() and rhs.is_zero():
-        return VerifyReport(True, checked, None, zero, zero)
-    if lhs.is_zero() or rhs.is_zero():
-        if lhs.is_zero():
-            norm, shift = normalize_shift(rhs)
-            mism = Mismatch(zero, 0, norm.coeffs[0])
-            return VerifyReport(False, checked, mism, zero, shift)
-        norm, shift = normalize_shift(lhs)
-        mism = Mismatch(zero, norm.coeffs[0], 0)
-        return VerifyReport(False, checked, mism, shift, zero)
-    na, sa = normalize_shift(lhs)
-    nb, sb = normalize_shift(rhs)
     m = lcm(na.denom, nb.denom)
     na, nb = na.rebase(m), nb.rebase(m)
     units = min(na.order, nb.order)

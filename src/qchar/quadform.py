@@ -18,9 +18,11 @@ value of the current coordinate, an exact map from budget spent to weighted
 count, so it never visits points one by one, and prices each value of the
 next coordinate once per value of the current one.  Both routes of
 qchar.affine build their integer chains directly and complete each once,
-the trace route's chain written in partial sums; the public functions scale
-a LatticeSum onto its grid first.  Unweighted, through a rounding bound, the
-walk yields exact minimum exponents (lattice_min_exponent).
+the trace route's chain written in partial sums.  A LatticeSum scales its
+exponent onto its grid and completes its squares once, on first use, and
+every public entry point walks that one form: unweighted, through a
+rounding bound, the walk yields exact minimum exponents
+(lattice_min_exponent), and lattice_sum_series expands through any bound.
 lattice_enumerate walks the same recursion point by point; it is kept as the
 oracle of the tests' hand expansions.  No floating point, and no Fraction
 between a chain's entries and its walk's slots; the tests check the engine
@@ -31,6 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import floor, gcd, isqrt, lcm
 from typing import Iterator, Optional, Sequence
 
@@ -114,6 +117,17 @@ class LatticeSum:
 
     def weight_at(self, k: Sequence[int]) -> int:
         return _weight_value(self.weight, tuple(k))
+
+    @cached_property
+    def _form(self) -> "_ScaledForm":
+        """The completed squares of the exponent, computed once, on first use.
+
+        Every public entry point walks this form.  It is not a dataclass
+        field, so ==, hash, repr and to_json never see it, and a copy made
+        by dataclasses.replace completes its own.
+        """
+        chain = _kappa_parts(self)
+        return _complete_squares(*chain)
 
     def to_json(self) -> dict:
         out = {
@@ -330,9 +344,7 @@ def _walk(form: _ScaledForm, weight, units: int) -> QSeries:
         for used, count in row.items():
             slot = (base + used) // sigma
             acc[slot] = acc.get(slot, 0) + count
-    if not acc:
-        return QSeries(grid, units, (0,), units)
-    lo = min(acc)
+    lo = min(acc, default=units)
     window = [acc.get(i, 0) for i in range(lo, units + 1)]
     return QSeries.from_window(grid, lo, window, units)
 
@@ -361,9 +373,7 @@ def lattice_enumerate(
 ) -> Iterator[tuple[tuple[int, ...], Fraction]]:
     """All k with exponent_at(k) <= bound, as (k, exponent) pairs in lex order."""
     t = as_rational(bound)
-    if s.c <= 0:
-        raise ValueError("indefinite exponent function")
-    form = _complete_squares(*_kappa_parts(s))
+    form = s._form
     scale = form.sigma * form.grid
     for point, ehat in _scaled_points(form, floor(t * form.grid)):
         yield point, Fraction(ehat, scale)
@@ -371,7 +381,7 @@ def lattice_enumerate(
 
 def lattice_min_exponent(s: LatticeSum) -> Fraction:
     """Smallest exponent_at(k) over Z^l, ignoring the weight (it may cancel there)."""
-    return _chain_min(_complete_squares(*_kappa_parts(s)))
+    return _chain_min(s._form)
 
 
 def lattice_sum_series(s: LatticeSum, bound: RationalLike) -> QSeries:
@@ -382,7 +392,4 @@ def lattice_sum_series(s: LatticeSum, bound: RationalLike) -> QSeries:
     the exponent function makes every coefficient a finite count.
     """
     t = as_rational(bound)
-    if s.c <= 0:
-        raise ValueError("indefinite exponent function")
-    form = _complete_squares(*_kappa_parts(s))
-    return _walk(form, s.weight, floor(t * form.grid))
+    return _walk(s._form, s.weight, floor(t * s._form.grid))

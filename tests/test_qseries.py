@@ -19,6 +19,7 @@ from qchar.qseries import (
     Mismatch,
     ProductSpec,
     QSeries,
+    VerifyReport,
     as_rational,
     format_rational,
     normalize_shift,
@@ -429,12 +430,32 @@ def test_compare_finds_first_mismatch():
 
 
 def test_compare_zero_sides():
+    # a zero side reads as 0 through q^0 with shift 0: every report field
+    zero = Fraction(0)
     z = QSeries.zero(10)
     assert series_compare(z, QSeries.zero(3)).match
+    assert series_compare(z, QSeries.zero(3)) == VerifyReport(True, zero, None, zero, zero)
     report = series_compare(z, phi_series(1, 10))
     assert not report.match
     assert report.first_mismatch.exponent == 0
     assert report.first_mismatch.rhs_coeff == 1
+    assert report == VerifyReport(False, zero, Mismatch(zero, 0, 1), zero, zero)
+    shifted = QSeries.from_terms([(3, -2), (4, 1)], 10)
+    assert series_compare(z, shifted) == VerifyReport(
+        False, zero, Mismatch(zero, 0, -2), zero, Fraction(3)
+    )
+    assert series_compare(shifted, z) == VerifyReport(
+        False, zero, Mismatch(zero, -2, 0), Fraction(3), zero
+    )
+    # a zero side on grid 3 against a nonzero side on grid 2
+    z3 = QSeries.zero(5, 3)
+    halves = QSeries.from_terms([(Fraction(1, 2), 1), (Fraction(3, 2), 1)], 6, 2)
+    assert series_compare(z3, halves) == VerifyReport(
+        False, zero, Mismatch(zero, 0, 1), zero, Fraction(1, 2)
+    )
+    assert series_compare(halves, z3) == VerifyReport(
+        False, zero, Mismatch(zero, 1, 0), Fraction(1, 2), zero
+    )
 
 
 def test_compare_checked_through_uses_shifted_orders():
@@ -453,6 +474,12 @@ def test_rebase_reduce_roundtrip():
     p = phi_series(1, 20)
     assert p.rebase(6).reduced() == p
     assert p.rebase(6) == p
+    z = QSeries.zero(10)
+    fine = z.rebase(6)
+    assert (fine.denom, fine.lo, fine.order, fine.coeffs) == (6, 60, 60, (0,))
+    coarse = fine.reduced()
+    assert (coarse.denom, coarse.lo, coarse.order, coarse.coeffs) == (1, 10, 10, (0,))
+    assert fine == z and coarse == z
 
 
 def test_zero_series_is_canonical():

@@ -1,8 +1,10 @@
 """Lattice enumeration checked against brute scans and frozen small cases."""
 
+import dataclasses
 import inspect
 import json
 import math
+import pickle
 import random
 import sys
 from fractions import Fraction
@@ -14,6 +16,7 @@ from hypothesis import strategies as st
 
 import squares_oracle
 from box_oracle import _kappa_lambda_lower, lattice_enumerate_oracle
+from qchar.identities import class1_identity, classical_identity, verify_identity
 from qchar.qseries import ProductSpec, QSeries, phi_series, product_series, series_mul
 from qchar.quadform import (
     WEIGHT_ALTERNATING,
@@ -479,6 +482,47 @@ def test_lattice_min_exponent_completes_squares_once(monkeypatch):
     s = LatticeSum(3, Fraction(3, 2), fracs("1/2 -1 2"), Fraction(-5, 4))
     lattice_min_exponent(s)
     assert calls[0] == 1
+
+
+@pytest.mark.parametrize(
+    "make", [lambda: class1_identity(2), lambda: classical_identity("euler")]
+)
+def test_verify_identity_completes_squares_once(monkeypatch, make):
+    # the minimum walk and the bounded walk share the lattice side's one
+    # completion, and a second verify of the same spec completes nothing
+    import qchar.affine as affine
+    import qchar.quadform as quadform
+
+    calls = counting(monkeypatch, "_complete_squares")
+    monkeypatch.setattr(affine, "_complete_squares", quadform._complete_squares)
+    spec = make()
+    assert verify_identity(spec, 20).match
+    assert calls[0] == 1
+    assert verify_identity(spec, 20).match
+    assert calls[0] == 1
+
+
+def test_completed_form_stays_out_of_the_value():
+    args = (3, Fraction(3, 2), fracs("1/2 -1 2"), Fraction(-5, 4), WEIGHT_ALTERNATING)
+    s, fresh = LatticeSum(*args), LatticeSum(*args)
+    want = lattice_sum_series(s, 6)
+    assert "_form" in vars(s) and "_form" not in vars(fresh)
+    assert s == fresh and hash(s) == hash(fresh)
+    assert repr(s) == repr(fresh)
+    assert json.dumps(s.to_json()) == json.dumps(fresh.to_json())
+    back = pickle.loads(pickle.dumps(s))
+    assert back == s and hash(back) == hash(s) and repr(back) == repr(s)
+    assert lattice_sum_series(back, 6) == want == lattice_sum_series(fresh, 6)
+
+
+def test_replace_completes_its_own_form(monkeypatch):
+    calls = counting(monkeypatch, "_complete_squares")
+    s = LatticeSum(3, Fraction(3, 2), fracs("1/2 -1 2"), Fraction(-5, 4))
+    low = lattice_min_exponent(s)
+    moved = dataclasses.replace(s, const=Fraction(0))
+    assert "_form" not in vars(moved)
+    assert lattice_min_exponent(moved) == low + Fraction(5, 4)
+    assert calls[0] == 2
 
 
 def counting_merges(run):

@@ -8,13 +8,21 @@ counter, the generalized pentagonal pattern), never from the code under test.
 import json
 import random
 from fractions import Fraction
-from math import floor
+from math import floor, gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from product_oracle import product_oracle
+from qchar import qseries
+from qchar.affine import partitions, verify_proposition
+from qchar.identities import (
+    CLASSICAL_NAMES,
+    class1_identity,
+    class2_identity,
+    classical_identity,
+)
 from qchar.qseries import (
     Mismatch,
     ProductSpec,
@@ -384,6 +392,147 @@ def test_product_series_matches_literal_oracle_on_random_specs():
             want.denom, want.lo, want.coeffs, want.order
         ), (spec, order)
         assert got.order == floor(order * got.denom)
+
+
+# -- the blocked product recurrence ---------------------------------------------
+
+HALF = 1 << 63
+
+
+@pytest.fixture
+def packed(monkeypatch):
+    """Every list product_series packs, in call order.
+
+    Each push packs its block and then L_1..L_k; only the blocks are _BLOCK
+    long, since a push needs four more blocks after it.
+    """
+    calls = []
+    real = qseries._pack
+
+    def counted(values):
+        calls.append(list(values))
+        return real(values)
+
+    monkeypatch.setattr(qseries, "_pack", counted)
+    return calls
+
+
+def pushed_blocks(calls):
+    return [c for c in calls if len(c) == qseries._BLOCK]
+
+
+def leading_blocks(series, count):
+    """The first count blocks of a product's coefficients (its window starts at 0)."""
+    b = qseries._BLOCK
+    return [list(series.coeffs[i * b : (i + 1) * b]) for i in range(count)]
+
+
+def pushable_blocks(series):
+    """How many blocks have four blocks after them, so that the rule may push them."""
+    b = qseries._BLOCK
+    return len(range(b, series.order + 2 - 4 * b, b))
+
+
+def same_window(got, want):
+    return (got.denom, got.lo, got.coeffs, got.order) == (
+        want.denom, want.lo, want.coeffs, want.order
+    )
+
+
+@pytest.mark.parametrize(
+    "make, m, order",
+    [(class1_identity, 1, 1000), (class1_identity, 3, 400), (class2_identity, 3, 600)],
+)
+def test_blocked_product_matches_oracle_on_dense_family_sides(packed, make, m, order):
+    """Dense sides cross many blocks, and every block the rule allows is pushed."""
+    spec = make(m).lhs
+    got = product_series(spec, order)
+    assert same_window(got, product_oracle(spec, order))
+    blocks = pushed_blocks(packed)
+    assert len(blocks) == pushable_blocks(got) >= 8
+    assert blocks == leading_blocks(got, len(blocks))
+
+
+def test_blocked_product_mixed_widths_match_oracle(packed):
+    """1/phi(q)^3: the early blocks are pushed, later ones fail the 2^63 bound."""
+    spec = ProductSpec(((Fraction(1), -3),))
+    got = product_series(spec, 600)
+    assert same_window(got, product_oracle(spec, 600))
+    blocks = pushed_blocks(packed)
+    assert 0 < len(blocks) < pushable_blocks(got)
+    assert blocks == leading_blocks(got, len(blocks))
+    after = leading_blocks(got, len(blocks) + 1)[-1]
+    ell = max(packed, key=len)
+    assert len(ell) == got.order
+    assert qseries._BLOCK * max(map(abs, after)) * max(map(abs, ell)) >= HALF
+
+
+def test_blocked_product_all_wide_matches_oracle(packed):
+    spec = ProductSpec(((Fraction(1), -24),))
+    assert same_window(product_series(spec, 300), product_oracle(spec, 300))
+    assert packed == []
+
+
+def test_blocked_product_matches_oracle_on_random_fractional_specs(packed):
+    """Negative powers on grids d > 1, orders 150 to 400."""
+    rng = random.Random(20261018)
+    for _ in range(20):
+        den = rng.choice((2, 3, 4))
+        first = rng.choice([a for a in range(1, 3 * den) if gcd(a, den) == 1])
+        factors = ((Fraction(first, den), rng.randint(-3, -1)),) + tuple(
+            (Fraction(rng.randint(1, 3 * den), den), rng.choice((-2, -1, 1, 2, 3)))
+            for _ in range(rng.randint(0, 2))
+        )
+        spec = ProductSpec(factors)
+        order = Fraction(rng.randint(150 * den, 400 * den), den)
+        got = product_series(spec, order)
+        assert got.denom > 1
+        assert same_window(got, product_oracle(spec, order)), (spec, order)
+    assert len(pushed_blocks(packed)) > 20
+
+
+def test_push_rule_fires_on_the_first_family_side(packed):
+    got = product_series(class1_identity(1).lhs, 800)
+    blocks = pushed_blocks(packed)
+    assert len(blocks) == pushable_blocks(got) > 0
+
+
+@pytest.mark.parametrize("name", CLASSICAL_NAMES)
+def test_push_rule_takes_at_most_the_first_classical_block(packed, name):
+    got = product_series(classical_identity(name).lhs, 3000)
+    assert pushed_blocks(packed) in ([], leading_blocks(got, 1))
+
+
+def test_push_rule_never_fires_on_sweep_products(packed):
+    """Every product of the proposition sweep (n <= 7, order 30) runs the plain loop."""
+    for n in range(1, 8):
+        for parts in partitions(n):
+            for k in range(n):
+                assert verify_proposition(parts, k, 30).match
+    assert packed == []
+
+
+def test_pack_unpack_round_trip_at_the_slot_limits():
+    top = HALF - 1
+    for values in ([top, -top, 0, 1, -1], [0] * 5, [-top] * 3, [top], [-HALF, top], []):
+        assert list(qseries._unpack(qseries._pack(values), len(values))) == values
+
+
+def test_packed_product_decodes_at_the_width_bound():
+    """Slots of B a c = 2^63 - 32, the largest that B max|F| max|L| < 2^63 admits."""
+    b = qseries._BLOCK
+    a, c = (1 << 29) - 1, (1 << 29) + 1
+    assert b * a * c < HALF <= b * a * (c + 1)
+    ell = [c] * (2 * b) + [-c] * (2 * b)
+    for block in ([a] * b, [-a] * b):
+        size = b + len(ell) - 1
+        got = qseries._unpack(qseries._pack(block) * qseries._pack(ell), size)
+        want = [
+            sum(block[i] * ell[t - i] for i in range(b) if 0 <= t - i < len(ell))
+            for t in range(size)
+        ]
+        assert list(got) == want
+        assert max(want) == -min(want) == b * a * c
 
 
 # -- normalization and comparison ----------------------------------------------

@@ -10,6 +10,7 @@ timing is excluded unless --timing is passed so reports stay reproducible.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -226,10 +227,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser main reads argv with, built once per process.
+
+    Parsing leaves a parser as it was, so one tree serves every call, and
+    build_parser still hands each caller a fresh one.
+    """
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         # argparse already printed usage/help; fold its exit into our code
         return 0 if exc.code in (0, None) else int(exc.code)

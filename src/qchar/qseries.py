@@ -504,26 +504,47 @@ class ProductSpec:
         )
 
 
-# Balanced 64-bit slots: v_i in [-2^63, 2^63) pack into one int, words in native
-# order; xor with the lift flips a two's complement word's top bit, adding 2^63.
+# Balanced w-bit slots: v_j in [-2^(w-1), 2^(w-1)) pack into one int, slot j at
+# bit w*j on any machine; xor with the lift flips a two's complement word's top
+# bit, adding 2^(w-1).  Widths with an array typecode move through one array;
+# wider slots, multiples of 64, go through bytes one slot at a time.
 _BLOCK = 32
+_TYPECODES = {array(code).itemsize * 8: code for code in "bhiq"}
 
 
-def _lift(k: int) -> int:
-    """2^63 in each of k slots."""
-    return int.from_bytes((1 << 63).to_bytes(8, "little") * k, "little")
+def _lift(k: int, w: int = 64) -> int:
+    """2^(w-1) in each of k w-bit slots."""
+    return int.from_bytes((1 << (w - 1)).to_bytes(w // 8, "little") * k, "little")
 
 
-def _pack(values: list[int]) -> int:
-    """The packed int of values, through one array('q')."""
-    lift = _lift(len(values))
-    return (int.from_bytes(array("q", values), sys.byteorder) ^ lift) - lift
+def _words(code: str, data) -> array:
+    """array(code, data), its words written or read in little-endian order."""
+    words = array(code, data)
+    if sys.byteorder == "big":
+        words.byteswap()
+    return words
 
 
-def _unpack(x: int, k: int) -> array:
-    """The k balanced slots of x, the inverse of _pack."""
-    lift = _lift(k)
-    return array("q", ((x + lift) ^ lift).to_bytes(8 * k, sys.byteorder))
+def _pack(values: list[int], w: int = 64) -> int:
+    """The packed int of values in w-bit slots."""
+    lift = _lift(len(values), w)
+    code = _TYPECODES.get(w)
+    if code:
+        raw = _words(code, values).tobytes()
+    else:
+        raw = b"".join(v.to_bytes(w // 8, "little", signed=True) for v in values)
+    return (int.from_bytes(raw, "little") ^ lift) - lift
+
+
+def _unpack(x: int, k: int, w: int = 64):
+    """The k balanced w-bit slots of x, the inverse of _pack."""
+    lift = _lift(k, w)
+    raw = ((x + lift) ^ lift).to_bytes(w // 8 * k, "little")
+    code = _TYPECODES.get(w)
+    if code:
+        return _words(code, raw)
+    n = w // 8
+    return [int.from_bytes(raw[i : i + n], "little", signed=True) for i in range(0, len(raw), n)]
 
 
 def product_series(spec: ProductSpec, order: RationalLike) -> QSeries:

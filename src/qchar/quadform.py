@@ -14,9 +14,12 @@ and the squares are completed fraction-free (Bareiss elimination), straight
 into one integer form that depends on no bound: a walk through t reads only
 floor(t*grid), because every exponent lies on the grid.  One engine expands
 every lattice series from that form: a transfer-matrix walk that keeps, per
-value of the current coordinate, an exact map from budget spent to weighted
-count, so it never visits points one by one, and prices each value of the
-next coordinate once per value of the current one.  Both routes of
+value of the current coordinate, one packed int whose slots are the weighted
+counts by budget spent, so it never visits points one by one, and prices
+each value of the next coordinate once per value of the current one.  A
+row's spends share a residue modulo sigma times the chain's stride, so its
+slots step by that much, and their width is proved from the form; masks,
+shifts and adds on whole rows replace per-spend merges.  Both routes of
 qchar.affine build their integer chains directly and complete each once,
 the trace route's chain written in partial sums.  A LatticeSum scales its
 exponent onto its grid and completes its squares once, on first use, and
@@ -26,7 +29,8 @@ rounding bound, the walk yields exact minimum exponents
 lattice_enumerate walks the same recursion point by point; it is kept as the
 oracle of the tests' hand expansions.  No floating point, and no Fraction
 between a chain's entries and its walk's slots; the tests check the engine
-against a box-scan oracle and the completion against a Fraction one.
+against a box-scan oracle and a dict-of-spends walk, and the completion
+against a Fraction one.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import floor, gcd, isqrt, lcm
+from operator import add
 from typing import Iterator, Optional, Sequence
 
 from .qseries import (
@@ -44,6 +49,7 @@ from .qseries import (
     _json_int,
     _json_list,
     _json_rational,
+    _unpack,
     as_rational,
     format_rational,
 )
@@ -197,11 +203,14 @@ class _ScaledForm:
     sigma*grid*E(x) = base + sum_i K_i (W_i x_i + w_prev_i x_(i-1) + w0_i)^2,
     so a walk through any bound t needs only units = floor(t*grid): every
     exponent lies on the grid, the budget is sigma*units - base, and a spend
-    lands in grid slot (base + spend) // sigma exactly.
+    lands in grid slot (base + spend) // sigma exactly.  With x_i fixed, the
+    spends of any two prefixes x_0..x_(i-1) differ by a multiple of
+    sigma*stride (see _walk), so a walk's rows step stride grid slots.
     """
 
     grid: int
     sigma: int
+    stride: int
     base: int
     K: tuple[int, ...]
     W: tuple[int, ...]
@@ -224,13 +233,17 @@ def _complete_squares(diag, off, lin, const, denom) -> _ScaledForm:
     (Bareiss, Math. Comp. 22, 1968).  Each square's (W, w_prev, w0) is its
     linear form divided by the gcd of its entries.  No square reads the
     remainder's constant, so the elimination drops it and base is read off
-    x = 0 instead.  Raises if any pivot fails to be positive.
+    x = 0 instead.  stride, the gcd of 2a_j, a_j + l_j and b_j over every
+    coordinate but the last of the divided chain, steps a walk's rows (see
+    _walk).  Raises if any pivot fails to be positive.
     """
     g = gcd(denom, const, *diag, *off, *lin)
     grid, c = denom // g, const // g
     a = [v // g for v in diag]
     b = [v // g for v in off]
     l = [v // g for v in lin]
+    # 1 when no coordinate but the last exists: every row then holds one spend
+    stride = gcd(*(2 * v for v in a[:-1]), *map(add, a[:-1], l), *b) or 1
     m = 1
     levels = []
     while a:
@@ -260,7 +273,7 @@ def _complete_squares(diag, off, lin, const, denom) -> _ScaledForm:
     W, w_prev, w0 = (tuple(v[j] for v in levels) for j in (2, 3, 4))
     # sigma*grid*E(0) = sigma*c = base + sum K_i w0_i^2, all integers
     base = sigma * c - sum(k * t * t for k, t in zip(K, w0))
-    return _ScaledForm(grid, sigma, base, K, W, w_prev, w0)
+    return _ScaledForm(grid, sigma, stride, base, K, W, w_prev, w0)
 
 
 def _level_range(k: int, w: int, p: int, budget: int) -> range:
@@ -298,54 +311,113 @@ def _scaled_points(form: _ScaledForm, units: int) -> Iterator[tuple[tuple[int, .
     yield from rec(0, 0, budget)
 
 
+def _count_bound(form: _ScaledForm, weight, budget: int) -> int:
+    """A bound on the magnitude of every count a walk through budget keeps.
+
+    Slot s of the row of x_i counts the prefixes x_0..x_(i-1) that spend s,
+    each weighing at most max|weight|.  No room exceeds the budget, so every
+    x_j lies among the x with |W_j x + p| <= isqrt(budget // K_j) for some p:
+    at most n_j = 2*isqrt(budget // K_j) // W_j + 1 values.  With x_0..x_(i-2)
+    fixed too, the spend is a quadratic in x_(i-1) with leading coefficient
+    K_(i-1) W_(i-1)^2 + K_i w_prev_i^2 > 0, which takes each value at most
+    twice.  So every count, and every partial sum of one, is at most
+    2 n_0 ... n_(l-3) max|weight| in size (max|weight| when l = 1); under
+    4k+1, |x_0| <= (isqrt(budget // K_0) + |w0_0|) // W_0 bounds the weight.
+    """
+    bound = 2 if len(form.K) > 1 else 1
+    for k, w in zip(form.K[:-2], form.W[:-2]):
+        bound *= 2 * isqrt(budget // k) // w + 1
+    if weight == WEIGHT_FOUR_K_PLUS_ONE and form.K:
+        reach = (isqrt(budget // form.K[0]) + abs(form.w0[0])) // form.W[0]
+        bound *= 4 * reach + 1
+    return bound
+
+
 def _walk(form: _ScaledForm, weight, units: int) -> QSeries:
     """The one lattice engine: walk a _ScaledForm through units grid slots.
 
     The form expands through the bound floor(units/grid), on its grid,
     weighted by the weight shape (None for plain counts); every quantity is
     a plain int.  A transfer-matrix walk.  After level i it keeps, for each
-    value of x_i, an exact map from budget spent on levels 0..i to the
-    weighted number of prefixes spending it; the square at level i+1 depends
-    only on x_i, so prefixes agreeing on x_i and the spend merge and no point
-    is visited one by one.  Each value x_(i+1) is priced once per predecessor
-    x_i: its range is taken at the predecessor's least spend, and each spend
-    joins only when the square still fits in the room it leaves.  The weight
-    shape reads the first coordinate, so it is applied once, after level 0
-    (the empty point of l = 0 weighs 1 under every shape).  The last level's
-    maps fold into grid slots.
+    value of x_i, a row: the weighted number of prefixes x_0..x_i spending
+    each amount of the budget on levels 0..i.  The square at level i+1
+    depends only on x_i, so prefixes agreeing on x_i and the spend merge and
+    no point is visited one by one.
+
+    A row is a pair [s0, packed] (Kronecker substitution; Harvey, J. Symb.
+    Comput. 44, 2009): slot j of packed, w bits wide, counts the prefixes
+    spending s0 + sigma*stride*j, s0 the least spend that reached the row.
+    Residue: the squares after level i read only x_i onwards, so two prefixes
+    with the same x_i, completed alike, spend amounts that differ by sigma
+    times the difference of the integer chain grid*E at the two points.  Only
+    the chain's terms in x_0..x_(i-1) differ: a_j x_j^2 + l_j x_j =
+    a_j (x_j^2 - x_j) + (a_j + l_j) x_j with x_j^2 - x_j even, and
+    b_j x_j x_(j+1); so the difference is a multiple of stride, the gcd of
+    2a_j, a_j + l_j and b_j over j < l - 1, at every level at once.  Width:
+    no count exceeds _count_bound, so balanced signed slots with that bound
+    under 2^(w-1) never carry; packed is exactly sum_j c_j 2^(w*j), and its
+    top nonzero slot is packed.bit_length() // w.
+
+    Each value x_(i+1) is priced once per predecessor row: its range is taken
+    at s0, the slots whose spend leaves room for the square are kept by one
+    mask, and the kept part is shifted into the successor's row with one
+    add.  The mask leaves the kept slots' sum modulo 2^bits, so a part whose
+    top bit is set holds a negative top slot and gets 2^bits subtracted.  The
+    weight shape reads the first coordinate, so it multiplies the one-slot
+    rows after level 0 (the empty point of l = 0 weighs 1 under every shape).
+    Each last-level row unpacks once into the window, its slots stride grid
+    slots apart.
     """
     grid, sigma, base = form.grid, form.sigma, form.base
     budget = sigma * units - base
     if budget < 0:
         return QSeries(grid, units, (0,), units)
-    states: dict[int, dict[int, int]] = {0: {0: 1}}
+    step = sigma * form.stride
+    # balanced slots hold (-2^(w-1), 2^(w-1)): the narrowest that fits the bound
+    need = _count_bound(form, weight, budget).bit_length() + 1
+    w = next((n for n in (8, 16, 32, 64) if need <= n), -(-need // 64) * 64)
+    rows: dict[int, list[int]] = {0: [0, 1]}
     for i in range(len(form.K)):
         ki, wi, ci, ti = form.K[i], form.W[i], form.w_prev[i], form.w0[i]
-        nxt: dict[int, dict[int, int]] = {}
-        for prev, spent in states.items():
+        nxt: dict[int, list[int]] = {}
+        for prev, (s0, packed) in rows.items():
             pi = ti + ci * prev
-            for xi in _level_range(ki, wi, pi, budget - min(spent)):
+            top = budget - s0
+            # every slot fits under a square costing at most full
+            full = top - packed.bit_length() // w * step
+            for xi in _level_range(ki, wi, pi, top):
                 v = wi * xi + pi
                 cost = ki * v * v
-                room = budget - cost
-                row = nxt.setdefault(xi, {})
-                for used, count in spent.items():
-                    if used <= room:
-                        key = used + cost
-                        row[key] = row.get(key, 0) + count
-        states = nxt
+                part = packed
+                if cost > full:
+                    bits = ((top - cost) // step + 1) * w
+                    part &= (1 << bits) - 1
+                    if part >> (bits - 1):
+                        part -= 1 << bits
+                spend = s0 + cost
+                row = nxt.get(xi)
+                if row is None:
+                    nxt[xi] = [spend, part]
+                elif spend >= row[0]:
+                    row[1] += part << (spend - row[0]) // step * w
+                else:
+                    row[1] = (row[1] << (row[0] - spend) // step * w) + part
+                    row[0] = spend
+        rows = nxt
         if i == 0 and weight is not None:
-            for xi, row in states.items():
-                w = _weight_value(weight, (xi,))
-                for key in row:
-                    row[key] *= w
-    acc: dict[int, int] = {}
-    for row in states.values():
-        for used, count in row.items():
-            slot = (base + used) // sigma
-            acc[slot] = acc.get(slot, 0) + count
-    lo = min(acc, default=units)
-    window = [acc.get(i, 0) for i in range(lo, units + 1)]
+            for xi, row in rows.items():
+                row[1] *= _weight_value(weight, (xi,))
+    lo = min(((base + s) // sigma for s, _ in rows.values()), default=units)
+    window = [0] * (units - lo + 1)
+    g = form.stride
+    for s, packed in rows.values():
+        f = (base + s) // sigma - lo
+        n = packed.bit_length() // w + 1
+        if n == 1:
+            window[f] += packed
+        else:
+            end = f + g * (n - 1) + 1
+            window[f:end:g] = map(add, window[f:end:g], _unpack(packed, n, w))
     return QSeries.from_window(grid, lo, window, units)
 
 

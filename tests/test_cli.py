@@ -368,6 +368,39 @@ def test_json_reports_identical_across_repeated_runs(capsys):
         assert outputs[0] == outputs[1], argv
 
 
+def test_cached_parser_matches_fresh_parsers(capsys, monkeypatch):
+    # main parses with one parser per process; a fresh tree per call must
+    # give the same codes and bytes through reports, a usage error and help
+    import qchar.cli as cli_mod
+
+    argvs = [
+        ("verify", "classical", "euler", "--order", "20", "--json", "--timing"),
+        ("verify", "class1", "--m", "2", "--order", "1.5"),
+        ("--help",),
+        ("verify", "proposition", "--partition", "1,3", "--k", "3", "--order", "40"),
+    ]
+
+    def sequence():
+        seen = []
+        for argv in argvs:
+            code, out, err = run_cli(capsys, *argv)
+            if out.startswith("{"):
+                blob = json.loads(out)
+                blob.pop("wall_time_ms")
+                out = json.dumps(blob, sort_keys=True)
+            seen.append((code, out, err))
+        return seen
+
+    cached = sequence()
+    assert cli_mod._parser() is cli_mod._parser()
+    assert cli_mod.build_parser() is not cli_mod.build_parser()
+    with monkeypatch.context() as m:
+        m.setattr(cli_mod, "_parser", cli_mod.build_parser)
+        fresh = sequence()
+    assert [code for code, _, _ in cached] == [0, 2, 0, 0]
+    assert cached == fresh
+
+
 def _child_env():
     """The environment with this checkout's src first on PYTHONPATH."""
     src = str(Path(__file__).resolve().parents[1] / "src")

@@ -518,6 +518,16 @@ def test_pack_unpack_round_trip_at_the_slot_limits():
         assert list(qseries._unpack(qseries._pack(values), len(values))) == values
 
 
+@pytest.mark.parametrize("w", (8, 16, 32, 64, 128, 192))
+def test_pack_unpack_round_trip_at_every_width(w):
+    # slot j sits at bit w*j on any machine, balanced in [-2^(w-1), 2^(w-1))
+    half = 1 << (w - 1)
+    for values in ([half - 1, -half, 0, 1, -1], [0] * 3, [-half] * 2, [5], []):
+        packed = qseries._pack(values, w)
+        assert packed == sum(v << (w * j) for j, v in enumerate(values))
+        assert list(qseries._unpack(packed, len(values), w)) == values
+
+
 def test_packed_product_decodes_at_the_width_bound():
     """Slots of B a c = 2^63 - 32, the largest that B max|F| max|L| < 2^63 admits."""
     b = qseries._BLOCK

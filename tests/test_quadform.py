@@ -525,19 +525,18 @@ def test_replace_completes_its_own_form(monkeypatch):
     assert calls[0] == 2
 
 
-def counting_merges(run):
-    """Run run() and count how often the walk merges a spend into a row."""
+def walk_line_hits(run, text):
+    """Run run() and count how often _walk executes its line holding text."""
     import qchar.quadform as quadform
 
     lines, first = inspect.getsourcelines(quadform._walk)
-    merge = "row[key] = row.get(key, 0) + count"
-    target = first + next(i for i, text in enumerate(lines) if merge in text)
+    target = first + next(i for i, line in enumerate(lines) if text in line)
     code = quadform._walk.__code__
-    merges = [0]
+    hits = [0]
 
     def local(frame, event, arg):
         if event == "line" and frame.f_lineno == target:
-            merges[0] += 1
+            hits[0] += 1
         return local
 
     def tracer(frame, event, arg):
@@ -549,19 +548,19 @@ def counting_merges(run):
         result = run()
     finally:
         sys.settrace(previous)
-    return result, merges[0]
+    return result, hits[0]
 
 
 def test_walk_prices_each_coordinate_once_per_predecessor(monkeypatch):
     # work counts are the only guard here: a walk that prices every (value,
-    # spend) pair, or keeps spends past the room a square leaves, gives the
-    # same series (the extra spends fold above the order).  The sum is the
-    # character numerator of (1^7), k = 0.
+    # spend) pair, or adds a part per spend instead of per row, gives the
+    # same series.  The sum is the character numerator of (1^7), k = 0.
     calls = counting(monkeypatch, "_level_range")
     s = LatticeSum(6, Fraction(1), (Fraction(0),) * 6)
-    got, merges = counting_merges(lambda: lattice_sum_series(s, 30))
+    # each (predecessor row, value) pair adds its kept part into a row once
+    got, adds = walk_line_hits(lambda: lattice_sum_series(s, 30), "spend = s0 + cost")
     assert calls[0] == 96
-    assert merges == 8466
+    assert adds == 956  # the dict walk merged 8466 spends one at a time
     assert got.order == 30 and got[1] == 42
     assert got.truncated(6) == series_by_hand(s, 6)
 

@@ -1,0 +1,233 @@
+"""The packed lattice walk checked against the dict-of-spends walk oracle."""
+
+from fractions import Fraction
+from math import floor
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from qchar.affine import (
+    PartitionData,
+    _character_parts,
+    _trace_parts,
+    partitions,
+    verify_proposition,
+)
+from qchar.identities import (
+    CLASSICAL_NAMES,
+    class1_identity,
+    class2_identity,
+    classical_identity,
+    verify_identity,
+)
+from qchar.quadform import (
+    WEIGHT_ALTERNATING,
+    WEIGHT_FOUR_K_PLUS_ONE,
+    LatticeSum,
+    _chain_min,
+    _complete_squares,
+    _count_bound,
+    _scaled_points,
+    _walk,
+    lattice_min_exponent,
+    lattice_sum_series,
+)
+from test_quadform import walk_line_hits
+from walk_oracle import dict_levels, dict_walk
+
+WEIGHTS = (None, WEIGHT_ALTERNATING, WEIGHT_FOUR_K_PLUS_ONE)
+
+
+@pytest.fixture
+def walks(monkeypatch):
+    """Every (form, weight, units) the engine walks, in call order."""
+    import qchar.affine as affine
+    import qchar.quadform as quadform
+
+    seen = []
+
+    def recorded(form, weight, units):
+        seen.append((form, weight, units))
+        return _walk(form, weight, units)
+
+    monkeypatch.setattr(quadform, "_walk", recorded)
+    monkeypatch.setattr(affine, "_walk", recorded)
+    return seen
+
+
+def assert_matches_oracle(seen):
+    for form, weight, units in seen:
+        assert _walk(form, weight, units) == dict_walk(form, weight, units), (form, units)
+
+
+def test_sweep_walks_match_the_dict_walk(walks):
+    # the benchmark's sweep: both routes of every (partition, k) with n <= 7
+    for n in range(1, 8):
+        for parts in partitions(n):
+            for k in range(n):
+                assert verify_proposition(parts, k, 30).match
+    assert len(walks) == 960
+    assert_matches_oracle(walks)
+
+
+def test_family_walks_match_the_dict_walk(walks):
+    runs = ((class1_identity, 1, 800), (class1_identity, 2, 160), (class1_identity, 3, 56),
+            (class2_identity, 1, 800), (class2_identity, 2, 100))
+    for build, m, order in runs:
+        assert verify_identity(build(m), order).match
+    assert len(walks) == 10
+    assert_matches_oracle(walks)
+
+
+def test_classical_walks_match_the_dict_walk(walks):
+    for name in CLASSICAL_NAMES:
+        assert verify_identity(classical_identity(name), 3000).match
+    assert len(walks) == 8
+    assert_matches_oracle(walks)
+
+
+@st.composite
+def chains(draw):
+    """A positive-definite integer chain in dimensions 0-4, and a weight shape."""
+    l = draw(st.integers(min_value=0, max_value=4))
+    diag = [draw(st.integers(min_value=1, max_value=9)) for _ in range(l)]
+    off = [draw(st.integers(min_value=-4, max_value=4)) for _ in range(max(l - 1, 0))]
+    lin = [draw(st.integers(min_value=-9, max_value=9)) for _ in range(l)]
+    const = draw(st.integers(min_value=-9, max_value=9))
+    denom = draw(st.integers(min_value=1, max_value=6))
+    try:
+        form = _complete_squares(diag, off, lin, const, denom)
+    except ValueError:
+        assume(False)
+    return form, draw(st.sampled_from(WEIGHTS))
+
+
+@settings(max_examples=150, deadline=None)
+@given(chains(), st.integers(min_value=-6, max_value=40))
+def test_property_packed_walk_matches_dict_walk(chain, extra):
+    # units from the nearest-plane bound of _chain_min, so some walks start
+    # below the minimum and come out zero
+    form, weight = chain
+    pivots = sum(k * w * w for k, w in zip(form.K, form.W))
+    units = (4 * form.base + pivots) // (4 * form.sigma) + extra
+    assert _walk(form, weight, units) == dict_walk(form, weight, units)
+
+
+def lattice(l, c, lin, const, weight=None):
+    return LatticeSum(l, Fraction(c), tuple(map(Fraction, lin)), Fraction(const), weight)
+
+
+SIGNED_SUMS = (
+    lattice(2, 1, ("1/2", 0), 0),
+    lattice(2, 2, (1, -1), 0),
+    lattice(3, "3/2", ("1/2", -1, 2), "-5/4"),
+    lattice(3, 1, (0, 0, 0), 0),
+    lattice(4, 1, (0, "1/2", 0, -1), "1/3"),
+)
+
+
+@pytest.mark.parametrize("weight", (WEIGHT_ALTERNATING, WEIGHT_FOUR_K_PLUS_ONE))
+@pytest.mark.parametrize("s", SIGNED_SUMS, ids=lambda s: f"l{s.l}")
+def test_weighted_walks_cut_signed_rows_like_the_dict_walk(s, weight):
+    # a mask that drops the top slots of a row with negative slots must
+    # leave the kept slots balanced; in dimension 2 only level 0's one-slot
+    # rows are masked, so the cut first happens in dimension 3
+    s = LatticeSum(s.l, s.c, s.lin, s.const, weight)
+    bound = lattice_min_exponent(s) + 12
+    got, balanced = walk_line_hits(lambda: lattice_sum_series(s, bound), "part -= 1 << bits")
+    assert got == dict_walk(s._form, weight, floor(bound * s._form.grid))
+    assert any(got.coeffs)
+    assert (balanced > 0) == (s.l >= 3)
+
+
+def test_width_above_64_bits_matches_the_dict_walk():
+    # the class1 m = 5 numerator at order 400 bounds its counts by a 64-bit
+    # number, so with the sign bit its slots are 128 bits wide
+    s = class1_identity(5).rhs
+    form = s._form
+    units = floor((lattice_min_exponent(s) + 400) * form.grid)
+    budget = form.sigma * units - form.base
+    assert _count_bound(form, s.weight, budget).bit_length() == 64
+    assert _walk(form, s.weight, units) == dict_walk(form, s.weight, units)
+
+
+def test_class1_m3_walk_at_order_1000_matches_the_dict_walk():
+    # dimension 11 at the order the engine's speed is judged by
+    s = class1_identity(3).rhs
+    units = floor((lattice_min_exponent(s) + 1000) * s._form.grid)
+    got = _walk(s._form, s.weight, units)
+    assert got == dict_walk(s._form, s.weight, units)
+    assert len(got.coeffs) == 1001 and got.coeffs[0] == 1
+
+
+def test_stride_seven_rows_match_the_dict_walk(monkeypatch):
+    # 84 of the sweep's n = 7 character numerators at k >= 1 step their rows
+    # by 7 grid slots; _unpack runs only for rows of more than one slot
+    import qchar.quadform as quadform
+
+    unpacked = [0]
+    inner = quadform._unpack
+
+    def counted(*args):
+        unpacked[0] += 1
+        return inner(*args)
+
+    monkeypatch.setattr(quadform, "_unpack", counted)
+    strided = 0
+    for parts in partitions(7):
+        data = PartitionData.from_parts(parts)
+        for k in range(1, 7):
+            form = _complete_squares(*_character_parts(data, k)[0])
+            if form.stride == 7:
+                strided += 1
+                units = floor((_chain_min(form) + 30) * form.grid)
+                assert _walk(form, None, units) == dict_walk(form, None, units)
+    assert strided == 84 and unpacked[0] > 0
+
+
+def sampled_forms():
+    """The sweep's forms for n <= 5 at their minimum + 12, and a few kappa sums."""
+    out = []
+    for n in range(1, 6):
+        for parts in partitions(n):
+            data = PartitionData.from_parts(parts)
+            for k in range(n):
+                for route in (_character_parts, _trace_parts):
+                    form = _complete_squares(*route(data, k)[0])
+                    units = floor((_chain_min(form) + 12) * form.grid)
+                    out.append((form, units))
+    for s in SIGNED_SUMS:
+        out.append((s._form, floor((lattice_min_exponent(s) + 12) * s._form.grid)))
+    return out
+
+
+@pytest.mark.parametrize("weight", WEIGHTS)
+def test_count_bound_covers_every_count_the_dict_walk_keeps(weight):
+    # the width proof's bound must reach every count of every level's rows
+    # (l = 0 keeps only the empty point, which weighs 1)
+    for form, units in sampled_forms():
+        budget = form.sigma * units - form.base
+        bound = _count_bound(form, weight, budget)
+        top = max((
+            abs(count)
+            for rows in dict_levels(form, weight, budget)
+            for row in rows.values()
+            for count in row.values()
+        ), default=1)
+        assert bound >= top > 0, form
+
+
+def test_row_spends_share_a_residue_mod_sigma_stride():
+    # prefixes that agree on x_i spend amounts congruent mod sigma*stride
+    for form, units in sampled_forms():
+        step = form.sigma * form.stride
+        residues = {}
+        for point, _ in _scaled_points(form, units):
+            spend, prev = 0, 0
+            for i, x in enumerate(point):
+                v = form.W[i] * x + form.w_prev[i] * prev + form.w0[i]
+                spend += form.K[i] * v * v
+                residues.setdefault((i, x), set()).add(spend % step)
+                prev = x
+        assert all(len(r) == 1 for r in residues.values()), form

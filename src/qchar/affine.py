@@ -1,4 +1,4 @@
-"""Partition-indexed specialization data and two routes to the same series.
+"""Partition data, two routes to the same series, and the Side they share.
 
 A partition n_1 <= ... <= n_r of n determines a modulus N and an integer
 specialization vector s of length n summing to N.  Specializing a level-one
@@ -6,14 +6,13 @@ highest-weight character along s collapses it to a one-variable q-series with
 numerator a lattice sum over Z^(n-1) and denominator phi(q^N)^(n-1).  The
 same series, up to a monomial shift, arises from a trace formula indexed by
 the partition: a constrained theta sum over r integers summing to the weight
-index, divided by one rescaled Euler product per part.  Both readings have
-one shape, an unweighted chain lattice sum times an Euler-product quotient,
-so one builder (_route) expands either from the completed squares of its
-integer chain and its product; the two routes share that mechanism and the
-partition's PartitionData, but no chain.  The character formula is written
-once, in integers (_character_parts); specialized_character is its rational
-view.  verify_proposition expands both and compares coefficients through the
-requested order.
+index, divided by one rescaled Euler product per part.  Each reading is a
+Side, a lattice sum (a LatticeSum or a route's integer chain) times an
+Euler-product quotient, either factor possibly absent; Side.series is the
+one builder, and verify, which qchar.identities uses too, compares two.  The
+routes share the partition's PartitionData, but no chain.  The character
+formula is written once, in integers (_character_parts);
+specialized_character is its rational view.
 
 Everything is exact: moduli and specialization vectors are integers by
 construction (non-integrality raises rather than rounds), and exponents are
@@ -24,8 +23,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import floor, lcm
-from typing import Iterator, Sequence
+from math import lcm
+from typing import Iterator, Optional, Sequence
 
 from .qseries import (
     ProductSpec,
@@ -36,11 +35,11 @@ from .qseries import (
     product_series,
     series_mul,
 )
-from .quadform import LatticeSum, _chain_min, _complete_squares, _walk
+from .quadform import LatticeSum, _Chain, lattice_min_exponent, lattice_sum_series
 
 __all__ = [
     "PartitionData",
-    "SpecializedCharacter",
+    "Side",
     "partitions",
     "compute_N",
     "compute_s",
@@ -48,6 +47,7 @@ __all__ = [
     "specialized_character",
     "specialized_character_series",
     "trace_series",
+    "verify",
     "verify_proposition",
 ]
 
@@ -174,49 +174,71 @@ class PartitionData:
 
 
 @dataclass(frozen=True)
-class SpecializedCharacter:
-    """Numerator lattice sum and denominator product of one specialization."""
+class Side:
+    """One reading of a series: a lattice sum times an Euler-product quotient.
 
-    numerator: LatticeSum
-    denominator: ProductSpec
+    lattice is a LatticeSum, a route's integer chain, or None; product is a
+    ProductSpec or None.  An absent factor is never multiplied in, so a pure
+    side keeps its own grid and guarantee.
+    """
+
+    lattice: Optional[LatticeSum | _Chain]
+    product: Optional[ProductSpec] = None
+
+    def __post_init__(self) -> None:
+        if self.lattice is None and self.product is None:
+            raise ValueError("a side needs a lattice sum or a product")
+
+    def lead(self) -> Fraction:
+        """The exact lead of an unweighted side: its lattice minimum, else 0."""
+        return Fraction(0) if self.lattice is None else lattice_min_exponent(self.lattice)
+
+    def series(self, bound) -> QSeries:
+        """Expand the side, guaranteed through the bound.
+
+        The lattice factor is walked first; when its lowest exponent, lead, is
+        negative, the product (which starts at q^0) is built through
+        bound - lead so that the quotient stays guaranteed through the bound.
+        """
+        t = as_rational(bound)
+        if self.lattice is None:
+            return product_series(self.product, t)
+        lattice = lattice_sum_series(self.lattice, t)
+        if self.product is None:
+            return lattice
+        lead = Fraction(0) if lattice.is_zero() else lattice.lowest_exponent()
+        return series_mul(lattice, product_series(self.product, t + max(-lead, 0)))
 
 
-def specialized_character(parts: Sequence[int], k: int) -> SpecializedCharacter:
-    """The character-side data for a partition and weight index, in rationals.
+def verify(lhs: Side, rhs: Side, bound) -> VerifyReport:
+    """Compare two sides, each built once through the bound above its lead."""
+    return _compare_builders(
+        lambda order: lhs.series(lhs.lead() + order),
+        lambda order: rhs.series(rhs.lead() + order),
+        as_rational(bound),
+    )
+
+
+def specialized_character(parts: Sequence[int], k: int) -> Side:
+    """The character side for a partition and weight index, in rationals.
 
     A view of _character_parts: its integer numerator chain divided by n^2,
-    and the inverse of its Euler-product quotient, phi(q^N)^(n-1).
+    as a LatticeSum, times the same quotient 1/phi(q^N)^(n-1).
     """
     data = PartitionData.from_parts(parts)
-    (_, _, lin, const, denom), inverse = _character_parts(data, k)
+    side = _character_parts(data, k)
+    chain = side.lattice
     numerator = LatticeSum(
         data.n - 1,
         Fraction(data.N),
-        tuple(Fraction(v, denom) for v in lin),
-        Fraction(const, denom),
+        tuple(Fraction(v, chain.denom) for v in chain.lin),
+        Fraction(chain.const, chain.denom),
     )
-    denominator = ProductSpec(tuple((sc, -p) for sc, p in inverse.factors))
-    return SpecializedCharacter(numerator, denominator)
+    return Side(numerator, side.product)
 
 
-def _route(form, product: ProductSpec, bound) -> QSeries:
-    """One route: an unweighted chain lattice sum times an Euler-product quotient.
-
-    The lattice sum's completed integer form is walked through the bound,
-    floor(bound*grid) slots of its grid.  The sum is unweighted, so the lowest
-    exponent of that walk, lead, is exact, and the product (which starts at
-    q^0) is built through bound - lead when lead < 0, so that the quotient
-    stays guaranteed through the bound; a zero lattice factor gets no pad.
-    """
-    t = as_rational(bound)
-    lattice = _walk(form, None, floor(t * form.grid))
-    lead = Fraction(0) if lattice.is_zero() else lattice.lowest_exponent()
-    pad = max(-lead, Fraction(0))
-    return series_mul(lattice, product_series(product, t + pad))
-
-
-def _character_parts(data: PartitionData, k: int):
-    """The character route's integer numerator chain and inverse denominator.
+def _character_parts(data: PartitionData, k: int) -> Side:
+    """The character route's side: integer numerator chain over its denominator.
 
     Writing gamma = kvec + c with c the fundamental-weight coefficients, the
     numerator exponent is (N/2)(gamma|gamma) - sum s_i gamma_i.  Expanding
@@ -227,21 +249,21 @@ def _character_parts(data: PartitionData, k: int):
     The chain is that exponent times n^2, all in integers: n*c_i =
     min(i,k)(n - max(i,k)) is integral, so the constant n^2(N kappa(c) - s.c)
     is N kappa(nc) - n s.(nc).  It is (diag, off, lin, const, denom) with
-    denom = n^2; the product is the quotient's 1/phi(q^N)^(n-1).
+    denom = n^2; the product is the quotient's 1/phi(q^N)^(n-1), empty at n = 1.
     """
     n, big = data.n, data.N
     nc = _weight_numerators(n, k)
     tail = data.s[1:]
     sq = n * n
-    lin = [sq * ((big if i == k else 0) - tail[i - 1]) for i in range(1, n)]
+    lin = tuple(sq * ((big if i == k else 0) - tail[i - 1]) for i in range(1, n))
     kappa_nc = sum(v * v for v in nc) - sum(a * b for a, b in zip(nc, nc[1:]))
     const = big * kappa_nc - n * sum(si * ci for si, ci in zip(tail, nc))
-    chain = [sq * big] * (n - 1), [-sq * big] * max(n - 2, 0), lin, const, sq
-    return chain, ProductSpec(((big, 1 - n),))
+    chain = _Chain((sq * big,) * (n - 1), (-sq * big,) * max(n - 2, 0), lin, const, sq)
+    return Side(chain, ProductSpec(((big, 1 - n),)))
 
 
-def _trace_parts(data: PartitionData, k: int):
-    """The trace route's integer theta chain and its Euler-product correction.
+def _trace_parts(data: PartitionData, k: int) -> Side:
+    """The trace route's side: integer theta chain times its Euler-product correction.
 
     phi(q^N) times the sum of q^((N/2) sum k_i^2/n_i) over integer r-tuples
     with sum k, divided by one phi(q^(N/n_i)) per part.  In the partial sums
@@ -254,13 +276,11 @@ def _trace_parts(data: PartitionData, k: int):
     _check_index(data.n, k)
     big = data.N
     steps = [big // p for p in data.parts]
-    diag = [steps[i] + steps[i + 1] for i in range(len(steps) - 1)]
-    off = [-2 * v for v in steps[1:-1]]
-    lin = [0] * len(diag)
-    if lin:
-        lin[-1] = -2 * k * steps[-1]
-    factors = [(big, 1)] + [(v, -1) for v in steps]
-    return (diag, off, lin, k * k * steps[-1], 2), ProductSpec(tuple(factors))
+    diag = tuple(steps[i] + steps[i + 1] for i in range(len(steps) - 1))
+    off = tuple(-2 * v for v in steps[1:-1])
+    lin = (0,) * (len(diag) - 1) + (-2 * k * steps[-1],) if diag else ()
+    chain = _Chain(diag, off, lin, k * k * steps[-1], 2)
+    return Side(chain, ProductSpec(((big, 1), *((v, -1) for v in steps))))
 
 
 def specialized_character_series(
@@ -269,36 +289,22 @@ def specialized_character_series(
     """Character route: numerator lattice sum over phi(q^N)^(n-1), through the bound.
 
     No character numerator with n <= 9 starts below q^0 (the tests pin
-    that), so in practice _route's pad is 0 here.
+    that), so in practice Side.series's pad is 0 here.
     """
-    chain, product = _character_parts(PartitionData.from_parts(parts), k)
-    return _route(_complete_squares(*chain), product, bound)
+    return _character_parts(PartitionData.from_parts(parts), k).series(bound)
 
 
 def trace_series(parts: Sequence[int], k: int, bound) -> QSeries:
     """Trace route: constrained theta sum with Euler-product corrections."""
-    chain, product = _trace_parts(PartitionData.from_parts(parts), k)
-    return _route(_complete_squares(*chain), product, bound)
+    return _trace_parts(PartitionData.from_parts(parts), k).series(bound)
 
 
 def verify_proposition(parts: Sequence[int], k: int, bound) -> VerifyReport:
-    """Expand both routes and compare coefficients through the bound.
+    """Verify the character route's side against the trace route's through the bound.
 
-    The sides differ by a monomial factor.  Each route's leading exponent is an
-    unweighted lattice minimum (every other factor starts at 1), so the
-    partition's data is built once for both routes, each side's integer chain
-    is built and completed once, and the one form is walked first for that
-    minimum and then through the bound above it; the shifts are reported.
+    The sides differ by a monomial factor; each route's lead is an unweighted
+    lattice minimum, exact because every other factor starts at 1.  The
+    partition's data is built once for both routes; the shifts are reported.
     """
-    t = as_rational(bound)
     data = PartitionData.from_parts(parts)
-
-    def side(route_parts):
-        def build(order: Fraction) -> QSeries:
-            chain, product = route_parts(data, k)
-            form = _complete_squares(*chain)
-            return _route(form, product, _chain_min(form) + order)
-
-        return build
-
-    return _compare_builders(side(_character_parts), side(_trace_parts), t)
+    return verify(_character_parts(data, k), _trace_parts(data, k), bound)

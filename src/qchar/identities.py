@@ -1,4 +1,4 @@
-"""Named series-product identities and the driver that checks them.
+"""Named series-product identities, checked by qchar.affine.verify.
 
 Each identity pairs a finite Euler-product quotient with a lattice sum whose
 expansions must agree coefficient by coefficient.  Four one-dimensional
@@ -7,7 +7,9 @@ unsigned identity of Gauss) share the data model with two infinite families
 in dimension 4m - 1.  Each family member is derived, not transcribed: it is
 the proposition of qchar.affine for a two-part partition, whose trace theta
 sum Gauss's identity gauss_b turns into an Euler-product quotient.  The
-m = 1 members of the two families are the same proposition.
+m = 1 members of the two families are the same proposition.  verify_identity
+reads a spec as two Sides, a pure product and a pure lattice sum, and hands
+them to qchar.affine.verify.
 """
 
 from __future__ import annotations
@@ -16,24 +18,9 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
-from .affine import PartitionData, _trace_parts, specialized_character
-from .qseries import (
-    ProductSpec,
-    QSeries,
-    VerifyReport,
-    _compare_builders,
-    _json_field,
-    _json_int,
-    as_rational,
-    product_series,
-)
-from .quadform import (
-    WEIGHT_ALTERNATING,
-    WEIGHT_FOUR_K_PLUS_ONE,
-    LatticeSum,
-    lattice_min_exponent,
-    lattice_sum_series,
-)
+from .affine import PartitionData, Side, _trace_parts, specialized_character, verify
+from .qseries import ProductSpec, VerifyReport, _json_field, _json_int
+from .quadform import WEIGHT_ALTERNATING, WEIGHT_FOUR_K_PLUS_ONE, LatticeSum
 
 __all__ = [
     "CLASSICAL_NAMES",
@@ -124,16 +111,15 @@ def _proposition_identity(name: str, m: int, parts, k: int, a: int) -> IdentityS
     and theta is gauss_b's lattice side at q^a up to a monomial, so the
     numerator with its constant dropped is one Euler-product quotient.
     """
-    data = PartitionData.from_parts(parts)
     char = specialized_character(parts, k)
-    _, correction = _trace_parts(data, k)
+    correction = _trace_parts(PartitionData.from_parts(parts), k).product
     gauss = classical_identity("gauss_b").lhs
     lhs = ProductSpec(
-        char.denominator.factors
+        tuple((scale, -power) for scale, power in char.product.factors)
         + correction.factors
         + tuple((a * scale, power) for scale, power in gauss.factors)
     )
-    return IdentitySpec(name, lhs, replace(char.numerator, const=Fraction(0)), m)
+    return IdentitySpec(name, lhs, replace(char.lattice, const=Fraction(0)), m)
 
 
 def class1_identity(m: int) -> IdentitySpec:
@@ -165,18 +151,10 @@ def class2_identity(m: int) -> IdentitySpec:
 
 
 def verify_identity(spec: IdentitySpec, bound) -> VerifyReport:
-    """Expand both sides through the bound and compare after normalization.
+    """Verify the product side against the lattice side through the bound.
 
     The product side starts at q^0; the lattice side is built through the
-    bound above its minimum exponent, or less if weights cancel there.  Both
-    lattice walks read the sum's one completed form.
+    bound above its minimum exponent, or less if weights cancel there.  Each
+    is a Side with one factor, so neither is multiplied by a unit series.
     """
-    t = as_rational(bound)
-
-    def lhs(order: Fraction) -> QSeries:
-        return product_series(spec.lhs, order)
-
-    def rhs(order: Fraction) -> QSeries:
-        return lattice_sum_series(spec.rhs, lattice_min_exponent(spec.rhs) + order)
-
-    return _compare_builders(lhs, rhs, t)
+    return verify(Side(None, spec.lhs), Side(spec.rhs), bound)

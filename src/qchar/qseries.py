@@ -140,9 +140,9 @@ class QSeries:
             raise ValueError("window start exceeds the guaranteed order")
         if len(self.coeffs) != self.order - self.lo + 1:
             raise ValueError("coefficient window does not span [lo, order]")
-        for c in self.coeffs:
-            if type(c) is not int:
-                raise ValueError("coefficients must be plain integers")
+        # one pass over the types: bool, float and int subclasses are refused
+        if {*map(type, self.coeffs)} != {int}:
+            raise ValueError("coefficients must be plain integers")
         if self.coeffs[0] == 0 and any(self.coeffs):
             raise ValueError("window start is not tight")
         if not any(self.coeffs) and len(self.coeffs) != 1:
@@ -294,23 +294,6 @@ class QSeries:
     def __hash__(self) -> int:
         a = self.reduced()
         return hash((a.denom, a.lo, a.order, a.coeffs))
-
-    # -- operator sugar ---------------------------------------------------
-
-    def __add__(self, other: "QSeries") -> "QSeries":
-        return series_add(self, other)
-
-    def __sub__(self, other: "QSeries") -> "QSeries":
-        return series_sub(self, other)
-
-    def __neg__(self) -> "QSeries":
-        return series_neg(self)
-
-    def __mul__(self, other: "QSeries") -> "QSeries":
-        return series_mul(self, other)
-
-    def __pow__(self, n: int) -> "QSeries":
-        return series_pow(self, n)
 
     # -- serialization ----------------------------------------------------
 

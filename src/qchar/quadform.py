@@ -20,12 +20,13 @@ each value of the next coordinate once per value of the current one.  A
 row's spends share a residue modulo sigma times the chain's stride, so its
 slots step by that much, and their width is proved from the form; masks,
 shifts and adds on whole rows replace per-spend merges.  Both routes of
-qchar.affine build their integer chains directly and complete each once,
-the trace route's chain written in partial sums.  A LatticeSum scales its
-exponent onto its grid and completes its squares once, on first use, and
+qchar.affine build their integer chains directly, as a _Chain, the trace
+route's chain written in partial sums.  A LatticeSum scales its exponent
+onto its grid; each kind completes its squares once, on first use, and
 every public entry point walks that one form: unweighted, through a
 rounding bound, the walk yields exact minimum exponents
-(lattice_min_exponent), and lattice_sum_series expands through any bound.
+(lattice_min_exponent), and lattice_sum_series expands through any bound;
+both take either kind.
 lattice_enumerate walks the same recursion point by point; it is kept as the
 oracle of the tests' hand expansions.  No floating point, and no Fraction
 between a chain's entries and its walk's slots; the tests check the engine
@@ -183,6 +184,30 @@ def _weight_value(weight: Optional[str], point: tuple[int, ...]) -> int:
 def _on_grid(v: Fraction, denom: int) -> int:
     """denom*v for a denom that v.denominator divides."""
     return v.numerator * (denom // v.denominator)
+
+
+@dataclass(frozen=True)
+class _Chain:
+    """An unweighted lattice sum given by its integer chain, as a route builds it.
+
+    lattice_sum_series and lattice_min_exponent read only _form and weight,
+    so they take a _Chain as they take a LatticeSum; l is its dimension.
+    """
+
+    diag: tuple[int, ...]
+    off: tuple[int, ...]
+    lin: tuple[int, ...]
+    const: int
+    denom: int
+    weight = None
+
+    @property
+    def l(self) -> int:
+        return len(self.diag)
+
+    @cached_property
+    def _form(self) -> "_ScaledForm":
+        return _complete_squares(self.diag, self.off, self.lin, self.const, self.denom)
 
 
 def _kappa_parts(s: LatticeSum):
@@ -451,13 +476,13 @@ def lattice_enumerate(
         yield point, Fraction(ehat, scale)
 
 
-def lattice_min_exponent(s: LatticeSum) -> Fraction:
-    """Smallest exponent_at(k) over Z^l, ignoring the weight (it may cancel there)."""
+def lattice_min_exponent(s: LatticeSum | _Chain) -> Fraction:
+    """Smallest exponent over Z^l, ignoring the weight (it may cancel there)."""
     return _chain_min(s._form)
 
 
-def lattice_sum_series(s: LatticeSum, bound: RationalLike) -> QSeries:
-    """Expand the lattice sum as a QSeries, correct through the bound.
+def lattice_sum_series(s: LatticeSum | _Chain, bound: RationalLike) -> QSeries:
+    """Expand a LatticeSum or a route's chain as a QSeries, correct through the bound.
 
     Coefficient at each exponent is the number of lattice points reaching it,
     weighted when the sum carries a weight shape.  Positive-definiteness of

@@ -83,7 +83,7 @@ def test_intro_example_proposition_order_100():
 def test_intro_example_numerator_explicit_form():
     # the character numerator must realize the exponent 3*kappa(k) + k1 - k2 + 2k3
     char = specialized_character((1, 3), 3)
-    num = char.numerator
+    num = char.lattice
     assert (num.l, num.c, num.lin) == (3, 3, (1, -1, 2))
     explicit = LatticeSum(3, Fraction(3), (Fraction(1), Fraction(-1), Fraction(2)))
     t = Fraction(100)
@@ -212,10 +212,10 @@ def test_proposition_product_specs_match_literal_oracle():
     specs = set()
     for n in range(1, 9):
         for parts in partitions(n):
-            denominator = specialized_character(parts, 0).denominator
-            specs.add(denominator)
-            specs.add(ProductSpec(tuple((s, -p) for s, p in denominator.factors)))
-            specs.add(_trace_parts(PartitionData.from_parts(parts), 0)[1])
+            inverse = specialized_character(parts, 0).product
+            specs.add(ProductSpec(tuple((s, -p) for s, p in inverse.factors)))
+            specs.add(inverse)
+            specs.add(_trace_parts(PartitionData.from_parts(parts), 0).product)
     for spec in specs:
         assert _window(product_series(spec, 30)) == _window(
             product_oracle(spec, 30)

@@ -1,6 +1,7 @@
 """Specialization data and the two character routes, against independent oracles."""
 
 import json
+from dataclasses import astuple
 from fractions import Fraction
 from itertools import product as iter_product
 from math import isqrt, lcm
@@ -10,7 +11,7 @@ import pytest
 from squares_oracle import character_data, trace_chain
 from qchar.affine import (
     PartitionData,
-    SpecializedCharacter,
+    Side,
     _character_parts,
     _trace_parts,
     compute_N,
@@ -213,10 +214,10 @@ def test_weight_config_and_partition_data():
 
 def test_character_data_intro_example():
     sc = specialized_character((1, 3), 3)
-    assert sc.numerator == LatticeSum(
+    assert sc.lattice == LatticeSum(
         3, Fraction(3), (Fraction(1), Fraction(-1), Fraction(2)), Fraction(1, 8)
     )
-    assert sc.denominator == ProductSpec(((Fraction(3), 3),))
+    assert sc.product == ProductSpec(((Fraction(3), -3),))
 
 
 def test_character_quadratic_part_is_modulus():
@@ -225,18 +226,18 @@ def test_character_quadratic_part_is_modulus():
             pd = PartitionData.from_parts(parts)
             for k in range(n):
                 sc = specialized_character(parts, k)
-                assert sc.numerator.c == pd.N
-                assert sc.numerator.l == n - 1
-                specs = dict(sc.denominator.factors)
+                assert sc.lattice.c == pd.N
+                assert sc.lattice.l == n - 1
+                specs = dict(sc.product.factors)
                 if n > 1:
-                    assert specs == {Fraction(pd.N): n - 1}
+                    assert specs == {Fraction(pd.N): 1 - n}
                 else:
                     assert specs == {}
 
 
 def test_character_numerator_matches_intro_product():
     sc = specialized_character((1, 3), 3)
-    num = lattice_sum_series(sc.numerator, 40)
+    num = lattice_sum_series(sc.lattice, 40)
     normalized, shift = normalize_shift(num)
     assert shift == Fraction(1, 8)
     want = product_series(
@@ -264,10 +265,9 @@ def padded_character_oracle(parts, k, bound):
     # before either is built
     data = specialized_character(parts, k)
     t = Fraction(bound)
-    pad = max(-lattice_min_exponent(data.numerator), Fraction(0))
-    num = lattice_sum_series(data.numerator, t + pad)
-    inv = ProductSpec(tuple((sc, -p) for sc, p in data.denominator.factors))
-    return series_mul(num, product_series(inv, t + pad))
+    pad = max(-lattice_min_exponent(data.lattice), Fraction(0))
+    num = lattice_sum_series(data.lattice, t + pad)
+    return series_mul(num, product_series(data.product, t + pad))
 
 
 def test_character_series_matches_padded_oracle():
@@ -293,7 +293,7 @@ def test_character_numerator_minimum_is_never_negative():
     for n in range(1, 10):
         for parts in partitions(n):
             for k in range(n):
-                numerator = specialized_character(parts, k).numerator
+                numerator = specialized_character(parts, k).lattice
                 assert lattice_min_exponent(numerator) >= 0, (parts, k)
                 pairs += 1
     assert pairs == 686
@@ -354,8 +354,7 @@ def test_trace_theta_matches_box_scan():
             # the tuple (0, ..., 0, k) bounds the minimum from above
             top = Fraction(compute_N(parts) * k * k, 2 * parts[-1])
             scanned = min(e for e, _ in box_theta_terms(parts, k, top))
-            chain, _ = _trace_parts(PartitionData.from_parts(parts), k)
-            form = _complete_squares(*chain)
+            form = _trace_parts(PartitionData.from_parts(parts), k).lattice._form
             assert _chain_min(form) == scanned, (parts, k)
 
 
@@ -376,13 +375,14 @@ def test_route_chains_match_their_fraction_formulas():
             data = PartitionData.from_parts(parts)
             for k in range(n):
                 numerator, denominator = character_data(parts, k)
-                want = SpecializedCharacter(numerator, denominator)
+                inverse = ProductSpec(tuple((sc, -p) for sc, p in denominator.factors))
+                want = Side(numerator, inverse)
                 assert specialized_character(parts, k) == want, (parts, k)
-                chain, product = _character_parts(data, k)
+                side = _character_parts(data, k)
+                chain = astuple(side.lattice)
                 assert chain_values(chain) == chain_values(_kappa_parts(numerator))
-                inverse = tuple((sc, -p) for sc, p in denominator.factors)
-                assert product == ProductSpec(inverse), (parts, k)
-                chain, _ = _trace_parts(data, k)
+                assert side.product == inverse, (parts, k)
+                chain = astuple(_trace_parts(data, k).lattice)
                 assert chain_values(chain) == tuple(trace_chain(parts, k)), (parts, k)
 
 
@@ -390,7 +390,7 @@ def test_route_chains_and_forms_hold_plain_ints():
     for parts, k in (((1,), 0), ((1, 3), 1), ((1, 1, 2), 0), ((2, 3, 4), 5), ((1, 1, 6), 7)):
         data = PartitionData.from_parts(parts)
         for route_parts in (_character_parts, _trace_parts):
-            diag, off, lin, const, denom = route_parts(data, k)[0]
+            diag, off, lin, const, denom = astuple(route_parts(data, k).lattice)
             form = _complete_squares(diag, off, lin, const, denom)
             values = (*diag, *off, *lin, const, denom, form.grid, form.sigma, form.base)
             values += (*form.K, *form.W, *form.w_prev, *form.w0)
@@ -413,6 +413,13 @@ def test_bool_is_refused(call, error):
     # a rational value
     with pytest.raises(error):
         call()
+
+
+def test_side_needs_a_factor():
+    # with neither factor there is no series to build
+    with pytest.raises(ValueError, match="lattice sum or a product"):
+        Side(None)
+    assert Side(None, ProductSpec(())).series(3) == QSeries.one(3)
 
 
 def test_trace_weight_index_validation():
@@ -486,22 +493,22 @@ def test_proposition_trace_far_above_order_matches(parts, k, order, rhs_shift):
 
 def test_proposition_builds_each_route_once(monkeypatch):
     # the partition is validated once per verify, and each side's integer
-    # chain is built and completed once; the lead walk and the bounded walk
-    # share the form, and the character route never builds the Fraction data
-    # of specialized_character
+    # chain is built and completed once and expanded once (Side.series); the
+    # lead walk and the bounded walk share the form, and the character route
+    # never builds the Fraction data of specialized_character
     import qchar.affine as affine
     import qchar.quadform as quadform
 
     names = (
         "_validate_parts",
-        "_route",
+        "series",
         "specialized_character",
         "_character_parts",
         "_trace_parts",
         "_complete_squares",
     )
     calls = dict.fromkeys(names, 0)
-    for module in (affine, quadform):
+    for module in (affine, quadform, affine.Side):
         for name in calls:
             inner = getattr(module, name, None)
             if inner is None:
@@ -516,7 +523,7 @@ def test_proposition_builds_each_route_once(monkeypatch):
     assert rep.match and rep.checked_through == 10
     assert calls == {
         "_validate_parts": 1,
-        "_route": 2,
+        "series": 2,
         "specialized_character": 0,
         "_character_parts": 1,
         "_trace_parts": 1,

@@ -239,19 +239,34 @@ def test_lattice_side_far_above_order_is_checked_in_full():
     assert report.rhs_shift == 1000
 
 
+@pytest.mark.parametrize(
+    "order, through",
+    [(Fraction(5, 3), Fraction(3, 2)), (Fraction(61, 2), Fraction(61, 2))],
+)
+def test_absent_factor_keeps_a_sides_own_grid(order, through):
+    # euler at q^(1/2): phi(q^(1/2)) against sum (-1)^k q^((3k^2+k)/4); a side
+    # with no product (or no lattice) is built alone, so its guarantee is its
+    # own half-integer grid, not cut to the integer grid of a unit factor
+    lhs = ProductSpec(((Fraction(1, 2), 1),))
+    rhs = LatticeSum(1, Fraction(3, 4), (Fraction(1, 4),), Fraction(0), WEIGHT_ALTERNATING)
+    report = verify_identity(IdentitySpec("half", lhs, rhs), order)
+    assert report.match
+    assert report.checked_through == through
+
+
 def test_vanishing_lattice_side_is_built_once(monkeypatch):
     # (-1)^k q^(k^2+k) cancels pairwise between k and -1-k, so the sum is 0
-    import qchar.identities as identities
+    import qchar.affine as affine
 
     calls = []
     for name in ("product_series", "lattice_sum_series"):
-        route = getattr(identities, name)
+        route = getattr(affine, name)
 
         def counted(*args, name=name, route=route):
             calls.append(name)
             return route(*args)
 
-        monkeypatch.setattr(identities, name, counted)
+        monkeypatch.setattr(affine, name, counted)
     rhs = LatticeSum(1, Fraction(1), (Fraction(1),), Fraction(0), WEIGHT_ALTERNATING)
     spec = IdentitySpec("vanishing", ProductSpec(((Fraction(1), 1),)), rhs)
     report = verify_identity(spec, 20)
@@ -315,18 +330,18 @@ def test_class1_lattice_matches_character_numerator():
     for m in (1, 2):
         ident = class1_identity(m)
         char = specialized_character((1, 4 * m - 1), 3 * m)
-        assert ident.rhs.l == char.numerator.l
-        assert ident.rhs.c == char.numerator.c
-        assert ident.rhs.lin == char.numerator.lin
+        assert ident.rhs.l == char.lattice.l
+        assert ident.rhs.c == char.lattice.c
+        assert ident.rhs.lin == char.lattice.lin
 
 
 def test_class2_lattice_matches_character_numerator():
     for m in (1, 2):
         ident = class2_identity(m)
         char = specialized_character((m, 3 * m), 4 * m - 1)
-        assert ident.rhs.l == char.numerator.l
-        assert ident.rhs.c == char.numerator.c
-        assert ident.rhs.lin == char.numerator.lin
+        assert ident.rhs.l == char.lattice.l
+        assert ident.rhs.c == char.lattice.c
+        assert ident.rhs.lin == char.lattice.lin
 
 
 def test_class1_series_equals_character_numerator_normalized():
@@ -335,7 +350,7 @@ def test_class1_series_equals_character_numerator_normalized():
     t = Fraction(25)
     lhs = normalize_shift(lattice_sum_series(ident.rhs, t))[0]
     rhs = normalize_shift(
-        lattice_sum_series(char.numerator, t + char.numerator.const)
+        lattice_sum_series(char.lattice, t + char.lattice.const)
     )[0]
     report = series_compare(lhs, rhs)
     assert report.match

@@ -11,7 +11,7 @@ def test_root_exports_the_module_lists_once():
     # no name in two modules, so no star import shadows another
     assert len(names) == len(set(names))
     assert sorted(qchar.__all__) == sorted(names + ["__version__"])
-    assert len(qchar.__all__) == 41
+    assert len(qchar.__all__) == 42
     for module in MODULES:
         for name in module.__all__:
             assert getattr(qchar, name) is getattr(module, name), name

@@ -692,12 +692,23 @@ def test_product_spec_json_roundtrip():
     assert ProductSpec.from_json(json.loads(json.dumps(spec.to_json()))) == spec
 
 
+class IntSubclass(int):
+    """An int that is not a plain int: its type may change how it prints."""
+
+
 @pytest.mark.parametrize(
     "fields",
-    [(1, 0, (True, False, True), 2), (True, 0, (1,), 0), (1, False, (1,), False)],
+    [
+        (1, 0, (True, False, True), 2),
+        (True, 0, (1,), 0),
+        (1, False, (1,), False),
+        (1, 0, (1, 2.0), 1),
+        (1, 0, (1, IntSubclass(2)), 1),
+    ],
 )
 def test_qseries_refuses_bool(fields):
-    # to_json would write a bool that from_json refuses
+    # to_json would write a bool that from_json refuses; a float or an int
+    # subclass is no plain integer either
     with pytest.raises(ValueError):
         QSeries(*fields)
     plain = QSeries(1, 0, (1, 0, 1), 2)

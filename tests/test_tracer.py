@@ -48,6 +48,9 @@ def test_tracer_installs_counts_builds_and_uninstalls(capsys):
         metrics = layers.layer_metrics(tracer)
         assert metrics["qseries.driver.builds_per_verify"] == (2.0, "builds/verify")
         assert metrics["lattice_sum_series.dim7.points"][0] > 0
+        # the proposition's sides expand through the same lattice_sum_series:
+        # (1, 3)'s character numerator is the only dimension-3 sum run here
+        assert metrics["lattice_sum_series.dim3.points"][0] > 0
     finally:
         tracer.uninstall()
         for (module, attr), value in originals.items():

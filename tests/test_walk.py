@@ -42,7 +42,6 @@ WEIGHTS = (None, WEIGHT_ALTERNATING, WEIGHT_FOUR_K_PLUS_ONE)
 @pytest.fixture
 def walks(monkeypatch):
     """Every (form, weight, units) the engine walks, in call order."""
-    import qchar.affine as affine
     import qchar.quadform as quadform
 
     seen = []
@@ -52,7 +51,6 @@ def walks(monkeypatch):
         return _walk(form, weight, units)
 
     monkeypatch.setattr(quadform, "_walk", recorded)
-    monkeypatch.setattr(affine, "_walk", recorded)
     return seen
 
 
@@ -178,7 +176,7 @@ def test_stride_seven_rows_match_the_dict_walk(monkeypatch):
     for parts in partitions(7):
         data = PartitionData.from_parts(parts)
         for k in range(1, 7):
-            form = _complete_squares(*_character_parts(data, k)[0])
+            form = _character_parts(data, k).lattice._form
             if form.stride == 7:
                 strided += 1
                 units = floor((_chain_min(form) + 30) * form.grid)
@@ -194,7 +192,7 @@ def sampled_forms():
             data = PartitionData.from_parts(parts)
             for k in range(n):
                 for route in (_character_parts, _trace_parts):
-                    form = _complete_squares(*route(data, k)[0])
+                    form = route(data, k).lattice._form
                     units = floor((_chain_min(form) + 12) * form.grid)
                     out.append((form, units))
     for s in SIGNED_SUMS:

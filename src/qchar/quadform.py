@@ -50,6 +50,7 @@ from .qseries import (
     _json_int,
     _json_list,
     _json_rational,
+    _slot_width,
     _unpack,
     as_rational,
     format_rational,
@@ -398,9 +399,7 @@ def _walk(form: _ScaledForm, weight, units: int) -> QSeries:
     if budget < 0:
         return QSeries(grid, units, (0,), units)
     step = sigma * form.stride
-    # balanced slots hold (-2^(w-1), 2^(w-1)): the narrowest that fits the bound
-    need = _count_bound(form, weight, budget).bit_length() + 1
-    w = next((n for n in (8, 16, 32, 64) if need <= n), -(-need // 64) * 64)
+    w = _slot_width(_count_bound(form, weight, budget))
     rows: dict[int, list[int]] = {0: [0, 1]}
     for i in range(len(form.K)):
         ki, wi, ci, ti = form.K[i], form.W[i], form.w_prev[i], form.w0[i]

@@ -5,6 +5,8 @@ two-term in-place updates over the finitely many factors below the order,
 and a product spec is assembled from those with series_pow, series_inv and
 series_mul.  It shares no machinery with the logarithmic-derivative
 recurrence in qchar.qseries.product_series, so the two check each other.
+log_derivative_oracle sieves that recurrence's L_k by a loop over every
+multiple, the check on the divisor-pair sieve of qchar.qseries.
 """
 
 from math import floor, lcm
@@ -56,3 +58,32 @@ def product_oracle(spec: ProductSpec, order: RationalLike) -> QSeries:
             f = series_inv(f)
         result = series_mul(result, series_pow(f, abs(power)))
     return result
+
+
+def log_derivative_oracle(spec: ProductSpec, d: int, units: int) -> list[int]:
+    """L_0..L_units of the spec on the grid of 1/d: step j of factor i adds
+    -p_i t_i j at every multiple of t_i j, t_i = a_i d."""
+    logd = [0] * (units + 1)
+    for scale, power in spec.factors:
+        step = int(scale * d)
+        for e in range(step, units + 1, step):
+            w = power * e
+            for k in range(e, units + 1, e):
+                logd[k] -= w
+    return logd
+
+
+def power_oracle(a: QSeries, n: int) -> QSeries:
+    """a^n for a series a = 1 + O(q) on its own grid, by J. C. P. Miller's
+    recurrence: g = a^n satisfies a g' = n a' g, so g_0 = 1 and
+    m g_m = sum_(k=1..m) ((n + 1) k - m) a_k g_(m-k)."""
+    if a.lo != 0 or a.coeffs[0] != 1:
+        raise ValueError("the series must start 1 + O(q)")
+    f = a.coeffs
+    g = [1] + [0] * (a.order)
+    for m in range(1, a.order + 1):
+        acc = sum(((n + 1) * k - m) * f[k] * g[m - k] for k in range(1, m + 1) if f[k])
+        g[m], r = divmod(acc, m)
+        if r:
+            raise ArithmeticError(f"power recurrence: {acc} is not divisible by {m}")
+    return QSeries.from_window(a.denom, 0, g, a.order)

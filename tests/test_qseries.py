@@ -8,14 +8,14 @@ counter, the generalized pentagonal pattern), never from the code under test.
 import json
 import random
 from fractions import Fraction
-from math import floor, gcd
+from math import floor, gcd, lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from product_oracle import product_oracle
-from qchar import qseries
+from product_oracle import log_derivative_oracle, phi_oracle, power_oracle, product_oracle
+from qchar import affine, qseries
 from qchar.affine import partitions, verify_proposition
 from qchar.identities import (
     CLASSICAL_NAMES,
@@ -394,43 +394,66 @@ def test_product_series_matches_literal_oracle_on_random_specs():
         assert got.order == floor(order * got.denom)
 
 
-# -- the blocked product recurrence ---------------------------------------------
+# -- the product recurrence by halves ---------------------------------------------
 
 HALF = 1 << 63
+B = qseries._BLOCK
 
 
 @pytest.fixture
-def packed(monkeypatch):
-    """Every list product_series packs, in call order.
+def pushes(monkeypatch):
+    """Every push product_series makes, in call order, as (left, ell, w, tail).
 
-    Each push packs its block and then L_1..L_k; only the blocks are _BLOCK
-    long, since a push needs four more blocks after it.
+    A push packs the solved half F_l..F_(mid-1), then L_1..L_(r-l-1), at one
+    width w, and unpacks every slot of their product; the r - mid slots from
+    slot mid - l - 1 on land in [mid, r).  Each push's decoded slots are
+    checked against the schoolbook sum over its two halves as it is made.
     """
-    calls = []
-    real = qseries._pack
+    made, packs = [], []
+    pack, unpack = qseries._pack, qseries._unpack
 
-    def counted(values):
-        calls.append(list(values))
-        return real(values)
+    def counted_pack(values, w=64):
+        packs.append(list(values))
+        return pack(values, w)
 
-    monkeypatch.setattr(qseries, "_pack", counted)
-    return calls
+    def checked_unpack(x, k, w=64):
+        slots = list(unpack(x, k, w))
+        left, ell = packs
+        packs.clear()
+        assert k == len(left) + len(ell) - 1
+        # slot s sums left[a] * L_(s-a+1) over the whole half
+        want = [sum(left[a] * ell[s - a] for a in range(len(left)) if 0 <= s - a < len(ell))
+                for s in range(k)]
+        assert slots == want
+        made.append((left, ell, w, slots[len(left) - 1 : len(ell)]))
+        return slots
+
+    monkeypatch.setattr(qseries, "_pack", counted_pack)
+    monkeypatch.setattr(qseries, "_unpack", checked_unpack)
+    return made
 
 
-def pushed_blocks(calls):
-    return [c for c in calls if len(c) == qseries._BLOCK]
+def priced_halves(series):
+    """The halves the price pushes, in the order solved, read off a product's
+    final coefficients (its window starts at 0)."""
+    coeffs, out = series.coeffs, []
+
+    def solve(l, r):
+        if r - l <= B or r <= 2 * B:
+            return
+        mid = (l + r) // 2
+        solve(l, mid)
+        nonzero = sum(1 for c in coeffs[l:mid] if c)
+        if nonzero * (r - mid) >= qseries._PRICE * (r - l):
+            out.append(list(coeffs[l:mid]))
+        solve(mid, r)
+
+    solve(0, len(coeffs))
+    return out
 
 
-def leading_blocks(series, count):
-    """The first count blocks of a product's coefficients (its window starts at 0)."""
-    b = qseries._BLOCK
-    return [list(series.coeffs[i * b : (i + 1) * b]) for i in range(count)]
-
-
-def pushable_blocks(series):
-    """How many blocks have four blocks after them, so that the rule may push them."""
-    b = qseries._BLOCK
-    return len(range(b, series.order + 2 - 4 * b, b))
+def left_halves(pushes):
+    return [left for left, _, _, _ in pushes]
 
 
 def same_window(got, want):
@@ -443,39 +466,57 @@ def same_window(got, want):
     "make, m, order",
     [(class1_identity, 1, 1000), (class1_identity, 3, 400), (class2_identity, 3, 600)],
 )
-def test_blocked_product_matches_oracle_on_dense_family_sides(packed, make, m, order):
-    """Dense sides cross many blocks, and every block the rule allows is pushed."""
+def test_blocked_product_matches_oracle_on_dense_family_sides(pushes, make, m, order):
+    """Dense sides push a half at almost every split."""
     spec = make(m).lhs
     got = product_series(spec, order)
     assert same_window(got, product_oracle(spec, order))
-    blocks = pushed_blocks(packed)
-    assert len(blocks) == pushable_blocks(got) >= 8
-    assert blocks == leading_blocks(got, len(blocks))
+    assert left_halves(pushes) == priced_halves(got)
+    assert len(pushes) >= 8
 
 
-def test_blocked_product_mixed_widths_match_oracle(packed):
-    """1/phi(q)^3: the early blocks are pushed, later ones fail the 2^63 bound."""
+def test_blocked_product_mixed_widths_match_oracle(pushes):
+    """1/phi(q)^3: the early halves push at 64 bits or less, later ones wider."""
     spec = ProductSpec(((Fraction(1), -3),))
     got = product_series(spec, 600)
     assert same_window(got, product_oracle(spec, 600))
-    blocks = pushed_blocks(packed)
-    assert 0 < len(blocks) < pushable_blocks(got)
-    assert blocks == leading_blocks(got, len(blocks))
-    after = leading_blocks(got, len(blocks) + 1)[-1]
-    ell = max(packed, key=len)
-    assert len(ell) == got.order
-    assert qseries._BLOCK * max(map(abs, after)) * max(map(abs, ell)) >= HALF
+    assert left_halves(pushes) == priced_halves(got)
+    widths = {w for _, _, w, _ in pushes}
+    assert min(widths) <= 64 < max(widths)
 
 
-def test_blocked_product_all_wide_matches_oracle(packed):
+def test_blocked_product_all_wide_matches_oracle(pushes):
+    """1/phi(q)^24: every push is wider than 64 bits, and none falls back."""
     spec = ProductSpec(((Fraction(1), -24),))
-    assert same_window(product_series(spec, 300), product_oracle(spec, 300))
-    assert packed == []
+    got = product_series(spec, 300)
+    assert same_window(got, product_oracle(spec, 300))
+    assert left_halves(pushes) == priced_halves(got) != []
+    assert all(w > 64 for _, _, w, _ in pushes)
 
 
-def test_blocked_product_matches_oracle_on_random_fractional_specs(packed):
+def test_huge_power_matches_oracle_through_wide_pushes(pushes):
+    spec = ProductSpec(((Fraction(1), 10**20),))
+    got = product_series(spec, 200)
+    assert same_window(got, power_oracle(phi_oracle(1, 200, 1), 10**20))
+    assert left_halves(pushes) == priced_halves(got) != []
+    assert min(w for _, _, w, _ in pushes) > 1024
+
+
+def test_blocked_product_matches_oracle_on_random_fractional_specs(pushes):
     """Negative powers on grids d > 1, orders 150 to 400."""
     rng = random.Random(20261018)
+    total = 0
+    for spec, order in random_fractional_specs(rng):
+        got = product_series(spec, order)
+        assert got.denom > 1
+        assert same_window(got, product_oracle(spec, order)), (spec, order)
+        assert left_halves(pushes) == priced_halves(got), (spec, order)
+        total += len(pushes)
+        pushes.clear()
+    assert total > 0
+
+
+def random_fractional_specs(rng):
     for _ in range(20):
         den = rng.choice((2, 3, 4))
         first = rng.choice([a for a in range(1, 3 * den) if gcd(a, den) == 1])
@@ -483,33 +524,54 @@ def test_blocked_product_matches_oracle_on_random_fractional_specs(packed):
             (Fraction(rng.randint(1, 3 * den), den), rng.choice((-2, -1, 1, 2, 3)))
             for _ in range(rng.randint(0, 2))
         )
-        spec = ProductSpec(factors)
-        order = Fraction(rng.randint(150 * den, 400 * den), den)
-        got = product_series(spec, order)
-        assert got.denom > 1
-        assert same_window(got, product_oracle(spec, order)), (spec, order)
-    assert len(pushed_blocks(packed)) > 20
+        yield ProductSpec(factors), Fraction(rng.randint(150 * den, 400 * den), den)
 
 
-def test_push_rule_fires_on_the_first_family_side(packed):
+def test_push_rule_fires_on_the_first_family_side(pushes):
     got = product_series(class1_identity(1).lhs, 800)
-    blocks = pushed_blocks(packed)
-    assert len(blocks) == pushable_blocks(got) > 0
+    assert left_halves(pushes) == priced_halves(got) != []
+
+
+@pytest.mark.parametrize("price", (1, 2, 32))
+def test_any_price_gives_the_same_product(monkeypatch, price):
+    """The price only moves work between pulls and pushes.  At price 1 a half
+    is pushed whose parent half is not, so the ancestor pulls it again."""
+    monkeypatch.setattr(qseries, "_PRICE", price)
+    for spec, order in (
+        (ProductSpec(((Fraction(1), 1),)), 600),
+        (ProductSpec(((Fraction(1), -3),)), 300),
+        (class1_identity(1).lhs, 400),
+    ):
+        assert same_window(product_series(spec, order), product_oracle(spec, order))
 
 
 @pytest.mark.parametrize("name", CLASSICAL_NAMES)
-def test_push_rule_takes_at_most_the_first_classical_block(packed, name):
+def test_push_rule_fires_on_every_classical_product(pushes, name):
+    """The sparse classical sides at 3000 push the halves dense enough to pay."""
     got = product_series(classical_identity(name).lhs, 3000)
-    assert pushed_blocks(packed) in ([], leading_blocks(got, 1))
+    assert left_halves(pushes) == priced_halves(got) != []
 
 
-def test_push_rule_never_fires_on_sweep_products(packed):
-    """Every product of the proposition sweep (n <= 7, order 30) runs the plain loop."""
+def test_push_rule_never_fires_below_two_blocks(pushes, monkeypatch):
+    """No product of at most 2B slots packs anything.  Every proposition of
+    the sweep (n <= 7, order 30) still matches; 476 of its 480 products are
+    that short, and the 4 longer ones push under the same checks."""
+    short = []
+    real = affine.product_series
+
+    def recorded(spec, order):
+        before = len(pushes)
+        got = real(spec, order)
+        if len(got.coeffs) <= 2 * B:
+            short.append(len(pushes) - before)
+        return got
+
+    monkeypatch.setattr(affine, "product_series", recorded)
     for n in range(1, 8):
         for parts in partitions(n):
             for k in range(n):
                 assert verify_proposition(parts, k, 30).match
-    assert packed == []
+    assert len(short) == 476 and not any(short)
 
 
 def test_pack_unpack_round_trip_at_the_slot_limits():
@@ -528,21 +590,54 @@ def test_pack_unpack_round_trip_at_every_width(w):
         assert list(qseries._unpack(packed, len(values), w)) == values
 
 
+@pytest.mark.parametrize("w", (8, 16, 32, 64, 128, 192))
+def test_slot_width_at_each_boundary(w):
+    """A bound fits w bits while it is below 2^(w-1), the balanced slot's top."""
+    wider = {8: 16, 16: 32, 32: 64, 64: 128, 128: 192, 192: 256}[w]
+    assert qseries._slot_width((1 << (w - 1)) - 1) == w
+    assert qseries._slot_width(1 << (w - 1)) == wider
+    assert qseries._slot_width(0) == 8
+
+
 def test_packed_product_decodes_at_the_width_bound():
-    """Slots of B a c = 2^63 - 32, the largest that B max|F| max|L| < 2^63 admits."""
-    b = qseries._BLOCK
+    """Slots of B a c = 2^63 - 32, the largest sum that 64-bit slots hold."""
     a, c = (1 << 29) - 1, (1 << 29) + 1
-    assert b * a * c < HALF <= b * a * (c + 1)
-    ell = [c] * (2 * b) + [-c] * (2 * b)
-    for block in ([a] * b, [-a] * b):
-        size = b + len(ell) - 1
+    assert qseries._slot_width(B * a * c) == 64 < qseries._slot_width(B * a * (c + 1))
+    ell = [c] * (2 * B) + [-c] * (2 * B)
+    for block in ([a] * B, [-a] * B):
+        size = B + len(ell) - 1
         got = qseries._unpack(qseries._pack(block) * qseries._pack(ell), size)
         want = [
-            sum(block[i] * ell[t - i] for i in range(b) if 0 <= t - i < len(ell))
+            sum(block[i] * ell[t - i] for i in range(B) if 0 <= t - i < len(ell))
             for t in range(size)
         ]
         assert list(got) == want
-        assert max(want) == -min(want) == b * a * c
+        assert max(want) == -min(want) == B * a * c
+
+
+# -- the sieve for L and sigma ----------------------------------------------------
+
+
+def test_divisor_sums_match_brute_force():
+    """1/phi(q) has L_k = sigma(k)."""
+    want = [0] + [sum(e for e in range(1, k + 1) if k % e == 0) for k in range(1, 2001)]
+    assert qseries._log_derivative(ProductSpec(((1, -1),)), 1, 2000) == want
+
+
+def test_log_derivative_matches_oracle():
+    """The divisor-pair sieve against the multiples loop, at windows past 2B
+    slots and under it."""
+    rng = random.Random(20261018)
+    cases = []
+    for spec, order in random_fractional_specs(rng):
+        d = lcm(*(s.denominator for s, _ in spec.factors))
+        cases.append((spec, d, floor(order * d)))
+    # a scale above the order adds nothing; no factors leave L = 0
+    above = ProductSpec(((Fraction(50), 3), (Fraction(1, 2), -1)))
+    cases += [(above, 2, 90), (above, 2, 40), (ProductSpec(()), 1, 70), (ProductSpec(()), 1, 9)]
+    cases += [(spec, d, units % (2 * B)) for spec, d, units in cases[:5]]
+    for spec, d, units in cases:
+        assert qseries._log_derivative(spec, d, units) == log_derivative_oracle(spec, d, units)
 
 
 # -- normalization and comparison ----------------------------------------------

@@ -2,9 +2,11 @@
 
 Exit codes: 0 for a verified match (or a printed series), 1 for a mismatch,
 2 for usage errors (bad flags, invalid partitions, nonpositive scales,
-negative orders, malformed --spec JSON), reported on one "error:"
-line.  Output is deterministic byte-for-byte for identical invocations;
-timing is excluded unless --timing is passed so reports stay reproducible.
+negative orders, and a --spec that is not JSON, is nested too deeply, has
+unknown or missing fields or a value of the wrong type), reported on one
+"error:" line.  Output is deterministic byte-for-byte for identical
+invocations; timing is excluded unless --timing is passed so reports stay
+reproducible.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ def _rational_arg(text: str) -> Fraction:
 
 
 def _int_arg(text: str) -> int:
-    # the integer grammar of the JSON readers: ASCII digits, no underscores
+    # the integer grammar of the --spec reader: ASCII digits, no underscores
     try:
         return _json_int(text, "value")
     except ValueError as exc:
@@ -154,10 +156,13 @@ def _cmd_series_phi(args: argparse.Namespace) -> int:
 
 def _cmd_series_product(args: argparse.Namespace) -> int:
     try:
-        data = json.loads(args.spec)
+        spec = ProductSpec.from_json(json.loads(args.spec))
     except json.JSONDecodeError as exc:
         raise ValueError(f"spec is not valid JSON: {exc}")
-    return _emit_series(product_series(ProductSpec.from_json(data), args.order), args)
+    except RecursionError:
+        # json.loads and the error's repr both recurse once per nesting level
+        raise ValueError("spec is nested too deeply")
+    return _emit_series(product_series(spec, args.order), args)
 
 
 def _cmd_series_character(args: argparse.Namespace) -> int:

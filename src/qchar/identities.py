@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .affine import PartitionData, Side, _trace_parts, specialized_character, verify
-from .qseries import ProductSpec, VerifyReport, _json_field, _json_int
+from .qseries import ProductSpec, VerifyReport
 from .quadform import WEIGHT_ALTERNATING, WEIGHT_FOUR_K_PLUS_ONE, LatticeSum
 
 __all__ = [
@@ -60,19 +60,6 @@ class IdentitySpec:
         if self.params is not None:
             out["params"] = self.params
         return out
-
-    @staticmethod
-    def from_json(data: dict) -> "IdentitySpec":
-        name = _json_field(data, "name", "identity")
-        if not isinstance(name, str):
-            raise ValueError(f"identity name must be a string, got {name!r}")
-        params = data.get("params")
-        return IdentitySpec(
-            name,
-            ProductSpec.from_json(_json_field(data, "lhs", "identity")),
-            LatticeSum.from_json(_json_field(data, "rhs", "identity")),
-            None if params is None else _json_int(params, "identity params"),
-        )
 
 
 def classical_identity(name: str) -> IdentitySpec:

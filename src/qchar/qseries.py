@@ -76,25 +76,25 @@ def format_rational(x: Fraction) -> str:
     return str(x)
 
 
-# -- strict readers for from_json ------------------------------------------
+# -- the strict JSON grammar of ProductSpec.from_json, the one reader ------
+#
+# qchar writes JSON with to_json and reads it only where the CLI takes a
+# --spec; the CLI's integer flags share _json_int.
 
 _INT_RE = re.compile(r"[+-]?\d+\Z", re.ASCII)
 
 
-def _json_field(data, key: str, what: str):
-    """data[key], refusing anything but a JSON object that has the key."""
+def _json_fields(data, what: str, *keys: str) -> list:
+    """data's values at keys; data must be a JSON object with exactly those keys."""
     if not isinstance(data, dict):
         raise ValueError(f"{what} must be a JSON object, got {data!r}")
-    if key not in data:
-        raise ValueError(f"{what} is missing the {key!r} field")
-    return data[key]
-
-
-def _json_list(data, key: str, what: str) -> list:
-    value = _json_field(data, key, what)
-    if not isinstance(value, list):
-        raise ValueError(f"{what} field {key!r} must be a list, got {value!r}")
-    return value
+    for key in keys:
+        if key not in data:
+            raise ValueError(f"{what} is missing the {key!r} field")
+    unknown = [key for key in data if key not in keys]
+    if unknown:
+        raise ValueError(f"{what} has unknown fields {unknown!r}")
+    return [data[key] for key in keys]
 
 
 def _json_int(value, what: str) -> int:
@@ -305,19 +305,6 @@ class QSeries:
             "coeffs": [str(c) for c in self.coeffs],
         }
 
-    @staticmethod
-    def from_json(data: dict) -> "QSeries":
-        def field(key: str) -> int:
-            return _json_int(_json_field(data, key, "series"), f"series {key}")
-
-        coeffs = _json_list(data, "coeffs", "series")
-        return QSeries(
-            field("denom"),
-            field("lo"),
-            tuple(_json_int(c, "series coefficient") for c in coeffs),
-            field("order"),
-        )
-
     def __str__(self) -> str:
         return render(self)
 
@@ -476,13 +463,14 @@ class ProductSpec:
 
     @staticmethod
     def from_json(data: dict) -> "ProductSpec":
+        """The spec of a JSON object; unknown fields and wrong types raise ValueError."""
+        (factors,) = _json_fields(data, "product spec", "factors")
+        if not isinstance(factors, list):
+            raise ValueError(f"product spec field 'factors' must be a list, got {factors!r}")
         return ProductSpec(
             tuple(
-                (
-                    _json_rational(_json_field(f, "scale", "factor"), "factor scale"),
-                    _json_int(_json_field(f, "power", "factor"), "factor power"),
-                )
-                for f in _json_list(data, "factors", "product spec")
+                (_json_rational(scale, "factor scale"), _json_int(power, "factor power"))
+                for scale, power in (_json_fields(f, "factor", "scale", "power") for f in factors)
             )
         )
 
@@ -502,7 +490,7 @@ def _slot_width(bound: int) -> int:
     return next((w for w in (8, 16, 32, 64) if need <= w), -(-need // 64) * 64)
 
 
-def _lift(k: int, w: int = 64) -> int:
+def _lift(k: int, w: int) -> int:
     """2^(w-1) in each of k w-bit slots."""
     return int.from_bytes((1 << (w - 1)).to_bytes(w // 8, "little") * k, "little")
 
@@ -515,7 +503,7 @@ def _words(code: str, data) -> array:
     return words
 
 
-def _pack(values: list[int], w: int = 64) -> int:
+def _pack(values: list[int], w: int) -> int:
     """The packed int of values in w-bit slots."""
     lift = _lift(len(values), w)
     code = _TYPECODES.get(w)
@@ -526,7 +514,7 @@ def _pack(values: list[int], w: int = 64) -> int:
     return (int.from_bytes(raw, "little") ^ lift) - lift
 
 
-def _unpack(x: int, k: int, w: int = 64):
+def _unpack(x: int, k: int, w: int):
     """The k balanced w-bit slots of x, the inverse of _pack."""
     lift = _lift(k, w)
     raw = ((x + lift) ^ lift).to_bytes(w // 8 * k, "little")

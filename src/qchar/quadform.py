@@ -46,10 +46,6 @@ from typing import Iterator, Optional, Sequence
 from .qseries import (
     QSeries,
     RationalLike,
-    _json_field,
-    _json_int,
-    _json_list,
-    _json_rational,
     _slot_width,
     _unpack,
     as_rational,
@@ -147,21 +143,6 @@ class LatticeSum:
         if self.weight is not None:
             out["weight"] = self.weight
         return out
-
-    @staticmethod
-    def from_json(data: dict) -> "LatticeSum":
-        def field(key: str) -> Fraction:
-            value = _json_field(data, key, "lattice sum")
-            return _json_rational(value, f"lattice {key}")
-
-        lin = _json_list(data, "lin", "lattice sum")
-        return LatticeSum(
-            _json_int(_json_field(data, "l", "lattice sum"), "lattice dimension"),
-            field("c"),
-            tuple(_json_rational(v, "lattice lin entry") for v in lin),
-            field("const"),
-            data.get("weight"),
-        )
 
 
 def _weight_value(weight: Optional[str], point: tuple[int, ...]) -> int:

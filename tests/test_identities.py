@@ -1,6 +1,5 @@
 """Identity builders, JSON mirrors, and full verification runs for both families."""
 
-import json
 from dataclasses import replace
 from fractions import Fraction
 
@@ -187,36 +186,16 @@ def test_identity_spec_validation():
 
 
 def test_identity_spec_json_round_trip():
-    for spec in (
-        classical_identity("jacobi"),
-        class1_identity(2),
-        class2_identity(3),
-    ):
-        blob = json.dumps(spec.to_json(), sort_keys=True)
-        back = IdentitySpec.from_json(json.loads(blob))
-        assert back == spec
     # params key only present for family members
     assert "params" not in classical_identity("euler").to_json()
     assert class1_identity(1).to_json()["params"] == 1
 
 
 def test_identity_spec_refuses_bool_params():
-    # to_json would write "params": true, which from_json refuses
+    # to_json would write "params": true
     base = class1_identity(1)
     with pytest.raises(ValueError):
         IdentitySpec("x", base.lhs, base.rhs, True)
-    spec = IdentitySpec("x", base.lhs, base.rhs, 1)
-    assert IdentitySpec.from_json(json.loads(json.dumps(spec.to_json()))) == spec
-
-
-@pytest.mark.parametrize(
-    "patch",
-    [{"params": True}, {"params": 1.5}, {"name": 7}, {"lhs": []}],
-)
-def test_identity_spec_from_json_is_strict(patch):
-    data = dict(class1_identity(1).to_json(), **patch)
-    with pytest.raises(ValueError):
-        IdentitySpec.from_json(data)
 
 
 # -- verification runs --------------------------------------------------------

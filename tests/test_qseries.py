@@ -412,11 +412,11 @@ def pushes(monkeypatch):
     made, packs = [], []
     pack, unpack = qseries._pack, qseries._unpack
 
-    def counted_pack(values, w=64):
+    def counted_pack(values, w):
         packs.append(list(values))
         return pack(values, w)
 
-    def checked_unpack(x, k, w=64):
+    def checked_unpack(x, k, w):
         slots = list(unpack(x, k, w))
         left, ell = packs
         packs.clear()
@@ -577,7 +577,7 @@ def test_push_rule_never_fires_below_two_blocks(pushes, monkeypatch):
 def test_pack_unpack_round_trip_at_the_slot_limits():
     top = HALF - 1
     for values in ([top, -top, 0, 1, -1], [0] * 5, [-top] * 3, [top], [-HALF, top], []):
-        assert list(qseries._unpack(qseries._pack(values), len(values))) == values
+        assert list(qseries._unpack(qseries._pack(values, 64), len(values), 64)) == values
 
 
 @pytest.mark.parametrize("w", (8, 16, 32, 64, 128, 192))
@@ -606,7 +606,7 @@ def test_packed_product_decodes_at_the_width_bound():
     ell = [c] * (2 * B) + [-c] * (2 * B)
     for block in ([a] * B, [-a] * B):
         size = B + len(ell) - 1
-        got = qseries._unpack(qseries._pack(block) * qseries._pack(ell), size)
+        got = qseries._unpack(qseries._pack(block, 64) * qseries._pack(ell, 64), size, 64)
         want = [
             sum(block[i] * ell[t - i] for i in range(B) if 0 <= t - i < len(ell))
             for t in range(size)
@@ -776,12 +776,6 @@ def test_monomial_beyond_order_is_zero():
 # -- serialization and rendering ---------------------------------------------------
 
 
-def test_qseries_json_roundtrip():
-    p = series_inv(phi_series(Fraction(2, 3), 6))
-    data = json.loads(json.dumps(p.to_json()))
-    assert QSeries.from_json(data) == p
-
-
 def test_product_spec_json_roundtrip():
     spec = ProductSpec(((Fraction(1, 2), -1), (Fraction(3), 4)))
     assert ProductSpec.from_json(json.loads(json.dumps(spec.to_json()))) == spec
@@ -802,12 +796,10 @@ class IntSubclass(int):
     ],
 )
 def test_qseries_refuses_bool(fields):
-    # to_json would write a bool that from_json refuses; a float or an int
+    # to_json would write a bool as a JSON boolean; a float or an int
     # subclass is no plain integer either
     with pytest.raises(ValueError):
         QSeries(*fields)
-    plain = QSeries(1, 0, (1, 0, 1), 2)
-    assert QSeries.from_json(json.loads(json.dumps(plain.to_json()))) == plain
 
 
 def test_product_spec_refuses_bool_power():
@@ -827,6 +819,8 @@ def test_product_spec_refuses_bool_power():
         {"factors": {}},
         {},
         [],
+        {"factors": [{"scale": "1", "power": 1, "offset": 3}]},
+        {"factors": [{"scale": "1", "power": 1}], "offset": 3},
     ],
 )
 def test_product_spec_from_json_is_strict(data):
@@ -834,19 +828,19 @@ def test_product_spec_from_json_is_strict(data):
         ProductSpec.from_json(data)
 
 
+def test_product_spec_unknown_fields_are_named():
+    factor = {"scale": "1", "power": 1}
+    with pytest.raises(ValueError, match=r"^factor has unknown fields \['offset'\]$"):
+        ProductSpec.from_json({"factors": [dict(factor, offset=3)]})
+    with pytest.raises(ValueError, match=r"^product spec has unknown fields \['x', 'y'\]$"):
+        ProductSpec.from_json({"x": 1, "factors": [factor], "y": 2})
+
+
 @pytest.mark.parametrize("scale", ["1/0", "abc"])
 def test_product_spec_bad_rational_names_field_and_value(scale):
     data = {"factors": [{"scale": scale, "power": 1}]}
     with pytest.raises(ValueError, match=f"factor scale .*got '{scale}'"):
         ProductSpec.from_json(data)
-
-
-@pytest.mark.parametrize(
-    "coeffs", [["1", 1.9], ["1", True], ["1", "1.9"], "12"]
-)
-def test_qseries_from_json_is_strict(coeffs):
-    with pytest.raises(ValueError):
-        QSeries.from_json({"denom": 1, "lo": 0, "order": 1, "coeffs": coeffs})
 
 
 def test_render_matches_expected_shape():

@@ -157,42 +157,14 @@ def test_lattice_sum_json_round_trip():
     data = s.to_json()
     assert data["c"] == "3/2"
     assert data["weight"] == WEIGHT_ALTERNATING
-    assert LatticeSum.from_json(data) == s
     plain = LatticeSum(1, Fraction(2), (Fraction(1),))
     assert "weight" not in plain.to_json()
-    assert LatticeSum.from_json(plain.to_json()) == plain
 
 
 def test_lattice_sum_refuses_bool_dimension():
-    # to_json would write "l": true, which from_json refuses
+    # to_json would write "l": true
     with pytest.raises(ValueError):
         LatticeSum(True, Fraction(1), (Fraction(0),))
-    s = LatticeSum(1, Fraction(1), (Fraction(0),))
-    assert LatticeSum.from_json(json.loads(json.dumps(s.to_json()))) == s
-
-
-@pytest.mark.parametrize(
-    "data",
-    [
-        {"l": 1.5, "c": "1", "lin": ["0"], "const": "0"},
-        {"l": True, "c": "1", "lin": ["0"], "const": "0"},
-        {"l": 1, "c": 1.5, "lin": ["0"], "const": "0"},
-        {"l": 1, "c": "1", "lin": "0", "const": "0"},
-        {"l": 1, "c": "1", "lin": ["0"]},
-        [],
-    ],
-)
-def test_lattice_sum_from_json_is_strict(data):
-    with pytest.raises(ValueError):
-        LatticeSum.from_json(data)
-
-
-@pytest.mark.parametrize("field", ["c", "const"])
-@pytest.mark.parametrize("value", ["1/0", "abc"])
-def test_lattice_sum_bad_rational_names_field_and_value(field, value):
-    data = dict({"l": 1, "c": "1", "lin": ["0"], "const": "0"}, **{field: value})
-    with pytest.raises(ValueError, match=f"lattice {field} .*got '{value}'"):
-        LatticeSum.from_json(data)
 
 
 def test_weight_values():

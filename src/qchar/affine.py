@@ -41,9 +41,6 @@ __all__ = [
     "PartitionData",
     "Side",
     "partitions",
-    "compute_N",
-    "compute_s",
-    "fundamental_weight_coeffs",
     "specialized_character",
     "specialized_character_series",
     "trace_series",
@@ -91,42 +88,10 @@ def partitions(n: int) -> Iterator[tuple[int, ...]]:
         yield tuple(a[: k + 1])
 
 
-def compute_N(parts: Sequence[int]) -> int:
-    """Modulus attached to a partition.
-
-    Starting from the lcm N' of the parts, doubles it unless
-    N'(1/n_i + 1/n_j) is even for every pair of parts, diagonal included.
-    """
-    return PartitionData.from_parts(parts).N
-
-
-def compute_s(parts: Sequence[int]) -> tuple[int, ...]:
-    """Specialization vector: one entry per node, summing to the modulus.
-
-    Layout: a head entry N(n_1+n_r)/(2 n_1 n_r), then for each part a run of
-    n_i - 1 copies of N/n_i, with a single boundary entry
-    N((n_i+n_{i+1})/(2 n_i n_{i+1}) - 1) between consecutive parts.  The
-    construction always lands on integers; a fractional entry means the
-    partition data is inconsistent, so it raises instead of rounding.
-    """
-    return PartitionData.from_parts(parts).s
-
-
 def _weight_numerators(n: int, k: int) -> list[int]:
-    """n times the k-th fundamental weight's coefficients: min(i,k)(n - max(i,k))."""
+    """n times the k-th fundamental weight c (C c = e_k): n c_i = min(i,k)(n - max(i,k))."""
     _check_index(n, k)
     return [min(i, k) * (n - max(i, k)) for i in range(1, n)]
-
-
-def fundamental_weight_coeffs(n: int, k: int) -> tuple[Fraction, ...]:
-    """Coefficients c_1..c_{n-1} expanding the k-th fundamental weight.
-
-    c_i = min(i,k)(n - max(i,k))/n; index 0 gives the zero vector.  Against
-    the Cartan matrix C this is the delta property (C c)_j = [j == k].
-    """
-    if type(n) is not int or n < 1:
-        raise ValueError("rank parameter must be a positive integer")
-    return tuple(Fraction(v, n) for v in _weight_numerators(n, k))
 
 
 def _check_index(n: int, k: int) -> None:
@@ -146,7 +111,14 @@ class PartitionData:
 
     @staticmethod
     def from_parts(parts: Sequence[int]) -> "PartitionData":
-        """Validate once, then derive N and, from N, s (see compute_N, compute_s)."""
+        """Validate once, then derive the modulus N and, from N, the vector s.
+
+        N is the lcm N' of the parts, doubled unless N'(1/n_i + 1/n_j) is even
+        for every pair of parts, diagonal included.  s has one entry per node,
+        sums to N, and is a head N(n_1+n_r)/(2 n_1 n_r), then per part n_i - 1
+        copies of N/n_i, one entry N((n_i+n_{i+1})/(2 n_i n_{i+1}) - 1) between
+        consecutive parts; a fractional entry raises instead of rounding.
+        """
         ps = _validate_parts(parts)
         big = lcm(*ps)
         if any((big // p + big // q) & 1 for i, p in enumerate(ps) for q in ps[i:]):

@@ -3,8 +3,8 @@
 Exit codes: 0 for a verified match (or a printed series), 1 for a mismatch,
 2 for usage errors (bad flags, invalid partitions, nonpositive scales,
 negative orders, and a --spec that is not JSON, is nested too deeply, has
-unknown or missing fields or a value of the wrong type), reported on one
-"error:" line.  Output is deterministic byte-for-byte for identical
+unknown, missing or repeated fields or a value of the wrong type), reported
+on one "error:" line.  Output is deterministic byte-for-byte for identical
 invocations; timing is excluded unless --timing is passed so reports stay
 reproducible.
 """
@@ -35,6 +35,7 @@ from .qseries import (
     QSeries,
     VerifyReport,
     _json_int,
+    _json_object,
     as_rational,
     format_rational,
     product_series,
@@ -156,7 +157,7 @@ def _cmd_series_phi(args: argparse.Namespace) -> int:
 
 def _cmd_series_product(args: argparse.Namespace) -> int:
     try:
-        spec = ProductSpec.from_json(json.loads(args.spec))
+        spec = ProductSpec.from_json(json.loads(args.spec, object_pairs_hook=_json_object))
     except json.JSONDecodeError as exc:
         raise ValueError(f"spec is not valid JSON: {exc}")
     except RecursionError:

@@ -12,6 +12,7 @@ floating point.  product_series solves its recurrence by halves of its window.
 from __future__ import annotations
 
 import re
+import reprlib
 import sys
 import time
 from array import array
@@ -30,9 +31,6 @@ __all__ = [
     "VerifyReport",
     "as_rational",
     "format_rational",
-    "series_add",
-    "series_sub",
-    "series_neg",
     "series_mul",
     "series_pow",
     "series_inv",
@@ -47,6 +45,9 @@ __all__ = [
 # the one rational grammar of every boundary: "7", "-3", "1/8"; no decimals,
 # exponents, zero denominators or non-ASCII digits
 _RATIONAL_RE = re.compile(r"[+-]?\d+(/[1-9]\d*)?\Z", re.ASCII)
+# errors echo values through this: two items a level, two levels, cut short
+_BRIEF = reprlib.Repr()
+_BRIEF.maxlevel = _BRIEF.maxlist = _BRIEF.maxdict = 2
 
 
 def as_rational(x: RationalLike) -> Fraction:
@@ -65,7 +66,7 @@ def as_rational(x: RationalLike) -> Fraction:
         cleaned = x.strip()
         if not _RATIONAL_RE.match(cleaned):
             raise ValueError(
-                f"not a rational number (use an integer or num/den): {x!r}"
+                f"not a rational number (use an integer or num/den): {_BRIEF.repr(x)}"
             )
         return Fraction(cleaned)
     raise TypeError(f"not an exact rational value: {x!r}")
@@ -87,14 +88,24 @@ _INT_RE = re.compile(r"[+-]?\d+\Z", re.ASCII)
 def _json_fields(data, what: str, *keys: str) -> list:
     """data's values at keys; data must be a JSON object with exactly those keys."""
     if not isinstance(data, dict):
-        raise ValueError(f"{what} must be a JSON object, got {data!r}")
+        raise ValueError(f"{what} must be a JSON object, got {_BRIEF.repr(data)}")
     for key in keys:
         if key not in data:
             raise ValueError(f"{what} is missing the {key!r} field")
     unknown = [key for key in data if key not in keys]
     if unknown:
-        raise ValueError(f"{what} has unknown fields {unknown!r}")
+        raise ValueError(f"{what} has unknown fields {_BRIEF.repr(unknown)}")
     return [data[key] for key in keys]
+
+
+def _json_object(pairs: list) -> dict:
+    """json.loads's object_pairs_hook: refuse a repeated key, which it would drop."""
+    data = {}
+    for key, value in pairs:
+        if key in data:
+            raise ValueError(f"spec repeats the key {_BRIEF.repr(key)}")
+        data[key] = value
+    return data
 
 
 def _json_int(value, what: str) -> int:
@@ -103,7 +114,7 @@ def _json_int(value, what: str) -> int:
         return int(value)
     if isinstance(value, int) and not isinstance(value, bool):
         return value
-    raise ValueError(f"{what} must be an integer, got {value!r}")
+    raise ValueError(f"{what} must be an integer, got {_BRIEF.repr(value)}")
 
 
 def _json_rational(value, what: str) -> Fraction:
@@ -112,7 +123,8 @@ def _json_rational(value, what: str) -> Fraction:
             return as_rational(value)
     except ValueError:
         pass
-    raise ValueError(f"{what} must be an integer or a num/den rational, got {value!r}")
+    got = _BRIEF.repr(value)
+    raise ValueError(f"{what} must be an integer or a num/den rational, got {got}")
 
 
 @dataclass(frozen=True)
@@ -312,34 +324,6 @@ class QSeries:
 # -- ring operations ------------------------------------------------------
 
 
-def series_add(a: QSeries, b: QSeries) -> QSeries:
-    """Sum, guaranteed through the smaller of the two orders."""
-    m = lcm(a.denom, b.denom)
-    fa, fb = m // a.denom, m // b.denom
-    order = min(a.order * fa, b.order * fb)
-    lo = min(a.lo * fa, b.lo * fb, order)
-    out = [0] * (order - lo + 1)
-    for i, c in enumerate(a.coeffs):
-        if c:
-            e = (a.lo + i) * fa
-            if e <= order:
-                out[e - lo] += c
-    for i, c in enumerate(b.coeffs):
-        if c:
-            e = (b.lo + i) * fb
-            if e <= order:
-                out[e - lo] += c
-    return QSeries.from_window(m, lo, out, order)
-
-
-def series_neg(a: QSeries) -> QSeries:
-    return QSeries(a.denom, a.lo, tuple(-c for c in a.coeffs), a.order)
-
-
-def series_sub(a: QSeries, b: QSeries) -> QSeries:
-    return series_add(a, series_neg(b))
-
-
 def series_mul(a: QSeries, b: QSeries) -> QSeries:
     """Cauchy product.
 
@@ -466,7 +450,8 @@ class ProductSpec:
         """The spec of a JSON object; unknown fields and wrong types raise ValueError."""
         (factors,) = _json_fields(data, "product spec", "factors")
         if not isinstance(factors, list):
-            raise ValueError(f"product spec field 'factors' must be a list, got {factors!r}")
+            got = _BRIEF.repr(factors)
+            raise ValueError(f"product spec field 'factors' must be a list, got {got}")
         return ProductSpec(
             tuple(
                 (_json_rational(scale, "factor scale"), _json_int(power, "factor power"))

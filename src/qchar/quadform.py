@@ -26,12 +26,10 @@ onto its grid; each kind completes its squares once, on first use, and
 every public entry point walks that one form: unweighted, through a
 rounding bound, the walk yields exact minimum exponents
 (lattice_min_exponent), and lattice_sum_series expands through any bound;
-both take either kind.
-lattice_enumerate walks the same recursion point by point; it is kept as the
-oracle of the tests' hand expansions.  No floating point, and no Fraction
-between a chain's entries and its walk's slots; the tests check the engine
-against a box-scan oracle and a dict-of-spends walk, and the completion
-against a Fraction one.
+both take either kind.  No floating point, and no Fraction between a
+chain's entries and its walk's slots; the tests check the engine against a
+box-scan oracle and a dict-of-spends walk, and the completion against a
+Fraction one.
 """
 
 from __future__ import annotations
@@ -41,7 +39,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import floor, gcd, isqrt, lcm
 from operator import add
-from typing import Iterator, Optional, Sequence
+from typing import Optional
 
 from .qseries import (
     QSeries,
@@ -56,8 +54,6 @@ __all__ = [
     "LatticeSum",
     "WEIGHT_ALTERNATING",
     "WEIGHT_FOUR_K_PLUS_ONE",
-    "kappa_eval",
-    "lattice_enumerate",
     "lattice_min_exponent",
     "lattice_sum_series",
 ]
@@ -65,19 +61,6 @@ __all__ = [
 WEIGHT_ALTERNATING = "alternating_sign"
 WEIGHT_FOUR_K_PLUS_ONE = "four_k_plus_one"
 _WEIGHTS = (WEIGHT_ALTERNATING, WEIGHT_FOUR_K_PLUS_ONE)
-
-
-def kappa_eval(k: Sequence[int]) -> int:
-    """kappa(k) = sum of squares minus the sum of adjacent products."""
-    ks = tuple(k)
-    if not ks:
-        raise ValueError("kappa_eval needs at least one coordinate")
-    for v in ks:
-        if not isinstance(v, int):
-            raise ValueError("kappa_eval takes integer vectors")
-    total = sum(v * v for v in ks)
-    total -= sum(ks[i] * ks[i + 1] for i in range(len(ks) - 1))
-    return total
 
 
 @dataclass(frozen=True)
@@ -109,18 +92,6 @@ class LatticeSum:
             raise ValueError("indefinite exponent function: c must be positive")
         if self.weight is not None and self.weight not in _WEIGHTS:
             raise ValueError(f"unknown weight shape: {self.weight!r}")
-
-    def exponent_at(self, k: Sequence[int]) -> Fraction:
-        ks = tuple(k)
-        if len(ks) != self.l:
-            raise ValueError("dimension mismatch")
-        if self.l == 0:
-            return self.const
-        linear = sum(a * b for a, b in zip(self.lin, ks))
-        return self.c * kappa_eval(ks) + linear + self.const
-
-    def weight_at(self, k: Sequence[int]) -> int:
-        return _weight_value(self.weight, tuple(k))
 
     @cached_property
     def _form(self) -> "_ScaledForm":
@@ -289,35 +260,6 @@ def _level_range(k: int, w: int, p: int, budget: int) -> range:
     return range(-((r + p) // w), (r - p) // w + 1)
 
 
-def _scaled_points(form: _ScaledForm, units: int) -> Iterator[tuple[tuple[int, ...], int]]:
-    """Yield (point, sigma*grid*exponent) pairs through units, in lexicographic order."""
-    budget = form.sigma * units - form.base
-    if budget < 0:
-        return
-    l = len(form.K)
-    if l == 0:
-        yield (), form.base
-        return
-    kk, ws, w_prev, w0 = form.K, form.W, form.w_prev, form.w0
-    top = form.base + budget
-    x = [0] * l
-
-    def rec(i: int, prev: int, budget: int):
-        ki, wi = kk[i], ws[i]
-        pi = w0[i] + w_prev[i] * prev
-        last = i == l - 1
-        for xi in _level_range(ki, wi, pi, budget):
-            v = wi * xi + pi
-            nb = budget - ki * v * v
-            x[i] = xi
-            if last:
-                yield tuple(x), top - nb
-            else:
-                yield from rec(i + 1, xi, nb)
-
-    yield from rec(0, 0, budget)
-
-
 def _count_bound(form: _ScaledForm, weight, budget: int) -> int:
     """A bound on the magnitude of every count a walk through budget keeps.
 
@@ -440,20 +382,6 @@ def _chain_min(form: _ScaledForm) -> Fraction:
     pivots = sum(k * w * w for k, w in zip(form.K, form.W))
     units = (4 * form.base + pivots) // (4 * form.sigma)
     return _walk(form, None, units).lowest_exponent()
-
-
-# -- public enumeration over kappa-form sums -----------------------------------
-
-
-def lattice_enumerate(
-    s: LatticeSum, bound: RationalLike
-) -> Iterator[tuple[tuple[int, ...], Fraction]]:
-    """All k with exponent_at(k) <= bound, as (k, exponent) pairs in lex order."""
-    t = as_rational(bound)
-    form = s._form
-    scale = form.sigma * form.grid
-    for point, ehat in _scaled_points(form, floor(t * form.grid)):
-        yield point, Fraction(ehat, scale)
 
 
 def lattice_min_exponent(s: LatticeSum | _Chain) -> Fraction:

@@ -13,7 +13,7 @@ the oracles of the integer chains qchar.affine builds.
 from fractions import Fraction
 from math import floor, isqrt, lcm
 
-from qchar.affine import PartitionData, fundamental_weight_coeffs
+from qchar.affine import PartitionData
 from qchar.qseries import ProductSpec
 from qchar.quadform import LatticeSum
 
@@ -124,6 +124,25 @@ def trace_chain(parts, k):
     return diag, off, lin, const
 
 
+def fundamental_weight(n, k):
+    """The coefficients c_1..c_(n-1) of the k-th fundamental weight, by definition.
+
+    c solves C c = e_k for the Cartan matrix C of A_(n-1) (2 on the diagonal,
+    -1 beside it), by tridiagonal elimination in Fraction arithmetic; k = 0
+    gives the zero vector.
+    """
+    dim = n - 1
+    pivot = [Fraction(2)] * dim
+    rhs = [Fraction(int(j == k)) for j in range(1, n)]
+    for j in range(1, dim):
+        pivot[j] -= 1 / pivot[j - 1]
+        rhs[j] += rhs[j - 1] / pivot[j - 1]
+    c = [Fraction(0)] * dim
+    for j in reversed(range(dim)):
+        c[j] = (rhs[j] + (c[j + 1] if j + 1 < dim else 0)) / pivot[j]
+    return tuple(c)
+
+
 def character_data(parts, k):
     """The character route's numerator and denominator, in Fraction arithmetic.
 
@@ -133,7 +152,7 @@ def character_data(parts, k):
     constant N*kappa(c) - s.c.  The denominator is phi(q^N)^(n-1).
     """
     data = PartitionData.from_parts(parts)
-    c = fundamental_weight_coeffs(data.n, k)
+    c = fundamental_weight(data.n, k)
     n, big = data.n, data.N
     dim = n - 1
     tail = data.s[1:]

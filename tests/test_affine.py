@@ -14,9 +14,7 @@ from qchar.affine import (
     Side,
     _character_parts,
     _trace_parts,
-    compute_N,
-    compute_s,
-    fundamental_weight_coeffs,
+    _weight_numerators,
     partitions,
     specialized_character,
     specialized_character_series,
@@ -107,104 +105,107 @@ def test_partitions_rejects_bad_input():
 # -- modulus ------------------------------------------------------------------
 
 
+def modulus(parts):
+    return PartitionData.from_parts(parts).N
+
+
+def spec_vector(parts):
+    return PartitionData.from_parts(parts).s
+
+
 def test_modulus_frozen_values():
-    assert compute_N((1, 3)) == 3
-    assert compute_N((1, 7)) == 7
-    assert compute_N((2, 3)) == 12
-    assert compute_N((2, 2)) == 2
-    assert compute_N((2, 6)) == 6
-    assert compute_N((1, 2)) == 4
-    assert compute_N((3, 4)) == 24
-    assert compute_N((1,)) == 1
-    assert compute_N((1, 1, 1, 1)) == 1
+    assert modulus((1, 3)) == 3
+    assert modulus((1, 7)) == 7
+    assert modulus((2, 3)) == 12
+    assert modulus((2, 2)) == 2
+    assert modulus((2, 6)) == 6
+    assert modulus((1, 2)) == 4
+    assert modulus((3, 4)) == 24
+    assert modulus((1,)) == 1
+    assert modulus((1, 1, 1, 1)) == 1
 
 
 def test_modulus_matches_oracle():
     for n in range(1, 10):
         for parts in partitions(n):
-            assert compute_N(parts) == oracle_modulus(parts)
+            assert modulus(parts) == oracle_modulus(parts)
 
 
 def test_modulus_validation():
     with pytest.raises(ValueError):
-        compute_N(())
+        modulus(())
     with pytest.raises(ValueError):
-        compute_N((3, 1))
+        modulus((3, 1))
     with pytest.raises(ValueError):
-        compute_N((0, 2))
+        modulus((0, 2))
 
 
 # -- specialization vector -----------------------------------------------------
 
 
 def test_s_frozen_values():
-    assert compute_s((1, 3)) == (2, -1, 1, 1)
-    assert compute_s((1, 7)) == (4, -3, 1, 1, 1, 1, 1, 1)
-    assert compute_s((2, 6)) == (2, 3, -4, 1, 1, 1, 1, 1)
-    assert compute_s((2, 2)) == (1, 1, -1, 1)
+    assert spec_vector((1, 3)) == (2, -1, 1, 1)
+    assert spec_vector((1, 7)) == (4, -3, 1, 1, 1, 1, 1, 1)
+    assert spec_vector((2, 6)) == (2, 3, -4, 1, 1, 1, 1, 1)
+    assert spec_vector((2, 2)) == (1, 1, -1, 1)
 
 
 def test_s_all_ones_partition():
     for n in range(1, 9):
-        assert compute_s((1,) * n) == (1,) + (0,) * (n - 1)
+        assert spec_vector((1,) * n) == (1,) + (0,) * (n - 1)
 
 
 def test_s_sums_to_modulus():
     for n in range(1, 13):
         for parts in partitions(n):
-            s = compute_s(parts)
+            s = spec_vector(parts)
             assert len(s) == n
-            assert sum(s) == compute_N(parts)
+            assert sum(s) == modulus(parts)
 
 
 def test_s_closed_form_families():
     for m in (1, 2, 3):
-        assert compute_s((1, 4 * m - 1)) == (2 * m, -2 * m + 1) + (1,) * (4 * m - 2)
+        assert spec_vector((1, 4 * m - 1)) == (2 * m, -2 * m + 1) + (1,) * (4 * m - 2)
         want = (2,) + (3,) * (m - 1) + (2 - 3 * m,) + (1,) * (3 * m - 1)
-        assert compute_s((m, 3 * m)) == want
+        assert spec_vector((m, 3 * m)) == want
 
 
 # -- fundamental weights --------------------------------------------------------
 
 
 def test_weight_coeffs_frozen():
-    assert fundamental_weight_coeffs(4, 3) == (
-        Fraction(1, 4),
-        Fraction(1, 2),
-        Fraction(3, 4),
-    )
-    assert fundamental_weight_coeffs(4, 0) == (0, 0, 0)
-    assert fundamental_weight_coeffs(1, 0) == ()
+    # _weight_numerators(n, k) is n times the coefficient vector
+    assert _weight_numerators(4, 3) == [1, 2, 3]
+    assert _weight_numerators(4, 0) == [0, 0, 0]
+    assert _weight_numerators(1, 0) == []
     # n = 8, k = 6 is the m = 2 member of the 3m-at-4m family; its entry
     # just past the index equals 3(m-1)/4
-    assert fundamental_weight_coeffs(8, 6)[6] == Fraction(3, 4)
+    assert Fraction(_weight_numerators(8, 6)[6], 8) == Fraction(3, 4)
 
 
 def test_weight_coeffs_cartan_delta():
     for n in range(1, 13):
         cart = cartan_matrix(n - 1)
         for k in range(n):
-            c = fundamental_weight_coeffs(n, k)
+            nc = _weight_numerators(n, k)
             for j in range(1, n):
-                pairing = sum(cart[j - 1][i - 1] * c[i - 1] for i in range(1, n))
-                assert pairing == (1 if j == k else 0)
+                pairing = sum(cart[j - 1][i - 1] * nc[i - 1] for i in range(1, n))
+                assert pairing == (n if j == k else 0)
 
 
 def test_weight_coeffs_validation():
     with pytest.raises(ValueError):
-        fundamental_weight_coeffs(4, 4)
+        _weight_numerators(4, 4)
     with pytest.raises(ValueError):
-        fundamental_weight_coeffs(4, -1)
+        _weight_numerators(4, -1)
     with pytest.raises(ValueError):
-        fundamental_weight_coeffs(0, 0)
+        _weight_numerators(0, 0)
 
 
 def test_weight_config_and_partition_data():
     pd = PartitionData.from_parts((1, 3))
     assert (pd.parts, pd.n, pd.N, pd.s) == ((1, 3), 4, 3, (2, -1, 1, 1))
-    assert fundamental_weight_coeffs(4, 3) == (
-        Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)
-    )
+    assert _weight_numerators(4, 3) == [1, 2, 3]
     with pytest.raises(ValueError):
         PartitionData.from_parts((2, 1))
 
@@ -341,7 +342,7 @@ def box_theta_terms(parts, k, bound):
 
 def box_trace(parts, k, bound):
     """Trace route with the theta sum from box_theta_terms."""
-    big, t = compute_N(parts), Fraction(bound)
+    big, t = modulus(parts), Fraction(bound)
     theta = QSeries.from_terms(box_theta_terms(parts, k, bound), t)
     factors = [(Fraction(big), 1)] + [(Fraction(big, p), -1) for p in parts]
     return series_mul(theta, product_series(ProductSpec(tuple(factors)), t))
@@ -352,7 +353,7 @@ def test_trace_theta_matches_box_scan():
         for k in range(sum(parts)):
             assert trace_series(parts, k, 20) == box_trace(parts, k, 20), (parts, k)
             # the tuple (0, ..., 0, k) bounds the minimum from above
-            top = Fraction(compute_N(parts) * k * k, 2 * parts[-1])
+            top = Fraction(modulus(parts) * k * k, 2 * parts[-1])
             scanned = min(e for e, _ in box_theta_terms(parts, k, top))
             form = _trace_parts(PartitionData.from_parts(parts), k).lattice._form
             assert _chain_min(form) == scanned, (parts, k)
@@ -402,8 +403,8 @@ def test_route_chains_and_forms_hold_plain_ints():
     [
         (lambda: verify_proposition((1, 3), True, 5), ValueError),
         (lambda: verify_proposition((1, 3), 1, True), TypeError),
-        (lambda: compute_N((True, 2)), ValueError),
-        (lambda: fundamental_weight_coeffs(4, True), ValueError),
+        (lambda: PartitionData.from_parts((True, 2)), ValueError),
+        (lambda: _weight_numerators(4, True), ValueError),
         (lambda: LatticeSum(1, True, (False,)), TypeError),
     ],
     ids=["weight-index", "bound", "partition-part", "fundamental-weight", "lattice-sum"],

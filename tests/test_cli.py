@@ -228,6 +228,41 @@ def test_series_product_malformed_spec_is_one_line_usage_error(capsys, spec):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "spec, key",
+    [
+        ('{"factors": [{"scale": "1", "power": 1, "power": 2}]}', "power"),
+        ('{"factors": [{"scale": "1", "power": 1}], "factors": []}', "factors"),
+    ],
+    ids=["in-a-factor", "at-the-top"],
+)
+def test_series_product_repeated_key_is_usage_error(capsys, spec, key):
+    # json.loads alone keeps the last value: phi(q)^2, or the empty product
+    code, out, err = run_cli(capsys, "series", "product", "--spec", spec, "--order", "3")
+    assert (code, out) == (2, "")
+    assert err == f"error: spec repeats the key '{key}'\n"
+
+
+def deep_spec(depth):
+    return '{"factors": ' + "[" * depth + "]" * depth + "}"
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        (json.dumps({"factors": [{"scale": "x" * 2**20, "power": 1}]}), "factor scale must"),
+        # deep enough to echo a long repr, shallow enough to parse under pytest
+        (deep_spec(500), "factor must be a JSON object"),
+    ],
+    ids=["1MB-scale", "500-deep"],
+)
+def test_series_product_error_echoes_a_bounded_value(capsys, spec, message):
+    code, out, err = run_cli(capsys, "series", "product", "--spec", spec)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+    assert len(err.encode()) < 200, err[:300]
+
+
 def test_negative_verify_order_is_usage_error(capsys):
     for argv in (
         ("verify", "classical", "euler", "--order", "-5"),
@@ -414,6 +449,19 @@ def _child_env():
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
     return dict(os.environ, PYTHONPATH=path)
+
+
+def test_deepest_parsed_spec_echoes_a_bounded_value():
+    # a child's stack is as short as a user's, so 985 levels still parse (988
+    # do today) and reach the echo, where pytest's own frames would turn them
+    # into "nested too deeply"; either way the error is one short line
+    proc = subprocess.run(
+        [sys.executable, "-m", "qchar", "series", "product", "--spec", deep_spec(985)],
+        capture_output=True, text=True, env=_child_env(),
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert len(proc.stderr.encode()) < 200, proc.stderr[:300]
 
 
 def test_installed_entry_point_smoke():

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 import squares_oracle
 from box_oracle import _kappa_lambda_lower, lattice_enumerate_oracle
+from point_oracle import form_exponent, lattice_enumerate
 from qchar.identities import class1_identity, classical_identity, verify_identity
 from qchar.qseries import ProductSpec, QSeries, phi_series, product_series, series_mul
 from qchar.quadform import (
@@ -26,8 +27,7 @@ from qchar.quadform import (
     _complete_squares,
     _kappa_parts,
     _walk,
-    kappa_eval,
-    lattice_enumerate,
+    _weight_value,
     lattice_min_exponent,
     lattice_sum_series,
 )
@@ -43,13 +43,21 @@ def brute_kappa(k):
     return total
 
 
+def brute_exponent(s, point):
+    # the exponent function as LatticeSum documents it
+    return s.c * brute_kappa(point) + sum(a * b for a, b in zip(s.lin, point)) + s.const
+
+
+def kappa(k):
+    """kappa(k) as the engine holds it: k's exponent under the bare kappa sum's squares."""
+    return form_exponent(LatticeSum(len(k), Fraction(1), (Fraction(0),) * len(k)), k)
+
+
 def brute_points(s, bound, radius):
     """Scan a box by hand and keep points with exponent at most the bound."""
     hits = []
     for point in iter_product(range(-radius, radius + 1), repeat=s.l):
-        e = s.c * brute_kappa(point) + sum(
-            a * b for a, b in zip(s.lin, point)
-        ) + s.const
+        e = brute_exponent(s, point)
         if e <= bound:
             hits.append((point, Fraction(e)))
     return hits
@@ -73,7 +81,7 @@ def series_by_hand(s, bound):
     grid = lattice_grid(s)
     terms = []
     for point, exp in lattice_enumerate(s, t):
-        terms.append((exp, s.weight_at(point)))
+        terms.append((exp, _weight_value(s.weight, point)))
     if not terms:
         return QSeries.zero(t, grid)
     return QSeries.from_terms(terms, t, grid)
@@ -83,11 +91,11 @@ def series_by_hand(s, bound):
 
 
 def test_kappa_frozen_values():
-    assert kappa_eval((2, -1, 3)) == 19
-    assert kappa_eval((5,)) == 25
-    assert kappa_eval((1, 1)) == 1
-    assert kappa_eval((1, 1, 1, 1)) == 1
-    assert kappa_eval((0, 0, 0)) == 0
+    assert kappa((2, -1, 3)) == 19
+    assert kappa((5,)) == 25
+    assert kappa((1, 1)) == 1
+    assert kappa((1, 1, 1, 1)) == 1
+    assert kappa((0, 0, 0)) == 0
 
 
 def test_kappa_matches_brute_form():
@@ -95,7 +103,7 @@ def test_kappa_matches_brute_form():
     for _ in range(200):
         l = rng.randrange(1, 9)
         k = tuple(rng.randrange(-9, 10) for _ in range(l))
-        assert kappa_eval(k) == brute_kappa(k)
+        assert kappa(k) == brute_kappa(k)
 
 
 def test_kappa_positive_definite():
@@ -105,17 +113,10 @@ def test_kappa_positive_definite():
         l = rng.randrange(1, 9)
         k = tuple(rng.randrange(-9, 10) for _ in range(l))
         if any(k):
-            v = kappa_eval(k)
+            v = kappa(k)
             assert v >= 1
             seen_one = seen_one or v == 1
     assert seen_one
-
-
-def test_kappa_eval_rejects_bad_input():
-    with pytest.raises(ValueError):
-        kappa_eval(())
-    with pytest.raises(ValueError):
-        kappa_eval((1, Fraction(1, 2)))
 
 
 # -- LatticeSum construction --------------------------------------------------
@@ -133,17 +134,15 @@ def test_lattice_sum_validation():
     with pytest.raises(ValueError):
         LatticeSum(1, Fraction(1), (Fraction(0),), weight="cubed")
     s = LatticeSum(0, Fraction(1), (), Fraction(5, 4))
-    assert s.exponent_at(()) == Fraction(5, 4)
+    assert lattice_min_exponent(s) == Fraction(5, 4)
 
 
 def test_lattice_sum_exponent_frozen():
     s = LatticeSum(3, Fraction(3), (Fraction(1), Fraction(-1), Fraction(2)))
-    assert s.exponent_at((0, 0, 0)) == 0
-    assert s.exponent_at((1, 0, 0)) == 4
-    assert s.exponent_at((0, 1, 0)) == 2
-    assert s.exponent_at((1, 1, 1)) == 5
-    with pytest.raises(ValueError):
-        s.exponent_at((1, 0))
+    assert form_exponent(s, (0, 0, 0)) == 0
+    assert form_exponent(s, (1, 0, 0)) == 4
+    assert form_exponent(s, (0, 1, 0)) == 2
+    assert form_exponent(s, (1, 1, 1)) == 5
 
 
 def test_lattice_sum_json_round_trip():
@@ -169,14 +168,14 @@ def test_lattice_sum_refuses_bool_dimension():
 
 def test_weight_values():
     s = LatticeSum(1, Fraction(1), (Fraction(0),), weight=WEIGHT_ALTERNATING)
-    assert s.weight_at((2,)) == 1
-    assert s.weight_at((-3,)) == -1
+    assert _weight_value(s.weight, (2,)) == 1
+    assert _weight_value(s.weight, (-3,)) == -1
     j = LatticeSum(1, Fraction(2), (Fraction(1),), weight=WEIGHT_FOUR_K_PLUS_ONE)
-    assert j.weight_at((0,)) == 1
-    assert j.weight_at((-1,)) == -3
-    assert j.weight_at((2,)) == 9
+    assert _weight_value(j.weight, (0,)) == 1
+    assert _weight_value(j.weight, (-1,)) == -3
+    assert _weight_value(j.weight, (2,)) == 9
     bare = LatticeSum(2, Fraction(1), (Fraction(0), Fraction(0)))
-    assert bare.weight_at((5, -5)) == 1
+    assert _weight_value(bare.weight, (5, -5)) == 1
 
 
 # -- enumeration ---------------------------------------------------------------
@@ -204,7 +203,7 @@ def test_enumerate_exponents_are_consistent():
     hits = list(lattice_enumerate(s, Fraction(19, 2)))
     assert hits
     for point, exp in hits:
-        assert exp == s.exponent_at(point)
+        assert exp == brute_exponent(s, point)
         assert exp <= Fraction(19, 2)
 
 
@@ -380,7 +379,7 @@ def test_lambda_lower_bounds_the_form():
         l = rng.randrange(1, 6)
         lam = _kappa_lambda_lower(l)
         k = tuple(rng.randrange(-7, 8) for _ in range(l))
-        assert Fraction(kappa_eval(k)) >= lam * sum(v * v for v in k)
+        assert Fraction(brute_kappa(k)) >= lam * sum(v * v for v in k)
 
 
 def random_lattice_sum(rng):
@@ -428,7 +427,7 @@ def test_lattice_min_exponent_matches_box_oracle():
         const = Fraction(rng.randrange(-8, 9), rng.choice((1, 2, 4)))
         weight = rng.choice((None, WEIGHT_ALTERNATING, WEIGHT_FOUR_K_PLUS_ONE))
         s = LatticeSum(l, c, lin, const, weight)
-        top = min(s.exponent_at(p) for p in iter_product((-1, 0, 1), repeat=l))
+        top = min(brute_exponent(s, p) for p in iter_product((-1, 0, 1), repeat=l))
         want = min(e for _, e in lattice_enumerate_oracle(s, top))
         assert lattice_min_exponent(s) == want, s
         moved += want < const
@@ -577,7 +576,7 @@ def test_property_enumerate_sound_and_complete(s, bound):
     pts = [p for p, _ in hits]
     assert pts == sorted(pts)
     for point, exp in hits:
-        assert exp == s.exponent_at(point)
+        assert exp == brute_exponent(s, point)
         assert exp <= bound
     assert sorted(hits) == sorted(lattice_enumerate_oracle(s, bound))
 

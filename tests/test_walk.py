@@ -28,11 +28,11 @@ from qchar.quadform import (
     _chain_min,
     _complete_squares,
     _count_bound,
-    _scaled_points,
     _walk,
     lattice_min_exponent,
     lattice_sum_series,
 )
+from point_oracle import _scaled_points
 from test_quadform import walk_line_hits
 from walk_oracle import dict_levels, dict_walk
 

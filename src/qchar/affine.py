@@ -8,8 +8,9 @@ same series, up to a monomial shift, arises from a trace formula indexed by
 the partition: a constrained theta sum over r integers summing to the weight
 index, divided by one rescaled Euler product per part.  Each reading is a
 Side, a lattice sum (a LatticeSum or a route's integer chain) times an
-Euler-product quotient, either factor possibly absent; Side.series is the
-one builder, and verify, which qchar.identities uses too, compares two.  The
+Euler-product quotient, either factor possibly absent; Side.series builds
+one through a bound and Side.above through an order above its lead, and
+verify, which qchar.identities uses too, compares two that way.  The
 routes share the partition's PartitionData, but no chain.  The character
 formula is written once, in integers (_character_parts);
 specialized_character is its rational view.
@@ -35,7 +36,7 @@ from .qseries import (
     product_series,
     series_mul,
 )
-from .quadform import LatticeSum, _Chain, lattice_min_exponent, lattice_sum_series
+from .quadform import LatticeSum, _Chain, lattice_sum_above, lattice_sum_series
 
 __all__ = [
     "PartitionData",
@@ -151,7 +152,7 @@ class Side:
 
     lattice is a LatticeSum, a route's integer chain, or None; product is a
     ProductSpec or None.  An absent factor is never multiplied in, so a pure
-    side keeps its own grid and guarantee.
+    side keeps its own grid and guarantee.  Its lead is its lattice minimum, or 0.
     """
 
     lattice: Optional[LatticeSum | _Chain]
@@ -161,34 +162,32 @@ class Side:
         if self.lattice is None and self.product is None:
             raise ValueError("a side needs a lattice sum or a product")
 
-    def lead(self) -> Fraction:
-        """The exact lead of an unweighted side: its lattice minimum, else 0."""
-        return Fraction(0) if self.lattice is None else lattice_min_exponent(self.lattice)
-
     def series(self, bound) -> QSeries:
-        """Expand the side, guaranteed through the bound.
-
-        The lattice factor is walked first; when its lowest exponent, lead, is
-        negative, the product (which starts at q^0) is built through
-        bound - lead so that the quotient stays guaranteed through the bound.
-        """
+        """Expand the side, guaranteed through the bound."""
         t = as_rational(bound)
         if self.lattice is None:
             return product_series(self.product, t)
-        lattice = lattice_sum_series(self.lattice, t)
+        return self._times_product(lattice_sum_series(self.lattice, t), t)
+
+    def above(self, order) -> QSeries:
+        """Expand the side, guaranteed through order above its lead."""
+        t = as_rational(order)
+        if self.lattice is None:
+            return product_series(self.product, t)
+        lead, lattice = lattice_sum_above(self.lattice, t)
+        return self._times_product(lattice, lead + t)
+
+    def _times_product(self, lattice: QSeries, t: Fraction) -> QSeries:
+        # the product starts at q^0: under a lattice from low < 0 it runs through t - low
         if self.product is None:
             return lattice
-        lead = Fraction(0) if lattice.is_zero() else lattice.lowest_exponent()
-        return series_mul(lattice, product_series(self.product, t + max(-lead, 0)))
+        low = Fraction(0) if lattice.is_zero() else lattice.lowest_exponent()
+        return series_mul(lattice, product_series(self.product, t + max(-low, 0)))
 
 
 def verify(lhs: Side, rhs: Side, bound) -> VerifyReport:
     """Compare two sides, each built once through the bound above its lead."""
-    return _compare_builders(
-        lambda order: lhs.series(lhs.lead() + order),
-        lambda order: rhs.series(rhs.lead() + order),
-        as_rational(bound),
-    )
+    return _compare_builders(lhs.above, rhs.above, as_rational(bound))
 
 
 def specialized_character(parts: Sequence[int], k: int) -> Side:
@@ -255,9 +254,7 @@ def _trace_parts(data: PartitionData, k: int) -> Side:
     return Side(chain, ProductSpec(((big, 1), *((v, -1) for v in steps))))
 
 
-def specialized_character_series(
-    parts: Sequence[int], k: int, bound
-) -> QSeries:
+def specialized_character_series(parts: Sequence[int], k: int, bound) -> QSeries:
     """Character route: numerator lattice sum over phi(q^N)^(n-1), through the bound.
 
     No character numerator with n <= 9 starts below q^0 (the tests pin
@@ -274,9 +271,9 @@ def trace_series(parts: Sequence[int], k: int, bound) -> QSeries:
 def verify_proposition(parts: Sequence[int], k: int, bound) -> VerifyReport:
     """Verify the character route's side against the trace route's through the bound.
 
-    The sides differ by a monomial factor; each route's lead is an unweighted
-    lattice minimum, exact because every other factor starts at 1.  The
-    partition's data is built once for both routes; the shifts are reported.
+    The sides differ by a monomial factor; each route's lead is its lattice
+    minimum, exact because every other factor starts at 1.  The partition's
+    data is built once for both routes; the shifts are reported.
     """
     data = PartitionData.from_parts(parts)
     return verify(_character_parts(data, k), _trace_parts(data, k), bound)

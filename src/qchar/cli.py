@@ -2,11 +2,11 @@
 
 Exit codes: 0 for a verified match (or a printed series), 1 for a mismatch,
 2 for usage errors (bad flags, invalid partitions, nonpositive scales,
-negative orders, and a --spec that is not JSON, is nested too deeply, has
-unknown, missing or repeated fields or a value of the wrong type), reported
-on one "error:" line.  Output is deterministic byte-for-byte for identical
-invocations; timing is excluded unless --timing is passed so reports stay
-reproducible.
+negative orders, and a --spec that is not JSON, is nested more than 512
+levels deep, has unknown, missing or repeated fields or a value of the wrong
+type), reported on one "error:" line.  Output is deterministic byte-for-byte
+for identical invocations; timing is excluded unless --timing is passed so
+reports stay reproducible.
 """
 
 from __future__ import annotations
@@ -14,8 +14,10 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 from fractions import Fraction
+from itertools import accumulate
 from typing import Optional, Sequence
 
 from .affine import (
@@ -43,6 +45,13 @@ from .qseries import (
 )
 
 __all__ = ["VerifyReport", "build_parser", "entry", "main"]
+
+# The deepest --spec nesting read, in [ and { levels.  json.loads recurses
+# once per level, so its own limit is whatever stack the caller has left
+# (under a thousand levels from a fresh interpreter, fewer from deep in a
+# caller's stack); a fixed depth well below that reads the same everywhere.
+_MAX_SPEC_DEPTH = 512
+_JSON_STRING = re.compile(r'"(?:[^"\\]|\\.)*"', re.DOTALL)
 
 
 def _rational_arg(text: str) -> Fraction:
@@ -155,13 +164,21 @@ def _cmd_series_phi(args: argparse.Namespace) -> int:
     return _emit_series(product_series(spec, args.order), args)
 
 
+def _spec_depth(text: str) -> int:
+    """The deepest nesting of [ and { in text, outside JSON strings."""
+    brackets = (1 if c in "[{" else -1 for c in _JSON_STRING.sub("", text) if c in "[]{}")
+    return max(accumulate(brackets), default=0)
+
+
 def _cmd_series_product(args: argparse.Namespace) -> int:
+    if _spec_depth(args.spec) > _MAX_SPEC_DEPTH:
+        raise ValueError("spec is nested too deeply")
     try:
         spec = ProductSpec.from_json(json.loads(args.spec, object_pairs_hook=_json_object))
     except json.JSONDecodeError as exc:
         raise ValueError(f"spec is not valid JSON: {exc}")
     except RecursionError:
-        # json.loads and the error's repr both recurse once per nesting level
+        # a caller that is already deep in its stack can run out below the limit
         raise ValueError("spec is nested too deeply")
     return _emit_series(product_series(spec, args.order), args)
 

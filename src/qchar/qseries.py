@@ -291,9 +291,8 @@ class QSeries:
             raise ValueError("cannot extend a series beyond its guaranteed order")
         if units < self.lo:
             return QSeries(self.denom, units, (0,), units)
-        return QSeries.from_window(
-            self.denom, self.lo, self.coeffs[: units - self.lo + 1], units
-        )
+        # the window start stays tight: coeffs[0] is nonzero or the only slot
+        return QSeries(self.denom, self.lo, self.coeffs[: units - self.lo + 1], units)
 
     # -- equality is mathematical, not structural -----------------------
 
@@ -692,11 +691,11 @@ def _compare_builders(
     """Build each side of an identity once and compare them through the order.
 
     Builders take a relative order: make(order) returns its side guaranteed
-    through order above the side's exact leading exponent, which the caller
-    computes up front, so after normalization each window spans the request
-    and nothing is rebuilt.  A side whose leading terms cancel starts higher
-    and its shorter window shows in checked_through.  A negative order is
-    refused: it would check nothing.
+    through order above the side's exact leading exponent, which the builder
+    finds in the same walk that expands the side, so after normalization
+    each window spans the request and nothing is rebuilt.  A side whose
+    leading terms cancel starts higher and its shorter window shows in
+    checked_through.  A negative order is refused: it would check nothing.
     """
     if order < 0:
         raise ValueError(f"order must be nonnegative, got {format_rational(order)}")

@@ -23,13 +23,12 @@ shifts and adds on whole rows replace per-spend merges.  Both routes of
 qchar.affine build their integer chains directly, as a _Chain, the trace
 route's chain written in partial sums.  A LatticeSum scales its exponent
 onto its grid; each kind completes its squares once, on first use, and
-every public entry point walks that one form: unweighted, through a
-rounding bound, the walk yields exact minimum exponents
-(lattice_min_exponent), and lattice_sum_series expands through any bound;
-both take either kind.  No floating point, and no Fraction between a
-chain's entries and its walk's slots; the tests check the engine against a
-box-scan oracle and a dict-of-spends walk, and the completion against a
-Fraction one.
+every public entry point walks that one form, once: lattice_sum_series
+through any bound, lattice_sum_above through a rounding bound plus an
+order, reading the exact minimum exponent off that walk's least slot; both
+take either kind.  No floating point, and no Fraction between a chain's
+entries and its walk's slots; the tests check the engine against a box-scan
+oracle and a dict-of-spends walk, and the completion against a Fraction one.
 """
 
 from __future__ import annotations
@@ -54,7 +53,7 @@ __all__ = [
     "LatticeSum",
     "WEIGHT_ALTERNATING",
     "WEIGHT_FOUR_K_PLUS_ONE",
-    "lattice_min_exponent",
+    "lattice_sum_above",
     "lattice_sum_series",
 ]
 
@@ -101,8 +100,7 @@ class LatticeSum:
         field, so ==, hash, repr and to_json never see it, and a copy made
         by dataclasses.replace completes its own.
         """
-        chain = _kappa_parts(self)
-        return _complete_squares(*chain)
+        return _complete_squares(*_kappa_parts(self))
 
     def to_json(self) -> dict:
         out = {
@@ -143,8 +141,8 @@ def _on_grid(v: Fraction, denom: int) -> int:
 class _Chain:
     """An unweighted lattice sum given by its integer chain, as a route builds it.
 
-    lattice_sum_series and lattice_min_exponent read only _form and weight,
-    so they take a _Chain as they take a LatticeSum; l is its dimension.
+    lattice_sum_series and lattice_sum_above read only _form and weight, so
+    they take a _Chain as they take a LatticeSum; l is its dimension.
     """
 
     diag: tuple[int, ...]
@@ -184,6 +182,7 @@ class _ScaledForm:
     lands in grid slot (base + spend) // sigma exactly.  With x_i fixed, the
     spends of any two prefixes x_0..x_(i-1) differ by a multiple of
     sigma*stride (see _walk), so a walk's rows step stride grid slots.
+    least, set by any walk that reaches a point, is grid*min(E) (see _walk).
     """
 
     grid: int
@@ -316,6 +315,11 @@ def _walk(form: _ScaledForm, weight, units: int) -> QSeries:
     rows after level 0 (the empty point of l = 0 weighs 1 under every shape).
     Each last-level row unpacks once into the window, its slots stride grid
     slots apart.
+
+    Least slot: every s0 is a spend some prefix reaches, weighted or not (a
+    value enters only if its square fits at s0, and masks keep slot 0), so
+    the least last-level s0 is the cheapest point in the budget, hence of
+    all, even where weights cancel; the walk records it on the form as least.
     """
     grid, sigma, base = form.grid, form.sigma, form.base
     budget = sigma * units - base
@@ -355,6 +359,8 @@ def _walk(form: _ScaledForm, weight, units: int) -> QSeries:
             for xi, row in rows.items():
                 row[1] *= _weight_value(weight, (xi,))
     lo = min(((base + s) // sigma for s, _ in rows.values()), default=units)
+    if rows:
+        object.__setattr__(form, "least", lo)
     window = [0] * (units - lo + 1)
     g = form.stride
     for s, packed in rows.values():
@@ -368,27 +374,6 @@ def _walk(form: _ScaledForm, weight, units: int) -> QSeries:
     return QSeries.from_window(grid, lo, window, units)
 
 
-def _chain_min(form: _ScaledForm) -> Fraction:
-    """Exact minimum over Z^l of the chain exponent with this completed form.
-
-    Rounding each completed square in turn, level 0 first, leaves every square
-    at most 1/4 of its pivot, so some point lies within cstar + sum(d_i)/4
-    (Babai's nearest-plane bound), where sigma*grid*cstar = base and
-    sigma*grid*d_i = K_i W_i^2.  Unweighted counts cannot cancel, so the
-    lowest exponent of the unweighted walk through that bound, rounded down
-    to the grid in integers, is the minimum.  The caller completes the
-    squares once and can walk the same form again at any bound.
-    """
-    pivots = sum(k * w * w for k, w in zip(form.K, form.W))
-    units = (4 * form.base + pivots) // (4 * form.sigma)
-    return _walk(form, None, units).lowest_exponent()
-
-
-def lattice_min_exponent(s: LatticeSum | _Chain) -> Fraction:
-    """Smallest exponent over Z^l, ignoring the weight (it may cancel there)."""
-    return _chain_min(s._form)
-
-
 def lattice_sum_series(s: LatticeSum | _Chain, bound: RationalLike) -> QSeries:
     """Expand a LatticeSum or a route's chain as a QSeries, correct through the bound.
 
@@ -398,3 +383,21 @@ def lattice_sum_series(s: LatticeSum | _Chain, bound: RationalLike) -> QSeries:
     """
     t = as_rational(bound)
     return _walk(s._form, s.weight, floor(t * s._form.grid))
+
+
+def lattice_sum_above(s: LatticeSum | _Chain, order: RationalLike) -> tuple[Fraction, QSeries]:
+    """The exact minimum exponent, lead, and the expansion through lead + order.
+
+    Rounding each completed square in turn, level 0 first, leaves every square
+    at most 1/4 of its pivot, so some point lies within cstar + sum(d_i)/4
+    (Babai's nearest-plane bound), where sigma*grid*cstar = base and
+    sigma*grid*d_i = K_i W_i^2.  So one walk through that bound plus the order,
+    via lattice_sum_series like every expansion, reaches the minimum, its least
+    slot whatever the weight (see _walk), and lead + order, cut there (to 0 if order < 0).
+    """
+    form, t = s._form, as_rational(order)
+    pivots = sum(k * w * w for k, w in zip(form.K, form.W))
+    units = (4 * form.base + pivots) // (4 * form.sigma) + floor(max(t, 0) * form.grid)
+    series = lattice_sum_series(s, Fraction(units, form.grid))
+    lead = Fraction(form.least, form.grid)
+    return lead, series.truncated(lead + t)

@@ -31,10 +31,9 @@ from qchar.qseries import (
 )
 from qchar.quadform import (
     LatticeSum,
-    _chain_min,
     _complete_squares,
     _kappa_parts,
-    lattice_min_exponent,
+    lattice_sum_above,
     lattice_sum_series,
 )
 
@@ -266,7 +265,7 @@ def padded_character_oracle(parts, k, bound):
     # before either is built
     data = specialized_character(parts, k)
     t = Fraction(bound)
-    pad = max(-lattice_min_exponent(data.lattice), Fraction(0))
+    pad = max(-lattice_sum_above(data.lattice, 0)[0], Fraction(0))
     num = lattice_sum_series(data.lattice, t + pad)
     return series_mul(num, product_series(data.product, t + pad))
 
@@ -295,7 +294,7 @@ def test_character_numerator_minimum_is_never_negative():
         for parts in partitions(n):
             for k in range(n):
                 numerator = specialized_character(parts, k).lattice
-                assert lattice_min_exponent(numerator) >= 0, (parts, k)
+                assert lattice_sum_above(numerator, 0)[0] >= 0, (parts, k)
                 pairs += 1
     assert pairs == 686
 
@@ -355,8 +354,8 @@ def test_trace_theta_matches_box_scan():
             # the tuple (0, ..., 0, k) bounds the minimum from above
             top = Fraction(modulus(parts) * k * k, 2 * parts[-1])
             scanned = min(e for e, _ in box_theta_terms(parts, k, top))
-            form = _trace_parts(PartitionData.from_parts(parts), k).lattice._form
-            assert _chain_min(form) == scanned, (parts, k)
+            chain = _trace_parts(PartitionData.from_parts(parts), k).lattice
+            assert lattice_sum_above(chain, 0)[0] == scanned, (parts, k)
 
 
 def chain_values(chain):
@@ -494,15 +493,15 @@ def test_proposition_trace_far_above_order_matches(parts, k, order, rhs_shift):
 
 def test_proposition_builds_each_route_once(monkeypatch):
     # the partition is validated once per verify, and each side's integer
-    # chain is built and completed once and expanded once (Side.series); the
-    # lead walk and the bounded walk share the form, and the character route
-    # never builds the Fraction data of specialized_character
+    # chain is built and completed once and expanded once (Side.above), its
+    # lead read off that one walk, and the character route never builds the
+    # Fraction data of specialized_character
     import qchar.affine as affine
     import qchar.quadform as quadform
 
     names = (
         "_validate_parts",
-        "series",
+        "above",
         "specialized_character",
         "_character_parts",
         "_trace_parts",
@@ -524,7 +523,7 @@ def test_proposition_builds_each_route_once(monkeypatch):
     assert rep.match and rep.checked_through == 10
     assert calls == {
         "_validate_parts": 1,
-        "series": 2,
+        "above": 2,
         "specialized_character": 0,
         "_character_parts": 1,
         "_trace_parts": 1,

@@ -452,9 +452,8 @@ def _child_env():
 
 
 def test_deepest_parsed_spec_echoes_a_bounded_value():
-    # a child's stack is as short as a user's, so 985 levels still parse (988
-    # do today) and reach the echo, where pytest's own frames would turn them
-    # into "nested too deeply"; either way the error is one short line
+    # a child's stack is as short as a user's; 986 levels lie past the fixed
+    # nesting limit there too, and the error is one short line
     proc = subprocess.run(
         [sys.executable, "-m", "qchar", "series", "product", "--spec", deep_spec(985)],
         capture_output=True, text=True, env=_child_env(),
@@ -462,6 +461,33 @@ def test_deepest_parsed_spec_echoes_a_bounded_value():
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
     assert len(proc.stderr.encode()) < 200, proc.stderr[:300]
+
+
+def test_spec_nesting_limit_is_the_same_in_process_and_in_a_child(capsys):
+    # json.loads alone parses 971 levels in a fresh interpreter but runs out
+    # of stack under pytest's frames; the fixed limit refuses both alike
+    argv = ("series", "product", "--spec", deep_spec(970))
+    code, out, err = run_cli(capsys, *argv)
+    proc = subprocess.run(
+        [sys.executable, "-m", "qchar", *argv], capture_output=True, text=True,
+        env=_child_env(),
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
+    assert (code, out, err) == (2, "", "error: spec is nested too deeply\n")
+
+
+def test_spec_nesting_limit_counts_brackets_outside_strings(capsys):
+    # _MAX_SPEC_DEPTH levels parse, one more does not; brackets in a string
+    # are no nesting
+    from qchar.cli import _MAX_SPEC_DEPTH
+
+    for spec, message in (
+        (deep_spec(_MAX_SPEC_DEPTH - 1), "error: factor must be a JSON object"),
+        (deep_spec(_MAX_SPEC_DEPTH), "error: spec is nested too deeply"),
+        ('{"factors": [], "x": "' + "[" * 2000 + '"}', "error: product spec has unknown"),
+    ):
+        code, out, err = run_cli(capsys, "series", "product", "--spec", spec)
+        assert (code, out) == (2, "") and err.startswith(message), err[:100]
 
 
 def test_installed_entry_point_smoke():

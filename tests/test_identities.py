@@ -238,7 +238,7 @@ def test_vanishing_lattice_side_is_built_once(monkeypatch):
     import qchar.affine as affine
 
     calls = []
-    for name in ("product_series", "lattice_sum_series"):
+    for name in ("product_series", "lattice_sum_above"):
         route = getattr(affine, name)
 
         def counted(*args, name=name, route=route):
@@ -253,7 +253,7 @@ def test_vanishing_lattice_side_is_built_once(monkeypatch):
     assert report.first_mismatch.to_json() == {
         "exponent": "0", "lhs_coeff": "1", "rhs_coeff": "0"
     }
-    assert sorted(calls) == ["lattice_sum_series", "product_series"]
+    assert sorted(calls) == ["lattice_sum_above", "product_series"]
 
 
 def test_classical_identities_hold():

@@ -23,12 +23,12 @@ from qchar.quadform import (
     WEIGHT_ALTERNATING,
     WEIGHT_FOUR_K_PLUS_ONE,
     LatticeSum,
-    _chain_min,
+    _Chain,
     _complete_squares,
     _kappa_parts,
     _walk,
     _weight_value,
-    lattice_min_exponent,
+    lattice_sum_above,
     lattice_sum_series,
 )
 
@@ -134,7 +134,7 @@ def test_lattice_sum_validation():
     with pytest.raises(ValueError):
         LatticeSum(1, Fraction(1), (Fraction(0),), weight="cubed")
     s = LatticeSum(0, Fraction(1), (), Fraction(5, 4))
-    assert lattice_min_exponent(s) == Fraction(5, 4)
+    assert lattice_sum_above(s, 0)[0] == Fraction(5, 4)
 
 
 def test_lattice_sum_exponent_frozen():
@@ -411,9 +411,14 @@ def test_oracle_agrees_with_enumerate_on_seeded_instances():
     assert checked > 300
 
 
-def test_lattice_min_exponent_matches_box_oracle():
-    # c and lin shrink the box with dimension so the scans stay small; any
-    # point's exponent bounds the minimum, so the box scan below it finds it
+def box_minimum(s):
+    # any point's exponent bounds the minimum, so the box scan below it finds it
+    top = min(brute_exponent(s, p) for p in iter_product((-1, 0, 1), repeat=s.l))
+    return min(e for _, e in lattice_enumerate_oracle(s, top))
+
+
+def test_lattice_sum_above_lead_matches_box_oracle():
+    # c and lin shrink the box with dimension so the scans stay small
     rng = random.Random(4242)
     moved = 0
     for _ in range(70):
@@ -427,11 +432,17 @@ def test_lattice_min_exponent_matches_box_oracle():
         const = Fraction(rng.randrange(-8, 9), rng.choice((1, 2, 4)))
         weight = rng.choice((None, WEIGHT_ALTERNATING, WEIGHT_FOUR_K_PLUS_ONE))
         s = LatticeSum(l, c, lin, const, weight)
-        top = min(brute_exponent(s, p) for p in iter_product((-1, 0, 1), repeat=l))
-        want = min(e for _, e in lattice_enumerate_oracle(s, top))
-        assert lattice_min_exponent(s) == want, s
+        want = box_minimum(s)
+        assert lattice_sum_above(s, 0)[0] == want, s
         moved += want < const
     assert moved > 10
+    # (-1)^k q^(k^2+k) cancels at its minimum, and everywhere else, but its
+    # lead is still the least exponent a point reaches; a 4k+1 weight in 2-D
+    vanishing = LatticeSum(1, Fraction(1), (Fraction(1),), Fraction(0), WEIGHT_ALTERNATING)
+    four = LatticeSum(2, Fraction(3, 2), fracs("-1/2 1"), Fraction(-1, 4), WEIGHT_FOUR_K_PLUS_ONE)
+    for s in (vanishing, four):
+        assert lattice_sum_above(s, 0)[0] == box_minimum(s), s
+    assert lattice_sum_above(vanishing, 6) == (0, QSeries.zero(6))
 
 
 def counting(monkeypatch, name):
@@ -448,11 +459,27 @@ def counting(monkeypatch, name):
     return calls
 
 
-def test_lattice_min_exponent_completes_squares_once(monkeypatch):
+def test_lattice_sum_above_completes_squares_once(monkeypatch):
     calls = counting(monkeypatch, "_complete_squares")
     s = LatticeSum(3, Fraction(3, 2), fracs("1/2 -1 2"), Fraction(-5, 4))
-    lattice_min_exponent(s)
+    lead, series = lattice_sum_above(s, 0)
+    assert lead == box_minimum(s) and series.order_exponent() == lead
     assert calls[0] == 1
+
+
+def test_each_verify_walks_each_lattice_side_once(monkeypatch):
+    # the lead and the window come from one walk: a proposition walks each
+    # route's lattice once, an identity its one lattice side once
+    from qchar.affine import verify_proposition
+    from qchar.cli import main
+
+    calls = counting(monkeypatch, "_walk")
+    assert verify_proposition((1, 3), 3, 10).match
+    assert calls[0] == 2
+    assert verify_identity(classical_identity("euler"), 20).match
+    assert calls[0] == 3
+    assert main(["verify", "class1", "--m", "2", "--order", "20"]) == 0
+    assert calls[0] == 4
 
 
 @pytest.mark.parametrize(
@@ -485,10 +512,10 @@ def test_completed_form_stays_out_of_the_value():
 def test_replace_completes_its_own_form(monkeypatch):
     calls = counting(monkeypatch, "_complete_squares")
     s = LatticeSum(3, Fraction(3, 2), fracs("1/2 -1 2"), Fraction(-5, 4))
-    low = lattice_min_exponent(s)
+    low = lattice_sum_above(s, 0)[0]
     moved = dataclasses.replace(s, const=Fraction(0))
     assert "_form" not in vars(moved)
-    assert lattice_min_exponent(moved) == low + Fraction(5, 4)
+    assert lattice_sum_above(moved, 0)[0] == low + Fraction(5, 4)
     assert calls[0] == 2
 
 
@@ -636,7 +663,8 @@ def test_property_integer_squares_match_fraction_oracle(chain, extra):
     d, u, t, cstar, grid = squares
     # uneven pivots can still leave too many points for the oracle's scan
     assume(squares_oracle.scan_size(squares) <= 20000)
-    form = _complete_squares(*scaled)
+    chain = _Chain(*scaled)
+    form = chain._form
     assert form.grid == grid
     scale = form.sigma * grid
     assert form.base == scale * cstar
@@ -646,7 +674,7 @@ def test_property_integer_squares_match_fraction_oracle(chain, extra):
         assert form.K[i] * form.W[i] ** 2 == scale * d[i]
         assert Fraction(form.w_prev[i], form.W[i]) == u[i]
         assert Fraction(form.w0[i], form.W[i]) == t[i]
-    assert _chain_min(form) == squares_oracle.chain_min(squares)
+    assert lattice_sum_above(chain, 0)[0] == squares_oracle.chain_min(squares)
 
 
 def test_one_form_walks_any_bound_like_fresh_builds():

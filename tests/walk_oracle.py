@@ -6,7 +6,7 @@ merges one spend at a time, so it shares neither the packed rows, their
 stride and width, nor the unpacking fold with the engine.
 """
 
-from typing import Iterator
+from typing import Iterator, Optional
 
 from qchar.qseries import QSeries
 from qchar.quadform import _ScaledForm, _level_range, _weight_value
@@ -38,12 +38,16 @@ def dict_levels(form: _ScaledForm, weight, budget: int) -> Iterator[dict[int, di
         yield states
 
 
-def dict_walk(form: _ScaledForm, weight, units: int) -> QSeries:
-    """Expand form through units grid slots, one spend at a time."""
+def dict_walk(form: _ScaledForm, weight, units: int) -> tuple[Optional[int], QSeries]:
+    """Expand form through units grid slots, one spend at a time.
+
+    Returns the least grid slot any point reaches (None if none does), a
+    slot whose weighted count cancels included, with the window.
+    """
     grid, sigma, base = form.grid, form.sigma, form.base
     budget = sigma * units - base
     if budget < 0:
-        return QSeries(grid, units, (0,), units)
+        return None, QSeries(grid, units, (0,), units)
     states: dict[int, dict[int, int]] = {0: {0: 1}}  # the empty point's, if l = 0
     for states in dict_levels(form, weight, budget):
         pass  # keep the last level's rows
@@ -54,4 +58,4 @@ def dict_walk(form: _ScaledForm, weight, units: int) -> QSeries:
             acc[slot] = acc.get(slot, 0) + count
     lo = min(acc, default=units)
     window = [acc.get(i, 0) for i in range(lo, units + 1)]
-    return QSeries.from_window(grid, lo, window, units)
+    return min(acc, default=None), QSeries.from_window(grid, lo, window, units)

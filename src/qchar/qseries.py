@@ -6,7 +6,9 @@ values.  Every series carries the largest grid exponent through which its
 coefficients are guaranteed correct, and every operation propagates that
 guarantee honestly rather than optimistically.  All arithmetic is over
 arbitrary-precision integers and exact rationals; nothing here touches
-floating point.  product_series solves its recurrence by halves of its window.
+floating point.  product_series solves its recurrence by halves of its window
+and pushes a solved half into the next when that pays: a dense half by one
+packed multiply, a sparse one by a scatter of packed slots.
 """
 
 from __future__ import annotations
@@ -465,6 +467,7 @@ class ProductSpec:
 # wider slots, multiples of 64, go through bytes one slot at a time.
 _BLOCK = 32
 _PRICE = 4  # product_series gives the price rule and its measurement
+_SPARSE = 8  # and the density at which a half is scattered instead
 _TYPECODES = {array(code).itemsize * 8: code for code in "bhiq"}
 
 
@@ -524,21 +527,61 @@ def _log_derivative(spec: ProductSpec, d: int, units: int) -> list[int]:
     return logd
 
 
-def _solve(logd: list[int], lmax: int, coeffs: list[int], support: list[int], l: int, r: int):
+def _cut(x: int, start: int, k: int, w: int) -> int:
+    """The packed int of slots start..start+k-1 of x, whose w-bit slots all
+    lie strictly inside (-2^(w-1), 2^(w-1)), as every push's slots do."""
+    shift, bits = w * start, w * k
+    # the slots below start sum to less than 2^(shift-1) in size: rounding drops them
+    part = ((x + (1 << shift >> 1)) >> shift) & ((1 << bits) - 1)
+    if part >> (bits - 1):
+        part -= 1 << bits
+    return part
+
+
+def _push_dense(logd: list[int], coeffs: list[int], l: int, mid: int, r: int, w: int):
+    """The shares of F_l..F_(mid-1) in [mid, r), by one packed multiply."""
+    x = _pack(coeffs[l:mid], w) * _pack(logd[1 : r - l], w)
+    return _unpack(_cut(x, mid - l - 1, r - mid, w), r - mid, w)
+
+
+def _push_sparse(packed: dict, logd: list[int], coeffs: list[int], left: list[int], mid: int,
+                 r: int, w: int):
+    """The shares of the F_j, j in left, in [mid, r), scattered off L's offset slots."""
+    ell = packed.get(w)
+    if ell is None:
+        units = len(logd) - 1
+        ell = (_pack(logd[1:], w) + _lift(units, w)).to_bytes(units * w // 8, "little")
+        ell = packed[w] = memoryview(ell)
+    n = w // 8
+    acc = total = 0
+    for j in left:
+        acc += coeffs[j] * int.from_bytes(ell[(mid - j - 1) * n : (r - j - 1) * n], "little")
+        total += coeffs[j]
+    return _unpack(acc - total * _lift(r - mid, w), r - mid, w)
+
+
+def _solve(logd: list[int], lmax: int, packed: dict, coeffs: list[int], support: list[int],
+           l: int, r: int):
     """Solve m F_m = sum_(j<m) L_(m-j) F_j for l <= m < r, as product_series sets out."""
     if r - l > _BLOCK and r > 2 * _BLOCK:
         mid = (l + r) // 2
-        _solve(logd, lmax, coeffs, support, l, mid)
+        _solve(logd, lmax, packed, coeffs, support, l, mid)
         nonzero = mid - l - coeffs[l:mid].count(0)
-        left = support[-nonzero:] if nonzero * (r - mid) >= _PRICE * (r - l) else []
-        if left:
+        sparse = nonzero * _SPARSE <= mid - l
+        left = []
+        if nonzero and (sparse or nonzero * (r - mid) >= _PRICE * (r - l)):
+            left = support[-nonzero:]
             del support[-nonzero:]
-            w = _slot_width((mid - l) * max(map(abs, coeffs[l:mid])) * lmax)
-            x = _pack(coeffs[l:mid], w) * _pack(logd[1 : r - l], w)
-            x = _unpack(x, mid - l + r - l - 2, w)[mid - l - 1 : r - l - 1]
+            # a sparse half's nonzero F are fewer to scan than its slots
+            half = map(coeffs.__getitem__, left) if sparse else coeffs[l:mid]
+            w = _slot_width(nonzero * max(map(abs, half)) * lmax)
+            if sparse:
+                x = _push_sparse(packed, logd, coeffs, left, mid, r, w)
+            else:
+                x = _push_dense(logd, coeffs, l, mid, r, w)
             coeffs[mid:r] = map(add, coeffs[mid:r], x)
             del x  # the right half recurses without it
-        _solve(logd, lmax, coeffs, support, mid, r)
+        _solve(logd, lmax, packed, coeffs, support, mid, r)
         support += left
         return
     for m in range(l or 1, r):
@@ -572,17 +615,31 @@ def product_series(spec: ProductSpec, order: RationalLike) -> QSeries:
     each factor's share out of it.  Up to 2B = 64 slots each F_m is pulled
     in turn; longer windows solve [l, r) = [0, n + 1) by halves (online
     convolution; van der Hoeven, J. Symb. Comput. 34, 2002): solve [l, mid);
-    push it into [mid, r) if its nonzero count times r - mid, the pulls
-    saved, is at least _PRICE = 4 times r - l, the slots packed (2 to 8
-    measured alike; 16 and 32 gave back 12% and 44% of the gain on the
-    sparse classical sides); solve [mid, r).  Ranges of at most B = 32
-    slots or in the first 2B are pulled over the support, the nonzero
-    F_j < m that no push covered: a pushed half leaves it while its sibling
-    is solved, then rejoins it.  A push multiplies packed ints (Harvey, J.
-    Symb. Comput. 44, 2009), F_l..F_(mid-1) by L_1..L_(r-l-1), into
-    [mid, r).  Its slots sum mid - l terms of size at most max|F_left|
-    max|L|, a bound on each packed value too (a pushed half has 8 nonzero
-    F, so some L_k != 0); _slot_width fits it.
+    push its k nonzero F_j into [mid, r) or not; solve [mid, r).  Ranges of
+    at most B = 32 slots or in the first 2B are pulled over the support,
+    the nonzero F_j < m that no push covered: a pushed half leaves it while
+    its sibling is solved, then rejoins it.
+
+    A half with k > 0 and k _SPARSE <= mid - l (_SPARSE = 8) is pushed by
+    scatter.  L_1..L_n are packed once per call and width w into offset
+    slots, L_k + 2^(w-1) in [0, 2^w), kept as bytes; each nonzero F_j adds
+    F_j times the int of the r - mid slots L_(mid-j)..L_(r-1-j), one byte
+    slice, to one accumulator, and (sum F_j) times the lift comes off at
+    the end, leaving the packed int of the landing sums.  Any other half is
+    pushed by multiply if k (r - mid), the pulls saved, is at least
+    _PRICE = 4 times r - l, the slots packed (2 to 8 measured alike; 16 and
+    32 gave back 12% and 44% of the gain on the classical sides when they
+    pushed only by multiply).  That multiply packs F_l..F_(mid-1) and
+    L_1..L_(r-l-1) (Harvey, J. Symb. Comput. 44, 2009); slots mid - l - 1
+    to r - l - 2 of the product land in [mid, r), and _cut keeps only them.
+    Width: every slot of either kernel sums F_j L_(m-j) over at most the k
+    nonzero F_j of the half, so it is at most k max|F_half| max|L|, and so
+    is each packed F_j or L_k (unless L is all zero, when F = 1 fits any
+    width); _slot_width fits that bound below 2^(w-1).  Summed over the four
+    classical sides at order 3000 (medians, one 2-core x86-64 machine),
+    _SPARSE = 4, 8, 16, 32 took 15.1, 15.2, 15.8 and 19.8 ms; pushing only
+    by multiply and decoding whole products, 26.0 ms.  8 is kept: 4 was
+    1-2% slower on sides a quarter to a half nonzero, such as phi(q)^2.
     """
     t = as_rational(order)
     d = lcm(*(s.denominator for s, _ in spec.factors))
@@ -591,7 +648,7 @@ def product_series(spec: ProductSpec, order: RationalLike) -> QSeries:
         return QSeries.zero(t, d)
     logd = _log_derivative(spec, d, units)
     coeffs = [1] + [0] * units
-    _solve(logd, max(map(abs, logd)), coeffs, [0], 0, units + 1)
+    _solve(logd, max(map(abs, logd)), {}, coeffs, [0], 0, units + 1)
     return QSeries.from_window(d, 0, coeffs, units)
 
 

@@ -7,6 +7,7 @@ counter, the generalized pentagonal pattern), never from the code under test.
 
 import json
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from math import floor, gcd, lcm
 
@@ -367,40 +368,57 @@ B = qseries._BLOCK
 
 @pytest.fixture
 def pushes(monkeypatch):
-    """Every push product_series makes, in call order, as (left, ell, w, tail).
+    """Every push product_series makes, in call order, as a Push.
 
-    A push packs the solved half F_l..F_(mid-1), then L_1..L_(r-l-1), at one
-    width w, and unpacks every slot of their product; the r - mid slots from
-    slot mid - l - 1 on land in [mid, r).  Each push's decoded slots are
-    checked against the schoolbook sum over its two halves as it is made.
+    A push adds the shares of a solved half [l, mid) to F_mid..F_(r-1),
+    by one packed multiply ("dense") or by a scatter of L's packed slots
+    ("sparse").  Each push's r - mid landing slots are checked against the
+    schoolbook sum over its half as it is made, and its width against the
+    bound product_series proves; the half is kept as its nonzero (j, F_j),
+    which are all a push reads.
     """
-    made, packs = [], []
-    pack, unpack = qseries._pack, qseries._unpack
+    made = []
+    dense, sparse = qseries._push_dense, qseries._push_sparse
 
-    def counted_pack(values, w):
-        packs.append(list(values))
-        return pack(values, w)
-
-    def checked_unpack(x, k, w):
-        slots = list(unpack(x, k, w))
-        left, ell = packs
-        packs.clear()
-        assert k == len(left) + len(ell) - 1
-        # slot s sums left[a] * L_(s-a+1) over the whole half
-        want = [sum(left[a] * ell[s - a] for a in range(len(left)) if 0 <= s - a < len(ell))
-                for s in range(k)]
-        assert slots == want
-        made.append((left, ell, w, slots[len(left) - 1 : len(ell)]))
+    def checked(kernel, logd, half, mid, r, w, slots):
+        slots = list(slots)
+        assert slots == [sum(c * logd[m - j] for j, c in half) for m in range(mid, r)]
+        # the width counts the half's nonzero terms, not its length
+        bound = len(half) * max(abs(c) for _, c in half) * max(map(abs, logd))
+        assert w == qseries._slot_width(bound)
+        made.append(Push(kernel, mid, r, half, w))
         return slots
 
-    monkeypatch.setattr(qseries, "_pack", counted_pack)
-    monkeypatch.setattr(qseries, "_unpack", checked_unpack)
+    def checked_dense(logd, coeffs, l, mid, r, w):
+        half = tuple((j, coeffs[j]) for j in range(l, mid) if coeffs[j])
+        return checked("dense", logd, half, mid, r, w, dense(logd, coeffs, l, mid, r, w))
+
+    def checked_sparse(packed, logd, coeffs, left, mid, r, w):
+        # the support hands back a half's nonzero F_j in any order, each once
+        half = tuple((j, coeffs[j]) for j in sorted(left))
+        assert all(c for _, c in half) and len(set(left)) == len(left) and max(left) < mid
+        got = sparse(packed, logd, coeffs, left, mid, r, w)
+        return checked("sparse", logd, half, mid, r, w, got)
+
+    monkeypatch.setattr(qseries, "_push_dense", checked_dense)
+    monkeypatch.setattr(qseries, "_push_sparse", checked_sparse)
     return made
 
 
+@dataclass(frozen=True)
+class Push:
+    kernel: str
+    mid: int
+    r: int
+    half: tuple
+    w: int
+
+
 def priced_halves(series):
-    """The halves the price pushes, in the order solved, read off a product's
-    final coefficients (its window starts at 0)."""
+    """The halves pushed, in the order solved, as (kernel, mid, r, half), read
+    off a product's final coefficients (its window starts at 0): a half of k
+    nonzero F with k _SPARSE <= mid - l scatters, any other half multiplies
+    when k (r - mid) >= _PRICE (r - l)."""
     coeffs, out = series.coeffs, []
 
     def solve(l, r):
@@ -408,17 +426,23 @@ def priced_halves(series):
             return
         mid = (l + r) // 2
         solve(l, mid)
-        nonzero = sum(1 for c in coeffs[l:mid] if c)
-        if nonzero * (r - mid) >= qseries._PRICE * (r - l):
-            out.append(list(coeffs[l:mid]))
+        half = tuple((j, coeffs[j]) for j in range(l, mid) if coeffs[j])
+        if half and len(half) * qseries._SPARSE <= mid - l:
+            out.append(("sparse", mid, r, half))
+        elif len(half) * (r - mid) >= qseries._PRICE * (r - l):
+            out.append(("dense", mid, r, half))
         solve(mid, r)
 
     solve(0, len(coeffs))
     return out
 
 
-def left_halves(pushes):
-    return [left for left, _, _, _ in pushes]
+def pushed_halves(pushes):
+    return [(p.kernel, p.mid, p.r, p.half) for p in pushes]
+
+
+def kernels(pushes):
+    return {p.kernel for p in pushes}
 
 
 def same_window(got, want):
@@ -436,8 +460,8 @@ def test_blocked_product_matches_oracle_on_dense_family_sides(pushes, make, m, o
     spec = make(m).lhs
     got = product_series(spec, order)
     assert same_window(got, product_oracle(spec, order))
-    assert left_halves(pushes) == priced_halves(got)
-    assert len(pushes) >= 8
+    assert pushed_halves(pushes) == priced_halves(got)
+    assert len(pushes) >= 8 and kernels(pushes) == {"dense"}
 
 
 def test_blocked_product_mixed_widths_match_oracle(pushes):
@@ -445,8 +469,8 @@ def test_blocked_product_mixed_widths_match_oracle(pushes):
     spec = ProductSpec(((Fraction(1), -3),))
     got = product_series(spec, 600)
     assert same_window(got, product_oracle(spec, 600))
-    assert left_halves(pushes) == priced_halves(got)
-    widths = {w for _, _, w, _ in pushes}
+    assert pushed_halves(pushes) == priced_halves(got)
+    widths = {p.w for p in pushes}
     assert min(widths) <= 64 < max(widths)
 
 
@@ -455,16 +479,16 @@ def test_blocked_product_all_wide_matches_oracle(pushes):
     spec = ProductSpec(((Fraction(1), -24),))
     got = product_series(spec, 300)
     assert same_window(got, product_oracle(spec, 300))
-    assert left_halves(pushes) == priced_halves(got) != []
-    assert all(w > 64 for _, _, w, _ in pushes)
+    assert pushed_halves(pushes) == priced_halves(got) != []
+    assert all(p.w > 64 for p in pushes)
 
 
 def test_huge_power_matches_oracle_through_wide_pushes(pushes):
     spec = ProductSpec(((Fraction(1), 10**20),))
     got = product_series(spec, 200)
     assert same_window(got, power_oracle(phi_oracle(1, 200, 1), 10**20))
-    assert left_halves(pushes) == priced_halves(got) != []
-    assert min(w for _, _, w, _ in pushes) > 1024
+    assert pushed_halves(pushes) == priced_halves(got) != []
+    assert min(p.w for p in pushes) > 1024
 
 
 def test_blocked_product_matches_oracle_on_random_fractional_specs(pushes):
@@ -475,7 +499,7 @@ def test_blocked_product_matches_oracle_on_random_fractional_specs(pushes):
         got = product_series(spec, order)
         assert got.denom > 1
         assert same_window(got, product_oracle(spec, order)), (spec, order)
-        assert left_halves(pushes) == priced_halves(got), (spec, order)
+        assert pushed_halves(pushes) == priced_halves(got), (spec, order)
         total += len(pushes)
         pushes.clear()
     assert total > 0
@@ -494,27 +518,34 @@ def random_fractional_specs(rng):
 
 def test_push_rule_fires_on_the_first_family_side(pushes):
     got = product_series(class1_identity(1).lhs, 800)
-    assert left_halves(pushes) == priced_halves(got) != []
+    assert pushed_halves(pushes) == priced_halves(got) != []
 
 
 @pytest.mark.parametrize("price", (1, 2, 32))
 def test_any_price_gives_the_same_product(monkeypatch, price):
-    """The price only moves work between pulls and pushes.  At price 1 a half
-    is pushed whose parent half is not, so the ancestor pulls it again."""
+    """The price and the density only move work between pulls and the two
+    kernels.  At price 1 a half is pushed whose parent half is not, so the
+    ancestor pulls it again; at density 1 every half with a nonzero F is
+    scattered, and at 2^30 none is."""
     monkeypatch.setattr(qseries, "_PRICE", price)
     for spec, order in (
         (ProductSpec(((Fraction(1), 1),)), 600),
         (ProductSpec(((Fraction(1), -3),)), 300),
         (class1_identity(1).lhs, 400),
     ):
-        assert same_window(product_series(spec, order), product_oracle(spec, order))
+        want = product_oracle(spec, order)
+        for sparse in (1, 4, 32, 1 << 30):
+            monkeypatch.setattr(qseries, "_SPARSE", sparse)
+            assert same_window(product_series(spec, order), want), sparse
 
 
 @pytest.mark.parametrize("name", CLASSICAL_NAMES)
 def test_push_rule_fires_on_every_classical_product(pushes, name):
-    """The sparse classical sides at 3000 push the halves dense enough to pay."""
+    """The sparse classical sides at 3000 scatter their sparse halves and
+    multiply the halves dense enough to pay."""
     got = product_series(classical_identity(name).lhs, 3000)
-    assert left_halves(pushes) == priced_halves(got) != []
+    assert pushed_halves(pushes) == priced_halves(got) != []
+    assert "sparse" in kernels(pushes)
 
 
 def test_push_rule_never_fires_below_two_blocks(pushes, monkeypatch):
@@ -578,6 +609,54 @@ def test_packed_product_decodes_at_the_width_bound():
         ]
         assert list(got) == want
         assert max(want) == -min(want) == B * a * c
+
+
+def test_sparse_push_decodes_at_the_width_bound():
+    """Landing slots of +-k a c, the largest sum of k = 4 terms that 64-bit
+    slots hold, scattered off L's offset slots 2^63 + c and 2^63 - c."""
+    k, a = 4, (1 << 30) - 1
+    c = (HALF - 1) // (k * a)
+    assert qseries._slot_width(k * a * c) == 64 < qseries._slot_width(k * a * (c + 1))
+    mid, r = 128, 256
+    logd = [0] + [c] * (mid - 1) + [-c] * (r - mid)
+    left = [100, 110, 120, mid - 1]
+    for sign in (1, -1):
+        coeffs = [0] * r
+        for j in left:
+            coeffs[j] = sign * a
+        got = list(qseries._push_sparse({}, logd, coeffs, left, mid, r, 64))
+        assert got == [sum(coeffs[j] * logd[m - j] for j in left) for m in range(mid, r)]
+        assert got[0] == -got[-1] == sign * k * a * c
+
+
+@pytest.mark.parametrize("w", (8, 16, 64, 128))
+def test_cut_keeps_the_landing_slots_between_extreme_slots(w):
+    """_cut reads slots start..start+k-1 of a packed int exactly, whatever
+    the slots below and above them hold inside (-2^(w-1), 2^(w-1))."""
+    top = (1 << (w - 1)) - 1
+    rng = random.Random(w)
+    for _ in range(50):
+        values = [rng.choice((-top, top, 0, -1, rng.randint(-top, top)))
+                  for _ in range(rng.randint(1, 12))]
+        start = rng.randrange(len(values))
+        k = rng.randint(1, len(values) - start)
+        got = qseries._cut(qseries._pack(values, w), start, k, w)
+        assert got == qseries._pack(values[start : start + k], w)
+
+
+@pytest.mark.parametrize("d", (2, 3, 4))
+@pytest.mark.parametrize("name", CLASSICAL_NAMES)
+def test_classical_sides_on_finer_grids_scatter(pushes, name, d):
+    """The classical sides at q^(1/d), e.g. gauss_b at q^(1/3) as
+    phi(q^(2/3))^2 / phi(q^(1/3)), at orders 150 to 600: sparser still on
+    their grid, they scatter, and match the literal expansion."""
+    spec = ProductSpec(tuple((s / d, p) for s, p in classical_identity(name).lhs.factors))
+    order = Fraction(random.Random(f"{name}{d}").randint(150 * d, 1200), d)
+    got = product_series(spec, order)
+    assert got.denom == d
+    assert same_window(got, product_oracle(spec, order))
+    assert pushed_halves(pushes) == priced_halves(got)
+    assert "sparse" in kernels(pushes)
 
 
 # -- the sieve for L and sigma ----------------------------------------------------

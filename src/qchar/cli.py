@@ -44,7 +44,7 @@ from .qseries import (
     render,
 )
 
-__all__ = ["VerifyReport", "build_parser", "entry", "main"]
+__all__ = ["build_parser", "entry", "main"]
 
 # The deepest --spec nesting read, in [ and { levels.  json.loads recurses
 # once per level, so its own limit is whatever stack the caller has left

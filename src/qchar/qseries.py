@@ -178,61 +178,14 @@ class QSeries:
         return QSeries(denom, lo + i, tuple(cs[i:]), order)
 
     @staticmethod
-    def from_terms(
-        terms: Iterable[tuple[RationalLike, int]],
-        order: RationalLike,
-        denom: Optional[int] = None,
-    ) -> "QSeries":
-        """Build from (exponent, coefficient) pairs; terms beyond the order are dropped."""
-        t = as_rational(order)
-        pairs = [(as_rational(e), c) for e, c in terms]
-        if denom is None:
-            denom = t.denominator
-            for e, _ in pairs:
-                denom = lcm(denom, e.denominator)
-        units = floor(t * denom)
-        acc: dict[int, int] = {}
-        for e, c in pairs:
-            scaled = e * denom
-            if scaled.denominator != 1:
-                raise ValueError("exponent does not lie on the chosen grid")
-            slot = int(scaled)
-            if slot <= units:
-                acc[slot] = acc.get(slot, 0) + c
-        acc = {slot: c for slot, c in acc.items() if c}
-        if not acc:
-            return QSeries.zero(t, denom)
-        lo = min(acc)
-        window = [acc.get(slot, 0) for slot in range(lo, units + 1)]
-        return QSeries.from_window(denom, lo, window, units)
-
-    @staticmethod
     def zero(order: RationalLike, denom: int = 1) -> "QSeries":
         units = floor(as_rational(order) * denom)
         return QSeries(denom, units, (0,), units)
-
-    @staticmethod
-    def one(order: RationalLike, denom: int = 1) -> "QSeries":
-        return QSeries.monomial(0, 1, order, denom)
-
-    @staticmethod
-    def monomial(
-        exponent: RationalLike, coeff: int, order: RationalLike, denom: Optional[int] = None
-    ) -> "QSeries":
-        e = as_rational(exponent)
-        t = as_rational(order)
-        if denom is None:
-            denom = lcm(e.denominator, t.denominator)
-        return QSeries.from_terms([(e, coeff)], t, denom)
 
     # -- inspection -----------------------------------------------------
 
     def is_zero(self) -> bool:
         return not any(self.coeffs)
-
-    def order_exponent(self) -> Fraction:
-        """Largest exponent through which coefficients are guaranteed."""
-        return Fraction(self.order, self.denom)
 
     def lowest_exponent(self) -> Fraction:
         """Exponent of the first stored slot (the leading term when nonzero)."""
@@ -361,7 +314,10 @@ def series_pow(a: QSeries, n: int) -> QSeries:
         raise ValueError("series powers must be integers")
     if n < 0:
         return series_pow(series_inv(a), -n)
-    result = QSeries.one(Fraction(a.order, a.denom), a.denom)
+    if a.order < 0:  # the unit's constant term lies past the guaranteed order
+        result = QSeries(a.denom, a.order, (0,), a.order)
+    else:
+        result = QSeries(a.denom, 0, (1,) + (0,) * a.order, a.order)
     square = a
     while n:
         if n & 1:

@@ -20,6 +20,7 @@ from qchar.qseries import (
     series_mul,
     series_pow,
 )
+from terms_oracle import from_terms
 
 
 def phi_oracle(scale: RationalLike, order: RationalLike, denom: int) -> QSeries:
@@ -51,7 +52,7 @@ def product_oracle(spec: ProductSpec, order: RationalLike) -> QSeries:
     d = 1
     for s, _ in spec.factors:
         d = lcm(d, s.denominator)
-    result = QSeries.one(t, d)
+    result = from_terms([(0, 1)], t, d)
     for scale, power in spec.factors:
         f = phi_oracle(scale, t, d)
         if power < 0:

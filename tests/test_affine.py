@@ -9,6 +9,7 @@ from math import isqrt, lcm
 import pytest
 
 from squares_oracle import character_data, trace_chain
+from terms_oracle import from_terms
 from qchar.affine import (
     PartitionData,
     Side,
@@ -23,7 +24,6 @@ from qchar.affine import (
 )
 from qchar.qseries import (
     ProductSpec,
-    QSeries,
     normalize_shift,
     product_series,
     series_compare,
@@ -257,7 +257,7 @@ def test_character_series_intro_quotient():
 
 def test_character_series_trivial_rank():
     got = specialized_character_series((1,), 0, 12)
-    assert got == QSeries.one(12)
+    assert got == from_terms([(0, 1)], 12)
 
 
 def padded_character_oracle(parts, k, bound):
@@ -342,7 +342,7 @@ def box_theta_terms(parts, k, bound):
 def box_trace(parts, k, bound):
     """Trace route with the theta sum from box_theta_terms."""
     big, t = modulus(parts), Fraction(bound)
-    theta = QSeries.from_terms(box_theta_terms(parts, k, bound), t)
+    theta = from_terms(box_theta_terms(parts, k, bound), t)
     factors = [(Fraction(big), 1)] + [(Fraction(big, p), -1) for p in parts]
     return series_mul(theta, product_series(ProductSpec(tuple(factors)), t))
 
@@ -419,7 +419,7 @@ def test_side_needs_a_factor():
     # with neither factor there is no series to build
     with pytest.raises(ValueError, match="lattice sum or a product"):
         Side(None)
-    assert Side(None, ProductSpec(())).series(3) == QSeries.one(3)
+    assert Side(None, ProductSpec(())).series(3) == from_terms([(0, 1)], 3)
 
 
 def test_trace_weight_index_validation():

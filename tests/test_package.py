@@ -1,6 +1,7 @@
 """The package root: each public name is listed once, in its module's __all__."""
 
 import ast
+import inspect
 from pathlib import Path
 
 import qchar
@@ -26,13 +27,16 @@ def references(node, own=frozenset()):
 
     __all__ lists are skipped, and so is a def's or a class's use of its own
     name inside its body.  Strings count because getattr tables name
-    functions by string.
+    functions by string; a string standing alone as a statement is a
+    docstring, prose that calls nothing, and is skipped.
     """
     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
         own = own | {node.name}
     if isinstance(node, ast.Assign) and any(
         isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
     ):
+        return
+    if isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant):
         return
     if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
         name = node.id
@@ -48,12 +52,32 @@ def references(node, own=frozenset()):
         yield from references(child, own)
 
 
-def test_every_export_has_a_caller_in_the_program():
-    # a public name that only the tests call belongs with the tests; the
-    # version string is metadata for installers and readers, not a program path
+def program_references() -> set:
     read = set()
     for root in PROGRAM:
         for path in sorted(root.glob("*.py")):
             read.update(references(ast.parse(path.read_text(), str(path))))
-    unused = sorted(set(qchar.__all__) - {"__version__"} - read)
+    return read
+
+
+def test_every_export_has_a_caller_in_the_program():
+    # a public name that only the tests call belongs with the tests; the
+    # version string is metadata for installers and readers, not a program path
+    unused = sorted(set(qchar.__all__) - {"__version__"} - program_references())
+    assert unused == []
+
+
+def test_every_public_method_has_a_caller_in_the_program():
+    # methods, staticmethods and properties of the exported classes, matched
+    # by name like the exports; dataclass fields are data, not methods
+    read = program_references()
+    unused = []
+    for name in qchar.__all__:
+        cls = getattr(qchar, name)
+        if not inspect.isclass(cls):
+            continue
+        fields = getattr(cls, "__dataclass_fields__", {})
+        for attr in vars(cls):
+            if not attr.startswith("_") and attr not in fields and attr not in read:
+                unused.append(f"{name}.{attr}")
     assert unused == []

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from product_oracle import log_derivative_oracle, phi_oracle, power_oracle, product_oracle
+from terms_oracle import from_terms
 from qchar import affine, qseries
 from qchar.affine import partitions, verify_proposition
 from qchar.identities import (
@@ -98,8 +99,8 @@ def pentagonal_coeffs(cap):
 
 def series_sum(a, b):
     """a + b on the common grid, through the smaller order, from their terms."""
-    order = min(a.order_exponent(), b.order_exponent())
-    return QSeries.from_terms(a.terms() + b.terms(), order, lcm(a.denom, b.denom))
+    order = min(Fraction(a.order, a.denom), Fraction(b.order, b.denom))
+    return from_terms(a.terms() + b.terms(), order, lcm(a.denom, b.denom))
 
 
 def test_partition_oracle_sanity():
@@ -176,7 +177,7 @@ def test_phi_series_pentagonal_pattern():
 
 
 def test_mul_telescopes_geometric_series():
-    one_minus_q = QSeries.from_terms([(0, 1), (1, -1)], 30)
+    one_minus_q = from_terms([(0, 1), (1, -1)], 30)
     geo = QSeries.from_window(1, 0, [1] * 31, 30)
     prod = series_mul(one_minus_q, geo)
     for e in range(31):
@@ -194,16 +195,16 @@ def test_mul_truncation_contract():
 
 
 def test_mul_known_coefficients():
-    a = QSeries.from_terms([(0, 1), (1, 2), (2, 3)], 4)
-    b = QSeries.from_terms([(0, 5), (1, 7)], 4)
+    a = from_terms([(0, 1), (1, 2), (2, 3)], 4)
+    b = from_terms([(0, 5), (1, 7)], 4)
     prod = series_mul(a, b)
     # (1 + 2q + 3q^2)(5 + 7q) expanded by hand
     assert [prod[e] for e in range(4)] == [5, 17, 29, 21]
 
 
 def test_mul_mixed_grid_exponents():
-    a = QSeries.monomial(Fraction(1, 2), 1, 3)
-    b = QSeries.monomial(Fraction(1, 3), 1, 3)
+    a = from_terms([(Fraction(1, 2), 1)], 3)
+    b = from_terms([(Fraction(1, 3), 1)], 3)
     prod = series_mul(a, b)
     assert prod[Fraction(5, 6)] == 1
     assert prod.denom == 6
@@ -216,17 +217,23 @@ def test_mul_by_zero():
 
 
 def test_pow_binomials():
-    base = QSeries.from_terms([(0, 1), (1, 1)], 6)
+    base = from_terms([(0, 1), (1, 1)], 6)
     cube = series_pow(base, 3)
     assert [cube[e] for e in range(4)] == [1, 3, 3, 1]
-    assert series_pow(base, 0) == QSeries.one(6)
+    assert series_pow(base, 0) == from_terms([(0, 1)], 6)
+    # guaranteed only through q^(-3/2): the unit and every power are zero
+    # series, each power guaranteed 3/2 less far than the one before
+    negative = QSeries(2, -3, (1,), -3)
+    for n in range(4):
+        got, units = series_pow(negative, n), -3 * (n + 1)
+        assert (got.denom, got.lo, got.coeffs, got.order) == (2, units, (0,), units)
 
 
 # -- inversion ----------------------------------------------------------------
 
 
 def test_inv_geometric():
-    a = QSeries.from_terms([(0, 1), (1, -1)], 5)
+    a = from_terms([(0, 1), (1, -1)], 5)
     inv = series_inv(a)
     assert inv.coeffs == (1, 1, 1, 1, 1, 1)
 
@@ -249,14 +256,14 @@ def test_inv_roundtrip_is_one():
 
 
 def test_inv_negative_leading_coefficient():
-    a = QSeries.from_terms([(e, -c) for e, c in phi_series(1, 12).terms()], 12)
+    a = from_terms([(e, -c) for e, c in phi_series(1, 12).terms()], 12)
     prod = series_mul(a, series_inv(a))
     for e in range(13):
         assert prod[e] == (1 if e == 0 else 0)
 
 
 def test_inv_pulls_out_leading_monomial():
-    a = series_mul(QSeries.monomial(2, 1, 12), phi_series(1, 10))
+    a = series_mul(from_terms([(2, 1)], 12), phi_series(1, 10))
     inv = series_inv(a)
     assert inv.lowest_exponent() == -2
     prod = series_mul(a, inv)
@@ -271,7 +278,7 @@ def test_inv_rejects_zero():
 
 def test_inv_rejects_non_unit_leading_coefficient():
     with pytest.raises(ValueError, match="non-invertible"):
-        series_inv(QSeries.from_terms([(0, 2), (1, 1)], 5))
+        series_inv(from_terms([(0, 2), (1, 1)], 5))
 
 
 # -- product specs -------------------------------------------------------------
@@ -688,19 +695,19 @@ def test_log_derivative_matches_oracle():
 
 
 def test_normalize_shift_positive():
-    a = QSeries.from_terms([(Fraction(3, 2), 2), (2, 5)], 4)
+    a = from_terms([(Fraction(3, 2), 2), (2, 5)], 4)
     norm, shift = normalize_shift(a)
     assert shift == Fraction(3, 2)
     assert norm.lo == 0 and norm[0] == 2
-    assert norm.order_exponent() == 4 - Fraction(3, 2)
+    assert Fraction(norm.order, norm.denom) == 4 - Fraction(3, 2)
 
 
 def test_normalize_shift_negative():
-    a = QSeries.from_terms([(-2, 1), (0, 1)], 3)
+    a = from_terms([(-2, 1), (0, 1)], 3)
     norm, shift = normalize_shift(a)
     assert shift == -2
     assert norm[0] == 1 and norm[2] == 1
-    assert norm.order_exponent() == 5
+    assert Fraction(norm.order, norm.denom) == 5
 
 
 def test_normalize_shift_rejects_zero():
@@ -710,7 +717,7 @@ def test_normalize_shift_rejects_zero():
 
 def test_compare_equal_up_to_monomial():
     base = phi_series(1, 15)
-    shifted = series_mul(QSeries.monomial(Fraction(7, 2), 1, 20), base)
+    shifted = series_mul(from_terms([(Fraction(7, 2), 1)], 20), base)
     report = series_compare(shifted, base)
     assert report.match
     assert report.lhs_shift == Fraction(7, 2)
@@ -720,8 +727,8 @@ def test_compare_equal_up_to_monomial():
 
 
 def test_compare_finds_first_mismatch():
-    a = QSeries.from_terms([(0, 1), (3, 4), (5, 9)], 8)
-    b = QSeries.from_terms([(0, 1), (3, 4), (5, 2), (6, 1)], 8)
+    a = from_terms([(0, 1), (3, 4), (5, 9)], 8)
+    b = from_terms([(0, 1), (3, 4), (5, 2), (6, 1)], 8)
     report = series_compare(a, b)
     assert not report.match
     assert report.first_mismatch == Mismatch(Fraction(5), 9, 2)
@@ -738,7 +745,7 @@ def test_compare_zero_sides():
     assert report.first_mismatch.exponent == 0
     assert report.first_mismatch.rhs_coeff == 1
     assert report == VerifyReport(False, zero, Mismatch(zero, 0, 1), zero, zero)
-    shifted = QSeries.from_terms([(3, -2), (4, 1)], 10)
+    shifted = from_terms([(3, -2), (4, 1)], 10)
     assert series_compare(z, shifted) == VerifyReport(
         False, zero, Mismatch(zero, 0, -2), zero, Fraction(3)
     )
@@ -747,7 +754,7 @@ def test_compare_zero_sides():
     )
     # a zero side on grid 3 against a nonzero side on grid 2
     z3 = QSeries.zero(5, 3)
-    halves = QSeries.from_terms([(Fraction(1, 2), 1), (Fraction(3, 2), 1)], 6, 2)
+    halves = from_terms([(Fraction(1, 2), 1), (Fraction(3, 2), 1)], 6, 2)
     assert series_compare(z3, halves) == VerifyReport(
         False, zero, Mismatch(zero, 0, 1), zero, Fraction(1, 2)
     )
@@ -758,8 +765,8 @@ def test_compare_zero_sides():
 
 def test_compare_checked_through_uses_shifted_orders():
     # after normalization the shifted side still reaches exponent 12 - 2
-    a = QSeries.from_terms([(2, 1), (3, 1)], 12)
-    b = QSeries.from_terms([(0, 1), (1, 1)], 9)
+    a = from_terms([(2, 1), (3, 1)], 12)
+    b = from_terms([(0, 1), (1, 1)], 9)
     report = series_compare(a, b)
     assert report.match
     assert report.checked_through == 9
@@ -781,8 +788,9 @@ def test_rebase_reduce_roundtrip():
 
 
 def test_cancelled_terms_trim_the_window():
-    s = QSeries.from_terms([(1, 3), (2, 4), (1, -3), (5, 1)], 6)
-    assert s.lo == 2 and s.coeffs[0] == 4
+    # a leading slot whose terms cancelled is cut off the window
+    s = QSeries.from_window(1, 1, [0, 4, 0, 0, 1, 0], 6)
+    assert s.lo == 2 and s.coeffs == (4, 0, 0, 1, 0)
     assert s.order == 6
 
 
@@ -816,11 +824,6 @@ def test_truncated():
         assert t[e] == p[e]
     with pytest.raises(ValueError):
         t.truncated(9)
-
-
-def test_monomial_beyond_order_is_zero():
-    m = QSeries.monomial(7, 3, 4)
-    assert m.is_zero()
 
 
 # -- serialization and rendering ---------------------------------------------------
@@ -896,7 +899,7 @@ def test_product_spec_bad_rational_names_field_and_value(scale):
 def test_render_matches_expected_shape():
     assert render(phi_series(1, 7)) == "1 - q - q^2 + q^5 + q^7 + O(q^8)"
     assert render(QSeries.zero(3)) == "0 + O(q^4)"
-    assert render(QSeries.from_terms([(Fraction(1, 3), -2)], 1)) == "-2*q^(1/3) + O(q^(4/3))"
+    assert render(from_terms([(Fraction(1, 3), -2)], 1)) == "-2*q^(1/3) + O(q^(4/3))"
 
 
 def test_rational_coercion():
@@ -927,7 +930,7 @@ def qseries_values(draw):
 
 
 def common_truncation(*series):
-    t = min(s.order_exponent() for s in series)
+    t = min(Fraction(s.order, s.denom) for s in series)
     return [s.truncated(t) for s in series]
 
 

@@ -21,7 +21,8 @@ from array import array
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import floor, gcd, isqrt, lcm
-from operator import add, sub
+from itertools import repeat
+from operator import add, lshift, sub
 from typing import Callable, Iterable, Optional, Union
 
 RationalLike = Union[int, str, Fraction]
@@ -419,8 +420,10 @@ class ProductSpec:
 
 # Balanced w-bit slots: v_j in [-2^(w-1), 2^(w-1)) pack into one int, slot j at
 # bit w*j on any machine; xor with the lift flips a two's complement word's top
-# bit, adding 2^(w-1).  Widths with an array typecode move through one array;
-# wider slots, multiples of 64, go through bytes one slot at a time.
+# bit, adding 2^(w-1).  Widths with an array typecode move through one array.
+# Wider slots, multiples of 64, decode as q 64-bit words each: one strided
+# array per place, joined by C-level maps.  They encode one to_bytes a slot,
+# which measured faster than building the word arrays from Python ints.
 _BLOCK = 32
 _PRICE = 4  # product_series gives the price rule and its measurement
 _SPARSE = 8  # and the density at which a half is scattered instead
@@ -464,8 +467,13 @@ def _unpack(x: int, k: int, w: int):
     code = _TYPECODES.get(w)
     if code:
         return _words(code, raw)
-    n = w // 8
-    return [int.from_bytes(raw[i : i + n], "little", signed=True) for i in range(0, len(raw), n)]
+    # a slot's signed top word, then each lower word shifted in below it
+    q = w // 64
+    slots = _words("q", raw)[q - 1 :: q]
+    low = _words("Q", raw)
+    for t in range(q - 2, -1, -1):
+        slots = map(add, map(lshift, slots, repeat(64)), low[t::q])
+    return list(slots)
 
 
 def _log_derivative(spec: ProductSpec, d: int, units: int) -> list[int]:

@@ -19,7 +19,10 @@ counts by budget spent, so it never visits points one by one, and prices
 each value of the next coordinate once per value of the current one.  A
 row's spends share a residue modulo sigma times the chain's stride, so its
 slots step by that much, and their width is proved from the form; masks,
-shifts and adds on whole rows replace per-spend merges.  Both routes of
+shifts and adds on whole rows replace per-spend merges.  The last coordinate
+is folded: rows that meet the same one-dimensional theta of the last square
+merge, each group is shifted into one accumulator once per term of its
+theta, and the window unpacks once.  Both routes of
 qchar.affine build their integer chains directly, as a _Chain, the trace
 route's chain written in partial sums.  A LatticeSum scales its exponent
 onto its grid; each kind completes its squares once, on first use, and
@@ -43,6 +46,7 @@ from typing import Optional
 from .qseries import (
     QSeries,
     RationalLike,
+    _cut,
     _slot_width,
     _unpack,
     as_rational,
@@ -262,18 +266,20 @@ def _level_range(k: int, w: int, p: int, budget: int) -> range:
 def _count_bound(form: _ScaledForm, weight, budget: int) -> int:
     """A bound on the magnitude of every count a walk through budget keeps.
 
-    Slot s of the row of x_i counts the prefixes x_0..x_(i-1) that spend s,
-    each weighing at most max|weight|.  No room exceeds the budget, so every
-    x_j lies among the x with |W_j x + p| <= isqrt(budget // K_j) for some p:
-    at most n_j = 2*isqrt(budget // K_j) // W_j + 1 values.  With x_0..x_(i-2)
-    fixed too, the spend is a quadratic in x_(i-1) with leading coefficient
-    K_(i-1) W_(i-1)^2 + K_i w_prev_i^2 > 0, which takes each value at most
-    twice.  So every count, and every partial sum of one, is at most
-    2 n_0 ... n_(l-3) max|weight| in size (max|weight| when l = 1); under
-    4k+1, |x_0| <= (isqrt(budget // K_0) + |w0_0|) // W_0 bounds the weight.
+    Every count the walk keeps, in a row, a group or the window, weighs
+    prefixes x_0..x_i that spend one amount s, at most max|weight| each, and
+    so does every partial sum of one.  No room exceeds the budget, so given
+    x_0..x_(j-1), x_j lies among the x with |W_j x + p| <= isqrt(budget // K_j)
+    for its p: at most n_j = 2*isqrt(budget // K_j) // W_j + 1 values.  Given
+    x_0..x_(i-1), the spend is a quadratic in x_i with leading coefficient
+    K_i W_i^2 > 0, which takes s at most twice.  So at most 2 n_0 ... n_(i-1)
+    prefixes spend s, and i <= l - 1 bounds every count by
+    2 n_0 ... n_(l-2) max|weight|: the fold's window counts whole points, a
+    factor n_(l-2) beyond the rows.  Under 4k+1,
+    |x_0| <= (isqrt(budget // K_0) + |w0_0|) // W_0 bounds the weight.
     """
-    bound = 2 if len(form.K) > 1 else 1
-    for k, w in zip(form.K[:-2], form.W[:-2]):
+    bound = 2
+    for k, w in zip(form.K[:-1], form.W[:-1]):
         bound *= 2 * isqrt(budget // k) // w + 1
     if weight == WEIGHT_FOUR_K_PLUS_ONE and form.K:
         reach = (isqrt(budget // form.K[0]) + abs(form.w0[0])) // form.W[0]
@@ -286,11 +292,11 @@ def _walk(form: _ScaledForm, weight, units: int) -> QSeries:
 
     The form expands through the bound floor(units/grid), on its grid,
     weighted by the weight shape (None for plain counts); every quantity is
-    a plain int.  A transfer-matrix walk.  After level i it keeps, for each
-    value of x_i, a row: the weighted number of prefixes x_0..x_i spending
-    each amount of the budget on levels 0..i.  The square at level i+1
-    depends only on x_i, so prefixes agreeing on x_i and the spend merge and
-    no point is visited one by one.
+    a plain int.  A transfer-matrix walk.  After level i < l - 1 it keeps,
+    for each value of x_i, a row: the weighted number of prefixes x_0..x_i
+    spending each amount of the budget on levels 0..i.  The square at level
+    i+1 depends only on x_i, so prefixes agreeing on x_i and the spend merge
+    and no point is visited one by one.  The last level is a fold (below).
 
     A row is a pair [s0, packed] (Kronecker substitution; Harvey, J. Symb.
     Comput. 44, 2009): slot j of packed, w bits wide, counts the prefixes
@@ -312,23 +318,49 @@ def _walk(form: _ScaledForm, weight, units: int) -> QSeries:
     add.  The mask leaves the kept slots' sum modulo 2^bits, so a part whose
     top bit is set holds a negative top slot and gets 2^bits subtracted.  The
     weight shape reads the first coordinate, so it multiplies the one-slot
-    rows after level 0 (the empty point of l = 0 weighs 1 under every shape).
-    Each last-level row unpacks once into the window, its slots stride grid
-    slots apart.
+    rows after level 0, or at l = 1 each term of the fold (the empty point of
+    l = 0 weighs 1 under every shape).
+
+    Fold: the last square is K (W x + p)^2 with p = w0 + w_prev x_(l-2), and
+    x runs over Z, so the values W x + p are the progression W y + r,
+    r = p mod W, and the sum over x_(l-1) multiplies a row by the theta
+    Theta_r = sum_y z^(K (W y + r)^2), the same for every row whose p agrees
+    mod W.  Rows with the same r whose s0 also agree mod step merge into one
+    group, aligned by s0 like a row, and each group times its Theta goes into
+    one accumulator per window residue mod stride.  Theta is sparse, about
+    2 sqrt(budget/K)/W terms over budget/step slots, so the group is shifted
+    in once per term of Theta (within the budget left at its s0): that
+    measured several times cheaper than one multiply by Theta packed.  A
+    one-slot group, as every group of l = 1 is, adds its count straight into
+    the window.  At l = 1 the one group, the empty prefix, keys by p itself,
+    since each term's weight reads x_0.  The fold needs
+    no masks: an accumulator's slots above the budget count spends no bound
+    covers and may overflow, but the accumulator is exactly sum_j A_j 2^(w*j)
+    with integer A_j, carries move only up, and its low n slots, read by
+    _cut as its residue mod 2^(w*n), are window counts under the bound.  One
+    _unpack per accumulator then fills the window.
 
     Least slot: every s0 is a spend some prefix reaches, weighted or not (a
-    value enters only if its square fits at s0, and masks keep slot 0), so
-    the least last-level s0 is the cheapest point in the budget, hence of
-    all, even where weights cancel; the walk records it on the form as least.
+    value enters only if its square fits at s0, and masks keep slot 0), and
+    the cheapest term of Theta_r, K min(r, W - r)^2, completes a point, so
+    the least (base + s0 + that cost) // sigma over the groups is the
+    cheapest point of all, even where weights cancel.  When it lies within
+    units, the walk records it on the form as least.
     """
     grid, sigma, base = form.grid, form.sigma, form.base
     budget = sigma * units - base
     if budget < 0:
         return QSeries(grid, units, (0,), units)
+    if not form.K:
+        # the empty point weighs 1 under every shape
+        lo = base // sigma
+        object.__setattr__(form, "least", lo)
+        return QSeries.from_window(grid, lo, [1] + [0] * (units - lo), units)
     step = sigma * form.stride
     w = _slot_width(_count_bound(form, weight, budget))
+    last = len(form.K) - 1
     rows: dict[int, list[int]] = {0: [0, 1]}
-    for i in range(len(form.K)):
+    for i in range(last):
         ki, wi, ci, ti = form.K[i], form.W[i], form.w_prev[i], form.w0[i]
         nxt: dict[int, list[int]] = {}
         for prev, (s0, packed) in rows.items():
@@ -358,19 +390,45 @@ def _walk(form: _ScaledForm, weight, units: int) -> QSeries:
         if i == 0 and weight is not None:
             for xi, row in rows.items():
                 row[1] *= _weight_value(weight, (xi,))
-    lo = min(((base + s) // sigma for s, _ in rows.values()), default=units)
-    if rows:
-        object.__setattr__(form, "least", lo)
-    window = [0] * (units - lo + 1)
-    g = form.stride
-    for s, packed in rows.values():
-        f = (base + s) // sigma - lo
-        n = packed.bit_length() // w + 1
-        if n == 1:
-            window[f] += packed
+    kl, wl, cl, tl = form.K[last], form.W[last], form.w_prev[last], form.w0[last]
+    # rows whose p agree mod wl meet the same values of the last square;
+    # those whose spends also agree mod step merge into one group
+    groups: dict[tuple[int, int], list[int]] = {}
+    for prev, (s0, packed) in rows.items():
+        p = tl + cl * prev
+        key = (p % wl if last else p, s0 % step)
+        row = groups.get(key)
+        if row is None:
+            groups[key] = [s0, packed]
+        elif s0 >= row[0]:
+            row[1] += packed << (s0 - row[0]) // step * w
         else:
-            end = f + g * (n - 1) + 1
-            window[f:end:g] = map(add, window[f:end:g], _unpack(packed, n, w))
+            row[1] = (row[1] << (row[0] - s0) // step * w) + packed
+            row[0] = s0
+    lo = min(((base + s0 + kl * min(p % wl, -p % wl) ** 2) // sigma
+              for (p, _), (s0, _) in groups.items()), default=units + 1)
+    if lo > units:
+        return QSeries(grid, units, (0,), units)
+    object.__setattr__(form, "least", lo)
+    stride = form.stride
+    n = units - lo + 1
+    window = [0] * n
+    acc = [0] * stride
+    for (p, _), (s0, packed) in groups.items():
+        # a group of one slot, |packed| < 2^(w-1), adds straight into the window
+        one = packed.bit_length() < w
+        for x in _level_range(kl, wl, p, budget - s0):
+            v = wl * x + p
+            f = (base + s0 + kl * v * v) // sigma - lo
+            part = packed if last else _weight_value(weight, (x,))
+            if one:
+                window[f] += part
+            else:
+                acc[f % stride] += part << f // stride * w
+    for r, a in enumerate(acc):
+        if a:
+            k = len(range(r, n, stride))
+            window[r::stride] = map(add, window[r::stride], _unpack(_cut(a, 0, k, w), k, w))
     return QSeries.from_window(grid, lo, window, units)
 
 

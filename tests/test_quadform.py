@@ -552,10 +552,11 @@ def test_walk_prices_each_coordinate_once_per_predecessor(monkeypatch):
     # same series.  The sum is the character numerator of (1^7), k = 0.
     calls = counting(monkeypatch, "_level_range")
     s = LatticeSum(6, Fraction(1), (Fraction(0),) * 6)
-    # each (predecessor row, value) pair adds its kept part into a row once
+    # each (predecessor row, value) pair of levels 0..4 adds its kept part
+    # into a row once; the last level is folded, one range per group
     got, adds = walk_line_hits(lambda: lattice_sum_series(s, 30), "spend = s0 + cost")
-    assert calls[0] == 96
-    assert adds == 956  # the dict walk merged 8466 spends one at a time
+    assert calls[0] == 79  # 96 before the fold
+    assert adds == 797  # 956 before the fold; the dict walk merged 8466 spends
     assert got.order == 30 and got[1] == 42
     assert got.truncated(6) == series_by_hand(s, 6)
 

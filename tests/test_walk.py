@@ -4,7 +4,7 @@ from fractions import Fraction
 from math import floor
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qchar.affine import (
@@ -27,6 +27,8 @@ from qchar.quadform import (
     LatticeSum,
     _complete_squares,
     _count_bound,
+    _level_range,
+    _ScaledForm,
     _walk,
     lattice_sum_above,
     lattice_sum_series,
@@ -62,7 +64,15 @@ def walked(form, weight, units):
 
 def assert_matches_oracle(seen):
     for form, weight, units in seen:
-        assert walked(form, weight, units) == dict_walk(form, weight, units), (form, units)
+        got = walked(form, weight, units)
+        assert got == dict_walk(form, weight, units), (form, units)
+        assert_bound_covers(form, weight, units, got[1])
+
+
+def assert_bound_covers(form, weight, units, series):
+    # the walk's one slot width must hold every count of its window
+    budget = form.sigma * units - form.base
+    assert _count_bound(form, weight, budget) >= max(map(abs, series.coeffs)), (form, units)
 
 
 def test_sweep_walks_match_the_dict_walk(walks):
@@ -109,6 +119,11 @@ def chains(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(chains(), st.integers(min_value=-6, max_value=40))
+@example(  # keyed by p mod W, the weighted 1-D walk read -2 here instead of 6
+    chain=(_ScaledForm(grid=1, sigma=4, stride=1, base=-1, K=(1,), W=(2,), w_prev=(0,),
+                       w0=(-1,)), WEIGHT_FOUR_K_PLUS_ONE),
+    extra=0,
+)
 def test_property_packed_walk_matches_dict_walk(chain, extra):
     # units from the nearest-plane bound of lattice_sum_above, so some walks
     # start below the minimum and come out zero
@@ -128,6 +143,8 @@ SIGNED_SUMS = (
     lattice(3, "3/2", ("1/2", -1, 2), "-5/4"),
     lattice(3, 1, (0, 0, 0), 0),
     lattice(4, 1, (0, "1/2", 0, -1), "1/3"),
+    lattice(5, 2, (1, -1, 0, "1/2", 0), 0),
+    lattice(6, 1, (0, "1/2", 0, -1, 0, "1/3"), 0),
 )
 
 
@@ -135,25 +152,27 @@ SIGNED_SUMS = (
 @pytest.mark.parametrize("s", SIGNED_SUMS, ids=lambda s: f"l{s.l}")
 def test_weighted_walks_cut_signed_rows_like_the_dict_walk(s, weight):
     # a mask that drops the top slots of a row with negative slots must
-    # leave the kept slots balanced; in dimension 2 only level 0's one-slot
-    # rows are masked, so the cut first happens in dimension 3
+    # leave the kept slots balanced; level 0's rows hold one slot and the
+    # folded last level masks nothing, so the cut first happens in dimension 4
     s = LatticeSum(s.l, s.c, s.lin, s.const, weight)
     bound = lattice_sum_above(s, 0)[0] + 12
     got, balanced = walk_line_hits(lambda: lattice_sum_series(s, bound), "part -= 1 << bits")
     assert got == dict_walk(s._form, weight, floor(bound * s._form.grid))[1]
     assert any(got.coeffs)
-    assert (balanced > 0) == (s.l >= 3)
+    assert (balanced > 0) == (s.l >= 4)
 
 
 def test_width_above_64_bits_matches_the_dict_walk():
-    # the class1 m = 5 numerator at order 400 bounds its counts by a 64-bit
+    # the class1 m = 5 numerator at order 400 bounds its counts by a 68-bit
     # number, so with the sign bit its slots are 128 bits wide
     s = class1_identity(5).rhs
     form = s._form
     units = floor((lattice_sum_above(s, 0)[0] + 400) * form.grid)
     budget = form.sigma * units - form.base
-    assert _count_bound(form, s.weight, budget).bit_length() == 64
-    assert walked(form, s.weight, units) == dict_walk(form, s.weight, units)
+    assert _count_bound(form, s.weight, budget).bit_length() == 68
+    got = walked(form, s.weight, units)
+    assert got == dict_walk(form, s.weight, units)
+    assert_bound_covers(form, s.weight, units, got[1])
 
 
 def test_class1_m3_walk_at_order_1000_matches_the_dict_walk():
@@ -167,7 +186,7 @@ def test_class1_m3_walk_at_order_1000_matches_the_dict_walk():
 
 def test_stride_seven_rows_match_the_dict_walk(monkeypatch):
     # 84 of the sweep's n = 7 character numerators at k >= 1 step their rows
-    # by 7 grid slots; _unpack runs only for rows of more than one slot
+    # by 7 grid slots; the fold unpacks one accumulator per residue mod 7
     import qchar.quadform as quadform
 
     unpacked = [0]
@@ -187,7 +206,9 @@ def test_stride_seven_rows_match_the_dict_walk(monkeypatch):
             if form.stride == 7:
                 strided += 1
                 units = floor((lattice_sum_above(chain, 0)[0] + 30) * form.grid)
-                assert walked(form, None, units) == dict_walk(form, None, units)
+                got = walked(form, None, units)
+                assert got == dict_walk(form, None, units)
+                assert_bound_covers(form, None, units, got[1])
     assert strided == 84 and unpacked[0] > 0
 
 
@@ -236,3 +257,58 @@ def test_row_spends_share_a_residue_mod_sigma_stride():
                 residues.setdefault((i, x), set()).add(spend % step)
                 prev = x
         assert all(len(r) == 1 for r in residues.values()), form
+
+
+def fold_groups(form, budget):
+    """The fold's groups, from the dict walk: (p mod W, spend mod step) -> least spend."""
+    K, W, c, t = form.K[-1], form.W[-1], form.w_prev[-1], form.w0[-1]
+    step = form.sigma * form.stride
+    groups = {}
+    for x, spent in list(dict_levels(form, None, budget))[-2].items():
+        key = ((t + c * x) % W, min(spent) % step)
+        groups[key] = min(groups.get(key, budget), min(spent))
+    return groups
+
+
+def test_fold_adds_each_group_once_per_value_of_the_last_coordinate():
+    # work counts are the only guard here: adding each row of x_(l-2) once
+    # per value of x_(l-1), as the walk did before the fold, or multiplying
+    # a group by its packed theta gives the same series
+    fold = rows = 0
+    for form, units in sampled_forms():
+        if len(form.K) < 2:
+            continue
+        budget = form.sigma * units - form.base
+        K, W, c, t = form.K[-1], form.W[-1], form.w_prev[-1], form.w0[-1]
+        want = sum(
+            len(_level_range(K, W, r, budget - least))
+            for (r, _), least in fold_groups(form, budget).items()
+        )
+        _, adds = walk_line_hits(lambda: _walk(form, None, units), "f = (base + s0")
+        assert adds == want, form
+        fold += adds
+        rows += sum(
+            len(_level_range(K, W, t + c * x, budget - min(spent)))
+            for x, spent in list(dict_levels(form, None, budget))[-2].items()
+        )
+    assert (fold, rows) == (1066, 2804)
+
+
+def test_a_group_whose_theta_misses_the_budget_adds_nothing():
+    # of the budget's 80 units, x_0 = 4 spends 25 and leaves its group,
+    # p = 5 (mod 10), less than its theta's cheapest term 11 * 5^2, while
+    # x_0 = 3 spends 36 and its group's cheapest term 11 * 2^2 fills the
+    # rest: the fold must skip the first group and keep the second
+    form = _complete_squares([1, 5], [-3], [-3, -3], 0, 1)
+    units = -7
+    budget = form.sigma * units - form.base
+    K, W = form.K[-1], form.W[-1]
+    assert (budget, K, W) == (80, 11, 10)
+    groups = fold_groups(form, budget)
+    assert {r: budget - least < K * min(r, W - r) ** 2 for (r, _), least in groups.items()} == {
+        5: True,
+        8: False,
+    }
+    got = walked(form, None, units)
+    assert got == dict_walk(form, None, units)
+    assert got[0] == units and got[1].coeffs == (1,)

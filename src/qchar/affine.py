@@ -10,10 +10,12 @@ index, divided by one rescaled Euler product per part.  Each reading is a
 Side, a lattice sum (a LatticeSum or a route's integer chain) times an
 Euler-product quotient, either factor possibly absent; Side.series builds
 one through a bound and Side.above through an order above its lead, and
-verify, which qchar.identities uses too, compares two that way.  The
-routes share the partition's PartitionData, but no chain.  The character
-formula is written once, in integers (_character_parts);
-specialized_character is its rational view.
+verify, which qchar.identities uses too, compares two that way, building
+the rhs first: a pure lattice rhs hands its window to a pure product lhs
+as the candidate that product_series certifies.  The routes share the
+partition's PartitionData, but no chain.  The character formula is written
+once, in integers (_character_parts); specialized_character is its
+rational view.
 
 Everything is exact: moduli and specialization vectors are integers by
 construction (non-integrality raises rather than rounds), and exponents are
@@ -186,8 +188,27 @@ class Side:
 
 
 def verify(lhs: Side, rhs: Side, bound) -> VerifyReport:
-    """Compare two sides, each built once through the bound above its lead."""
-    return _compare_builders(lhs.above, rhs.above, as_rational(bound))
+    """Compare two sides, each built once through the bound above its lead.
+
+    _compare_builders builds rhs first.  When rhs is a pure lattice sum and
+    lhs a pure product, as in every identity, the product takes the lattice
+    window as its candidate: product_series certifies the window against
+    the product's recurrence, and solves the recurrence only if that check
+    fails, so the product side is its exact expansion either way.
+    """
+    t = as_rational(bound)
+    if lhs.lattice is not None or rhs.product is not None:
+        return _compare_builders(lhs.above, rhs.above, t)
+    window = []
+
+    def lattice(order):
+        window.append(rhs.above(order))
+        return window[-1]
+
+    def product(order):
+        return product_series(lhs.product, order, window[-1])
+
+    return _compare_builders(product, lattice, t)
 
 
 def specialized_character(parts: Sequence[int], k: int) -> Side:

@@ -9,7 +9,10 @@ the proposition of qchar.affine for a two-part partition, whose trace theta
 sum Gauss's identity gauss_b turns into an Euler-product quotient.  The
 m = 1 members of the two families are the same proposition.  verify_identity
 reads a spec as two Sides, a pure product and a pure lattice sum, and hands
-them to qchar.affine.verify.
+them to qchar.affine.verify, which walks the lattice sum first and certifies
+its window against the product's recurrence.  A match is a proof: the
+window comes from the walk alone, the recurrence from the product's divisor
+sieve alone, and the recurrence has one solution.
 """
 
 from __future__ import annotations
@@ -143,5 +146,8 @@ def verify_identity(spec: IdentitySpec, bound) -> VerifyReport:
     The product side starts at q^0; the lattice side is built through the
     bound above its minimum exponent, or less if weights cancel there.  Each
     is a Side with one factor, so neither is multiplied by a unit series.
+    The lattice side is built first, and the product side is its window
+    when that window passes product_series's check of the recurrence, or
+    else the recurrence's solution: the report is the same either way.
     """
     return verify(Side(None, spec.lhs), Side(spec.rhs), bound)

@@ -1,5 +1,6 @@
 """Identity builders, JSON mirrors, and full verification runs for both families."""
 
+import json
 from dataclasses import replace
 from fractions import Fraction
 
@@ -25,6 +26,7 @@ from qchar.quadform import (
     WEIGHT_ALTERNATING,
     WEIGHT_FOUR_K_PLUS_ONE,
     LatticeSum,
+    lattice_sum_above,
     lattice_sum_series,
 )
 
@@ -254,6 +256,78 @@ def test_vanishing_lattice_side_is_built_once(monkeypatch):
         "exponent": "0", "lhs_coeff": "1", "rhs_coeff": "0"
     }
     assert sorted(calls) == ["lattice_sum_above", "product_series"]
+
+
+# -- the product side certified against the lattice window ---------------------
+
+# the identities of the classical-hi and families workloads at their orders
+WORKLOAD_IDENTITIES = [
+    *((classical_identity(name), 3000) for name in CLASSICAL_NAMES),
+    (class1_identity(1), 800),
+    (class1_identity(2), 160),
+    (class1_identity(3), 56),
+    (class2_identity(1), 800),
+    (class2_identity(2), 100),
+]
+
+
+def crossed(name, product_of, lattice_of):
+    return IdentitySpec(name, product_of.lhs, lattice_of.rhs)
+
+
+# a product against another identity's lattice: each mismatches, the last at
+# q^50, where phi(q) phi(q^50) first leaves Euler's pentagonal sum
+FALSE_PAIRINGS = [
+    (crossed("jacobi/euler", classical_identity("jacobi"), classical_identity("euler")), 300),
+    (crossed("gauss_b/gauss_a", classical_identity("gauss_b"), classical_identity("gauss_a")), 300),
+    (crossed("class1 3/2", class1_identity(3), class1_identity(2)), 60),
+    (crossed("class2 1/class1 2", class2_identity(1), class1_identity(2)), 100),
+    (IdentitySpec("euler*phi(q^50)", ProductSpec(((Fraction(1), 1), (Fraction(50), 1))),
+                  classical_identity("euler").rhs), 300),
+]
+
+
+def solved_report(spec, order):
+    """The report of the same comparison with the product solved, no candidate."""
+    _, window = lattice_sum_above(spec.rhs, order)
+    return series_compare(product_series(spec.lhs, order), window)
+
+
+@pytest.mark.parametrize(
+    "spec, order", WORKLOAD_IDENTITIES + FALSE_PAIRINGS,
+    ids=[f"{s.name}{f' m{s.params}' if s.params else ''}@{t}"
+         for s, t in WORKLOAD_IDENTITIES + FALSE_PAIRINGS],
+)
+def test_identity_reports_equal_those_with_the_product_solved(spec, order):
+    got, want = verify_identity(spec, order).to_json(), solved_report(spec, order).to_json()
+    assert json.dumps(got) == json.dumps(want)
+    assert got["match"] == ((spec, order) in WORKLOAD_IDENTITIES)
+
+
+def test_matching_identities_are_certified_not_solved(monkeypatch):
+    """A matching identity's product side is its lattice window, certified by
+    one check: no recurrence solve and no push, or a fallback would hide
+    behind the same report.  The sparse classical sides scatter and the
+    dense family sides multiply; a false pairing solves."""
+    import qchar.qseries as qseries
+
+    calls = []
+    for name in ("_solve", "_push_dense", "_push_sparse", "_mul_slots"):
+        inner = getattr(qseries, name)
+
+        def counted(*args, name=name, inner=inner):
+            calls.append(name)
+            return inner(*args)
+
+        monkeypatch.setattr(qseries, name, counted)
+    for spec, order in WORKLOAD_IDENTITIES:
+        calls.clear()
+        assert verify_identity(spec, order).match
+        assert calls == ([] if spec.params is None else ["_mul_slots"]), spec
+    spec, order = FALSE_PAIRINGS[-1]
+    calls.clear()
+    assert not verify_identity(spec, order).match
+    assert "_solve" in calls and "_push_sparse" in calls
 
 
 def test_classical_identities_hold():

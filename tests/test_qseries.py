@@ -666,6 +666,140 @@ def test_classical_sides_on_finer_grids_scatter(pushes, name, d):
     assert "sparse" in kernels(pushes)
 
 
+# -- certifying a candidate window ------------------------------------------------
+
+
+def candidate_windows(exact):
+    """(kind, candidate, certified) for a product's exact expansion: whether
+    product_series may return a candidate without solving its recurrence.
+    The window is read over its leading monomial on the product's grid, so a
+    shift, and terms off that grid, leave it exact; any other change breaks
+    c_0 = 1 or some m c_m = S_m, and a window short of the order, or zero,
+    is never read."""
+    d, units, coeffs = exact.denom, exact.order, list(exact.coeffs)
+    yield "exact", exact, True
+    for slot in (0, units // 2, units):
+        bad = coeffs[:]
+        bad[slot] += 1
+        yield f"perturbed@{slot}", QSeries.from_window(d, 0, bad, units), False
+    yield "truncated", exact.truncated(Fraction(units - 1, d)), False
+    yield "shifted", QSeries(d, exact.lo - 7, exact.coeffs, units - 7), True
+    finer = list(exact.rebase(3 * d).coeffs)
+    finer[1] = finer[-2] = 5
+    yield "finer", QSeries(3 * d, 0, tuple(finer), 3 * units), True
+    yield "zero", QSeries.zero(Fraction(units, d), d), False
+
+
+def workload_product_specs():
+    """The product sides of the classical-hi and families workloads, at their orders."""
+    for name in CLASSICAL_NAMES:
+        yield classical_identity(name).lhs, 3000
+    for make, m, order in ((class1_identity, 1, 800), (class1_identity, 2, 160),
+                           (class1_identity, 3, 56), (class2_identity, 1, 800),
+                           (class2_identity, 2, 100)):
+        yield make(m).lhs, order
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """Counts the recurrences product_series solves: one per call that
+    has no candidate or discards it."""
+    made = [0]
+    solve = qseries._solve
+
+    def counted(logd, lmax, packed, coeffs, support, l, r):
+        made[0] += (l, r) == (0, len(coeffs))  # the whole window, not a half
+        return solve(logd, lmax, packed, coeffs, support, l, r)
+
+    monkeypatch.setattr(qseries, "_solve", counted)
+    return made
+
+
+def test_a_candidate_never_changes_the_product(solves):
+    """product_series(spec, t, c) is product_series(spec, t) field for field,
+    on the workload sides and on random sides on grids d > 1, whatever the
+    candidate; the exact windows are certified and the others solved."""
+    rng = random.Random(20261018)
+    specs = [*workload_product_specs(), *random_fractional_specs(rng)]
+    for spec, order in specs:
+        want = product_series(spec, order)
+        for kind, candidate, certified in candidate_windows(want):
+            before = solves[0]
+            got = product_series(spec, order, candidate)
+            assert same_window(got, want), (spec, order, kind)
+            assert solves[0] - before == (not certified), (spec, order, kind)
+
+
+def test_a_candidate_on_a_coarser_grid_is_read_at_the_products_grid(solves):
+    """phi(q^(1/2))^2 / phi(q) has terms at half-integer exponents, so its
+    integer terms alone, on grid 1, read as zero there and are solved past."""
+    spec = ProductSpec(((Fraction(1, 2), 2), (Fraction(1), -1)))
+    want = product_series(spec, 40)
+    assert want.denom == 2 and any(want.coeffs[1::2])
+    coarse = QSeries.from_window(1, 0, want.coeffs[::2], 40)
+    assert same_window(product_series(spec, 40, coarse), want)
+    assert solves[0] == 2
+
+
+@pytest.mark.parametrize("nonzero, big", ((12, 3), (12, 1 << 70), (90, 3), (90, 1 << 40)))
+def test_certify_accepts_exactly_the_solution_of_its_recurrence(monkeypatch, nonzero, big):
+    """Any integer c with c_0 = 1 solves m c_m = sum_(j<m) L_(m-j) c_j for one
+    integer L, L_m = m c_m - sum_(0<j<m) L_(m-j) c_j: _certify accepts c
+    against that L and refuses c changed at any slot, by scatter when at
+    most one slot in _SPARSE is nonzero and by multiply otherwise, at
+    widths up to hundreds of bits."""
+    multiplies = []
+    multiply = qseries._mul_slots
+
+    def counted(*args):
+        multiplies.append(args)
+        return multiply(*args)
+
+    monkeypatch.setattr(qseries, "_mul_slots", counted)
+    rng = random.Random(nonzero * big)
+    units = 100
+    c = [1] + [0] * units
+    for j in rng.sample(range(1, units + 1), nonzero - 1):
+        c[j] = rng.choice((-1, 1)) * rng.randint(1, big)
+    logd = [0] * (units + 1)
+    for m in range(1, units + 1):
+        logd[m] = m * c[m] - sum(logd[m - j] * c[j] for j in range(1, m))
+    lmax = max(map(abs, logd))
+    assert qseries._certify(logd, lmax, c)
+    assert len(multiplies) == (nonzero * qseries._SPARSE > units)
+    for slot in (0, 1, units // 2, units):
+        bad = c[:]
+        bad[slot] -= 1
+        assert not qseries._certify(logd, lmax, bad), slot
+
+
+@pytest.mark.parametrize("nonzero", (8, 60))
+@pytest.mark.parametrize("sign", (1, -1))
+def test_certify_sums_exactly_at_the_width_bound(monkeypatch, nonzero, sign):
+    """c_0 = 1 and nonzero - 1 more slots of a, against L_i = sign l: the last
+    slot of S = L c sums to sign l (1 + (nonzero - 1) a), at least seven
+    eighths of the bound nonzero a l that sets the width, so 64-bit slots
+    hold it where the 32 bits that a l alone fits would not.  Both kernels
+    decode every slot exactly: scatter at 8 nonzero in 100, multiply at 60."""
+    decoded = []
+    unpack = qseries._unpack
+
+    def recorded(*args):
+        decoded.append(list(unpack(*args)))
+        return decoded[-1]
+
+    monkeypatch.setattr(qseries, "_unpack", recorded)
+    units, a, ell = 100, 1 << 20, 1 << 10
+    assert qseries._slot_width(a * ell) == 32 < qseries._slot_width(nonzero * a * ell) == 64
+    c = [1] + [0] * units
+    for j in random.Random(nonzero).sample(range(1, units), nonzero - 1):
+        c[j] = a
+    logd = [0] + [sign * ell] * units
+    assert not qseries._certify(logd, ell, c)
+    want = [sum(logd[m - j] * c[j] for j in range(m)) for m in range(1, units + 1)]
+    assert decoded == [want] and abs(want[-1]) == ell * (1 + (nonzero - 1) * a)
+
+
 # -- the sieve for L and sigma ----------------------------------------------------
 
 

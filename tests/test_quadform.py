@@ -446,6 +446,48 @@ def test_lattice_sum_above_lead_matches_box_oracle():
     assert lattice_sum_above(vanishing, 6) == (0, QSeries.zero(6))
 
 
+def workload_lattice_sides():
+    """(lattice, order) of every walk the three benchmark workloads make: both
+    routes of each proposition with n <= 7 at order 30, the family and the
+    classical identities' lattice sides at their orders."""
+    from qchar.affine import PartitionData, _character_parts, _trace_parts, partitions
+    from qchar.identities import CLASSICAL_NAMES, class2_identity
+
+    for n in range(1, 8):
+        for parts in partitions(n):
+            data = PartitionData.from_parts(parts)
+            for k in range(n):
+                yield _character_parts(data, k).lattice, 30
+                yield _trace_parts(data, k).lattice, 30
+    for make, m, order in ((class1_identity, 1, 800), (class1_identity, 2, 160),
+                           (class1_identity, 3, 56), (class2_identity, 1, 800),
+                           (class2_identity, 2, 100)):
+        yield make(m).rhs, order
+    for name in CLASSICAL_NAMES:
+        yield classical_identity(name).rhs, 3000
+
+
+def test_nearest_plane_walk_reaches_the_minimum_within_babais_bound():
+    """lattice_sum_above walks through its nearest-plane point's exponent
+    plus the order: never short of the minimum plus the order, never past
+    Babai's worst case cstar + sum(d_i)/4 plus the order, and on all but 5
+    of the 489 workload walks through exactly the minimum plus the order."""
+    import qchar.quadform as quadform
+
+    exact = walks = 0
+    for s, order in workload_lattice_sides():
+        lead, _ = lattice_sum_above(s, order)
+        form = s._form
+        least, extra = form.least, order * form.grid
+        pivots = sum(k * w * w for k, w in zip(form.K, form.W))
+        units = quadform._nearest_plane(form) + extra
+        assert least + extra <= units <= (4 * form.base + pivots) // (4 * form.sigma) + extra
+        assert lead == Fraction(least, form.grid)
+        exact += units == least + extra
+        walks += 1
+    assert (walks, exact) == (489, 484)
+
+
 def counting(monkeypatch, name):
     import qchar.quadform as quadform
 

@@ -7,11 +7,12 @@ coefficients are guaranteed correct, and every operation propagates that
 guarantee honestly rather than optimistically.  All arithmetic is over
 arbitrary-precision integers and exact rationals; nothing here touches
 floating point.  product_series solves its recurrence by halves of its window
-and pushes a solved half into the next when that pays: a dense half by one
-packed multiply, a sparse one by a scatter of packed slots.  Handed a
-candidate window, such as an identity's lattice side, it first certifies the
-candidate against the recurrence with one packed product, and returns it
-when it passes, since the recurrence has one solution.
+and pushes a solved half into the next when that pays.  Handed a candidate
+window, such as an identity's lattice side, it first certifies the candidate
+against the recurrence with one product, and returns it when it passes,
+since the recurrence has one solution.  Pushes and certificates share one
+packed kernel, _convolve: a scatter of shifted packed slots for sparse
+coefficients, one packed multiply for dense ones.
 """
 
 from __future__ import annotations
@@ -248,6 +249,8 @@ class QSeries:
         units = floor(as_rational(order) * self.denom)
         if units > self.order:
             raise ValueError("cannot extend a series beyond its guaranteed order")
+        if units == self.order:  # immutable, so the series itself is its cut
+            return self
         if units < self.lo:
             return QSeries(self.denom, units, (0,), units)
         # the window start stays tight: coeffs[0] is nonzero or the only slot
@@ -429,7 +432,7 @@ class ProductSpec:
 # which measured faster than building the word arrays from Python ints.
 _BLOCK = 32
 _PRICE = 4  # product_series gives the price rule and its measurement
-_SPARSE = 8  # and the density at which a half is scattered instead
+_SPARSE = 8  # and the density at which _convolve scatters instead
 _TYPECODES = {array(code).itemsize * 8: code for code in "bhiq"}
 
 
@@ -496,7 +499,7 @@ def _log_derivative(spec: ProductSpec, d: int, units: int) -> list[int]:
 
 def _cut(x: int, start: int, k: int, w: int) -> int:
     """The packed int of slots start..start+k-1 of x, whose w-bit slots all
-    lie strictly inside (-2^(w-1), 2^(w-1)), as every push's slots do."""
+    lie strictly inside (-2^(w-1), 2^(w-1)), as _convolve's do."""
     shift, bits = w * start, w * k
     # the slots below start sum to less than 2^(shift-1) in size: rounding drops them
     part = ((x + (1 << shift >> 1)) >> shift) & ((1 << bits) - 1)
@@ -505,55 +508,47 @@ def _cut(x: int, start: int, k: int, w: int) -> int:
     return part
 
 
-def _mul_slots(a: list[int], b: list[int], start: int, k: int, w: int):
-    """Slots start..start+k-1 of the product of a and b, packed at width w,
-    whose slots all lie strictly inside (-2^(w-1), 2^(w-1))."""
-    return _unpack(_cut(_pack(a, w) * _pack(b, w), start, k, w), k, w)
+def _convolve(c: list[int], logd: list[int], lmax: int, start: int, k: int):
+    """Slots start..start+k-1 of (sum_j c_j x^j)(sum_i L_(i+1) x^i), at least
+    one c_j nonzero and lmax >= max|L| (Kronecker substitution; Harvey,
+    J. Symb. Comput. 44, 2009).
+
+    L_1..L_(start+k) are packed once at width w.  When at most one c_j in
+    _SPARSE is nonzero, each nonzero c_j adds c_j times that int shifted up
+    j slots; otherwise c is packed too and the two are multiplied once.
+    Either way _cut keeps the k slots asked for.  Width: every slot of the
+    full product, those _cut drops included, sums at most n terms c_j L_i,
+    n the nonzero count, so it is at most n max|c| max(lmax, 1), and so is
+    each packed c_j or L_i; _slot_width fits that bound below 2^(w-1), and
+    the rounding in _cut is exact.
+    """
+    js = list(compress(range(len(c)), c))
+    w = _slot_width(len(js) * max(map(abs, c)) * max(lmax, 1))
+    ell = _pack(logd[1 : start + k + 1], w)
+    if len(js) * _SPARSE <= len(c):
+        acc = 0
+        for j in js:
+            acc += c[j] * ell << j * w
+    else:
+        acc = _pack(c, w) * ell
+    return _unpack(_cut(acc, start, k, w), k, w)
 
 
-def _push_dense(logd: list[int], coeffs: list[int], l: int, mid: int, r: int, w: int):
-    """The shares of F_l..F_(mid-1) in [mid, r), by one packed multiply."""
-    return _mul_slots(coeffs[l:mid], logd[1 : r - l], mid - l - 1, r - mid, w)
-
-
-def _push_sparse(packed: dict, logd: list[int], coeffs: list[int], left: list[int], mid: int,
-                 r: int, w: int):
-    """The shares of the F_j, j in left, in [mid, r), scattered off L's offset slots."""
-    ell = packed.get(w)
-    if ell is None:
-        units = len(logd) - 1
-        ell = (_pack(logd[1:], w) + _lift(units, w)).to_bytes(units * w // 8, "little")
-        ell = packed[w] = memoryview(ell)
-    n = w // 8
-    acc = total = 0
-    for j in left:
-        acc += coeffs[j] * int.from_bytes(ell[(mid - j - 1) * n : (r - j - 1) * n], "little")
-        total += coeffs[j]
-    return _unpack(acc - total * _lift(r - mid, w), r - mid, w)
-
-
-def _solve(logd: list[int], lmax: int, packed: dict, coeffs: list[int], support: list[int],
-           l: int, r: int):
+def _solve(logd: list[int], lmax: int, coeffs: list[int], support: list[int], l: int, r: int):
     """Solve m F_m = sum_(j<m) L_(m-j) F_j for l <= m < r, as product_series sets out."""
     if r - l > _BLOCK and r > 2 * _BLOCK:
         mid = (l + r) // 2
-        _solve(logd, lmax, packed, coeffs, support, l, mid)
-        nonzero = mid - l - coeffs[l:mid].count(0)
-        sparse = nonzero * _SPARSE <= mid - l
+        _solve(logd, lmax, coeffs, support, l, mid)
+        half = coeffs[l:mid]
+        nonzero = mid - l - half.count(0)
         left = []
-        if nonzero and (sparse or nonzero * (r - mid) >= _PRICE * (r - l)):
+        if nonzero and (nonzero * _SPARSE <= mid - l or nonzero * (r - mid) >= _PRICE * (r - l)):
             left = support[-nonzero:]
             del support[-nonzero:]
-            # a sparse half's nonzero F are fewer to scan than its slots
-            half = map(coeffs.__getitem__, left) if sparse else coeffs[l:mid]
-            w = _slot_width(nonzero * max(map(abs, half)) * lmax)
-            if sparse:
-                x = _push_sparse(packed, logd, coeffs, left, mid, r, w)
-            else:
-                x = _push_dense(logd, coeffs, l, mid, r, w)
+            x = _convolve(half, logd, lmax, mid - l - 1, r - mid)
             coeffs[mid:r] = map(add, coeffs[mid:r], x)
             del x  # the right half recurses without it
-        _solve(logd, lmax, packed, coeffs, support, mid, r)
+        _solve(logd, lmax, coeffs, support, mid, r)
         support += left
         return
     for m in range(l or 1, r):
@@ -607,26 +602,21 @@ def product_series(spec: ProductSpec, order: RationalLike,
     the nonzero F_j < m that no push covered: a pushed half leaves it while
     its sibling is solved, then rejoins it.
 
-    A half with k > 0 and k _SPARSE <= mid - l (_SPARSE = 8) is pushed by
-    scatter.  L_1..L_n are packed once per call and width w into offset
-    slots, L_k + 2^(w-1) in [0, 2^w), kept as bytes; each nonzero F_j adds
-    F_j times the int of the r - mid slots L_(mid-j)..L_(r-1-j), one byte
-    slice, to one accumulator, and (sum F_j) times the lift comes off at
-    the end, leaving the packed int of the landing sums.  Any other half is
-    pushed by multiply if k (r - mid), the pulls saved, is at least
+    A half with k > 0 is pushed when it is sparse, k _SPARSE <= mid - l
+    (_SPARSE = 8), or when k (r - mid), the pulls saved, is at least
     _PRICE = 4 times r - l, the slots packed (2 to 8 measured alike; 16 and
     32 gave back 12% and 44% of the gain on the classical sides when they
-    pushed only by multiply).  That multiply packs F_l..F_(mid-1) and
-    L_1..L_(r-l-1) (Harvey, J. Symb. Comput. 44, 2009); slots mid - l - 1
-    to r - l - 2 of the product land in [mid, r), and _cut keeps only them.
-    Width: every slot of either kernel sums F_j L_(m-j) over at most the k
-    nonzero F_j of the half, so it is at most k max|F_half| max|L|, and so
-    is each packed F_j or L_k (unless L is all zero, when F = 1 fits any
-    width); _slot_width fits that bound below 2^(w-1).  Summed over the four
-    classical sides at order 3000 (medians, one 2-core x86-64 machine),
-    _SPARSE = 4, 8, 16, 32 took 15.1, 15.2, 15.8 and 19.8 ms; pushing only
-    by multiply and decoding whole products, 26.0 ms.  8 is kept: 4 was
-    1-2% slower on sides a quarter to a half nonzero, such as phi(q)^2.
+    pushed only by multiply).  A push is one _convolve of F_l..F_(mid-1)
+    with L, whose slots mid - l - 1 to r - l - 2 land in [mid, r); sparse
+    halves scatter there and the others multiply.  A shifted term carries
+    all r - l slots of L where a byte slice of offset slots carried r - mid,
+    so the pentagonal sides solve 1.2-1.3x slower than with slices at order
+    3000; only failed candidates and qchar series solve them.  Summed over
+    the four classical sides at order 3000 (medians, one 2-core x86-64
+    machine, sparse halves then scattered off byte slices), _SPARSE = 4, 8,
+    16, 32 took 15.1, 15.2, 15.8 and 19.8 ms; pushing only by multiply and
+    decoding whole products, 26.0 ms.  8 is kept: 4 was 1-2% slower on
+    sides a quarter to a half nonzero, such as phi(q)^2.
     """
     t = as_rational(order)
     d = lcm(*(s.denominator for s, _ in spec.factors))
@@ -640,7 +630,7 @@ def product_series(spec: ProductSpec, order: RationalLike,
         if coeffs and _certify(logd, lmax, coeffs):
             return QSeries.from_window(d, 0, coeffs, units)
     coeffs = [1] + [0] * units
-    _solve(logd, lmax, {}, coeffs, [0], 0, units + 1)
+    _solve(logd, lmax, coeffs, [0], 0, units + 1)
     return QSeries.from_window(d, 0, coeffs, units)
 
 
@@ -660,30 +650,16 @@ def _window_on_grid(candidate: QSeries, d: int, units: int) -> list[int]:
 def _certify(logd: list[int], lmax: int, c: list[int]) -> bool:
     """Whether c_0 = 1 and m c_m = S_m for 1 <= m <= units, S = L c.
 
-    S_m = sum_(j<m) L_(m-j) c_j reads c_0..c_(units-1).  When its k nonzero
-    terms are sparse, k _SPARSE <= units, they are scattered onto L packed
-    once: each adds c_j times that int shifted up j slots.  Otherwise c and
-    L are packed and multiplied once.  Either way every slot, those past
-    units included, sums at most k terms c_j L_i, so it is at most
-    k max|c| max|L|, a bound that also holds every packed c_j and L_i
-    (max|L| is taken as 1 if L is zero), and _cut keeps the first units.
-    Shifting measured faster than slicing offset slots as _push_sparse
-    does, whose int.from_bytes cost more than the shift: 0.68 against
-    1.22 ms for euler's side at order 3000 (one 2-core x86-64 machine).
+    S_m = sum_(j<m) L_(m-j) c_j reads c_0..c_(units-1), and slots 0..units-1
+    of one _convolve are S_1..S_units.  Its sparse kernel shifts packed L
+    rather than slicing L's bytes, since a shift of a packed int measured
+    about four times cheaper than int.from_bytes of the same slice (1.7
+    against 7.0 us for 12 KB, one 2-core x86-64 machine).
     """
     units = len(logd) - 1
     if c[0] != 1 or not units:  # with no m >= 1, c_0 = 1 is the whole check
         return c[0] == 1
-    head = c[:units]
-    js = list(compress(range(units), head))
-    w = _slot_width(len(js) * max(map(abs, head)) * max(lmax, 1))
-    if len(js) * _SPARSE <= units:
-        ell, acc = _pack(logd[1:], w), 0
-        for j in js:
-            acc += c[j] * ell << j * w
-        s = _unpack(_cut(acc, 0, units, w), units, w)
-    else:
-        s = _mul_slots(head, logd[1:], 0, units, w)
+    s = _convolve(c[:units], logd, lmax, 0, units)
     return all(map(eq, s, map(mul, c[1:], range(1, units + 1))))
 
 

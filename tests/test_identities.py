@@ -306,28 +306,39 @@ def test_identity_reports_equal_those_with_the_product_solved(spec, order):
 
 def test_matching_identities_are_certified_not_solved(monkeypatch):
     """A matching identity's product side is its lattice window, certified by
-    one check: no recurrence solve and no push, or a fallback would hide
-    behind the same report.  The sparse classical sides scatter and the
-    dense family sides multiply; a false pairing solves."""
+    one check: no recurrence solve and one kernel call, or a fallback would
+    hide behind the same report.  The kernel is observed by what it packs:
+    the sparse classical sides pack L alone and scatter, the dense family
+    sides pack the window beside it and multiply.  A false pairing solves."""
     import qchar.qseries as qseries
 
     calls = []
-    for name in ("_solve", "_push_dense", "_push_sparse", "_mul_slots"):
-        inner = getattr(qseries, name)
+    solve, convolve, pack = qseries._solve, qseries._convolve, qseries._pack
 
-        def counted(*args, name=name, inner=inner):
-            calls.append(name)
-            return inner(*args)
+    def solved(*args):
+        calls.append("solve")
+        return solve(*args)
 
-        monkeypatch.setattr(qseries, name, counted)
+    def convolved(*args):
+        calls.append("convolve")
+        return convolve(*args)
+
+    def packed(*args):
+        calls[-1] = {"convolve": "sparse", "sparse": "dense"}[calls[-1]]
+        return pack(*args)
+
+    monkeypatch.setattr(qseries, "_solve", solved)
+    monkeypatch.setattr(qseries, "_convolve", convolved)
+    monkeypatch.setattr(qseries, "_pack", packed)
     for spec, order in WORKLOAD_IDENTITIES:
         calls.clear()
         assert verify_identity(spec, order).match
-        assert calls == ([] if spec.params is None else ["_mul_slots"]), spec
+        assert calls == ["sparse" if spec.params is None else "dense"], spec
     spec, order = FALSE_PAIRINGS[-1]
     calls.clear()
     assert not verify_identity(spec, order).match
-    assert "_solve" in calls and "_push_sparse" in calls
+    # the failed certificate, then the solve, whose sparse halves scatter
+    assert calls[:2] == ["sparse", "solve"] and "sparse" in calls[2:]
 
 
 def test_classical_identities_hold():

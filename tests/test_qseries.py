@@ -9,7 +9,7 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import floor, gcd, lcm
+from math import floor, gcd, isqrt, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -373,42 +373,84 @@ HALF = 1 << 63
 B = qseries._BLOCK
 
 
+def schoolbook_slots(c, logd, start, k):
+    """Slots start..start+k-1 of (sum_j c_j x^j)(sum_i L_(i+1) x^i), term by term."""
+    nonzero = [(j, v) for j, v in enumerate(c) if v]
+    return [sum(v * logd[s - j + 1] for j, v in nonzero if j <= s) for s in range(start, start + k)]
+
+
+@dataclass(frozen=True)
+class Convolve:
+    kernel: str
+    c: tuple
+    start: int
+    k: int
+    w: int
+
+
 @pytest.fixture
-def pushes(monkeypatch):
-    """Every push product_series makes, in call order, as a Push.
+def convolves(monkeypatch):
+    """Every _convolve call, in call order, as a Convolve.
 
-    A push adds the shares of a solved half [l, mid) to F_mid..F_(r-1),
-    by one packed multiply ("dense") or by a scatter of L's packed slots
-    ("sparse").  Each push's r - mid landing slots are checked against the
-    schoolbook sum over its half as it is made, and its width against the
-    bound product_series proves; the half is kept as its nonzero (j, F_j),
-    which are all a push reads.
+    The kernel and width are observed, not recomputed: the dense kernel
+    packs c beside L, the sparse one packs L alone, and both pack at the
+    width they decode.  Each call's slots are checked against the schoolbook
+    as it is made, and its width against the bound _convolve proves, which
+    counts c's nonzero terms, not its length.
     """
-    made = []
-    dense, sparse = qseries._push_dense, qseries._push_sparse
+    made, widths = [], []
+    convolve, pack = qseries._convolve, qseries._pack
 
-    def checked(kernel, logd, half, mid, r, w, slots):
-        slots = list(slots)
-        assert slots == [sum(c * logd[m - j] for j, c in half) for m in range(mid, r)]
-        # the width counts the half's nonzero terms, not its length
-        bound = len(half) * max(abs(c) for _, c in half) * max(map(abs, logd))
-        assert w == qseries._slot_width(bound)
-        made.append(Push(kernel, mid, r, half, w))
+    def packed(values, w):
+        widths.append(w)
+        return pack(values, w)
+
+    def checked(c, logd, lmax, start, k):
+        widths.clear()
+        slots = list(convolve(c, logd, lmax, start, k))
+        assert slots == schoolbook_slots(c, logd, start, k)
+        assert lmax == max(map(abs, logd))
+        bound = (len(c) - c.count(0)) * max(map(abs, c)) * max(lmax, 1)
+        assert len(widths) in (1, 2) and set(widths) == {qseries._slot_width(bound)}
+        made.append(Convolve(("sparse", "dense")[len(widths) - 1], tuple(c), start, k, widths[0]))
         return slots
 
-    def checked_dense(logd, coeffs, l, mid, r, w):
-        half = tuple((j, coeffs[j]) for j in range(l, mid) if coeffs[j])
-        return checked("dense", logd, half, mid, r, w, dense(logd, coeffs, l, mid, r, w))
+    monkeypatch.setattr(qseries, "_pack", packed)
+    monkeypatch.setattr(qseries, "_convolve", checked)
+    return made
 
-    def checked_sparse(packed, logd, coeffs, left, mid, r, w):
-        # the support hands back a half's nonzero F_j in any order, each once
-        half = tuple((j, coeffs[j]) for j in sorted(left))
-        assert all(c for _, c in half) and len(set(left)) == len(left) and max(left) < mid
-        got = sparse(packed, logd, coeffs, left, mid, r, w)
-        return checked("sparse", logd, half, mid, r, w, got)
 
-    monkeypatch.setattr(qseries, "_push_dense", checked_dense)
-    monkeypatch.setattr(qseries, "_push_sparse", checked_sparse)
+@pytest.fixture
+def pushes(monkeypatch, convolves):
+    """Every push product_series makes, in call order, as a Push.
+
+    A push adds the shares of a solved half [l, mid) to F_mid..F_(r-1) by
+    one _convolve call, checked by convolves: its slots mid - l - 1 to
+    r - l - 2 of F_l..F_(mid-1) times L.  The half [l, r) is read off the
+    innermost _solve running, and the half is kept as its nonzero (j, F_j),
+    which are all a push reads.
+    """
+    made, at = [], []
+    solve, convolve = qseries._solve, qseries._convolve
+
+    def tracked(logd, lmax, coeffs, support, l, r):
+        at.append((coeffs, l, r))
+        try:
+            return solve(logd, lmax, coeffs, support, l, r)
+        finally:
+            at.pop()
+
+    def located(c, logd, lmax, start, k):
+        coeffs, l, r = at[-1]
+        mid = (l + r) // 2
+        assert (c, start, k) == (coeffs[l:mid], mid - l - 1, r - mid)
+        slots = convolve(c, logd, lmax, start, k)
+        half = tuple((l + j, v) for j, v in enumerate(c) if v)
+        made.append(Push(convolves[-1].kernel, mid, r, half, convolves[-1].w))
+        return slots
+
+    monkeypatch.setattr(qseries, "_solve", tracked)
+    monkeypatch.setattr(qseries, "_convolve", located)
     return made
 
 
@@ -618,22 +660,54 @@ def test_packed_product_decodes_at_the_width_bound():
         assert max(want) == -min(want) == B * a * c
 
 
-def test_sparse_push_decodes_at_the_width_bound():
-    """Landing slots of +-k a c, the largest sum of k = 4 terms that 64-bit
-    slots hold, scattered off L's offset slots 2^63 + c and 2^63 - c."""
-    k, a = 4, (1 << 30) - 1
-    c = (HALF - 1) // (k * a)
-    assert qseries._slot_width(k * a * c) == 64 < qseries._slot_width(k * a * (c + 1))
-    mid, r = 128, 256
-    logd = [0] + [c] * (mid - 1) + [-c] * (r - mid)
-    left = [100, 110, 120, mid - 1]
+@pytest.mark.parametrize("w", (8, 16, 32, 64, 128, 192))
+@pytest.mark.parametrize("nonzero", (4, 20))
+def test_convolve_matches_the_schoolbook(convolves, w, nonzero):
+    """_convolve against the schoolbook on random c and L: 4 nonzero c_j in
+    40 scatter and 20 multiply, from slot 0, mid-window and the last slot
+    that L reaches, with magnitudes whose bound n max|c| max|L| sets each
+    width."""
+    rng = random.Random(w * nonzero)
+    size, units = 40, 60
+    target = 1 << (w - 2)  # at least 2^(w'-1) for the next narrower width w'
+    ell = max(1, isqrt(target // nonzero))
+    a = target // (nonzero * ell)
+    for _ in range(5):
+        c = [0] * size
+        for j in rng.sample(range(size), nonzero):
+            c[j] = rng.choice((-1, 1)) * rng.randint(1, a)
+        c[rng.choice([j for j, v in enumerate(c) if v])] = rng.choice((-a, a))
+        logd = [0] + [rng.randint(-ell, ell) for _ in range(units)]
+        logd[rng.randint(1, units)] = rng.choice((-ell, ell))
+        for start in (0, units // 2, units - 1):
+            for k in (units - start, rng.randint(1, units - start)):
+                assert list(qseries._convolve(c, logd, ell, start, k)) == schoolbook_slots(
+                    c, logd, start, k
+                )
+    assert {call.w for call in convolves} == {w}
+    assert {call.kernel for call in convolves} == {"sparse" if nonzero == 4 else "dense"}
+
+
+@pytest.mark.parametrize("w", (16, 32, 64, 128))
+@pytest.mark.parametrize("js", ((100, 110, 120, 127), range(64, 128)), ids=("sparse", "dense"))
+def test_convolve_sums_exactly_at_the_width_bound(convolves, w, js):
+    """Landing slots of +-n a l, the largest sum of n terms that w-bit slots
+    hold: c_j = +-a at n positions below 128 and L_i = l up to L_127, -l
+    after, read from slot 127 on as a push of [0, 128) into [128, 256)
+    reads them.  The first landing slot sums n terms on +l and the last
+    n terms on -l; sparse (n = 4) and dense (n = 64) kernels alike."""
+    n, a = len(js), (1 << (w // 2 - 4)) - 1
+    ell = ((1 << (w - 1)) - 1) // (n * a)
+    assert qseries._slot_width(n * a * ell) == w < qseries._slot_width(n * a * (ell + 1))
+    logd = [0] + [ell] * 127 + [-ell] * 128
     for sign in (1, -1):
-        coeffs = [0] * r
-        for j in left:
-            coeffs[j] = sign * a
-        got = list(qseries._push_sparse({}, logd, coeffs, left, mid, r, 64))
-        assert got == [sum(coeffs[j] * logd[m - j] for j in left) for m in range(mid, r)]
-        assert got[0] == -got[-1] == sign * k * a * c
+        c = [0] * 128
+        for j in js:
+            c[j] = sign * a
+        got = list(qseries._convolve(c, logd, ell, 127, 128))
+        assert got[0] == -got[-1] == sign * n * a * ell
+    assert {call.w for call in convolves} == {w}
+    assert {call.kernel for call in convolves} == {"sparse" if n == 4 else "dense"}
 
 
 @pytest.mark.parametrize("w", (8, 16, 64, 128))
@@ -707,9 +781,9 @@ def solves(monkeypatch):
     made = [0]
     solve = qseries._solve
 
-    def counted(logd, lmax, packed, coeffs, support, l, r):
+    def counted(logd, lmax, coeffs, support, l, r):
         made[0] += (l, r) == (0, len(coeffs))  # the whole window, not a half
-        return solve(logd, lmax, packed, coeffs, support, l, r)
+        return solve(logd, lmax, coeffs, support, l, r)
 
     monkeypatch.setattr(qseries, "_solve", counted)
     return made
@@ -742,20 +816,12 @@ def test_a_candidate_on_a_coarser_grid_is_read_at_the_products_grid(solves):
 
 
 @pytest.mark.parametrize("nonzero, big", ((12, 3), (12, 1 << 70), (90, 3), (90, 1 << 40)))
-def test_certify_accepts_exactly_the_solution_of_its_recurrence(monkeypatch, nonzero, big):
+def test_certify_accepts_exactly_the_solution_of_its_recurrence(convolves, nonzero, big):
     """Any integer c with c_0 = 1 solves m c_m = sum_(j<m) L_(m-j) c_j for one
     integer L, L_m = m c_m - sum_(0<j<m) L_(m-j) c_j: _certify accepts c
-    against that L and refuses c changed at any slot, by scatter when at
-    most one slot in _SPARSE is nonzero and by multiply otherwise, at
-    widths up to hundreds of bits."""
-    multiplies = []
-    multiply = qseries._mul_slots
-
-    def counted(*args):
-        multiplies.append(args)
-        return multiply(*args)
-
-    monkeypatch.setattr(qseries, "_mul_slots", counted)
+    against that L and refuses c changed at any slot, by one _convolve that
+    scatters when at most one slot in _SPARSE is nonzero and multiplies
+    otherwise, at widths up to hundreds of bits."""
     rng = random.Random(nonzero * big)
     units = 100
     c = [1] + [0] * units
@@ -766,7 +832,10 @@ def test_certify_accepts_exactly_the_solution_of_its_recurrence(monkeypatch, non
         logd[m] = m * c[m] - sum(logd[m - j] * c[j] for j in range(1, m))
     lmax = max(map(abs, logd))
     assert qseries._certify(logd, lmax, c)
-    assert len(multiplies) == (nonzero * qseries._SPARSE > units)
+    dense = nonzero * qseries._SPARSE > units
+    assert [(call.kernel, call.c, call.start, call.k) for call in convolves] == [
+        ("dense" if dense else "sparse", tuple(c[:units]), 0, units)
+    ]
     for slot in (0, 1, units // 2, units):
         bad = c[:]
         bad[slot] -= 1
@@ -958,6 +1027,18 @@ def test_truncated():
         assert t[e] == p[e]
     with pytest.raises(ValueError):
         t.truncated(9)
+
+
+def test_truncated_at_its_own_order_is_the_series_itself():
+    """A cut at the series' own order, on its grid or between grid points
+    below the next one, returns the same immutable object; a real cut is a
+    new series."""
+    p = QSeries(2, 1, (3, 0, -1, 4), 4)
+    assert p.truncated(2) is p and p.truncated(Fraction(9, 4)) is p
+    cut = p.truncated(Fraction(3, 2))
+    assert cut is not p and (cut.lo, cut.coeffs, cut.order) == (1, (3, 0, -1), 3)
+    zero = QSeries.zero(7)
+    assert zero.truncated(7) is zero
 
 
 # -- serialization and rendering ---------------------------------------------------

@@ -11,7 +11,7 @@ Side, a lattice sum (a LatticeSum or a route's integer chain) times an
 Euler-product quotient, either factor possibly absent; Side.series builds
 one through a bound and Side.above through an order above its lead, and
 verify, which qchar.identities uses too, compares two that way, building
-the rhs first: a pure lattice rhs hands its window to a pure product lhs
+the rhs first and handing its window to the lhs: a pure product takes it
 as the candidate that product_series certifies.  The routes share the
 partition's PartitionData, but no chain.  The character formula is written
 once, in integers (_character_parts); specialized_character is its
@@ -171,11 +171,16 @@ class Side:
             return product_series(self.product, t)
         return self._times_product(lattice_sum_series(self.lattice, t), t)
 
-    def above(self, order) -> QSeries:
-        """Expand the side, guaranteed through order above its lead."""
+    def above(self, order, candidate: Optional[QSeries] = None) -> QSeries:
+        """Expand the side, guaranteed through order above its lead.
+
+        A pure product hands the candidate window to product_series, which
+        returns it when it certifies and solves otherwise; any other side
+        ignores it.  The expansion is the same either way.
+        """
         t = as_rational(order)
         if self.lattice is None:
-            return product_series(self.product, t)
+            return product_series(self.product, t, candidate)
         lead, lattice = lattice_sum_above(self.lattice, t)
         return self._times_product(lattice, lead + t)
 
@@ -190,25 +195,19 @@ class Side:
 def verify(lhs: Side, rhs: Side, bound) -> VerifyReport:
     """Compare two sides, each built once through the bound above its lead.
 
-    _compare_builders builds rhs first.  When rhs is a pure lattice sum and
-    lhs a pure product, as in every identity, the product takes the lattice
-    window as its candidate: product_series certifies the window against
-    the product's recurrence, and solves the recurrence only if that check
-    fails, so the product side is its exact expansion either way.
+    _compare_builders builds rhs first, and lhs.above takes its window as a
+    candidate.  A pure product lhs, as in every identity, is then the rhs
+    window when that passes the product's recurrence and the recurrence's
+    solution when it does not, so the report is the same either way.
     """
-    t = as_rational(bound)
-    if lhs.lattice is not None or rhs.product is not None:
-        return _compare_builders(lhs.above, rhs.above, t)
-    window = []
+    window = None
 
-    def lattice(order):
-        window.append(rhs.above(order))
-        return window[-1]
+    def right(order):
+        nonlocal window
+        window = rhs.above(order)
+        return window
 
-    def product(order):
-        return product_series(lhs.product, order, window[-1])
-
-    return _compare_builders(product, lattice, t)
+    return _compare_builders(lambda order: lhs.above(order, window), right, as_rational(bound))
 
 
 def specialized_character(parts: Sequence[int], k: int) -> Side:

@@ -102,24 +102,26 @@ def _finish_command(p: argparse.ArgumentParser, func, timing: bool) -> None:
     p.set_defaults(func=func)
 
 
+def _power(e: Fraction) -> str:
+    """q^e, a non-integer exponent parenthesized as render writes it."""
+    text = format_rational(e)
+    return f"q^{text}" if e.denominator == 1 else f"q^({text})"
+
+
 def _emit_report(report: VerifyReport, args: argparse.Namespace) -> int:
     if args.json:
         print(json.dumps(report.to_json(include_timing=args.timing), sort_keys=True))
     else:
         lines = ["match" if report.match else "MISMATCH"]
-        lines.append(f"checked through: q^{format_rational(report.checked_through)}")
+        lines.append(f"checked through: {_power(report.checked_through)}")
         if report.lhs_shift or report.rhs_shift:
             lines.append(
-                "leading shifts: lhs q^%s, rhs q^%s"
-                % (
-                    format_rational(report.lhs_shift),
-                    format_rational(report.rhs_shift),
-                )
+                f"leading shifts: lhs {_power(report.lhs_shift)}, rhs {_power(report.rhs_shift)}"
             )
         if report.first_mismatch is not None:
             m = report.first_mismatch
             lines.append(
-                f"first mismatch at q^{format_rational(m.exponent)}: "
+                f"first mismatch at {_power(m.exponent)}: "
                 f"lhs {m.lhs_coeff} vs rhs {m.rhs_coeff}"
             )
         if args.timing:

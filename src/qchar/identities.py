@@ -146,8 +146,9 @@ def verify_identity(spec: IdentitySpec, bound) -> VerifyReport:
     The product side starts at q^0; the lattice side is built through the
     bound above its minimum exponent, or less if weights cancel there.  Each
     is a Side with one factor, so neither is multiplied by a unit series.
-    The lattice side is built first, and the product side is its window
-    when that window passes product_series's check of the recurrence, or
-    else the recurrence's solution: the report is the same either way.
+    qchar.affine.verify builds the lattice side first and hands its window
+    to the product side's Side.above, so the product side is that window
+    when it passes product_series's check of the recurrence, or else the
+    recurrence's solution: the report is the same either way.
     """
     return verify(Side(None, spec.lhs), Side(spec.rhs), bound)

@@ -7,12 +7,13 @@ coefficients are guaranteed correct, and every operation propagates that
 guarantee honestly rather than optimistically.  All arithmetic is over
 arbitrary-precision integers and exact rationals; nothing here touches
 floating point.  product_series solves its recurrence by halves of its window
-and pushes a solved half into the next when that pays.  Handed a candidate
-window, such as an identity's lattice side, it first certifies the candidate
-against the recurrence with one product, and returns it when it passes,
-since the recurrence has one solution.  Pushes and certificates share one
-packed kernel, _convolve: a scatter of shifted packed slots for sparse
-coefficients, one packed multiply for dense ones.
+and pushes a solved half into the next when it has at least 8 nonzero
+coefficients.  Handed a candidate window, such as an identity's lattice
+side, it first certifies the candidate against the recurrence with one
+product, and returns it when it passes, since the recurrence has one
+solution.  Pushes and certificates share one packed kernel, _convolve: a
+scatter of shifted packed slots for sparse coefficients, one packed
+multiply for dense ones.
 """
 
 from __future__ import annotations
@@ -431,8 +432,8 @@ class ProductSpec:
 # array per place, joined by C-level maps.  They encode one to_bytes a slot,
 # which measured faster than building the word arrays from Python ints.
 _BLOCK = 32
-_PRICE = 4  # product_series gives the price rule and its measurement
-_SPARSE = 8  # and the density at which _convolve scatters instead
+_PUSH = 8  # the nonzero count that pushes a half; product_series says why
+_SPARSE = 8  # the density at which _convolve scatters instead of multiplying
 _TYPECODES = {array(code).itemsize * 8: code for code in "bhiq"}
 
 
@@ -542,7 +543,7 @@ def _solve(logd: list[int], lmax: int, coeffs: list[int], support: list[int], l:
         half = coeffs[l:mid]
         nonzero = mid - l - half.count(0)
         left = []
-        if nonzero and (nonzero * _SPARSE <= mid - l or nonzero * (r - mid) >= _PRICE * (r - l)):
+        if nonzero >= _PUSH:
             left = support[-nonzero:]
             del support[-nonzero:]
             x = _convolve(half, logd, lmax, mid - l - 1, r - mid)
@@ -602,21 +603,13 @@ def product_series(spec: ProductSpec, order: RationalLike,
     the nonzero F_j < m that no push covered: a pushed half leaves it while
     its sibling is solved, then rejoins it.
 
-    A half with k > 0 is pushed when it is sparse, k _SPARSE <= mid - l
-    (_SPARSE = 8), or when k (r - mid), the pulls saved, is at least
-    _PRICE = 4 times r - l, the slots packed (2 to 8 measured alike; 16 and
-    32 gave back 12% and 44% of the gain on the classical sides when they
-    pushed only by multiply).  A push is one _convolve of F_l..F_(mid-1)
-    with L, whose slots mid - l - 1 to r - l - 2 land in [mid, r); sparse
-    halves scatter there and the others multiply.  A shifted term carries
-    all r - l slots of L where a byte slice of offset slots carried r - mid,
-    so the pentagonal sides solve 1.2-1.3x slower than with slices at order
-    3000; only failed candidates and qchar series solve them.  Summed over
-    the four classical sides at order 3000 (medians, one 2-core x86-64
-    machine, sparse halves then scattered off byte slices), _SPARSE = 4, 8,
-    16, 32 took 15.1, 15.2, 15.8 and 19.8 ms; pushing only by multiply and
-    decoding whole products, 26.0 ms.  8 is kept: 4 was 1-2% slower on
-    sides a quarter to a half nonzero, such as phi(q)^2.
+    A half with k nonzero F_j is pushed when k >= _PUSH = 8.  A push is one
+    _convolve of F_l..F_(mid-1) with L, whose slots mid - l - 1 to
+    r - l - 2 land in [mid, r); it packs the r - l slots of L and saves the
+    k (r - mid) multiply-adds that pulls would spend on the half.  Since
+    r - mid = ceil((r - l) / 2) and every split has r - l > B, the saving is
+    at least 4 (r - l) exactly when k >= 8: the rule is that price, read as
+    a count.  A sparser half is pulled.
     """
     t = as_rational(order)
     d = lcm(*(s.denominator for s, _ in spec.factors))
@@ -651,10 +644,7 @@ def _certify(logd: list[int], lmax: int, c: list[int]) -> bool:
     """Whether c_0 = 1 and m c_m = S_m for 1 <= m <= units, S = L c.
 
     S_m = sum_(j<m) L_(m-j) c_j reads c_0..c_(units-1), and slots 0..units-1
-    of one _convolve are S_1..S_units.  Its sparse kernel shifts packed L
-    rather than slicing L's bytes, since a shift of a packed int measured
-    about four times cheaper than int.from_bytes of the same slice (1.7
-    against 7.0 us for 12 KB, one 2-core x86-64 machine).
+    of one _convolve are S_1..S_units.
     """
     units = len(logd) - 1
     if c[0] != 1 or not units:  # with no m >= 1, c_0 = 1 is the whole check
@@ -765,7 +755,7 @@ def _compare_builders(
     leading terms cancel starts higher and its shorter window shows in
     checked_through.  A negative order is refused: it would check nothing.
     The rhs is built first, so the lhs builder may read the rhs window, as
-    qchar.affine.verify's product builder reads a lattice window.
+    qchar.affine.verify hands it to the lhs as a candidate.
     """
     if order < 0:
         raise ValueError(f"order must be nonnegative, got {format_rational(order)}")

@@ -20,6 +20,7 @@ from qchar.affine import (
     specialized_character,
     specialized_character_series,
     trace_series,
+    verify,
     verify_proposition,
 )
 from qchar.qseries import (
@@ -420,6 +421,65 @@ def test_side_needs_a_factor():
     with pytest.raises(ValueError, match="lattice sum or a product"):
         Side(None)
     assert Side(None, ProductSpec(())).series(3) == from_terms([(0, 1)], 3)
+
+
+@pytest.fixture
+def product_work(monkeypatch):
+    """The whole-window solves and the certificates' verdicts of
+    product_series, in call order, as "solve", True or False."""
+    import qchar.qseries as qseries
+
+    made = []
+    solve, certify = qseries._solve, qseries._certify
+
+    def solved(logd, lmax, coeffs, support, l, r):
+        if (l, r) == (0, len(coeffs)):
+            made.append("solve")
+        return solve(logd, lmax, coeffs, support, l, r)
+
+    def certified(*args):
+        made.append(certify(*args))
+        return made[-1]
+
+    monkeypatch.setattr(qseries, "_solve", solved)
+    monkeypatch.setattr(qseries, "_certify", certified)
+    return made
+
+
+PHI_CUBED = ProductSpec(((Fraction(1), 3),))
+GAUSS_B_TOP = ProductSpec(((Fraction(2), 2),))
+
+
+@pytest.mark.parametrize("order", (40, Fraction(301, 2)), ids=str)
+def test_verify_certifies_any_window_it_hands_a_pure_product(product_work, order):
+    """verify hands the rhs window to a pure product lhs whatever the rhs is.
+    The same product on the right is certified, so only the rhs solves; a
+    different one fails its certificate and the lhs solves too, for the
+    report with both solved.  phi(q^2)^2 is gauss_b's sum times phi(q), so
+    against that lattice-times-product rhs, shifted by q^(1/8) or not, it
+    is certified, and phi(q)^3 is solved for the report with no candidate."""
+    cube = Side(None, PHI_CUBED)
+    assert verify(cube, Side(None, PHI_CUBED), order).match
+    assert product_work == ["solve", True]
+
+    product_work.clear()
+    got = verify(cube, Side(None, GAUSS_B_TOP), order)
+    want = series_compare(product_series(PHI_CUBED, order), product_series(GAUSS_B_TOP, order))
+    assert json.dumps(got.to_json()) == json.dumps(want.to_json())
+    assert not got.match
+    assert product_work[:3] == ["solve", False, "solve"]
+
+    for const in (Fraction(0), Fraction(1, 8)):
+        theta = LatticeSum(1, Fraction(2), (Fraction(1),), const)
+        rhs = Side(theta, ProductSpec(((Fraction(1), 1),)))
+        for lhs, certified in ((Side(None, GAUSS_B_TOP), True), (cube, False)):
+            product_work.clear()
+            got = verify(lhs, rhs, order)
+            want = series_compare(product_series(lhs.product, order), rhs.above(order))
+            assert json.dumps(got.to_json()) == json.dumps(want.to_json())
+            assert got.match == certified
+            assert got.rhs_shift == const
+            assert product_work[:2] == (["solve", True] if certified else ["solve", False])
 
 
 def test_trace_weight_index_validation():

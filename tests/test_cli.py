@@ -300,6 +300,16 @@ def test_verify_proposition_trace_far_above_order(capsys):
     assert out == "match\nchecked through: q^18\nleading shifts: lhs q^7, rhs q^612\n"
 
 
+def test_verify_text_parenthesizes_fractional_exponents(capsys):
+    # as render writes them: q^(1/4), never the ambiguous q^1/4
+    code, out, _ = run_cli(
+        capsys, "verify", "proposition", "--partition", "2,2", "--k", "1",
+        "--order", "0",
+    )
+    assert code == 0
+    assert out == "match\nchecked through: q^0\nleading shifts: lhs q^(1/4), rhs q^(1/2)\n"
+
+
 def test_series_character_trace_agree_after_normalization(capsys):
     _, out_c, _ = run_cli(
         capsys, "series", "character", "--partition", "1,3", "--k", "3",
@@ -390,6 +400,23 @@ def test_verify_mismatch_exit_code(capsys, monkeypatch):
     assert code == 1
     assert "MISMATCH" in out
     assert "first mismatch at" in out
+
+
+def test_verify_mismatch_text_parenthesizes_fractional_exponents(capsys, monkeypatch):
+    # phi(q^(1/2)) against euler's sum first differs at q^(1/2)
+    import qchar.cli as cli_mod
+    from qchar.identities import IdentitySpec, classical_identity
+    from qchar.qseries import ProductSpec
+
+    bad = IdentitySpec(
+        "euler", ProductSpec(((Fraction(1, 2), 1),)), classical_identity("euler").rhs
+    )
+    monkeypatch.setattr(cli_mod, "classical_identity", lambda name: bad)
+    code, out, _ = run_cli(capsys, "verify", "classical", "euler", "--order", "41/2")
+    assert code == 1
+    assert out == (
+        "MISMATCH\nchecked through: q^(41/2)\nfirst mismatch at q^(1/2): lhs -1 vs rhs 0\n"
+    )
 
 
 # -- determinism ---------------------------------------------------------

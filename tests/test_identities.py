@@ -309,19 +309,21 @@ def test_matching_identities_are_certified_not_solved(monkeypatch):
     one check: no recurrence solve and one kernel call, or a fallback would
     hide behind the same report.  The kernel is observed by what it packs:
     the sparse classical sides pack L alone and scatter, the dense family
-    sides pack the window beside it and multiply.  A false pairing solves."""
+    sides pack the window beside it and multiply.  A false pairing solves,
+    and pushes only halves of at least 8 nonzero coefficients."""
     import qchar.qseries as qseries
 
-    calls = []
+    calls, counts = [], []
     solve, convolve, pack = qseries._solve, qseries._convolve, qseries._pack
 
     def solved(*args):
         calls.append("solve")
         return solve(*args)
 
-    def convolved(*args):
+    def convolved(c, *args):
         calls.append("convolve")
-        return convolve(*args)
+        counts.append(len(c) - c.count(0))
+        return convolve(c, *args)
 
     def packed(*args):
         calls[-1] = {"convolve": "sparse", "sparse": "dense"}[calls[-1]]
@@ -336,9 +338,11 @@ def test_matching_identities_are_certified_not_solved(monkeypatch):
         assert calls == ["sparse" if spec.params is None else "dense"], spec
     spec, order = FALSE_PAIRINGS[-1]
     calls.clear()
+    counts.clear()
     assert not verify_identity(spec, order).match
-    # the failed certificate, then the solve, whose sparse halves scatter
-    assert calls[:2] == ["sparse", "solve"] and "sparse" in calls[2:]
+    # the failed certificate, then the solve, whose pushes pass the count
+    assert calls[:2] == ["sparse", "solve"] and "dense" in calls[2:]
+    assert len(counts) > 1 and min(counts[1:]) >= 8
 
 
 def test_classical_identities_hold():

@@ -463,11 +463,12 @@ class Push:
     w: int
 
 
-def priced_halves(series):
+def counted_halves(series):
     """The halves pushed, in the order solved, as (kernel, mid, r, half), read
-    off a product's final coefficients (its window starts at 0): a half of k
-    nonzero F with k _SPARSE <= mid - l scatters, any other half multiplies
-    when k (r - mid) >= _PRICE (r - l)."""
+    off a product's final coefficients (its window starts at 0): a half of at
+    least 8 nonzero F is pushed, by scatter when at most one of its mid - l
+    slots in _SPARSE is nonzero and by multiply otherwise; any other half is
+    pulled."""
     coeffs, out = series.coeffs, []
 
     def solve(l, r):
@@ -476,10 +477,9 @@ def priced_halves(series):
         mid = (l + r) // 2
         solve(l, mid)
         half = tuple((j, coeffs[j]) for j in range(l, mid) if coeffs[j])
-        if half and len(half) * qseries._SPARSE <= mid - l:
-            out.append(("sparse", mid, r, half))
-        elif len(half) * (r - mid) >= qseries._PRICE * (r - l):
-            out.append(("dense", mid, r, half))
+        if len(half) >= 8:
+            sparse = len(half) * qseries._SPARSE <= mid - l
+            out.append(("sparse" if sparse else "dense", mid, r, half))
         solve(mid, r)
 
     solve(0, len(coeffs))
@@ -509,7 +509,7 @@ def test_blocked_product_matches_oracle_on_dense_family_sides(pushes, make, m, o
     spec = make(m).lhs
     got = product_series(spec, order)
     assert same_window(got, product_oracle(spec, order))
-    assert pushed_halves(pushes) == priced_halves(got)
+    assert pushed_halves(pushes) == counted_halves(got)
     assert len(pushes) >= 8 and kernels(pushes) == {"dense"}
 
 
@@ -518,7 +518,7 @@ def test_blocked_product_mixed_widths_match_oracle(pushes):
     spec = ProductSpec(((Fraction(1), -3),))
     got = product_series(spec, 600)
     assert same_window(got, product_oracle(spec, 600))
-    assert pushed_halves(pushes) == priced_halves(got)
+    assert pushed_halves(pushes) == counted_halves(got)
     widths = {p.w for p in pushes}
     assert min(widths) <= 64 < max(widths)
 
@@ -528,7 +528,7 @@ def test_blocked_product_all_wide_matches_oracle(pushes):
     spec = ProductSpec(((Fraction(1), -24),))
     got = product_series(spec, 300)
     assert same_window(got, product_oracle(spec, 300))
-    assert pushed_halves(pushes) == priced_halves(got) != []
+    assert pushed_halves(pushes) == counted_halves(got) != []
     assert all(p.w > 64 for p in pushes)
 
 
@@ -536,7 +536,7 @@ def test_huge_power_matches_oracle_through_wide_pushes(pushes):
     spec = ProductSpec(((Fraction(1), 10**20),))
     got = product_series(spec, 200)
     assert same_window(got, power_oracle(phi_oracle(1, 200, 1), 10**20))
-    assert pushed_halves(pushes) == priced_halves(got) != []
+    assert pushed_halves(pushes) == counted_halves(got) != []
     assert min(p.w for p in pushes) > 1024
 
 
@@ -548,7 +548,7 @@ def test_blocked_product_matches_oracle_on_random_fractional_specs(pushes):
         got = product_series(spec, order)
         assert got.denom > 1
         assert same_window(got, product_oracle(spec, order)), (spec, order)
-        assert pushed_halves(pushes) == priced_halves(got), (spec, order)
+        assert pushed_halves(pushes) == counted_halves(got), (spec, order)
         total += len(pushes)
         pushes.clear()
     assert total > 0
@@ -567,16 +567,16 @@ def random_fractional_specs(rng):
 
 def test_push_rule_fires_on_the_first_family_side(pushes):
     got = product_series(class1_identity(1).lhs, 800)
-    assert pushed_halves(pushes) == priced_halves(got) != []
+    assert pushed_halves(pushes) == counted_halves(got) != []
 
 
-@pytest.mark.parametrize("price", (1, 2, 32))
-def test_any_price_gives_the_same_product(monkeypatch, price):
-    """The price and the density only move work between pulls and the two
-    kernels.  At price 1 a half is pushed whose parent half is not, so the
-    ancestor pulls it again; at density 1 every half with a nonzero F is
-    scattered, and at 2^30 none is."""
-    monkeypatch.setattr(qseries, "_PRICE", price)
+@pytest.mark.parametrize("count", (1, 2, 32))
+def test_any_price_gives_the_same_product(monkeypatch, count):
+    """The push count and the density only move work between pulls and the
+    two kernels.  At count 1 every half with a nonzero F is pushed, and at
+    32 only the densest are; at density 1 every pushed half is scattered,
+    and at 2^30 none is."""
+    monkeypatch.setattr(qseries, "_PUSH", count)
     for spec, order in (
         (ProductSpec(((Fraction(1), 1),)), 600),
         (ProductSpec(((Fraction(1), -3),)), 300),
@@ -590,11 +590,12 @@ def test_any_price_gives_the_same_product(monkeypatch, price):
 
 @pytest.mark.parametrize("name", CLASSICAL_NAMES)
 def test_push_rule_fires_on_every_classical_product(pushes, name):
-    """The sparse classical sides at 3000 scatter their sparse halves and
-    multiply the halves dense enough to pay."""
+    """The sparse classical sides at 3000 push only their halves of at least
+    8 nonzero F, the sparse ones of those by scatter, and pull the rest."""
     got = product_series(classical_identity(name).lhs, 3000)
-    assert pushed_halves(pushes) == priced_halves(got) != []
+    assert pushed_halves(pushes) == counted_halves(got) != []
     assert "sparse" in kernels(pushes)
+    assert min(len(p.half) for p in pushes) >= 8
 
 
 def test_push_rule_never_fires_below_two_blocks(pushes, monkeypatch):
@@ -730,13 +731,14 @@ def test_cut_keeps_the_landing_slots_between_extreme_slots(w):
 def test_classical_sides_on_finer_grids_scatter(pushes, name, d):
     """The classical sides at q^(1/d), e.g. gauss_b at q^(1/3) as
     phi(q^(2/3))^2 / phi(q^(1/3)), at orders 150 to 600: sparser still on
-    their grid, they scatter, and match the literal expansion."""
+    their grid, they push only halves of at least 8 nonzero F, scatter
+    some of those, and match the literal expansion."""
     spec = ProductSpec(tuple((s / d, p) for s, p in classical_identity(name).lhs.factors))
     order = Fraction(random.Random(f"{name}{d}").randint(150 * d, 1200), d)
     got = product_series(spec, order)
     assert got.denom == d
     assert same_window(got, product_oracle(spec, order))
-    assert pushed_halves(pushes) == priced_halves(got)
+    assert pushed_halves(pushes) == counted_halves(got)
     assert "sparse" in kernels(pushes)
 
 

@@ -11,9 +11,9 @@ and pushes a solved half into the next when it has at least 8 nonzero
 coefficients.  Handed a candidate window, such as an identity's lattice
 side, it first certifies the candidate against the recurrence with one
 product, and returns it when it passes, since the recurrence has one
-solution.  Pushes and certificates share one packed kernel, _convolve: a
-scatter of shifted packed slots for sparse coefficients, one packed
-multiply for dense ones.
+solution.  Pushes, certificates and series_mul share one packed kernel,
+_convolve: a scatter of shifted packed slots for sparse coefficients, one
+packed multiply for dense ones.
 """
 
 from __future__ import annotations
@@ -287,33 +287,26 @@ class QSeries:
 
 
 def series_mul(a: QSeries, b: QSeries) -> QSeries:
-    """Cauchy product.
+    """Cauchy product, one _convolve read at its factors' stride.
 
     The result is guaranteed through min(a.order + b.lo, b.order + a.lo) on
     the common grid: the unknown tail of one factor first pollutes the product
-    at its own order plus the other factor's lowest exponent.
+    at its own order plus the other factor's lowest exponent.  The product's
+    n slots read the first n of each factor, every g-th slot, g the gcd of
+    the factors' nonzero offsets there: a factor rebased onto a finer grid
+    would otherwise carry its zero slots through the packed product.
     """
     m = lcm(a.denom, b.denom)
-    fa, fb = m // a.denom, m // b.denom
-    alo, aord = a.lo * fa, a.order * fa
-    blo, bord = b.lo * fb, b.order * fb
-    order = min(aord + blo, bord + alo)
-    base = alo + blo
-    out = [0] * (order - base + 1)
-    for i, ca in enumerate(a.coeffs):
-        if not ca:
-            continue
-        ea = alo + i * fa
-        if ea + blo > order:
-            break
-        for j, cb in enumerate(b.coeffs):
-            if not cb:
-                continue
-            e = ea + blo + j * fb
-            if e > order:
-                break
-            out[e - base] += ca * cb
-    return QSeries.from_window(m, base, out, order)
+    a, b = a.rebase(m), b.rebase(m)
+    order = min(a.order + b.lo, b.order + a.lo)
+    if a.is_zero() or b.is_zero():  # _convolve needs a nonzero c
+        return QSeries(m, order, (0,), order)
+    n = order - a.lo - b.lo + 1
+    g = gcd(*compress(range(n), a.coeffs[:n]), *compress(range(n), b.coeffs[:n])) or 1
+    bs = b.coeffs[:n:g]
+    out = [0] * n
+    out[::g] = _convolve(a.coeffs[:n:g], [0, *bs], max(map(abs, bs)), 0, len(bs))
+    return QSeries(m, a.lo + b.lo, tuple(out), order)
 
 
 def series_pow(a: QSeries, n: int) -> QSeries:
@@ -512,7 +505,8 @@ def _cut(x: int, start: int, k: int, w: int) -> int:
 def _convolve(c: list[int], logd: list[int], lmax: int, start: int, k: int):
     """Slots start..start+k-1 of (sum_j c_j x^j)(sum_i L_(i+1) x^i), at least
     one c_j nonzero and lmax >= max|L| (Kronecker substitution; Harvey,
-    J. Symb. Comput. 44, 2009).
+    J. Symb. Comput. 44, 2009).  L is read from L_1 on, so a general
+    multiply by b passes [0] + b, as series_mul does.
 
     L_1..L_(start+k) are packed once at width w.  When at most one c_j in
     _SPARSE is nonzero, each nonzero c_j adds c_j times that int shifted up

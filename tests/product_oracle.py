@@ -2,9 +2,10 @@
 
 Each factor phi(q^a) = prod_(j>=1) (1 - q^(a j)) is multiplied out by
 two-term in-place updates over the finitely many factors below the order,
-and a product spec is assembled from those with series_pow, series_inv and
-series_mul.  It shares no machinery with the logarithmic-derivative
-recurrence in qchar.qseries.product_series, so the two check each other.
+and a product spec is assembled from those with series_inv and repeated
+mul_oracle, the schoolbook Cauchy product.  It shares no machinery with the
+logarithmic-derivative recurrence in qchar.qseries.product_series, nor with
+the packed kernel behind series_mul, so each checks the other.
 log_derivative_oracle sieves that recurrence's L_k by a loop over every
 multiple, the check on the divisor-pair sieve of qchar.qseries.
 """
@@ -17,8 +18,6 @@ from qchar.qseries import (
     RationalLike,
     as_rational,
     series_inv,
-    series_mul,
-    series_pow,
 )
 from terms_oracle import from_terms
 
@@ -46,6 +45,36 @@ def phi_oracle(scale: RationalLike, order: RationalLike, denom: int) -> QSeries:
     return QSeries.from_window(denom, 0, out, units)
 
 
+def mul_oracle(a: QSeries, b: QSeries) -> QSeries:
+    """Cauchy product term by term, with series_mul's guarantee.
+
+    The result is guaranteed through min(a.order + b.lo, b.order + a.lo) on
+    the common grid: the unknown tail of one factor first pollutes the product
+    at its own order plus the other factor's lowest exponent.
+    """
+    m = lcm(a.denom, b.denom)
+    fa, fb = m // a.denom, m // b.denom
+    alo, aord = a.lo * fa, a.order * fa
+    blo, bord = b.lo * fb, b.order * fb
+    order = min(aord + blo, bord + alo)
+    base = alo + blo
+    out = [0] * (order - base + 1)
+    for i, ca in enumerate(a.coeffs):
+        if not ca:
+            continue
+        ea = alo + i * fa
+        if ea + blo > order:
+            break
+        for j, cb in enumerate(b.coeffs):
+            if not cb:
+                continue
+            e = ea + blo + j * fb
+            if e > order:
+                break
+            out[e - base] += ca * cb
+    return QSeries.from_window(m, base, out, order)
+
+
 def product_oracle(spec: ProductSpec, order: RationalLike) -> QSeries:
     """The spec's product through the order, one phi factor at a time."""
     t = as_rational(order)
@@ -57,7 +86,8 @@ def product_oracle(spec: ProductSpec, order: RationalLike) -> QSeries:
         f = phi_oracle(scale, t, d)
         if power < 0:
             f = series_inv(f)
-        result = series_mul(result, series_pow(f, abs(power)))
+        for _ in range(abs(power)):
+            result = mul_oracle(result, f)
     return result
 
 

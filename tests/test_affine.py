@@ -8,6 +8,7 @@ from math import isqrt, lcm
 
 import pytest
 
+from product_oracle import mul_oracle, product_oracle
 from squares_oracle import character_data, trace_chain
 from terms_oracle import from_terms
 from qchar.affine import (
@@ -28,7 +29,6 @@ from qchar.qseries import (
     normalize_shift,
     product_series,
     series_compare,
-    series_mul,
 )
 from qchar.quadform import (
     LatticeSum,
@@ -268,7 +268,7 @@ def padded_character_oracle(parts, k, bound):
     t = Fraction(bound)
     pad = max(-lattice_sum_above(data.lattice, 0)[0], Fraction(0))
     num = lattice_sum_series(data.lattice, t + pad)
-    return series_mul(num, product_series(data.product, t + pad))
+    return mul_oracle(num, product_series(data.product, t + pad))
 
 
 def test_character_series_matches_padded_oracle():
@@ -345,7 +345,7 @@ def box_trace(parts, k, bound):
     big, t = modulus(parts), Fraction(bound)
     theta = from_terms(box_theta_terms(parts, k, bound), t)
     factors = [(Fraction(big), 1)] + [(Fraction(big, p), -1) for p in parts]
-    return series_mul(theta, product_series(ProductSpec(tuple(factors)), t))
+    return mul_oracle(theta, product_series(ProductSpec(tuple(factors)), t))
 
 
 def test_trace_theta_matches_box_scan():
@@ -357,6 +357,22 @@ def test_trace_theta_matches_box_scan():
             scanned = min(e for e, _ in box_theta_terms(parts, k, top))
             chain = _trace_parts(PartitionData.from_parts(parts), k).lattice
             assert lattice_sum_above(chain, 0)[0] == scanned, (parts, k)
+
+
+def test_oracles_never_reach_the_packed_kernel(monkeypatch):
+    """The literal product and the box-scan trace multiply by mul_oracle, so
+    they still run with qseries._convolve gone: they check the packed kernel
+    behind series_mul and product_series rather than share it."""
+    import qchar.qseries as qseries
+
+    def refused(*args):
+        raise AssertionError("an oracle reached _convolve")
+
+    monkeypatch.setattr(qseries, "_convolve", refused)
+    spec = ProductSpec(((Fraction(1, 2), -3), (Fraction(2), 2), (Fraction(3), 1)))
+    assert not product_oracle(spec, 300).is_zero()
+    for k in range(4):
+        assert not box_trace((1, 1, 2), k, 20).is_zero()
 
 
 def chain_values(chain):

@@ -15,7 +15,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from product_oracle import log_derivative_oracle, phi_oracle, power_oracle, product_oracle
+from product_oracle import (
+    log_derivative_oracle,
+    mul_oracle,
+    phi_oracle,
+    power_oracle,
+    product_oracle,
+)
 from terms_oracle import from_terms
 from qchar import affine, qseries
 from qchar.affine import partitions, verify_proposition
@@ -428,7 +434,9 @@ def pushes(monkeypatch, convolves):
     one _convolve call, checked by convolves: its slots mid - l - 1 to
     r - l - 2 of F_l..F_(mid-1) times L.  The half [l, r) is read off the
     innermost _solve running, and the half is kept as its nonzero (j, F_j),
-    which are all a push reads.
+    which are all a push reads.  A call made outside any _solve, such as
+    series_mul's one, is no push: it passes through, still checked by
+    convolves, and is not recorded.
     """
     made, at = [], []
     solve, convolve = qseries._solve, qseries._convolve
@@ -441,6 +449,8 @@ def pushes(monkeypatch, convolves):
             at.pop()
 
     def located(c, logd, lmax, start, k):
+        if not at:
+            return convolve(c, logd, lmax, start, k)
         coeffs, l, r = at[-1]
         mid = (l + r) // 2
         assert (c, start, k) == (coeffs[l:mid], mid - l - 1, r - mid)
@@ -724,6 +734,59 @@ def test_cut_keeps_the_landing_slots_between_extreme_slots(w):
         k = rng.randint(1, len(values) - start)
         got = qseries._cut(qseries._pack(values, w), start, k, w)
         assert got == qseries._pack(values[start : start + k], w)
+
+
+def strided_series(rng):
+    """A random window on grid 1, 2, 3, 8 or 12 from lo in [-20, 20], nonzero
+    at most every 1st, 2nd, 3rd or 8th slot, at a density from 0 (the zero
+    series) to 1 and with magnitudes up to 2^200."""
+    denom, lo = rng.choice((1, 2, 3, 8, 12)), rng.randint(-20, 20)
+    stride, density = rng.choice((1, 2, 3, 8)), rng.choice((0, 1, rng.random()))
+    bits = rng.choice((1, 7, 8, 31, 63, 64, 127, 200))
+    coeffs = [0] * rng.randint(1, 120)
+    for i in range(0, len(coeffs), stride):
+        if rng.random() < density:
+            coeffs[i] = rng.choice((-1, 1)) * rng.randint(1, 1 << bits)
+    return QSeries.from_window(denom, lo, coeffs, lo + len(coeffs) - 1)
+
+
+def test_series_mul_matches_the_schoolbook(convolves, monkeypatch):
+    """series_mul against mul_oracle, field for field, by exactly one
+    _convolve a nonzero product and none a zero one: random pairs on mixed
+    grids and strides, both kernels, slots of 128 bits and more, a zero
+    factor against coefficients of 2^7 and up, which would overflow 8-bit
+    slots, and every multiply of the proposition sweep."""
+    def check(a, b):
+        before = len(convolves)
+        assert same_window(series_mul(a, b), mul_oracle(a, b)), (a, b)
+        assert len(convolves) - before == (not (a.is_zero() or b.is_zero()))
+
+    rng = random.Random(20261018)
+    for _ in range(1500):
+        check(strided_series(rng), strided_series(rng))
+    assert {call.kernel for call in convolves} == {"sparse", "dense"}
+    assert max(call.w for call in convolves) > 128
+    wide = QSeries.from_window(2, -3, [200, 0, -129, 1 << 191, 0, 128], 2)
+    for zero in (QSeries.zero(0), QSeries.zero(Fraction(-5, 3), 3)):
+        check(zero, wide)
+        check(wide, zero)
+    # a grid-1 factor rebased onto a grid-8 window is read every 8th slot
+    check(from_terms([(0, 1), (1, -3), (4, 2)], 30, 8), phi_series(1, 30))
+    assert convolves[-1].k == 31
+    sweep = []
+
+    def recorded(a, b):
+        sweep.append((a, b))
+        return series_mul(a, b)
+
+    monkeypatch.setattr(affine, "series_mul", recorded)
+    for n in range(1, 8):
+        for parts in partitions(n):
+            for k in range(n):
+                assert verify_proposition(parts, k, 30).match
+    assert len(sweep) == 480
+    for a, b in sweep:
+        check(a, b)
 
 
 @pytest.mark.parametrize("d", (2, 3, 4))

@@ -13,7 +13,10 @@ side, it first certifies the candidate against the recurrence with one
 product, and returns it when it passes, since the recurrence has one
 solution.  Pushes, certificates and series_mul share one packed kernel,
 _convolve: a scatter of shifted packed slots for sparse coefficients, one
-packed multiply for dense ones.
+packed multiply for dense ones.  The divisor sums sigma(k) behind the
+recurrence come from one table per process, sieved on the first product
+that needs it, never at import, and sieved again, longer, when a product
+reaches past its end.
 """
 
 from __future__ import annotations
@@ -476,16 +479,33 @@ def _unpack(x: int, k: int, w: int):
     return list(slots)
 
 
+# sigma(0..n), sieved on first use; a longer table replaces it, so a list that
+# a caller holds never changes, and threads that race to grow it at worst
+# sieve twice
+_SIGMA = [0]
+
+
+def _divisor_sums(top: int) -> list[int]:
+    """sigma(0..n) for some n >= top: the process's one table, sieved again up
+    to max(top, 2n) when top passes its end."""
+    global _SIGMA
+    sigma = _SIGMA
+    if top >= len(sigma):
+        n = max(top, 2 * (len(sigma) - 1))
+        sigma = [0] * (n + 1)
+        for e in range(1, isqrt(n) + 1):
+            # k = e*f with f >= e gains e + f; the square e*e gains e once
+            sigma[e * e :: e] = map(add, sigma[e * e :: e], range(2 * e, n // e + e + 1))
+            sigma[e * e] -= e
+        _SIGMA = sigma
+    return sigma
+
+
 def _log_derivative(spec: ProductSpec, d: int, units: int) -> list[int]:
-    """L_0..L_units on the grid of 1/d, by the sieve of product_series."""
+    """L_0..L_units on the grid of 1/d, sliced out of _divisor_sums."""
     steps = [(int(s * d), p) for s, p in spec.factors]
     logd = [0] * (units + 1)
-    top = units // min(steps)[0] if steps else 0
-    sigma = [0] * (top + 1)
-    for e in range(1, isqrt(top) + 1):
-        # k = e*f with f >= e gains e + f; the square e*e gains e once
-        sigma[e * e :: e] = map(add, sigma[e * e :: e], range(2 * e, top // e + e + 1))
-        sigma[e * e] -= e
+    sigma = _divisor_sums(units // min(steps)[0] if steps else 0)
     for t, p in steps:
         logd[t::t] = map(sub, logd[t::t], map((p * t).__mul__, sigma[1 : units // t + 1]))
     return logd
@@ -510,7 +530,9 @@ def _convolve(c: list[int], logd: list[int], lmax: int, start: int, k: int):
 
     L_1..L_(start+k) are packed once at width w.  When at most one c_j in
     _SPARSE is nonzero, each nonzero c_j adds c_j times that int shifted up
-    j slots; otherwise c is packed too and the two are multiplied once.
+    j slots, a c_j of +-1 by adding or subtracting the shifted int with no
+    multiply (every coefficient of euler's and gauss_b's windows is +-1);
+    otherwise c is packed too and the two are multiplied once.
     Either way _cut keeps the k slots asked for.  Width: every slot of the
     full product, those _cut drops included, sums at most n terms c_j L_i,
     n the nonzero count, so it is at most n max|c| max(lmax, 1), and so is
@@ -523,7 +545,12 @@ def _convolve(c: list[int], logd: list[int], lmax: int, start: int, k: int):
     if len(js) * _SPARSE <= len(c):
         acc = 0
         for j in js:
-            acc += c[j] * ell << j * w
+            if c[j] == 1:
+                acc += ell << j * w
+            elif c[j] == -1:
+                acc -= ell << j * w
+            else:
+                acc += c[j] * ell << j * w
     else:
         acc = _pack(c, w) * ell
     return _unpack(_cut(acc, start, k, w), k, w)
@@ -588,10 +615,12 @@ def product_series(spec: ProductSpec, order: RationalLike,
     recurrence is solved as below, so it costs one check on top of the
     solve.
 
-    L sums sigma once by divisor pairs (e, k/e), e <= sqrt(k), and slices
-    each factor's share out of it.  Up to 2B = 64 slots each F_m is pulled
-    in turn; longer windows solve [l, r) = [0, n + 1) by halves (online
-    convolution; van der Hoeven, J. Symb. Comput. 34, 2002): solve [l, mid);
+    L slices each factor's share out of _divisor_sums, the process's one
+    table of sigma, sieved by divisor pairs (e, k/e), e <= sqrt(k), on first
+    use and again, at least twice as long, when a product reaches past its
+    end.  Up to 2B = 64 slots each F_m is pulled in turn; longer windows
+    solve [l, r) = [0, n + 1) by halves (online convolution; van der
+    Hoeven, J. Symb. Comput. 34, 2002): solve [l, mid);
     push its k nonzero F_j into [mid, r) or not; solve [mid, r).  Ranges of
     at most B = 32 slots or in the first 2B are pulled over the support,
     the nonzero F_j < m that no push covered: a pushed half leaves it while

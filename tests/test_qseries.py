@@ -6,10 +6,14 @@ counter, the generalized pentagonal pattern), never from the code under test.
 """
 
 import json
+import os
 import random
+import subprocess
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import floor, gcd, isqrt, lcm
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -677,16 +681,17 @@ def test_convolve_matches_the_schoolbook(convolves, w, nonzero):
     """_convolve against the schoolbook on random c and L: 4 nonzero c_j in
     40 scatter and 20 multiply, from slot 0, mid-window and the last slot
     that L reaches, with magnitudes whose bound n max|c| max|L| sets each
-    width."""
+    width.  The last round's c is +1 and -1 but for one +-a, so the scatter
+    adds and subtracts unmultiplied shifts beside a multiplied one."""
     rng = random.Random(w * nonzero)
     size, units = 40, 60
     target = 1 << (w - 2)  # at least 2^(w'-1) for the next narrower width w'
     ell = max(1, isqrt(target // nonzero))
     a = target // (nonzero * ell)
-    for _ in range(5):
+    for trial in range(6):
         c = [0] * size
-        for j in rng.sample(range(size), nonzero):
-            c[j] = rng.choice((-1, 1)) * rng.randint(1, a)
+        for i, j in enumerate(rng.sample(range(size), nonzero)):
+            c[j] = (-1) ** i if trial == 5 else rng.choice((-1, 1)) * rng.randint(1, a)
         c[rng.choice([j for j, v in enumerate(c) if v])] = rng.choice((-a, a))
         logd = [0] + [rng.randint(-ell, ell) for _ in range(units)]
         logd[rng.randint(1, units)] = rng.choice((-ell, ell))
@@ -699,15 +704,23 @@ def test_convolve_matches_the_schoolbook(convolves, w, nonzero):
     assert {call.kernel for call in convolves} == {"sparse" if nonzero == 4 else "dense"}
 
 
+SPARSE_JS, DENSE_JS = (100, 110, 120, 127), range(64, 128)
+
+
 @pytest.mark.parametrize("w", (16, 32, 64, 128))
-@pytest.mark.parametrize("js", ((100, 110, 120, 127), range(64, 128)), ids=("sparse", "dense"))
-def test_convolve_sums_exactly_at_the_width_bound(convolves, w, js):
+@pytest.mark.parametrize(
+    "js, unit",
+    ((SPARSE_JS, False), (DENSE_JS, False), (SPARSE_JS, True), (DENSE_JS, True)),
+    ids=("sparse", "dense", "sparse-unit", "dense-unit"),
+)
+def test_convolve_sums_exactly_at_the_width_bound(convolves, w, js, unit):
     """Landing slots of +-n a l, the largest sum of n terms that w-bit slots
     hold: c_j = +-a at n positions below 128 and L_i = l up to L_127, -l
     after, read from slot 127 on as a push of [0, 128) into [128, 256)
     reads them.  The first landing slot sums n terms on +l and the last
-    n terms on -l; sparse (n = 4) and dense (n = 64) kernels alike."""
-    n, a = len(js), (1 << (w // 2 - 4)) - 1
+    n terms on -l; sparse (n = 4) and dense (n = 64) kernels alike, with
+    a = 1 as well, where the scatter adds its shifts unmultiplied."""
+    n, a = len(js), 1 if unit else (1 << (w // 2 - 4)) - 1
     ell = ((1 << (w - 1)) - 1) // (n * a)
     assert qseries._slot_width(n * a * ell) == w < qseries._slot_width(n * a * (ell + 1))
     logd = [0] + [ell] * 127 + [-ell] * 128
@@ -943,9 +956,33 @@ def test_divisor_sums_match_brute_force():
     assert qseries._log_derivative(ProductSpec(((1, -1),)), 1, 2000) == want
 
 
-def test_log_derivative_matches_oracle():
+def sigma_by_trial_division(n):
+    """sigma(0..n), each k's divisors found in pairs (e, k/e) with e <= sqrt(k)."""
+    return [0] + [
+        sum(e + k // e if e * e < k else e for e in range(1, isqrt(k) + 1) if k % e == 0)
+        for k in range(1, n + 1)
+    ]
+
+
+def test_divisor_sums_grow_one_table(monkeypatch):
+    """From an empty table, tops 3000, 30, 6001, 0, 7 and 6002: the first
+    sieves 0..3000, 30, 0 and 7 read a prefix, 6001 lies past twice the end
+    and sieves to itself, 6002 doubles the table to 12002.  Each table is
+    the new module table, and a list taken before a growth keeps its values."""
+    monkeypatch.setattr(qseries, "_SIGMA", [0])
+    want = sigma_by_trial_division(12002)
+    held = []
+    for top, end in ((3000, 3000), (30, 3000), (6001, 6001), (0, 6001), (7, 6001), (6002, 12002)):
+        sigma = qseries._divisor_sums(top)
+        assert sigma is qseries._SIGMA and sigma == want[: end + 1], top
+        held.append((sigma, list(sigma)))
+    assert all(sigma == values for sigma, values in held)
+
+
+def test_log_derivative_matches_oracle(monkeypatch):
     """The divisor-pair sieve against the multiples loop, at windows past 2B
-    slots and under it."""
+    slots and under it: each case from an empty table, then every case from
+    a table warmed up to 10^4."""
     rng = random.Random(20261018)
     cases = []
     for spec, order in random_fractional_specs(rng):
@@ -956,7 +993,28 @@ def test_log_derivative_matches_oracle():
     cases += [(above, 2, 90), (above, 2, 40), (ProductSpec(()), 1, 70), (ProductSpec(()), 1, 9)]
     cases += [(spec, d, units % (2 * B)) for spec, d, units in cases[:5]]
     for spec, d, units in cases:
+        monkeypatch.setattr(qseries, "_SIGMA", [0])
         assert qseries._log_derivative(spec, d, units) == log_derivative_oracle(spec, d, units)
+    qseries._divisor_sums(10**4)
+    for spec, d, units in cases:
+        assert qseries._log_derivative(spec, d, units) == log_derivative_oracle(spec, d, units)
+    assert len(qseries._SIGMA) == 10**4 + 1
+
+
+def test_import_and_identity_specs_sieve_nothing():
+    """Importing qchar and building the identities' specs leaves the divisor
+    table empty: it is sieved by the first product, not at set-up.  A child
+    interpreter, since this one has built products already."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = (
+        "import qchar; from qchar import qseries; "
+        "[qchar.classical_identity(name) for name in qchar.CLASSICAL_NAMES]; "
+        "[qchar.class1_identity(m) for m in (1, 2, 3)]; "
+        "print(qseries._SIGMA)"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stdout) == (0, "[0]\n"), proc.stderr
 
 
 # -- normalization and comparison ----------------------------------------------

@@ -3,11 +3,11 @@
 A partition n_1 <= ... <= n_r of n determines a modulus N and an integer
 specialization vector s of length n summing to N.  Specializing a level-one
 highest-weight character along s collapses it to a one-variable q-series with
-numerator a lattice sum over Z^(n-1) and denominator phi(q^N)^(n-1).  The
-same series, up to a monomial shift, arises from a trace formula indexed by
-the partition: a constrained theta sum over r integers summing to the weight
-index, divided by one rescaled Euler product per part.  Each reading is a
-Side, a lattice sum (a LatticeSum or a route's integer chain) times an
+numerator a lattice sum over Z^(n-1) and denominator P_1^-1 = phi(q^N)^(n-1).
+The same series, up to a monomial shift, arises from a trace formula indexed
+by the partition: a constrained theta sum over r integers summing to the
+weight index, times P_2 = phi(q^N) / prod_i phi(q^(N/n_i)).  Each reading is
+a Side, a lattice sum (a LatticeSum or a route's integer chain) times an
 Euler-product quotient, either factor possibly absent; Side.series builds
 one through a bound and Side.above through an order above its lead, and
 verify, which qchar.identities uses too, compares two that way, building
@@ -16,6 +16,10 @@ as the candidate that product_series certifies.  The routes share the
 partition's PartitionData, but no chain.  The character formula is written
 once, in integers (_character_parts); specialized_character is its
 rational view.
+
+A proposition is one identity, paired once by _proposition: numerator *
+P_1/P_2 = theta.  verify_proposition checks it with one product, and
+qchar.identities inverts its ratio for the two families' product sides.
 
 Everything is exact: moduli and specialization vectors are integers by
 construction (non-integrality raises rather than rounds), and exponents are
@@ -26,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import floor, lcm
 from typing import Iterator, Optional, Sequence
 
 from .qseries import (
@@ -185,11 +189,23 @@ class Side:
         return self._times_product(lattice, lead + t)
 
     def _times_product(self, lattice: QSeries, t: Fraction) -> QSeries:
-        # the product starts at q^0: under a lattice from low < 0 it runs through t - low
+        """The lattice, guaranteed through t, times the product.
+
+        The product starts at q^0: under a lattice from low < 0 it runs
+        through top = t - low, else through t.  No slot of its own grid lies
+        between its floored order and top, so on the lattice's grid it is
+        known through top, and from top >= 0 on it never cuts t short.
+        """
         if self.product is None:
             return lattice
         low = Fraction(0) if lattice.is_zero() else lattice.lowest_exponent()
-        return series_mul(lattice, product_series(self.product, t + max(-low, 0)))
+        top = t + max(-low, 0)
+        product = product_series(self.product, top)
+        m = lcm(product.denom, lattice.denom)
+        product, units = product.rebase(m), floor(top * m)
+        tail = (0,) * (units - product.order)
+        product = QSeries.from_window(m, product.lo, product.coeffs + tail, units)
+        return series_mul(lattice, product)
 
 
 def verify(lhs: Side, rhs: Side, bound) -> VerifyReport:
@@ -288,12 +304,25 @@ def trace_series(parts: Sequence[int], k: int, bound) -> QSeries:
     return _trace_parts(PartitionData.from_parts(parts), k).series(bound)
 
 
-def verify_proposition(parts: Sequence[int], k: int, bound) -> VerifyReport:
-    """Verify the character route's side against the trace route's through the bound.
+def _proposition(data: PartitionData, k: int) -> tuple[Side, Side]:
+    """The proposition's two sides: numerator * P_1/P_2 and the trace theta.
 
-    The sides differ by a monomial factor; each route's lead is its lattice
-    minimum, exact because every other factor starts at 1.  The partition's
-    data is built once for both routes; the shifts are reported.
+    Both routes divided by P_2, so one product, phi(q^N)^(-n) prod_i
+    phi(q^(N/n_i)), remains; for (1^n) it cancels and both sides are walks.
     """
-    data = PartitionData.from_parts(parts)
-    return verify(_character_parts(data, k), _trace_parts(data, k), bound)
+    char, trace = _character_parts(data, k), _trace_parts(data, k)
+    ratio = ProductSpec(
+        char.product.factors + tuple((scale, -power) for scale, power in trace.product.factors)
+    )
+    return Side(char.lattice, ratio if ratio.factors else None), Side(trace.lattice)
+
+
+def verify_proposition(parts: Sequence[int], k: int, bound) -> VerifyReport:
+    """Verify _proposition's sides, numerator * P_1/P_2 and theta, through the bound.
+
+    They differ by a monomial factor; each side's lead is its lattice
+    minimum, exact because the ratio starts at 1.  Against the two full
+    routes, dividing by P_2 = 1 + O(q) moves neither shift nor the first
+    mismatching exponent, only the coefficients a mismatch reports.
+    """
+    return verify(*_proposition(PartitionData.from_parts(parts), k), bound)

@@ -4,8 +4,9 @@ Exit codes: 0 for a verified match (or a printed series), 1 for a mismatch,
 2 for usage errors (bad flags, invalid partitions, nonpositive scales,
 negative orders, and a --spec that is not JSON, is nested more than 512
 levels deep, has unknown, missing or repeated fields or a value of the wrong
-type), reported on one "error:" line.  Output is deterministic byte-for-byte
-for identical invocations; timing is excluded unless --timing is passed so
+type), reported on one "error:" line, and 141 (128 + SIGPIPE) when stdout's
+reader has closed the pipe.  Output is deterministic byte-for-byte for
+identical invocations; timing is excluded unless --timing is passed so
 reports stay reproducible.
 """
 
@@ -14,6 +15,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -280,4 +282,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def entry() -> None:
-    raise SystemExit(main())
+    """The console script: main's code, or 141 and no traceback on a closed pipe.
+
+    stdout is pointed at devnull, as Python's signal documentation advises,
+    so the interpreter's last flush cannot fail again.
+    """
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    raise SystemExit(code)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
-from .affine import PartitionData, Side, _trace_parts, specialized_character, verify
+from .affine import PartitionData, Side, _proposition, specialized_character, verify
 from .qseries import ProductSpec, VerifyReport
 from .quadform import WEIGHT_ALTERNATING, WEIGHT_FOUR_K_PLUS_ONE, LatticeSum
 
@@ -97,19 +97,18 @@ def classical_identity(name: str) -> IdentitySpec:
 def _proposition_identity(name: str, m: int, parts, k: int, a: int) -> IdentitySpec:
     """The proposition for (parts, k), its trace theta read as gauss_b at q^a.
 
-    numerator / phi(q^N)^(n-1) = q^shift phi(q^N) theta / prod_i phi(q^(N/n_i)),
-    and theta is gauss_b's lattice side at q^a up to a monomial, so the
-    numerator with its constant dropped is one Euler-product quotient.
+    qchar.affine._proposition reads it as numerator * P_1/P_2 = theta, and
+    theta is gauss_b's lattice side at q^a up to a monomial, so the numerator
+    with its constant dropped is the inverted ratio times gauss_b's product.
     """
-    char = specialized_character(parts, k)
-    correction = _trace_parts(PartitionData.from_parts(parts), k).product
+    ratio = _proposition(PartitionData.from_parts(parts), k)[0].product
     gauss = classical_identity("gauss_b").lhs
     lhs = ProductSpec(
-        tuple((scale, -power) for scale, power in char.product.factors)
-        + correction.factors
+        tuple((scale, -power) for scale, power in ratio.factors)
         + tuple((a * scale, power) for scale, power in gauss.factors)
     )
-    return IdentitySpec(name, lhs, replace(char.lattice, const=Fraction(0)), m)
+    numerator = specialized_character(parts, k).lattice
+    return IdentitySpec(name, lhs, replace(numerator, const=Fraction(0)), m)
 
 
 def class1_identity(m: int) -> IdentitySpec:

@@ -263,12 +263,17 @@ def test_character_series_trivial_rank():
 
 def padded_character_oracle(parts, k, bound):
     # a separate exact-minimum walk pads both factors by max(-min, 0)
-    # before either is built
+    # before either is built.  The product is known through t + pad on the
+    # numerator's grid as well: expanded one unit further, it has no term
+    # between its own grid's floor of t + pad and t + pad, so its cut there
+    # on the common grid is exact
     data = specialized_character(parts, k)
     t = Fraction(bound)
     pad = max(-lattice_sum_above(data.lattice, 0)[0], Fraction(0))
     num = lattice_sum_series(data.lattice, t + pad)
-    return mul_oracle(num, product_series(data.product, t + pad))
+    product = product_series(data.product, t + pad + 1)
+    grid = lcm(num.denom, product.denom)
+    return mul_oracle(num, product.rebase(grid).truncated(t + pad))
 
 
 def test_character_series_matches_padded_oracle():
@@ -285,6 +290,12 @@ def test_character_series_matches_padded_oracle():
                     assert window(got) == window(want), (parts, k, bound)
                     cases += 1
     assert cases == 675
+    # below q^0 a zero numerator meets a zero product, and the quotient's
+    # zero window is series_mul's: the two factors' slots added, each cut at
+    # the bound on the common grid, so -2 + -2 for (1,1), k = 1 at -1/2 on
+    # grid 4
+    got = specialized_character_series((1, 1), 1, Fraction(-1, 2))
+    assert window(got) == (4, -4, (0,), -4)
 
 
 def test_character_numerator_minimum_is_never_negative():
@@ -571,7 +582,9 @@ def test_proposition_builds_each_route_once(monkeypatch):
     # the partition is validated once per verify, and each side's integer
     # chain is built and completed once and expanded once (Side.above), its
     # lead read off that one walk, and the character route never builds the
-    # Fraction data of specialized_character
+    # Fraction data of specialized_character.  The proposition is one
+    # identity: the ratio P_1/P_2 is one product and one multiply, and for
+    # (1^n), where it is 1, there is neither
     import qchar.affine as affine
     import qchar.quadform as quadform
 
@@ -582,6 +595,8 @@ def test_proposition_builds_each_route_once(monkeypatch):
         "_character_parts",
         "_trace_parts",
         "_complete_squares",
+        "product_series",
+        "series_mul",
     )
     calls = dict.fromkeys(names, 0)
     for module in (affine, quadform, affine.Side):
@@ -604,7 +619,47 @@ def test_proposition_builds_each_route_once(monkeypatch):
         "_character_parts": 1,
         "_trace_parts": 1,
         "_complete_squares": 2,
+        "product_series": 1,
+        "series_mul": 1,
     }
+    for n in range(1, 8):
+        for parts in partitions(n):
+            for k in range(n):
+                calls.update(product_series=0, series_mul=0)
+                assert verify_proposition(parts, k, 30).match
+                products = 0 if set(parts) == {1} else 1
+                assert calls["product_series"] == products, (parts, k)
+                assert calls["series_mul"] <= products, (parts, k)
+
+
+def pairing_oracle(parts, k, order):
+    """The two-product pairing: the character route, numerator * P_1,
+    against the trace route, theta * P_2, each side in full."""
+    data = PartitionData.from_parts(parts)
+    return verify(_character_parts(data, k), _trace_parts(data, k), order)
+
+
+def test_proposition_equals_the_two_product_pairing():
+    # dividing both routes by P_2 = 1 + O(q) moves no shift and no verdict;
+    # at an integer order the report is the same, and at a fractional one
+    # the window reaches at least as far, since neither side's product is
+    # floored on its own grid any more
+    pairs = 0
+    for n in range(1, 8):
+        for parts in partitions(n):
+            for k in range(n):
+                for order in (Fraction(0), Fraction(3), Fraction(30)):
+                    got = verify_proposition(parts, k, order).to_json()
+                    assert got == pairing_oracle(parts, k, order).to_json(), (parts, k, order)
+                for order in (Fraction(1, 2), Fraction(61, 2)):
+                    got = verify_proposition(parts, k, order)
+                    want = pairing_oracle(parts, k, order)
+                    assert (got.match, got.lhs_shift, got.rhs_shift) == (
+                        want.match, want.lhs_shift, want.rhs_shift
+                    ), (parts, k, order)
+                    assert got.checked_through >= want.checked_through, (parts, k, order)
+                pairs += 1
+    assert pairs == 240
 
 
 def test_proposition_json_shape():

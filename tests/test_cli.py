@@ -50,13 +50,27 @@ def test_verify_class_families(capsys):
 
 def test_series_character_order_off_the_product_grid(capsys):
     # the numerator walks floor(order*8) slots of its grid; the product's
-    # grid is coarser, so the quotient is guaranteed through 9/8 only
+    # grid is coarser, but no slot of it lies between 1 and 3/2, so the
+    # quotient is guaranteed through 3/2 = 12/8
     code, out, _ = run_cli(
         capsys, "series", "character", "--partition", "1,3", "--k", "1",
         "--order", "3/2",
     )
     assert code == 0
-    assert out == "q^(1/8) + 2*q^(9/8) + O(q^(5/4))\n"
+    assert out == "q^(1/8) + 2*q^(9/8) + O(q^(13/8))\n"
+
+
+@pytest.mark.parametrize("order, through", [("1/2", "q^(1/2)"), ("3/2", "q^(3/2)"),
+                                            ("5/2", "q^(5/2)")])
+def test_proposition_checks_through_a_fractional_order(capsys, order, through):
+    # the character side's product is on grid 1 and its numerator on grid
+    # 8; the window reaches the order, not its floor
+    code, out, _ = run_cli(
+        capsys, "verify", "proposition", "--partition", "1,3", "--k", "3",
+        "--order", order,
+    )
+    assert code == 0
+    assert out.splitlines()[:2] == ["match", f"checked through: {through}"]
 
 
 def test_bad_family_parameter_is_usage_error(capsys):
@@ -527,6 +541,23 @@ def test_installed_entry_point_smoke():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["match"] is True
+
+
+def test_closed_stdout_pipe_exits_141_without_a_traceback():
+    # the pipe's read end is closed before the child starts, so the report
+    # meets a reader that is gone: that is no mismatch (1) and no usage
+    # error (2), and nothing but the shell's SIGPIPE code reaches the caller
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "qchar", "verify", "class1", "--m", "3",
+             "--order", "200"],
+            stdout=write, stderr=subprocess.PIPE, text=True, env=_child_env(),
+        )
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (141, "")
 
 
 def test_import_leaves_numpy_unloaded():

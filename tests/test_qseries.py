@@ -614,16 +614,15 @@ def test_push_rule_fires_on_every_classical_product(pushes, name):
 
 def test_push_rule_never_fires_below_two_blocks(pushes, monkeypatch):
     """No product of at most 2B slots packs anything.  Every proposition of
-    the sweep (n <= 7, order 30) still matches; 476 of its 480 products are
-    that short, and the 4 longer ones push under the same checks."""
-    short = []
+    the sweep (n <= 7, order 30) still matches with one product a verify,
+    none for (1^n); all 212 are that short."""
+    products = []
     real = affine.product_series
 
     def recorded(spec, order):
         before = len(pushes)
         got = real(spec, order)
-        if len(got.coeffs) <= 2 * B:
-            short.append(len(pushes) - before)
+        products.append((len(got.coeffs), len(pushes) - before))
         return got
 
     monkeypatch.setattr(affine, "product_series", recorded)
@@ -631,7 +630,8 @@ def test_push_rule_never_fires_below_two_blocks(pushes, monkeypatch):
         for parts in partitions(n):
             for k in range(n):
                 assert verify_proposition(parts, k, 30).match
-    assert len(short) == 476 and not any(short)
+    assert len(products) == 212
+    assert all(size <= 2 * B and not packed for size, packed in products)
 
 
 def test_pack_unpack_round_trip_at_the_slot_limits():
@@ -768,7 +768,7 @@ def test_series_mul_matches_the_schoolbook(convolves, monkeypatch):
     _convolve a nonzero product and none a zero one: random pairs on mixed
     grids and strides, both kernels, slots of 128 bits and more, a zero
     factor against coefficients of 2^7 and up, which would overflow 8-bit
-    slots, and every multiply of the proposition sweep."""
+    slots, and every multiply of the proposition sweep, one a verify."""
     def check(a, b):
         before = len(convolves)
         assert same_window(series_mul(a, b), mul_oracle(a, b)), (a, b)
@@ -797,7 +797,7 @@ def test_series_mul_matches_the_schoolbook(convolves, monkeypatch):
         for parts in partitions(n):
             for k in range(n):
                 assert verify_proposition(parts, k, 30).match
-    assert len(sweep) == 480
+    assert len(sweep) == 212
     for a, b in sweep:
         check(a, b)
 

@@ -19,7 +19,8 @@ rational view.
 
 A proposition is one identity, paired once by _proposition: numerator *
 P_1/P_2 = theta.  verify_proposition checks it with one product, and
-qchar.identities inverts its ratio for the two families' product sides.
+qchar.identities pairs specialized_character with the trace route the same
+way and inverts the ratio for the two families' product sides.
 
 Everything is exact: moduli and specialization vectors are integers by
 construction (non-integrality raises rather than rounds), and exponents are
@@ -38,6 +39,7 @@ from .qseries import (
     QSeries,
     VerifyReport,
     _compare_builders,
+    _window,
     as_rational,
     product_series,
     series_mul,
@@ -204,7 +206,8 @@ class Side:
         m = lcm(product.denom, lattice.denom)
         product, units = product.rebase(m), floor(top * m)
         tail = (0,) * (units - product.order)
-        product = QSeries.from_window(m, product.lo, product.coeffs + tail, units)
+        # a zero product (top < 0) collapses again to one slot
+        product = _window(m, product.lo, product.coeffs + tail, units)
         return series_mul(lattice, product)
 
 
@@ -304,13 +307,14 @@ def trace_series(parts: Sequence[int], k: int, bound) -> QSeries:
     return _trace_parts(PartitionData.from_parts(parts), k).series(bound)
 
 
-def _proposition(data: PartitionData, k: int) -> tuple[Side, Side]:
-    """The proposition's two sides: numerator * P_1/P_2 and the trace theta.
+def _proposition(char: Side, trace: Side) -> tuple[Side, Side]:
+    """The proposition's two sides from its two routes: numerator * P_1/P_2
+    and the trace theta.
 
     Both routes divided by P_2, so one product, phi(q^N)^(-n) prod_i
     phi(q^(N/n_i)), remains; for (1^n) it cancels and both sides are walks.
+    The numerator is the character route's lattice, integer or rational.
     """
-    char, trace = _character_parts(data, k), _trace_parts(data, k)
     ratio = ProductSpec(
         char.product.factors + tuple((scale, -power) for scale, power in trace.product.factors)
     )
@@ -325,4 +329,5 @@ def verify_proposition(parts: Sequence[int], k: int, bound) -> VerifyReport:
     routes, dividing by P_2 = 1 + O(q) moves neither shift nor the first
     mismatching exponent, only the coefficients a mismatch reports.
     """
-    return verify(*_proposition(PartitionData.from_parts(parts), k), bound)
+    data = PartitionData.from_parts(parts)
+    return verify(*_proposition(_character_parts(data, k), _trace_parts(data, k)), bound)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
-from .affine import PartitionData, Side, _proposition, specialized_character, verify
+from .affine import PartitionData, Side, _proposition, _trace_parts, specialized_character, verify
 from .qseries import ProductSpec, VerifyReport
 from .quadform import WEIGHT_ALTERNATING, WEIGHT_FOUR_K_PLUS_ONE, LatticeSum
 
@@ -100,15 +100,17 @@ def _proposition_identity(name: str, m: int, parts, k: int, a: int) -> IdentityS
     qchar.affine._proposition reads it as numerator * P_1/P_2 = theta, and
     theta is gauss_b's lattice side at q^a up to a monomial, so the numerator
     with its constant dropped is the inverted ratio times gauss_b's product.
+    The character route is built once, as specialized_character's rational
+    view, and paired with the trace route there.
     """
-    ratio = _proposition(PartitionData.from_parts(parts), k)[0].product
+    trace = _trace_parts(PartitionData.from_parts(parts), k)
+    side = _proposition(specialized_character(parts, k), trace)[0]
     gauss = classical_identity("gauss_b").lhs
     lhs = ProductSpec(
-        tuple((scale, -power) for scale, power in ratio.factors)
+        tuple((scale, -power) for scale, power in side.product.factors)
         + tuple((a * scale, power) for scale, power in gauss.factors)
     )
-    numerator = specialized_character(parts, k).lattice
-    return IdentitySpec(name, lhs, replace(numerator, const=Fraction(0)), m)
+    return IdentitySpec(name, lhs, replace(side.lattice, const=Fraction(0)), m)
 
 
 def class1_identity(m: int) -> IdentitySpec:

@@ -17,6 +17,12 @@ packed multiply for dense ones.  The divisor sums sigma(k) behind the
 recurrence come from one table per process, sieved on the first product
 that needs it, never at import, and sieved again, longer, when a product
 reaches past its end.
+
+A series is checked once, where it enters: QSeries(...), QSeries.from_window
+and QSeries.zero scan every field and coefficient.  The windows the program
+builds, slices and relabellings of checked series or the plain-int output
+of a kernel, go through _series and _window unchecked: a scan would repeat
+a check their source already passed, at O(n) a build.
 """
 
 from __future__ import annotations
@@ -146,6 +152,11 @@ class QSeries:
     series always has coeffs[0] != 0 (the window start is tight); the zero
     series is stored canonically as the single coefficient (0,) sitting at the
     order slot.  Instances are immutable and safe to share between threads.
+
+    QSeries(...), from_window and zero check what they build, and raise
+    ValueError on a bool, float or int-subclass field and on a window that
+    is not tight or does not span [lo, order].  Windows the program builds
+    skip that O(n) scan; the module docstring says why.
     """
 
     denom: int
@@ -175,16 +186,16 @@ class QSeries:
 
     @staticmethod
     def from_window(denom: int, lo: int, coeffs: Iterable[int], order: int) -> "QSeries":
-        """Build from a dense window over [lo, order], canonicalizing as needed."""
-        cs = list(coeffs)
-        if len(cs) != order - lo + 1:
+        """Build from a dense window over [lo, order], canonicalizing as needed.
+
+        The canonical series is checked like the constructor's.
+        """
+        cs = tuple(coeffs)
+        if len(cs) != order - lo + 1 or not cs:
             raise ValueError("coefficient window does not span [lo, order]")
-        i = 0
-        while i < len(cs) - 1 and cs[i] == 0:
-            i += 1
-        if cs[i] == 0:
-            return QSeries(denom, order, (0,), order)
-        return QSeries(denom, lo + i, tuple(cs[i:]), order)
+        series = _window(denom, lo, cs, order)
+        series.__post_init__()
+        return series
 
     @staticmethod
     def zero(order: RationalLike, denom: int = 1) -> "QSeries":
@@ -232,7 +243,7 @@ class QSeries:
             return self
         out = [0] * ((self.order - self.lo) * f + 1)
         out[::f] = self.coeffs
-        return QSeries(denom, self.lo * f, tuple(out), self.order * f)
+        return _series(denom, self.lo * f, tuple(out), self.order * f)
 
     def reduced(self) -> "QSeries":
         """Coarsest equal representation (inverse of rebase where possible)."""
@@ -244,9 +255,7 @@ class QSeries:
                     return self
         if g == 1:
             return self
-        return QSeries(
-            self.denom // g, self.lo // g, self.coeffs[::g], self.order // g
-        )
+        return _series(self.denom // g, self.lo // g, self.coeffs[::g], self.order // g)
 
     def truncated(self, order: RationalLike) -> "QSeries":
         """Weaken the guarantee to a smaller order, discarding higher slots."""
@@ -256,9 +265,9 @@ class QSeries:
         if units == self.order:  # immutable, so the series itself is its cut
             return self
         if units < self.lo:
-            return QSeries(self.denom, units, (0,), units)
+            return _series(self.denom, units, (0,), units)
         # the window start stays tight: coeffs[0] is nonzero or the only slot
-        return QSeries(self.denom, self.lo, self.coeffs[: units - self.lo + 1], units)
+        return _series(self.denom, self.lo, self.coeffs[: units - self.lo + 1], units)
 
     # -- equality is mathematical, not structural -----------------------
 
@@ -286,6 +295,32 @@ class QSeries:
         return render(self)
 
 
+def _series(denom: int, lo: int, coeffs: tuple[int, ...], order: int) -> QSeries:
+    """A QSeries built inside the program: its fields set, __post_init__ skipped.
+
+    Each caller hands over plain ints, denom >= 1, and coeffs a tuple of
+    plain ints that is tight and spans [lo, order], taken from a series
+    already checked or from the int output of a kernel (_convolve, _solve,
+    the lattice walk; _unpack's arrays are copied into a tuple first).  The
+    tests run every builder's output through the full check.
+    """
+    series = object.__new__(QSeries)
+    series.__dict__.update(denom=denom, lo=lo, coeffs=coeffs, order=order)
+    return series
+
+
+def _window(denom: int, lo: int, coeffs, order: int) -> QSeries:
+    """The series of a dense window over [lo, order], leading zeros stripped
+    and the rest copied into one tuple; an all-zero window collapses to (0,)
+    at the order.  Unchecked, like _series: from_window checks its result."""
+    i, top = 0, len(coeffs) - 1
+    while i < top and coeffs[i] == 0:
+        i += 1
+    if coeffs[i] == 0:
+        return _series(denom, order, (0,), order)
+    return _series(denom, lo + i, tuple(coeffs[i:] if i else coeffs), order)
+
+
 # -- ring operations ------------------------------------------------------
 
 
@@ -303,13 +338,14 @@ def series_mul(a: QSeries, b: QSeries) -> QSeries:
     a, b = a.rebase(m), b.rebase(m)
     order = min(a.order + b.lo, b.order + a.lo)
     if a.is_zero() or b.is_zero():  # _convolve needs a nonzero c
-        return QSeries(m, order, (0,), order)
+        return _series(m, order, (0,), order)
     n = order - a.lo - b.lo + 1
     g = gcd(*compress(range(n), a.coeffs[:n]), *compress(range(n), b.coeffs[:n])) or 1
     bs = b.coeffs[:n:g]
     out = [0] * n
     out[::g] = _convolve(a.coeffs[:n:g], [0, *bs], max(map(abs, bs)), 0, len(bs))
-    return QSeries(m, a.lo + b.lo, tuple(out), order)
+    # tight: out[0] = a.coeffs[0] * b.coeffs[0] is nonzero
+    return _series(m, a.lo + b.lo, tuple(out), order)
 
 
 def series_pow(a: QSeries, n: int) -> QSeries:
@@ -644,26 +680,26 @@ def product_series(spec: ProductSpec, order: RationalLike,
     if candidate is not None:
         coeffs = _window_on_grid(candidate, d, units)
         if coeffs and _certify(logd, lmax, coeffs):
-            return QSeries.from_window(d, 0, coeffs, units)
+            return _series(d, 0, coeffs, units)
     coeffs = [1] + [0] * units
     _solve(logd, lmax, coeffs, [0], 0, units + 1)
-    return QSeries.from_window(d, 0, coeffs, units)
+    return _series(d, 0, tuple(coeffs), units)
 
 
-def _window_on_grid(candidate: QSeries, d: int, units: int) -> list[int]:
+def _window_on_grid(candidate: QSeries, d: int, units: int) -> tuple[int, ...]:
     """c_0..c_units: the candidate over its leading monomial, read at the
     exponents m/d; empty when it is zero or guaranteed short of units/d."""
     if candidate.is_zero():
-        return []
+        return ()
     c = normalize_shift(candidate)[0]
     grid = lcm(d, c.denom)
     c, g = c.rebase(grid), grid // d
     if c.order < units * g:
-        return []
-    return list(c.coeffs[: units * g + 1 : g])
+        return ()
+    return c.coeffs[: units * g + 1 : g]
 
 
-def _certify(logd: list[int], lmax: int, c: list[int]) -> bool:
+def _certify(logd: list[int], lmax: int, c: tuple[int, ...]) -> bool:
     """Whether c_0 = 1 and m c_m = S_m for 1 <= m <= units, S = L c.
 
     S_m = sum_(j<m) L_(m-j) c_j reads c_0..c_(units-1), and slots 0..units-1
@@ -688,7 +724,7 @@ def normalize_shift(a: QSeries) -> tuple[QSeries, Fraction]:
     if a.is_zero():
         raise ValueError("cannot normalize the zero series")
     shift = Fraction(a.lo, a.denom)
-    return QSeries(a.denom, 0, a.coeffs, a.order - a.lo), shift
+    return _series(a.denom, 0, a.coeffs, a.order - a.lo), shift
 
 
 @dataclass(frozen=True)
@@ -750,7 +786,7 @@ def series_compare(lhs: QSeries, rhs: QSeries) -> VerifyReport:
     through q^0, and differs from any nonzero side at q^0.
     """
     (na, sa), (nb, sb) = (
-        (QSeries(s.denom, 0, (0,), 0), Fraction(0)) if s.is_zero() else normalize_shift(s)
+        (_series(s.denom, 0, (0,), 0), Fraction(0)) if s.is_zero() else normalize_shift(s)
         for s in (lhs, rhs)
     )
     m = lcm(na.denom, nb.denom)

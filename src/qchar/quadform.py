@@ -48,8 +48,10 @@ from .qseries import (
     QSeries,
     RationalLike,
     _cut,
+    _series,
     _slot_width,
     _unpack,
+    _window,
     as_rational,
     format_rational,
 )
@@ -351,12 +353,12 @@ def _walk(form: _ScaledForm, weight, units: int) -> QSeries:
     grid, sigma, base = form.grid, form.sigma, form.base
     budget = sigma * units - base
     if budget < 0:
-        return QSeries(grid, units, (0,), units)
+        return _series(grid, units, (0,), units)
     if not form.K:
         # the empty point weighs 1 under every shape
         lo = base // sigma
         object.__setattr__(form, "least", lo)
-        return QSeries.from_window(grid, lo, [1] + [0] * (units - lo), units)
+        return _series(grid, lo, (1,) + (0,) * (units - lo), units)
     step = sigma * form.stride
     w = _slot_width(_count_bound(form, weight, budget))
     last = len(form.K) - 1
@@ -409,7 +411,7 @@ def _walk(form: _ScaledForm, weight, units: int) -> QSeries:
     lo = min(((base + s0 + kl * min(p % wl, -p % wl) ** 2) // sigma
               for (p, _), (s0, _) in groups.items()), default=units + 1)
     if lo > units:
-        return QSeries(grid, units, (0,), units)
+        return _series(grid, units, (0,), units)
     object.__setattr__(form, "least", lo)
     stride = form.stride
     n = units - lo + 1
@@ -430,7 +432,8 @@ def _walk(form: _ScaledForm, weight, units: int) -> QSeries:
         if a:
             k = len(range(r, n, stride))
             window[r::stride] = map(add, window[r::stride], _unpack(_cut(a, 0, k, w), k, w))
-    return QSeries.from_window(grid, lo, window, units)
+    # weights may cancel at lo, so _window strips the window's leading zeros
+    return _window(grid, lo, window, units)
 
 
 def lattice_sum_series(s: LatticeSum | _Chain, bound: RationalLike) -> QSeries:

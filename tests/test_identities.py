@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from family_oracle import class1_transcribed, class2_transcribed
+from qchar import affine
 from qchar.affine import specialized_character, verify_proposition
 from qchar.identities import (
     CLASSICAL_NAMES,
@@ -165,6 +166,23 @@ def test_derived_families_equal_transcribed_builders(derived, transcribed):
         assert got.lhs == want.lhs, m
         assert got.rhs == want.rhs, m
         assert got.to_json() == want.to_json(), m
+
+
+def test_family_specs_build_the_character_route_once(monkeypatch):
+    # the ratio and the rational numerator come from one character route
+    build, calls = affine._character_parts, []
+
+    def counted(data, k):
+        calls.append((data.parts, k))
+        return build(data, k)
+
+    monkeypatch.setattr(affine, "_character_parts", counted)
+    for m in range(1, 4):
+        for make, parts, k in ((class1_identity, (1, 4 * m - 1), 3 * m),
+                               (class2_identity, (m, 3 * m), 4 * m - 1)):
+            calls.clear()
+            make(m)
+            assert calls == [(parts, k)], (make, m)
 
 
 def test_families_coincide_at_m1():

@@ -28,13 +28,20 @@ from product_oracle import (
 )
 from terms_oracle import from_terms
 from qchar import affine, qseries
-from qchar.affine import partitions, verify_proposition
+from qchar.affine import (
+    partitions,
+    specialized_character_series,
+    trace_series,
+    verify_proposition,
+)
 from qchar.identities import (
     CLASSICAL_NAMES,
     class1_identity,
     class2_identity,
     classical_identity,
+    verify_identity,
 )
+from qchar.quadform import WEIGHT_ALTERNATING, LatticeSum, lattice_sum_series
 from qchar.qseries import (
     Mismatch,
     ProductSpec,
@@ -1126,6 +1133,94 @@ def test_zero_series_is_canonical():
     assert z.lo == z.order == 7
 
 
+@pytest.fixture
+def checked_builds(monkeypatch):
+    """Each series built by qseries._series, also put through the full check.
+
+    The program builds its series without __post_init__ (qseries._series and
+    _window, which calls it); this wraps _series in every qchar module that
+    binds it, so each window a builder hands over must be a tuple the public
+    constructor accepts.  Returns the list of series built.
+    """
+    build, built = qseries._series, []
+
+    def checked(denom, lo, coeffs, order):
+        series = build(denom, lo, coeffs, order)
+        assert type(coeffs) is tuple, type(coeffs)
+        QSeries.__post_init__(series)  # raises ValueError where QSeries(...) would
+        built.append(series)
+        return series
+
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("qchar") and getattr(module, "_series", None) is build:
+            monkeypatch.setattr(module, "_series", checked)
+    return built
+
+
+def test_internal_builders_pass_the_check_on_every_proposition(checked_builds):
+    for n in range(1, 6):
+        for parts in partitions(n):
+            for k in range(n):
+                assert verify_proposition(parts, k, 30).match, (parts, k)
+                specialized_character_series(parts, k, 30)
+                trace_series(parts, k, 30)
+    # a negative bound: zero lattices, and a zero product under the quotient
+    specialized_character_series((1, 1), 1, Fraction(-1, 2))
+    trace_series((1, 3), 1, Fraction(-1, 2))
+    assert len(checked_builds) > 1000
+
+
+@pytest.mark.parametrize(
+    "spec, order",
+    [
+        *((classical_identity(name), 300) for name in CLASSICAL_NAMES),
+        (class1_identity(1), 60),
+        (class1_identity(2), 60),
+        (class2_identity(1), 60),
+    ],
+    ids=[*CLASSICAL_NAMES, "class1-1", "class1-2", "class2-1"],
+)
+def test_internal_builders_pass_the_check_on_identities(checked_builds, spec, order):
+    assert verify_identity(spec, order).match
+    assert checked_builds
+
+
+def test_internal_builders_pass_the_check_on_hand_fixtures(checked_builds):
+    zero, zero3 = QSeries.zero(8), QSeries.zero(5, 3)
+    halves = from_terms([(Fraction(1, 2), 1), (Fraction(3, 2), 1)], 6, 2)
+    series = [
+        phi_series(1, 20),
+        phi_series(Fraction(1, 2), 12),
+        from_terms([(Fraction(3, 2), 2), (2, 5)], 4),
+        from_terms([(-2, 1), (0, 1)], 3),
+        from_terms([(Fraction(1, 3), 1)], 3),
+        QSeries.from_window(1, -1, [1, 0, 5], 1),
+        QSeries(2, 1, (3, 0, -1, 4), 4),
+        halves,
+        zero,
+        zero3,
+    ]
+    for a in series:
+        for b in series:
+            series_mul(a, b)
+        for f in (2, 3, 6):
+            a.rebase(a.denom * f).reduced()
+        a.reduced()
+        for t in range(-3, 4):
+            if Fraction(t, 2) <= Fraction(a.order, a.denom):
+                a.truncated(Fraction(t, 2))
+        if not a.is_zero():
+            normalize_shift(a)
+        series_compare(a, zero)
+    # lattice windows that cancel at their least slot, and everywhere
+    lead_cancels = LatticeSum(2, Fraction(3), (Fraction(3), Fraction(-1)), 0, WEIGHT_ALTERNATING)
+    vanishing = LatticeSum(1, Fraction(1), (Fraction(1),), 0, WEIGHT_ALTERNATING)
+    window = lattice_sum_series(lead_cancels, 8)
+    assert (lead_cancels._form.least, window.lo) == (0, 1)
+    assert lattice_sum_series(vanishing, 6) == QSeries.zero(6)
+    assert len(checked_builds) > 300
+
+
 def test_window_tightness_enforced():
     with pytest.raises(ValueError):
         QSeries(1, 0, (0, 1), 1)
@@ -1188,9 +1283,12 @@ class IntSubclass(int):
 )
 def test_qseries_refuses_bool(fields):
     # to_json would write a bool as a JSON boolean; a float or an int
-    # subclass is no plain integer either
+    # subclass is no plain integer either; from_window, the other public
+    # constructor, refuses the same fields
     with pytest.raises(ValueError):
         QSeries(*fields)
+    with pytest.raises(ValueError):
+        QSeries.from_window(*fields)
 
 
 def test_product_spec_refuses_bool_power():

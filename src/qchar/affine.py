@@ -31,7 +31,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import floor, lcm
+from itertools import repeat
+from math import lcm
+from operator import add, mul
 from typing import Iterator, Optional, Sequence
 
 from .qseries import (
@@ -200,11 +202,10 @@ class Side:
         """
         if self.product is None:
             return lattice
-        low = Fraction(0) if lattice.is_zero() else lattice.lowest_exponent()
-        top = t + max(-low, 0)
+        top = t - lattice.lowest_exponent() if lattice.lo < 0 and not lattice.is_zero() else t
         product = product_series(self.product, top)
         m = lcm(product.denom, lattice.denom)
-        product, units = product.rebase(m), floor(top * m)
+        product, units = product.rebase(m), top.numerator * m // top.denominator
         tail = (0,) * (units - product.order)
         # a zero product (top < 0) collapses again to one slot
         product = _window(m, product.lo, product.coeffs + tail, units)
@@ -265,10 +266,12 @@ def _character_parts(data: PartitionData, k: int) -> Side:
     nc = _weight_numerators(n, k)
     tail = data.s[1:]
     sq = n * n
-    lin = tuple(sq * ((big if i == k else 0) - tail[i - 1]) for i in range(1, n))
-    kappa_nc = sum(v * v for v in nc) - sum(a * b for a, b in zip(nc, nc[1:]))
-    const = big * kappa_nc - n * sum(si * ci for si, ci in zip(tail, nc))
-    chain = _Chain((sq * big,) * (n - 1), (-sq * big,) * max(n - 2, 0), lin, const, sq)
+    lin = list(map(mul, tail, repeat(-sq)))
+    if k:
+        lin[k - 1] += sq * big
+    kappa_nc = sum(map(mul, nc, nc)) - sum(map(mul, nc, nc[1:]))
+    const = big * kappa_nc - n * sum(map(mul, tail, nc))
+    chain = _Chain((sq * big,) * (n - 1), (-sq * big,) * max(n - 2, 0), tuple(lin), const, sq)
     return Side(chain, ProductSpec(((big, 1 - n),)))
 
 
@@ -286,11 +289,11 @@ def _trace_parts(data: PartitionData, k: int) -> Side:
     _check_index(data.n, k)
     big = data.N
     steps = [big // p for p in data.parts]
-    diag = tuple(steps[i] + steps[i + 1] for i in range(len(steps) - 1))
-    off = tuple(-2 * v for v in steps[1:-1])
+    diag = tuple(map(add, steps, steps[1:]))
+    off = tuple(map(mul, steps[1:-1], repeat(-2)))
     lin = (0,) * (len(diag) - 1) + (-2 * k * steps[-1],) if diag else ()
     chain = _Chain(diag, off, lin, k * k * steps[-1], 2)
-    return Side(chain, ProductSpec(((big, 1), *((v, -1) for v in steps))))
+    return Side(chain, ProductSpec(((big, 1), *zip(steps, repeat(-1)))))
 
 
 def specialized_character_series(parts: Sequence[int], k: int, bound) -> QSeries:

@@ -188,11 +188,17 @@ class QSeries:
     def from_window(denom: int, lo: int, coeffs: Iterable[int], order: int) -> "QSeries":
         """Build from a dense window over [lo, order], canonicalizing as needed.
 
-        The canonical series is checked like the constructor's.
+        The bounds and every slot are type-checked before leading zeros go,
+        so a bool or float is refused even where it would be dropped; the
+        canonical series is checked like the constructor's.
         """
         cs = tuple(coeffs)
+        if type(lo) is not int or type(order) is not int:
+            raise ValueError("window bounds must be plain integers")
         if len(cs) != order - lo + 1 or not cs:
             raise ValueError("coefficient window does not span [lo, order]")
+        if {*map(type, cs)} != {int}:
+            raise ValueError("coefficients must be plain integers")
         series = _window(denom, lo, cs, order)
         series.__post_init__()
         return series
@@ -259,7 +265,8 @@ class QSeries:
 
     def truncated(self, order: RationalLike) -> "QSeries":
         """Weaken the guarantee to a smaller order, discarding higher slots."""
-        units = floor(as_rational(order) * self.denom)
+        t = as_rational(order)
+        units = t.numerator * self.denom // t.denominator
         if units > self.order:
             raise ValueError("cannot extend a series beyond its guaranteed order")
         if units == self.order:  # immutable, so the series itself is its cut
@@ -418,21 +425,28 @@ class ProductSpec:
 
     Factors are canonicalized on construction: equal scales merge by adding
     powers, zero powers drop out, and the remainder sorts by scale, so two
-    specs describing the same product compare equal structurally.
+    specs describing the same product compare equal structurally.  Scales
+    are merged and sorted as ints where they are integral, a Fraction with
+    denominator 1 read as its numerator, and stored as Fractions, each built
+    once at the end.
     """
 
     factors: tuple[tuple[Fraction, int], ...]
 
     def __post_init__(self) -> None:
-        merged: dict[Fraction, int] = {}
+        merged: dict[int | Fraction, int] = {}
         for scale, power in self.factors:
-            s = as_rational(scale)
+            s = scale if type(scale) is int else as_rational(scale)
+            if type(s) is not int and s.denominator == 1:
+                s = s.numerator
             if s <= 0:
                 raise ValueError("factor scales must be positive")
             if type(power) is not int:
                 raise ValueError("factor powers must be integers")
             merged[s] = merged.get(s, 0) + power
-        canon = tuple(sorted((s, p) for s, p in merged.items() if p))
+        canon = tuple(
+            (Fraction(s) if type(s) is int else s, p) for s, p in sorted(merged.items()) if p
+        )
         object.__setattr__(self, "factors", canon)
 
     def to_json(self) -> dict:
@@ -539,7 +553,7 @@ def _divisor_sums(top: int) -> list[int]:
 
 def _log_derivative(spec: ProductSpec, d: int, units: int) -> list[int]:
     """L_0..L_units on the grid of 1/d, sliced out of _divisor_sums."""
-    steps = [(int(s * d), p) for s, p in spec.factors]
+    steps = [(s.numerator * (d // s.denominator), p) for s, p in spec.factors]
     logd = [0] * (units + 1)
     sigma = _divisor_sums(units // min(steps)[0] if steps else 0)
     for t, p in steps:
@@ -672,7 +686,7 @@ def product_series(spec: ProductSpec, order: RationalLike,
     """
     t = as_rational(order)
     d = lcm(*(s.denominator for s, _ in spec.factors))
-    units = floor(t * d)
+    units = t.numerator * d // t.denominator
     if units < 0:
         return QSeries.zero(t, d)
     logd = _log_derivative(spec, d, units)

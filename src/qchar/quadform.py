@@ -40,8 +40,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import floor, gcd, isqrt, lcm
-from operator import add
+from math import gcd, isqrt, lcm
+from operator import add, mul
 from typing import Optional
 
 from .qseries import (
@@ -203,7 +203,8 @@ class _ScaledForm:
 
 
 def _complete_squares(diag, off, lin, const, denom) -> _ScaledForm:
-    """Peel squares off the last coordinate of an integer chain, fraction-free.
+    """Peel squares off the last coordinate of an integer chain, fraction-free,
+    in one O(l) pass.
 
     Dividing the chain and denom by their gcd gives grid and R = grid*E.
     Keeping grid*E = R/m + (the squares peeled so far), m = 1 at the start,
@@ -212,14 +213,21 @@ def _complete_squares(diag, off, lin, const, denom) -> _ScaledForm:
     4a_i (a_i x_i^2 + b x_(i-1) x_i + l_i x_i) is
     (2a_i x_i + b x_(i-1) + l_i)^2 - (b x_(i-1) + l_i)^2, so the level's square
     is (2a_i x_i + b x_(i-1) + l_i)^2 / (4a_i m) and the remainder, still a
-    chain, has only x_(i-1)'s diagonal and linear entries changed.  Dividing
-    the remainder and m by their gcd keeps every value a small exact integer
-    (Bareiss, Math. Comp. 22, 1968).  Each square's (W, w_prev, w0) is its
-    linear form divided by the gcd of its entries.  No square reads the
-    remainder's constant, so the elimination drops it and base is read off
-    x = 0 instead.  stride, the gcd of 2a_j, a_j + l_j and b_j over every
-    coordinate but the last of the divided chain, steps a walk's rows (see
-    _walk).  Raises if any pivot fails to be positive.
+    chain, has only x_(i-1)'s diagonal and linear entries changed.  So the
+    remainder is the untouched prefix of the divided chain times one running
+    integer scale s, plus -b^2 and -2b l_i on those two entries: each level
+    reads its entries as s times the prefix's plus those additions, and
+    divides m, s and the additions by their gcd, which keeps every value a
+    small exact integer (Bareiss, Math. Comp. 22, 1968).  Each square's
+    (W, w_prev, w0) is its linear form divided by the gcd of its entries.
+    How far a level divides does not change the form: multiplying R and m
+    by any lambda > 0 leaves each square, a rational invariant of the chain,
+    as it is, (W, w_prev, w0) is its primitive linear form with W > 0, and
+    sigma is the least scale that makes every K_i integral.  No square reads
+    the remainder's constant, so the elimination drops it and base is read
+    off x = 0 instead.  stride, the gcd of 2a_j, a_j + l_j and b_j over
+    every coordinate but the last of the divided chain, steps a walk's rows
+    (see _walk).  Raises if any pivot fails to be positive.
     """
     g = gcd(denom, const, *diag, *off, *lin)
     grid, c = denom // g, const // g
@@ -227,37 +235,30 @@ def _complete_squares(diag, off, lin, const, denom) -> _ScaledForm:
     b = [v // g for v in off]
     l = [v // g for v in lin]
     # 1 when no coordinate but the last exists: every row then holds one spend
-    stride = gcd(*(2 * v for v in a[:-1]), *map(add, a[:-1], l), *b) or 1
-    m = 1
-    levels = []
-    while a:
-        ai, li = a.pop(), l.pop()
-        bi = b.pop() if b else 0
+    stride = gcd(2 * gcd(*a[:-1]), *map(add, a[:-1], l), *b) or 1
+    n = len(a)
+    W, w_prev, w0, squares = [0] * n, [0] * n, [0] * n, [0] * n
+    m = s = sigma = 1
+    da = dl = 0
+    for i in range(n - 1, -1, -1):
+        ai, li = s * a[i] + da, s * l[i] + dl
         if ai <= 0:
             raise ValueError("indefinite exponent function")
-        f = 4 * ai
-        m *= f
+        bi = s * b[i - 1] if i else 0
+        m, s = m * 4 * ai, s * 4 * ai
         h = gcd(2 * ai, bi, li)
-        levels.append((m, h, 2 * ai // h, bi // h, li // h))
-        a = [v * f for v in a]
-        b = [v * f for v in b]
-        l = [v * f for v in l]
-        if a:
-            a[-1] -= bi * bi
-            l[-1] -= 2 * bi * li
-        g = gcd(m, *a, *b, *l)
-        m //= g
-        a = [v // g for v in a]
-        b = [v // g for v in b]
-        l = [v // g for v in l]
-    levels.reverse()
-    # the smallest sigma making every K_i = sigma*h_i^2/(4a_i m_i) integral
-    sigma = lcm(*(mi // gcd(mi, h * h) for mi, h, *_ in levels))
-    K = tuple(sigma * h * h // mi for mi, h, *_ in levels)
-    W, w_prev, w0 = (tuple(v[j] for v in levels) for j in (2, 3, 4))
+        W[i], w_prev[i], w0[i] = 2 * ai // h, bi // h, li // h
+        # the square's coefficient h^2/m in lowest terms; sigma clears each one
+        g = gcd(m, h * h)
+        squares[i] = (h * h // g, m // g)
+        sigma = lcm(sigma, m // g)
+        da, dl = -bi * bi, -2 * bi * li
+        g = gcd(m, s, da, dl)
+        m, s, da, dl = m // g, s // g, da // g, dl // g
+    K = tuple(sigma // den * num for num, den in squares)
     # sigma*grid*E(0) = sigma*c = base + sum K_i w0_i^2, all integers
-    base = sigma * c - sum(k * t * t for k, t in zip(K, w0))
-    return _ScaledForm(grid, sigma, stride, base, K, W, w_prev, w0)
+    base = sigma * c - sum(map(mul, K, map(mul, w0, w0)))
+    return _ScaledForm(grid, sigma, stride, base, K, tuple(W), tuple(w_prev), tuple(w0))
 
 
 def _level_range(k: int, w: int, p: int, budget: int) -> range:
@@ -443,8 +444,8 @@ def lattice_sum_series(s: LatticeSum | _Chain, bound: RationalLike) -> QSeries:
     weighted when the sum carries a weight shape.  Positive-definiteness of
     the exponent function makes every coefficient a finite count.
     """
-    t = as_rational(bound)
-    return _walk(s._form, s.weight, floor(t * s._form.grid))
+    t, form = as_rational(bound), s._form
+    return _walk(form, s.weight, t.numerator * form.grid // t.denominator)
 
 
 def lattice_sum_above(s: LatticeSum | _Chain, order: RationalLike) -> tuple[Fraction, QSeries]:
@@ -462,7 +463,7 @@ def lattice_sum_above(s: LatticeSum | _Chain, order: RationalLike) -> tuple[Frac
     cut there (to 0 if order < 0).
     """
     form, t = s._form, as_rational(order)
-    units = _nearest_plane(form) + floor(max(t, 0) * form.grid)
+    units = _nearest_plane(form) + max(t.numerator, 0) * form.grid // t.denominator
     series = lattice_sum_series(s, Fraction(units, form.grid))
     lead = Fraction(form.least, form.grid)
     return lead, series.truncated(lead + t)

@@ -13,7 +13,7 @@ the oracles of the integer chains qchar.affine builds.
 from fractions import Fraction
 from math import floor, isqrt, lcm
 
-from qchar.affine import PartitionData
+from qchar.affine import PartitionData, _character_parts, _trace_parts, partitions
 from qchar.qseries import ProductSpec
 from qchar.quadform import LatticeSum
 
@@ -49,6 +49,41 @@ def complete_squares(diag, off, lin, const):
             lin[i - 1] -= 2 * di * ui * ti
         c -= di * ti * ti
     return d, u, t, c, grid
+
+
+def form_matches(form, squares) -> bool:
+    """Whether a completed _ScaledForm holds the oracle's squares.
+
+    On the oracle's grid, with scale = sigma*grid: K_i W_i^2 = scale*d_i,
+    w_prev_i / W_i = u_i and w0_i / W_i = t_i with W_i > 0, and
+    base = scale*cstar.
+    """
+    d, u, t, cstar, grid = squares
+    scale = form.sigma * grid
+    levels = zip(form.K, form.W, form.w_prev, form.w0, d, u, t)
+    return (
+        form.grid == grid
+        and form.base == scale * cstar
+        and len(form.K) == len(d)
+        and all(
+            w > 0 and k * w * w == scale * di and Fraction(wp, w) == ui and Fraction(w0, w) == ti
+            for k, w, wp, w0, di, ui, ti in levels
+        )
+    )
+
+
+def route_chains(n_max):
+    """Every route chain with n <= n_max, both routes and every k, beside its
+    Fraction chain: (label, the _Chain qchar.affine builds, (diag, off, lin, const))."""
+    for n in range(1, n_max + 1):
+        for parts in partitions(n):
+            data = PartitionData.from_parts(parts)
+            for k in range(n):
+                numerator, _ = character_data(parts, k)
+                dim, c = numerator.l, numerator.c
+                rational = ([c] * dim, [-c] * max(dim - 1, 0), numerator.lin, numerator.const)
+                yield ("character", parts, k), _character_parts(data, k).lattice, rational
+                yield ("trace", parts, k), _trace_parts(data, k).lattice, trace_chain(parts, k)
 
 
 def chain_min(squares):

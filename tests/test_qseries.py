@@ -307,6 +307,27 @@ def test_product_spec_canonicalizes():
     assert ProductSpec(()) == ProductSpec(((Fraction(3), 0),))
 
 
+@pytest.mark.parametrize(
+    "factors",
+    [
+        ((2, 1), (Fraction(2), 2), ("1/2", -1), (3, 0)),
+        ((Fraction(2), 3), (Fraction(1, 2), -1)),
+        (("2", 1), ("4/2", 2), (Fraction(2, 4), -1)),
+        ((Fraction(1, 2), -1), (2, 3)),
+        (("1/2", -2), (2, 3), (Fraction(1, 2), 1), (5, 1), ("5", -1)),
+    ],
+)
+def test_product_spec_merges_every_spelling_of_a_scale(factors):
+    # 2, Fraction(2), "2" and "4/2" are one scale; merged on ints where
+    # integral, every stored scale is still a Fraction
+    spec = ProductSpec(factors)
+    want = ((Fraction(1, 2), -1), (Fraction(2), 3))
+    assert spec.factors == want
+    assert [type(s) for s, _ in spec.factors] == [Fraction, Fraction]
+    assert json.dumps(spec.to_json()) == json.dumps(ProductSpec(want).to_json())
+    assert spec == ProductSpec(want)
+
+
 def test_product_spec_rejects_bad_scale():
     with pytest.raises(ValueError):
         ProductSpec(((Fraction(0), 1),))
@@ -1279,12 +1300,16 @@ class IntSubclass(int):
         (1, False, (1,), False),
         (1, 0, (1, 2.0), 1),
         (1, 0, (1, IntSubclass(2)), 1),
+        (1, False, (1,), 0),
+        (1, 0, (0.0, 1), 1),
+        (1, 0, (False, 1), 1),
     ],
 )
 def test_qseries_refuses_bool(fields):
     # to_json would write a bool as a JSON boolean; a float or an int
     # subclass is no plain integer either; from_window, the other public
-    # constructor, refuses the same fields
+    # constructor, refuses the same fields, even a bound or a leading slot
+    # that canonicalizing would drop
     with pytest.raises(ValueError):
         QSeries(*fields)
     with pytest.raises(ValueError):

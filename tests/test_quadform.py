@@ -704,21 +704,22 @@ def test_property_integer_squares_match_fraction_oracle(chain, extra):
         with pytest.raises(ValueError):
             _complete_squares(*scaled)
         return
-    d, u, t, cstar, grid = squares
     # uneven pivots can still leave too many points for the oracle's scan
     assume(squares_oracle.scan_size(squares) <= 20000)
     chain = _Chain(*scaled)
-    form = chain._form
-    assert form.grid == grid
-    scale = form.sigma * grid
-    assert form.base == scale * cstar
-    assert len(form.K) == len(d)
-    for i in range(len(d)):
-        assert form.W[i] > 0
-        assert form.K[i] * form.W[i] ** 2 == scale * d[i]
-        assert Fraction(form.w_prev[i], form.W[i]) == u[i]
-        assert Fraction(form.w0[i], form.W[i]) == t[i]
+    assert squares_oracle.form_matches(chain._form, squares)
     assert lattice_sum_above(chain, 0)[0] == squares_oracle.chain_min(squares)
+
+
+def test_every_route_chain_completes_like_the_fraction_oracle():
+    # both routes' chains for every partition with n <= 7 and every k, as
+    # the sweep workload walks them, against their Fraction chains
+    count = 0
+    for label, chain, rational in squares_oracle.route_chains(7):
+        squares = squares_oracle.complete_squares(*rational)
+        assert squares_oracle.form_matches(chain._form, squares), label
+        count += 1
+    assert count == 480
 
 
 def test_one_form_walks_any_bound_like_fresh_builds():

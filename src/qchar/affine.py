@@ -8,14 +8,14 @@ The same series, up to a monomial shift, arises from a trace formula indexed
 by the partition: a constrained theta sum over r integers summing to the
 weight index, times P_2 = phi(q^N) / prod_i phi(q^(N/n_i)).  Each reading is
 a Side, a lattice sum (a LatticeSum or a route's integer chain) times an
-Euler-product quotient, either factor possibly absent; Side.series builds
-one through a bound and Side.above through an order above its lead, and
-verify, which qchar.identities uses too, compares two that way, building
-the rhs first and handing its window to the lhs: a pure product takes it
-as the candidate that product_series certifies.  The routes share the
-partition's PartitionData, but no chain.  The character formula is written
-once, in integers (_character_parts); specialized_character is its
-rational view.
+Euler-product quotient, either factor possibly absent, and known exactly as
+far as its lattice window; Side.series builds one through a bound and
+Side.above through an order above its lead, and verify, which
+qchar.identities uses too, compares two that way, building the rhs first and
+handing its window to the lhs: a pure product takes it as the candidate that
+product_series certifies.  The routes share the partition's PartitionData,
+but no chain.  The character formula is written once, in integers
+(_character_parts); specialized_character is its rational view.
 
 A proposition is one identity, paired once by _proposition: numerator *
 P_1/P_2 = theta.  verify_proposition checks it with one product, and
@@ -41,7 +41,7 @@ from .qseries import (
     QSeries,
     VerifyReport,
     _compare_builders,
-    _window,
+    _series,
     as_rational,
     product_series,
     series_mul,
@@ -161,8 +161,8 @@ class Side:
     """One reading of a series: a lattice sum times an Euler-product quotient.
 
     lattice is a LatticeSum, a route's integer chain, or None; product is a
-    ProductSpec or None.  An absent factor is never multiplied in, so a pure
-    side keeps its own grid and guarantee.  Its lead is its lattice minimum, or 0.
+    ProductSpec or None.  A pure product keeps its own grid; any other side
+    is known as far as its lattice window.  Its lead is its lattice minimum, or 0.
     """
 
     lattice: Optional[LatticeSum | _Chain]
@@ -177,7 +177,7 @@ class Side:
         t = as_rational(bound)
         if self.lattice is None:
             return product_series(self.product, t)
-        return self._times_product(lattice_sum_series(self.lattice, t), t)
+        return self._times_product(lattice_sum_series(self.lattice, t))
 
     def above(self, order, candidate: Optional[QSeries] = None) -> QSeries:
         """Expand the side, guaranteed through order above its lead.
@@ -189,26 +189,24 @@ class Side:
         t = as_rational(order)
         if self.lattice is None:
             return product_series(self.product, t, candidate)
-        lead, lattice = lattice_sum_above(self.lattice, t)
-        return self._times_product(lattice, lead + t)
+        return self._times_product(lattice_sum_above(self.lattice, t)[1])
 
-    def _times_product(self, lattice: QSeries, t: Fraction) -> QSeries:
-        """The lattice, guaranteed through t, times the product.
+    def _times_product(self, lattice: QSeries) -> QSeries:
+        """The lattice window L times the product P, known as far as L.
 
-        The product starts at q^0: under a lattice from low < 0 it runs
-        through top = t - low, else through t.  No slot of its own grid lies
-        between its floored order and top, so on the lattice's grid it is
-        known through top, and from top >= 0 on it never cuts t short.
+        series_mul guarantees min(L.order + P.lo, P.order + L.lo), which is
+        L.order once P = 1 + O(q) reaches L.order - min(L.lo, 0), also below
+        q^0.  So P is expanded that many slots of L's grid (its own grid has
+        no slot between its floored order and there), rebased, padded with
+        zeros to that slot and multiplied once; a longer P changes no window.
         """
         if self.product is None:
             return lattice
-        top = t - lattice.lowest_exponent() if lattice.lo < 0 and not lattice.is_zero() else t
-        product = product_series(self.product, top)
+        units = lattice.order - min(lattice.lo, 0)
+        product = product_series(self.product, Fraction(units, lattice.denom))
         m = lcm(product.denom, lattice.denom)
-        product, units = product.rebase(m), top.numerator * m // top.denominator
-        tail = (0,) * (units - product.order)
-        # a zero product (top < 0) collapses again to one slot
-        product = _window(m, product.lo, product.coeffs + tail, units)
+        product, top = product.rebase(m), units * (m // lattice.denom)
+        product = _series(m, 0, product.coeffs + (0,) * (top - product.order), top)
         return series_mul(lattice, product)
 
 
@@ -300,7 +298,7 @@ def specialized_character_series(parts: Sequence[int], k: int, bound) -> QSeries
     """Character route: numerator lattice sum over phi(q^N)^(n-1), through the bound.
 
     No character numerator with n <= 9 starts below q^0 (the tests pin
-    that), so in practice Side.series's pad is 0 here.
+    that), so its quotient runs through the bound, or q^0 when that is less.
     """
     return _character_parts(PartitionData.from_parts(parts), k).series(bound)
 

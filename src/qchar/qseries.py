@@ -188,20 +188,20 @@ class QSeries:
     def from_window(denom: int, lo: int, coeffs: Iterable[int], order: int) -> "QSeries":
         """Build from a dense window over [lo, order], canonicalizing as needed.
 
-        The bounds and every slot are type-checked before leading zeros go,
-        so a bool or float is refused even where it would be dropped; the
-        canonical series is checked like the constructor's.
+        Every field and slot is checked once, before leading zeros go, so a
+        bool or float is refused even where it would be dropped; _window then
+        makes the window tight, so no second scan is needed.
         """
         cs = tuple(coeffs)
+        if type(denom) is not int or denom < 1:
+            raise ValueError("denom must be a positive integer")
         if type(lo) is not int or type(order) is not int:
             raise ValueError("window bounds must be plain integers")
         if len(cs) != order - lo + 1 or not cs:
             raise ValueError("coefficient window does not span [lo, order]")
         if {*map(type, cs)} != {int}:
             raise ValueError("coefficients must be plain integers")
-        series = _window(denom, lo, cs, order)
-        series.__post_init__()
-        return series
+        return _window(denom, lo, cs, order)
 
     @staticmethod
     def zero(order: RationalLike, denom: int = 1) -> "QSeries":
@@ -319,7 +319,7 @@ def _series(denom: int, lo: int, coeffs: tuple[int, ...], order: int) -> QSeries
 def _window(denom: int, lo: int, coeffs, order: int) -> QSeries:
     """The series of a dense window over [lo, order], leading zeros stripped
     and the rest copied into one tuple; an all-zero window collapses to (0,)
-    at the order.  Unchecked, like _series: from_window checks its result."""
+    at the order.  Unchecked, like _series: from_window checks its input."""
     i, top = 0, len(coeffs) - 1
     while i < top and coeffs[i] == 0:
         i += 1
@@ -737,8 +737,7 @@ def normalize_shift(a: QSeries) -> tuple[QSeries, Fraction]:
     """
     if a.is_zero():
         raise ValueError("cannot normalize the zero series")
-    shift = Fraction(a.lo, a.denom)
-    return _series(a.denom, 0, a.coeffs, a.order - a.lo), shift
+    return _series(a.denom, 0, a.coeffs, a.order - a.lo), a.lowest_exponent()
 
 
 @dataclass(frozen=True)

@@ -263,23 +263,25 @@ def test_character_series_trivial_rank():
 
 def padded_character_oracle(parts, k, bound):
     # a separate exact-minimum walk pads both factors by max(-min, 0)
-    # before either is built.  The product is known through t + pad on the
-    # numerator's grid as well: expanded one unit further, it has no term
-    # between its own grid's floor of t + pad and t + pad, so its cut there
-    # on the common grid is exact
+    # before either is built.  The product starts at q^0 and is known there
+    # whatever the bound, so it is cut at max(t + pad, 0): expanded one unit
+    # further, it has no term between its own grid's floor of that and the
+    # cut, so its cut on the common grid is exact
     data = specialized_character(parts, k)
     t = Fraction(bound)
     pad = max(-lattice_sum_above(data.lattice, 0)[0], Fraction(0))
     num = lattice_sum_series(data.lattice, t + pad)
-    product = product_series(data.product, t + pad + 1)
+    top = max(t + pad, Fraction(0))
+    product = product_series(data.product, top + 1)
     grid = lcm(num.denom, product.denom)
-    return mul_oracle(num, product.rebase(grid).truncated(t + pad))
+    return mul_oracle(num, product.rebase(grid).truncated(top))
+
+
+def window(a):
+    return a.denom, a.lo, a.coeffs, a.order
 
 
 def test_character_series_matches_padded_oracle():
-    def window(a):
-        return a.denom, a.lo, a.coeffs, a.order
-
     cases = 0
     for n in range(1, 7):
         for parts in partitions(n):
@@ -290,17 +292,61 @@ def test_character_series_matches_padded_oracle():
                     assert window(got) == window(want), (parts, k, bound)
                     cases += 1
     assert cases == 675
-    # below q^0 a zero numerator meets a zero product, and the quotient's
-    # zero window is series_mul's: the two factors' slots added, each cut at
-    # the bound on the common grid, so -2 + -2 for (1,1), k = 1 at -1/2 on
-    # grid 4
+    # below q^0 a zero numerator meets the quotient 1 + O(q), so the zero
+    # window is the numerator's own: slot -2 of grid 4 for (1,1), k = 1 at -1/2
     got = specialized_character_series((1, 1), 1, Fraction(-1, 2))
-    assert window(got) == (4, -4, (0,), -4)
+    assert window(got) == (4, -2, (0,), -2)
+
+
+def test_route_windows_below_q0_reach_as_far_as_their_lattice_factor():
+    # a zero numerator below q^0 times the quotient is known through the
+    # numerator's order, not through the sum of both factors' orders
+    cases = 0
+    for n in range(1, 6):
+        for parts in partitions(n):
+            data = PartitionData.from_parts(parts)
+            for k in range(n):
+                for route, side in (
+                    (specialized_character_series, _character_parts(data, k)),
+                    (trace_series, _trace_parts(data, k)),
+                ):
+                    for bound in (Fraction(-3), Fraction(-1, 2)):
+                        got = route(parts, k, bound)
+                        lattice = lattice_sum_series(side.lattice, bound)
+                        assert got.order * lattice.denom == lattice.order * got.denom, (
+                            route.__name__, parts, k, bound
+                        )
+                        cases += 1
+    assert cases == 69 * 2 * 2  # 69 (partition, k) pairs
+    assert window(specialized_character_series((1, 1), 1, Fraction(-1, 2))) == (4, -2, (0,), -2)
+    assert str(trace_series((1, 2), 1, -3)) == "0 + O(q^-2)"
+
+
+NEGATIVE_MINIMUM = Side(
+    LatticeSum(2, Fraction(1), (Fraction(3), Fraction(-2)), Fraction(-5, 3)),
+    ProductSpec(((Fraction(1), 2), (Fraction(2), -1))),
+)
+
+
+@pytest.mark.parametrize("t", ("-3", "-1/2", "0", "5/3", "10"))
+def test_lattice_below_q0_times_a_product_matches_the_schoolbook(t):
+    # the lattice starts at q^(-11/3): its window times the literal product,
+    # which reaches well past the window's order, against both expansions
+    t = Fraction(t)
+    lattice, product = NEGATIVE_MINIMUM.lattice, product_oracle(NEGATIVE_MINIMUM.product, 20)
+    for got, factor in (
+        (NEGATIVE_MINIMUM.series(t), lattice_sum_series(lattice, t)),
+        (NEGATIVE_MINIMUM.above(t), lattice_sum_above(lattice, t)[1]),
+    ):
+        want = mul_oracle(factor, product)
+        assert want.order * factor.denom == factor.order * want.denom
+        assert window(got) == window(want), (t, factor)
+    assert lattice_sum_series(lattice, t).lo < 0
 
 
 def test_character_numerator_minimum_is_never_negative():
-    # characterization: the character route's pad for a negative leading
-    # exponent never fires on these pairs
+    # characterization: no numerator starts below q^0, so at a bound of 0
+    # or more the quotient is expanded exactly through the numerator's order
     pairs = 0
     for n in range(1, 10):
         for parts in partitions(n):

@@ -27,10 +27,10 @@ from qchar.identities import (
 from qchar.qseries import ProductSpec
 from qchar.quadform import WEIGHT_ALTERNATING, LatticeSum
 
-# sha256 of canonical_outputs(), recorded when a product on a coarser grid
-# than its lattice stopped flooring the window and a proposition became one
-# product; only labels at the fractional 7/3 and 61/2 changed then
-DIGEST = "5573ee3743fba63d42afb361277e074fe640ed3e54a7554f3228575192c35779"
+# sha256 of canonical_outputs(), recorded when a side's product began to
+# follow its lattice window; only the 480 character and trace windows at
+# bound -3 changed then, zero windows now known through the lattice's order
+DIGEST = "c688ebdacd21a38728f214265098375fa85cfe9637993fe1058e2eaa1355a887"
 
 PROPOSITION_ORDERS = (Fraction(0), Fraction(3), Fraction(61, 2), Fraction(30))
 ROUTE_BOUNDS = (Fraction(-3), Fraction(7, 3), Fraction(61, 2))

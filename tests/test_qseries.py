@@ -1029,6 +1029,25 @@ def test_log_derivative_matches_oracle(monkeypatch):
     assert len(qseries._SIGMA) == 10**4 + 1
 
 
+def test_classical_four_report_the_same_from_a_fresh_and_a_grown_table(monkeypatch):
+    """L sliced from one sigma table as it is sieved (3000), read as a prefix
+    (30) and sieved again past twice its end (6001), against the multiples
+    loop; then the classical four at 3000 twice, the second round from the
+    table the first left, with byte-identical reports."""
+    monkeypatch.setattr(qseries, "_SIGMA", [0])
+    specs = [classical_identity("euler").lhs, ProductSpec(((8, -3),))]
+    for units in (3000, 30, 6001):
+        for spec in specs:
+            assert qseries._log_derivative(spec, 1, units) == log_derivative_oracle(spec, 1, units)
+    rounds = [
+        [json.dumps(verify_identity(classical_identity(name), 3000).to_json())
+         for name in CLASSICAL_NAMES]
+        for _ in range(2)
+    ]
+    assert rounds[0] == rounds[1]
+    assert all(json.loads(report)["match"] for report in rounds[0])
+
+
 def test_import_and_identity_specs_sieve_nothing():
     """Importing qchar and building the identities' specs leaves the divisor
     table empty: it is sieved by the first product, not at set-up.  A child
@@ -1204,6 +1223,22 @@ def test_internal_builders_pass_the_check_on_every_proposition(checked_builds):
 def test_internal_builders_pass_the_check_on_identities(checked_builds, spec, order):
     assert verify_identity(spec, order).match
     assert checked_builds
+
+
+def test_identities_verify_without_re_checking_their_windows(monkeypatch):
+    # every window a verify builds comes from a kernel or a series already
+    # checked, so none reaches the public constructor's check; the public
+    # from_window still refuses a float coefficient
+    def refused(self):
+        raise AssertionError("a window built by the program was re-checked")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(QSeries, "__post_init__", refused)
+        for spec in [classical_identity(name) for name in CLASSICAL_NAMES] + [class1_identity(1)]:
+            report = verify_identity(spec, 300)
+            assert report.match and report.checked_through == 300, spec
+    with pytest.raises(ValueError, match="coefficients must be plain integers"):
+        QSeries.from_window(1, 0, [1, 2.0], 1)
 
 
 def test_internal_builders_pass_the_check_on_hand_fixtures(checked_builds):

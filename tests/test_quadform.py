@@ -1,7 +1,7 @@
 """Lattice enumeration checked against brute scans and frozen small cases."""
 
 import dataclasses
-import inspect
+import dis
 import json
 import math
 import pickle
@@ -562,13 +562,28 @@ def test_replace_completes_its_own_form(monkeypatch):
     assert calls[0] == 2
 
 
-def walk_line_hits(run, text):
-    """Run run() and count how often _walk executes its line holding text."""
+# Python 3.10 spells the in-place BINARY_OP as its own opcode
+INPLACE_OPS = {"INPLACE_SUBTRACT": "-="}
+
+
+def walk_line_hits(run, store, op=None):
+    """Run run() and count how often _walk executes the line that stores into
+    the local store, after the in-place op when one is given.
+
+    The line is read off the code object that runs, so an edit to the source
+    file while the suite runs cannot move it.
+    """
     import qchar.quadform as quadform
 
-    lines, first = inspect.getsourcelines(quadform._walk)
-    target = first + next(i for i, line in enumerate(lines) if text in line)
     code = quadform._walk.__code__
+    ops = list(dis.get_instructions(code))
+    offset = next(
+        b.offset
+        for a, b in zip(ops, ops[1:])
+        if b.opname == "STORE_FAST" and b.argval == store
+        and op in (None, a.argrepr, INPLACE_OPS.get(a.opname))
+    )
+    target = next(line for start, end, line in code.co_lines() if start <= offset < end)
     hits = [0]
 
     def local(frame, event, arg):
@@ -596,7 +611,7 @@ def test_walk_prices_each_coordinate_once_per_predecessor(monkeypatch):
     s = LatticeSum(6, Fraction(1), (Fraction(0),) * 6)
     # each (predecessor row, value) pair of levels 0..4 adds its kept part
     # into a row once; the last level is folded, one range per group
-    got, adds = walk_line_hits(lambda: lattice_sum_series(s, 30), "spend = s0 + cost")
+    got, adds = walk_line_hits(lambda: lattice_sum_series(s, 30), "spend")
     assert calls[0] == 79  # 96 before the fold
     assert adds == 797  # 956 before the fold; the dict walk merged 8466 spends
     assert got.order == 30 and got[1] == 42

@@ -156,7 +156,7 @@ def test_weighted_walks_cut_signed_rows_like_the_dict_walk(s, weight):
     # folded last level masks nothing, so the cut first happens in dimension 4
     s = LatticeSum(s.l, s.c, s.lin, s.const, weight)
     bound = lattice_sum_above(s, 0)[0] + 12
-    got, balanced = walk_line_hits(lambda: lattice_sum_series(s, bound), "part -= 1 << bits")
+    got, balanced = walk_line_hits(lambda: lattice_sum_series(s, bound), "part", "-=")
     assert got == dict_walk(s._form, weight, floor(bound * s._form.grid))[1]
     assert any(got.coeffs)
     assert (balanced > 0) == (s.l >= 4)
@@ -284,7 +284,7 @@ def test_fold_adds_each_group_once_per_value_of_the_last_coordinate():
             len(_level_range(K, W, r, budget - least))
             for (r, _), least in fold_groups(form, budget).items()
         )
-        _, adds = walk_line_hits(lambda: _walk(form, None, units), "f = (base + s0")
+        _, adds = walk_line_hits(lambda: _walk(form, None, units), "f")
         assert adds == want, form
         fold += adds
         rows += sum(

@@ -22,9 +22,11 @@ slots step by that much, and their width is proved from the form; masks,
 shifts and adds on whole rows replace per-spend merges.  The last coordinate
 is folded: rows that meet the same one-dimensional theta of the last square
 merge, each group is shifted into one accumulator once per term of its
-theta, and the window unpacks once.  Both routes of
-qchar.affine build their integer chains directly, as a _Chain, the trace
-route's chain written in partial sums.  A LatticeSum scales its exponent
+theta, and the window unpacks once.  In dimension 3 the rows before the
+fold would hold one count each, so the walk scatters each pair (x_0, x_1)
+straight into its group's list, one add per pair, packs each group once and
+builds no row.  Both routes of qchar.affine build their integer chains
+directly, as a _Chain, the trace route's chain written in partial sums.  A LatticeSum scales its exponent
 onto its grid; each kind completes its squares once, on first use, and
 every public entry point walks that one form, once: lattice_sum_series
 through any bound, lattice_sum_above through a nearest-plane point's
@@ -48,6 +50,7 @@ from .qseries import (
     QSeries,
     RationalLike,
     _cut,
+    _pack,
     _series,
     _slot_width,
     _unpack,
@@ -291,6 +294,35 @@ def _count_bound(form: _ScaledForm, weight, budget: int) -> int:
     return bound
 
 
+def _scatter(form: _ScaledForm, weight, budget: int, w: int) -> dict[tuple[int, int], list[int]]:
+    """The fold's groups of a dimension-3 walk, scattered from its (x_0, x_1)
+    pairs one count at a time (see _walk): (r, s0 mod step) -> [s0, packed].
+
+    Its one in-place add is the list add, once per pair, which the tests
+    count.
+    """
+    (k0, k1, _), (w0, w1, wl), (_, c1, cl), (t0, t1, tl) = form.K, form.W, form.w_prev, form.w0
+    step = form.sigma * form.stride
+    slots = budget // step + 1
+    tallies: dict[tuple[int, int], list] = {}
+    for x0 in _level_range(k0, w0, t0, budget):
+        v = w0 * x0 + t0
+        paid = k0 * v * v
+        count = 1 if weight is None else _weight_value(weight, (x0,))
+        p = t1 + c1 * x0
+        for x1 in _level_range(k1, w1, p, budget - paid):
+            v = w1 * x1 + p
+            cost = paid + k1 * v * v
+            key = ((tl + cl * x1) % wl, cost % step)
+            tally = tallies.get(key)
+            if tally is None:
+                tally = tallies[key] = [cost, [0] * slots]
+            elif cost < tally[0]:
+                tally[0] = cost
+            tally[1][cost // step] += count
+    return {key: [s0, _pack(counts[s0 // step :], w)] for key, (s0, counts) in tallies.items()}
+
+
 def _walk(form: _ScaledForm, weight, units: int) -> QSeries:
     """The one lattice engine: walk a _ScaledForm through units grid slots.
 
@@ -350,6 +382,28 @@ def _walk(form: _ScaledForm, weight, units: int) -> QSeries:
     the least (base + s0 + that cost) // sigma over the groups is the
     cheapest point of all, even where weights cancel.  When it lies within
     units, the walk records it on the form as least.
+
+    Scatter (l = 3, _scatter): level 1 reads level 0's rows, which hold one
+    count each, and its rows go straight to the fold, so the walk builds
+    the fold's groups from the (x_0, x_1) pairs and builds no row and no
+    mask.  For each x_0 it takes the spend K_0 v^2 and the count (1, or the
+    weight of x_0); for each x_1 in its range at that spend it adds the
+    count into a plain list for the key ((w0_2 + w_prev_2 x_1) mod W_2,
+    spend mod step), at index spend // step, and keeps the key's least
+    spend; each group's list is then packed once at width w.  The sums are
+    the row path's: a one-slot row gives each pair exactly one count in
+    x_1's row, and the fold merges rows by that same key; within a group
+    every spend agrees mod step, so spend // step gives distinct slots;
+    x_1's range is taken at the exact spend of its source, so every
+    scattered spend is within the budget and no mask is needed; each
+    group's least spend is a spend some prefix reaches, as s0 was, so lo
+    is the same even where weights cancel; and the group counts are the
+    sums the merged rows held, so _count_bound's width still fits them.
+    A pair costs one list add where it cost a shift and add of a row of up
+    to budget/step slots, so the level goes from quadratic in the order to
+    linear.  At l = 2 too few counts share a group to pay for a list and a
+    pack, and a scatter of level 1 into per-row lists for l >= 4 measured
+    slower than the rows, so every other dimension takes the row path.
     """
     grid, sigma, base = form.grid, form.sigma, form.base
     budget = sigma * units - base
@@ -363,52 +417,55 @@ def _walk(form: _ScaledForm, weight, units: int) -> QSeries:
     step = sigma * form.stride
     w = _slot_width(_count_bound(form, weight, budget))
     last = len(form.K) - 1
-    rows: dict[int, list[int]] = {0: [0, 1]}
-    for i in range(last):
-        ki, wi, ci, ti = form.K[i], form.W[i], form.w_prev[i], form.w0[i]
-        nxt: dict[int, list[int]] = {}
-        for prev, (s0, packed) in rows.items():
-            pi = ti + ci * prev
-            top = budget - s0
-            # every slot fits under a square costing at most full
-            full = top - packed.bit_length() // w * step
-            for xi in _level_range(ki, wi, pi, top):
-                v = wi * xi + pi
-                cost = ki * v * v
-                part = packed
-                if cost > full:
-                    bits = ((top - cost) // step + 1) * w
-                    part &= (1 << bits) - 1
-                    if part >> (bits - 1):
-                        part -= 1 << bits
-                spend = s0 + cost
-                row = nxt.get(xi)
-                if row is None:
-                    nxt[xi] = [spend, part]
-                elif spend >= row[0]:
-                    row[1] += part << (spend - row[0]) // step * w
-                else:
-                    row[1] = (row[1] << (row[0] - spend) // step * w) + part
-                    row[0] = spend
-        rows = nxt
-        if i == 0 and weight is not None:
-            for xi, row in rows.items():
-                row[1] *= _weight_value(weight, (xi,))
     kl, wl, cl, tl = form.K[last], form.W[last], form.w_prev[last], form.w0[last]
-    # rows whose p agree mod wl meet the same values of the last square;
-    # those whose spends also agree mod step merge into one group
-    groups: dict[tuple[int, int], list[int]] = {}
-    for prev, (s0, packed) in rows.items():
-        p = tl + cl * prev
-        key = (p % wl if last else p, s0 % step)
-        row = groups.get(key)
-        if row is None:
-            groups[key] = [s0, packed]
-        elif s0 >= row[0]:
-            row[1] += packed << (s0 - row[0]) // step * w
-        else:
-            row[1] = (row[1] << (row[0] - s0) // step * w) + packed
-            row[0] = s0
+    if last == 2:
+        groups = _scatter(form, weight, budget, w)
+    else:
+        rows: dict[int, list[int]] = {0: [0, 1]}
+        for i in range(last):
+            ki, wi, ci, ti = form.K[i], form.W[i], form.w_prev[i], form.w0[i]
+            nxt: dict[int, list[int]] = {}
+            for prev, (s0, packed) in rows.items():
+                pi = ti + ci * prev
+                top = budget - s0
+                # every slot fits under a square costing at most full
+                full = top - packed.bit_length() // w * step
+                for xi in _level_range(ki, wi, pi, top):
+                    v = wi * xi + pi
+                    cost = ki * v * v
+                    part = packed
+                    if cost > full:
+                        bits = ((top - cost) // step + 1) * w
+                        part &= (1 << bits) - 1
+                        if part >> (bits - 1):
+                            part -= 1 << bits
+                    spend = s0 + cost
+                    row = nxt.get(xi)
+                    if row is None:
+                        nxt[xi] = [spend, part]
+                    elif spend >= row[0]:
+                        row[1] += part << (spend - row[0]) // step * w
+                    else:
+                        row[1] = (row[1] << (row[0] - spend) // step * w) + part
+                        row[0] = spend
+            rows = nxt
+            if i == 0 and weight is not None:
+                for xi, row in rows.items():
+                    row[1] *= _weight_value(weight, (xi,))
+        # rows whose p agree mod wl meet the same values of the last square;
+        # those whose spends also agree mod step merge into one group
+        groups: dict[tuple[int, int], list[int]] = {}
+        for prev, (s0, packed) in rows.items():
+            p = tl + cl * prev
+            key = (p % wl if last else p, s0 % step)
+            row = groups.get(key)
+            if row is None:
+                groups[key] = [s0, packed]
+            elif s0 >= row[0]:
+                row[1] += packed << (s0 - row[0]) // step * w
+            else:
+                row[1] = (row[1] << (row[0] - s0) // step * w) + packed
+                row[0] = s0
     lo = min(((base + s0 + kl * min(p % wl, -p % wl) ** 2) // sigma
               for (p, _), (s0, _) in groups.items()), default=units + 1)
     if lo > units:

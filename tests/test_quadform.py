@@ -563,27 +563,22 @@ def test_replace_completes_its_own_form(monkeypatch):
 
 
 # Python 3.10 spells the in-place BINARY_OP as its own opcode
-INPLACE_OPS = {"INPLACE_SUBTRACT": "-="}
+INPLACE_OPS = {"INPLACE_ADD": "+=", "INPLACE_SUBTRACT": "-="}
 
 
-def walk_line_hits(run, store, op=None):
-    """Run run() and count how often _walk executes the line that stores into
-    the local store, after the in-place op when one is given.
+def line_hits(run, code, match):
+    """Run run() and count how often code executes the line of the one
+    instruction that match(previous, instruction) picks.
 
     The line is read off the code object that runs, so an edit to the source
-    file while the suite runs cannot move it.
+    file while the suite runs cannot move it.  A match that picks no
+    instruction, or more than one, raises before run() starts: a later
+    branch reusing a name must not silently retarget the count.
     """
-    import qchar.quadform as quadform
-
-    code = quadform._walk.__code__
     ops = list(dis.get_instructions(code))
-    offset = next(
-        b.offset
-        for a, b in zip(ops, ops[1:])
-        if b.opname == "STORE_FAST" and b.argval == store
-        and op in (None, a.argrepr, INPLACE_OPS.get(a.opname))
-    )
-    target = next(line for start, end, line in code.co_lines() if start <= offset < end)
+    offsets = [b.offset for a, b in zip(ops, ops[1:]) if match(a, b)]
+    assert len(offsets) == 1, (code.co_name, offsets)
+    target = next(line for start, end, line in code.co_lines() if start <= offsets[0] < end)
     hits = [0]
 
     def local(frame, event, arg):
@@ -601,6 +596,26 @@ def walk_line_hits(run, store, op=None):
     finally:
         sys.settrace(previous)
     return result, hits[0]
+
+
+def walk_line_hits(run, store, op=None):
+    """Run run() and count how often _walk executes the line that stores into
+    the local store, after the in-place op when one is given."""
+    import qchar.quadform as quadform
+
+    return line_hits(
+        run,
+        quadform._walk.__code__,
+        lambda a, b: b.opname == "STORE_FAST" and b.argval == store
+        and op in (None, a.argrepr, INPLACE_OPS.get(a.opname)),
+    )
+
+
+def test_walk_line_hits_refuses_a_missing_or_ambiguous_line():
+    # _walk stores row on three lines and stores no local named absent
+    for store, op in (("row", None), ("absent", None), ("spend", "-=")):
+        with pytest.raises(AssertionError):
+            walk_line_hits(lambda: pytest.fail("ran"), store, op)
 
 
 def test_walk_prices_each_coordinate_once_per_predecessor(monkeypatch):

@@ -34,7 +34,7 @@ from qchar.quadform import (
     lattice_sum_series,
 )
 from point_oracle import _scaled_points
-from test_quadform import walk_line_hits
+from test_quadform import INPLACE_OPS, counting, line_hits, walk_line_hits
 from walk_oracle import dict_levels, dict_walk
 
 WEIGHTS = (None, WEIGHT_ALTERNATING, WEIGHT_FOUR_K_PLUS_ONE)
@@ -86,11 +86,14 @@ def test_sweep_walks_match_the_dict_walk(walks):
 
 
 def test_family_walks_match_the_dict_walk(walks):
+    # the families workload's runs, then the dimension-3 walk at 4000, where
+    # the scattered lists are longest: about 4000 slots per group
     runs = ((class1_identity, 1, 800), (class1_identity, 2, 160), (class1_identity, 3, 56),
-            (class2_identity, 1, 800), (class2_identity, 2, 100))
+            (class2_identity, 1, 800), (class2_identity, 2, 100),
+            (class1_identity, 1, 4000), (class2_identity, 1, 4000))
     for build, m, order in runs:
         assert verify_identity(build(m), order).match
-    assert len(walks) == 5
+    assert len(walks) == 7
     assert_matches_oracle(walks)
 
 
@@ -312,3 +315,56 @@ def test_a_group_whose_theta_misses_the_budget_adds_nothing():
     got = walked(form, None, units)
     assert got == dict_walk(form, None, units)
     assert got[0] == units and got[1].coeffs == (1,)
+
+
+def scatter_add_hits(run):
+    """Run run() and count _scatter's list adds, its one in-place add."""
+    import qchar.quadform as quadform
+
+    return line_hits(
+        run, quadform._scatter.__code__, lambda a, b: "+=" in (b.argrepr, INPLACE_OPS.get(b.opname))
+    )
+
+
+def test_dimension_3_walks_scatter_their_pairs_into_the_folds_groups(walks, monkeypatch):
+    # work counts are the only guard here: building x_1's rows and merging
+    # them into groups, as l >= 4 does, gives the same series
+    for build in (class1_identity, class2_identity):
+        assert verify_identity(build(1), 800).match
+    families = list(walks)
+    monkeypatch.undo()  # line_hits must trace _walk itself, not the recorder
+    packs = counting(monkeypatch, "_pack")
+    runs = [(form, None, units) for form, units in sampled_forms() if len(form.K) == 3]
+    assert len(runs) == 31
+    seen = []
+    for form, weight, units in runs + families:
+        budget = form.sigma * units - form.base
+        K, W, c, t = form.K[1], form.W[1], form.w_prev[1], form.w0[1]
+        pairs = sum(
+            len(_level_range(K, W, t + c * x, budget - min(spent)))
+            for x, spent in next(dict_levels(form, weight, budget)).items()
+        )
+        packs[0] = 0
+        _, spends = walk_line_hits(lambda: _walk(form, weight, units), "spend")
+        assert spends == 0, form  # no row of x_0 or x_1
+        assert packs[0] == len(fold_groups(form, budget)), form
+        _, adds = scatter_add_hits(lambda: _walk(form, weight, units))
+        assert adds == pairs, form
+        seen.append(adds)
+    assert [len(f.K) for f, _, _ in families] == [3, 3]
+    assert seen[-2:] == [1181, 1181]
+
+
+@pytest.mark.parametrize("weight", (WEIGHT_ALTERNATING, WEIGHT_FOUR_K_PLUS_ONE))
+def test_dimension_3_counts_that_cancel_at_the_least_slot_match_the_dict_walk(weight):
+    # under the alternating sign the scattered counts cancel at the least
+    # slot: the lead is -1/2, yet the window starts at 0
+    s = lattice(3, "3/2", (0, "1/2", "3/2"), 0, weight)
+    form = s._form
+    lead, _ = lattice_sum_above(s, 0)
+    units = floor((lead + 12) * form.grid)
+    got = walked(form, weight, units)
+    assert got == dict_walk(form, weight, units)
+    assert lead == Fraction(-1, 2)
+    if weight == WEIGHT_ALTERNATING:
+        assert got[0] == lead * form.grid < got[1].lo == 0

@@ -7,20 +7,19 @@ numerator a lattice sum over Z^(n-1) and denominator P_1^-1 = phi(q^N)^(n-1).
 The same series, up to a monomial shift, arises from a trace formula indexed
 by the partition: a constrained theta sum over r integers summing to the
 weight index, times P_2 = phi(q^N) / prod_i phi(q^(N/n_i)).  Each reading is
-a Side, a lattice sum (a LatticeSum or a route's integer chain) times an
-Euler-product quotient, either factor possibly absent, and known exactly as
-far as its lattice window; Side.series builds one through a bound and
-Side.above through an order above its lead, and verify, which
-qchar.identities uses too, compares two that way, building the rhs first and
-handing its window to the lhs: a pure product takes it as the candidate that
-product_series certifies.  The routes share the partition's PartitionData,
-but no chain.  The character formula is written once, in integers
-(_character_parts); specialized_character is its rational view.
+a Side, a LatticeSum times an Euler-product quotient, either factor possibly
+absent, and known exactly as far as its lattice window; Side.series builds
+one through a bound and Side.above through an order above its lead, and
+verify, which qchar.identities uses too, compares two that way, building the
+rhs first and handing its window to the lhs: a pure product takes it as the
+candidate that product_series certifies.  The routes share the partition's
+PartitionData, but no chain.  Each route's formula is written once, as an
+integer chain (_character_parts, _trace_parts).
 
 A proposition is one identity, paired once by _proposition: numerator *
 P_1/P_2 = theta.  verify_proposition checks it with one product, and
-qchar.identities pairs specialized_character with the trace route the same
-way and inverts the ratio for the two families' product sides.
+qchar.identities pairs the same two routes the same way and inverts the
+ratio for the two families' product sides.
 
 Everything is exact: moduli and specialization vectors are integers by
 construction (non-integrality raises rather than rounds), and exponents are
@@ -46,7 +45,7 @@ from .qseries import (
     product_series,
     series_mul,
 )
-from .quadform import LatticeSum, _Chain, lattice_sum_above, lattice_sum_series
+from .quadform import LatticeSum, lattice_sum_above, lattice_sum_series
 
 __all__ = [
     "PartitionData",
@@ -160,12 +159,12 @@ class PartitionData:
 class Side:
     """One reading of a series: a lattice sum times an Euler-product quotient.
 
-    lattice is a LatticeSum, a route's integer chain, or None; product is a
-    ProductSpec or None.  A pure product keeps its own grid; any other side
-    is known as far as its lattice window.  Its lead is its lattice minimum, or 0.
+    lattice is a LatticeSum or None; product is a ProductSpec or None.  A
+    pure product keeps its own grid; any other side is known as far as its
+    lattice window.  Its lead is its lattice minimum, or 0.
     """
 
-    lattice: Optional[LatticeSum | _Chain]
+    lattice: Optional[LatticeSum]
     product: Optional[ProductSpec] = None
 
     def __post_init__(self) -> None:
@@ -229,21 +228,9 @@ def verify(lhs: Side, rhs: Side, bound) -> VerifyReport:
 
 
 def specialized_character(parts: Sequence[int], k: int) -> Side:
-    """The character side for a partition and weight index, in rationals.
-
-    A view of _character_parts: its integer numerator chain divided by n^2,
-    as a LatticeSum, times the same quotient 1/phi(q^N)^(n-1).
-    """
-    data = PartitionData.from_parts(parts)
-    side = _character_parts(data, k)
-    chain = side.lattice
-    numerator = LatticeSum(
-        data.n - 1,
-        Fraction(data.N),
-        tuple(Fraction(v, chain.denom) for v in chain.lin),
-        Fraction(chain.const, chain.denom),
-    )
-    return Side(numerator, side.product)
+    """The character side for a partition and weight index: its numerator
+    chain over 1/phi(q^N)^(n-1) (see _character_parts)."""
+    return _character_parts(PartitionData.from_parts(parts), k)
 
 
 def _character_parts(data: PartitionData, k: int) -> Side:
@@ -257,8 +244,9 @@ def _character_parts(data: PartitionData, k: int) -> Side:
     exponent function is the specialization verbatim, not a shifted cousin.
     The chain is that exponent times n^2, all in integers: n*c_i =
     min(i,k)(n - max(i,k)) is integral, so the constant n^2(N kappa(c) - s.c)
-    is N kappa(nc) - n s.(nc).  It is (diag, off, lin, const, denom) with
-    denom = n^2; the product is the quotient's 1/phi(q^N)^(n-1), empty at n = 1.
+    is N kappa(nc) - n s.(nc).  It is the chain (diag, off, lin, const) over
+    denom = n^2, which LatticeSum reduces; the product is the quotient's
+    1/phi(q^N)^(n-1), empty at n = 1.
     """
     n, big = data.n, data.N
     nc = _weight_numerators(n, k)
@@ -269,7 +257,7 @@ def _character_parts(data: PartitionData, k: int) -> Side:
         lin[k - 1] += sq * big
     kappa_nc = sum(map(mul, nc, nc)) - sum(map(mul, nc, nc[1:]))
     const = big * kappa_nc - n * sum(map(mul, tail, nc))
-    chain = _Chain((sq * big,) * (n - 1), (-sq * big,) * max(n - 2, 0), tuple(lin), const, sq)
+    chain = LatticeSum((sq * big,) * (n - 1), (-sq * big,) * max(n - 2, 0), lin, const, sq)
     return Side(chain, ProductSpec(((big, 1 - n),)))
 
 
@@ -290,7 +278,7 @@ def _trace_parts(data: PartitionData, k: int) -> Side:
     diag = tuple(map(add, steps, steps[1:]))
     off = tuple(map(mul, steps[1:-1], repeat(-2)))
     lin = (0,) * (len(diag) - 1) + (-2 * k * steps[-1],) if diag else ()
-    chain = _Chain(diag, off, lin, k * k * steps[-1], 2)
+    chain = LatticeSum(diag, off, lin, k * k * steps[-1], 2)
     return Side(chain, ProductSpec(((big, 1), *zip(steps, repeat(-1)))))
 
 
@@ -314,7 +302,6 @@ def _proposition(char: Side, trace: Side) -> tuple[Side, Side]:
 
     Both routes divided by P_2, so one product, phi(q^N)^(-n) prod_i
     phi(q^(N/n_i)), remains; for (1^n) it cancels and both sides are walks.
-    The numerator is the character route's lattice, integer or rational.
     """
     ratio = ProductSpec(
         char.product.factors + tuple((scale, -power) for scale, power in trace.product.factors)

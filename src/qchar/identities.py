@@ -77,18 +77,16 @@ def classical_identity(name: str) -> IdentitySpec:
     two = Fraction(2)
     if name == "euler":
         lhs = ProductSpec(((one, 1),))
-        rhs = LatticeSum(
-            1, Fraction(3, 2), (Fraction(1, 2),), Fraction(0), WEIGHT_ALTERNATING
-        )
+        rhs = LatticeSum((3,), (), (1,), 0, 2, WEIGHT_ALTERNATING)
     elif name == "jacobi":
         lhs = ProductSpec(((one, 3),))
-        rhs = LatticeSum(1, two, (one,), Fraction(0), WEIGHT_FOUR_K_PLUS_ONE)
+        rhs = LatticeSum((2,), (), (1,), 0, 1, WEIGHT_FOUR_K_PLUS_ONE)
     elif name == "gauss_a":
         lhs = ProductSpec(((one, 2), (two, -1)))
-        rhs = LatticeSum(1, one, (Fraction(0),), Fraction(0), WEIGHT_ALTERNATING)
+        rhs = LatticeSum((1,), (), (0,), 0, 1, WEIGHT_ALTERNATING)
     elif name == "gauss_b":
         lhs = ProductSpec(((two, 2), (one, -1)))
-        rhs = LatticeSum(1, two, (one,), Fraction(0))
+        rhs = LatticeSum((2,), (), (1,))
     else:
         raise ValueError(f"unknown classical identity: {name!r}")
     return IdentitySpec(name, lhs, rhs)
@@ -100,8 +98,7 @@ def _proposition_identity(name: str, m: int, parts, k: int, a: int) -> IdentityS
     qchar.affine._proposition reads it as numerator * P_1/P_2 = theta, and
     theta is gauss_b's lattice side at q^a up to a monomial, so the numerator
     with its constant dropped is the inverted ratio times gauss_b's product.
-    The character route is built once, as specialized_character's rational
-    view, and paired with the trace route there.
+    Each route is built once, as its integer chain, and paired there.
     """
     trace = _trace_parts(PartitionData.from_parts(parts), k)
     side = _proposition(specialized_character(parts, k), trace)[0]
@@ -110,7 +107,7 @@ def _proposition_identity(name: str, m: int, parts, k: int, a: int) -> IdentityS
         tuple((scale, -power) for scale, power in side.product.factors)
         + tuple((a * scale, power) for scale, power in gauss.factors)
     )
-    return IdentitySpec(name, lhs, replace(side.lattice, const=Fraction(0)), m)
+    return IdentitySpec(name, lhs, replace(side.lattice, const=0), m)
 
 
 def class1_identity(m: int) -> IdentitySpec:

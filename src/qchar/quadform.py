@@ -1,13 +1,15 @@
 """Positive-definite lattice sums over chain quadratic forms.
 
-The exponent function of a LatticeSum is E(k) = c*kappa(k) + lin.k + const,
-where kappa(k) = sum k_i^2 - sum k_i k_{i+1} is half the Gram form of the
-A_l chain and positive definite in every dimension.  Its quadratic part is a
-chain: each coordinate meets only its neighbours.  Completing the square in
-the last coordinate, again and again, writes a chain exponent as
-cstar + sum_i d_i (x_i + u_i x_{i-1} + t_i)^2 with every d_i positive, so
-once x_{i-1} and the budget left are fixed the admissible x_i fill an
-interval computed exactly with integer square roots.
+A LatticeSum's exponent function E is a chain: an integer quadratic form
+over a positive denominator in which each coordinate meets only its
+neighbours.  The classical identities are one-dimensional chains; the
+character numerators are c*kappa(x) + lin.x + const, where
+kappa(x) = sum x_i^2 - sum x_i x_(i+1) is half the Gram form of the A_l
+chain, and the trace thetas are chains in partial sums.  Completing the
+square in the last coordinate, again and again, writes a positive-definite
+chain exponent as cstar + sum_i d_i (x_i + u_i x_(i-1) + t_i)^2 with every
+d_i positive, so once x_(i-1) and the budget left are fixed the admissible
+x_i fill an interval computed exactly with integer square roots.
 
 Chains enter as integers, grid*E for the grid denominator of their entries,
 and the squares are completed fraction-free (Bareiss elimination), straight
@@ -25,13 +27,12 @@ merge, each group is shifted into one accumulator once per term of its
 theta, and the window unpacks once.  In dimension 3 the rows before the
 fold would hold one count each, so the walk scatters each pair (x_0, x_1)
 straight into its group's list, one add per pair, packs each group once and
-builds no row.  Both routes of qchar.affine build their integer chains
-directly, as a _Chain, the trace route's chain written in partial sums.  A LatticeSum scales its exponent
-onto its grid; each kind completes its squares once, on first use, and
-every public entry point walks that one form, once: lattice_sum_series
-through any bound, lattice_sum_above through a nearest-plane point's
-exponent plus an order, reading the exact minimum exponent off that walk's
-least slot; both take either kind.  No floating point, and no Fraction
+builds no row.  Both routes of qchar.affine and the identities build
+their LatticeSums as integer chains.  A LatticeSum completes its squares
+once, on first use, and every public entry point walks that one form,
+once: lattice_sum_series through any bound, lattice_sum_above through a
+nearest-plane point's exponent plus an order, reading the exact minimum
+exponent off that walk's least slot.  No floating point, and no Fraction
 between a chain's entries and its walk's slots; the tests check the engine
 against a box-scan oracle and a dict-of-spends walk, and the completion
 against a Fraction one.
@@ -56,7 +57,6 @@ from .qseries import (
     _unpack,
     _window,
     as_rational,
-    format_rational,
 )
 
 __all__ = [
@@ -74,33 +74,53 @@ _WEIGHTS = (WEIGHT_ALTERNATING, WEIGHT_FOUR_K_PLUS_ONE)
 
 @dataclass(frozen=True)
 class LatticeSum:
-    """Formal sum over Z^l of weight(k) * q^(c*kappa(k) + lin.k + const).
+    """Formal sum over Z^l of weight(x) * q^E(x), E given by an integer chain.
 
-    c must be positive; otherwise the exponent function is unbounded below
-    and the sum has infinitely many terms under any truncation.  The optional
-    weight is one of the built-in shapes, applied to the first coordinate:
-    WEIGHT_ALTERNATING gives (-1)^(k_1), WEIGHT_FOUR_K_PLUS_ONE gives 4*k_1+1.
-    l = 0 is allowed and denotes the single empty point with exponent const.
+    denom*E(x) = sum_i diag[i] x_i^2 + sum_i off[i] x_i x_(i+1) + lin.x + const,
+    every entry a plain int, off one entry shorter than diag (empty at l <= 1),
+    lin as long as diag, and denom positive.  The chain is stored divided by
+    the gcd of all its entries and denom, so two chains of one exponent
+    function are equal, hash alike and complete the same form.  The quadratic
+    part must be positive definite, or the sum has infinitely many terms
+    under any truncation; an indefinite chain raises when it is first
+    expanded.  The optional weight is one of the built-in shapes, applied to
+    the first coordinate: WEIGHT_ALTERNATING gives (-1)^(x_0),
+    WEIGHT_FOUR_K_PLUS_ONE gives 4*x_0+1.  l = 0 is allowed and denotes the
+    single empty point with exponent const/denom.
     """
 
-    l: int
-    c: Fraction
-    lin: tuple[Fraction, ...]
-    const: Fraction = Fraction(0)
+    diag: tuple[int, ...]
+    off: tuple[int, ...]
+    lin: tuple[int, ...]
+    const: int = 0
+    denom: int = 1
     weight: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if type(self.l) is not int or self.l < 0:
-            raise ValueError("dimension must be a nonnegative integer")
-        object.__setattr__(self, "c", as_rational(self.c))
-        object.__setattr__(self, "lin", tuple(as_rational(v) for v in self.lin))
-        object.__setattr__(self, "const", as_rational(self.const))
-        if len(self.lin) != self.l:
-            raise ValueError("linear part must have one entry per dimension")
-        if self.c <= 0:
-            raise ValueError("indefinite exponent function: c must be positive")
+        diag, off, lin, const, denom = self.diag, self.off, self.lin, self.const, self.denom
+        entries = (*diag, *off, *lin, const, denom)
+        # bool is an int subclass, but True is no chain entry
+        if not {int}.issuperset(map(type, entries)):
+            raise TypeError("chain entries must be plain ints")
+        if len(lin) != len(diag) or len(off) != max(len(diag) - 1, 0):
+            raise ValueError("a chain of dimension l needs l - 1 off-diagonal and l linear entries")
+        if denom <= 0:
+            raise ValueError("chain denominator must be positive")
         if self.weight is not None and self.weight not in _WEIGHTS:
             raise ValueError(f"unknown weight shape: {self.weight!r}")
+        g = gcd(*entries)
+        # fields are rewritten only to reduce them or to make them tuples
+        if g > 1 or not type(diag) is type(off) is type(lin) is tuple:
+            cut, put = g.__rfloordiv__, object.__setattr__
+            put(self, "diag", tuple(map(cut, diag)))
+            put(self, "off", tuple(map(cut, off)))
+            put(self, "lin", tuple(map(cut, lin)))
+            put(self, "const", const // g)
+            put(self, "denom", denom // g)
+
+    @property
+    def l(self) -> int:
+        return len(self.diag)
 
     @cached_property
     def _form(self) -> "_ScaledForm":
@@ -110,14 +130,15 @@ class LatticeSum:
         field, so ==, hash, repr and to_json never see it, and a copy made
         by dataclasses.replace completes its own.
         """
-        return _complete_squares(*_kappa_parts(self))
+        return _complete_squares(self.diag, self.off, self.lin, self.const, self.denom)
 
     def to_json(self) -> dict:
         out = {
-            "l": self.l,
-            "c": format_rational(self.c),
-            "lin": [format_rational(v) for v in self.lin],
-            "const": format_rational(self.const),
+            "diag": list(self.diag),
+            "off": list(self.off),
+            "lin": list(self.lin),
+            "const": self.const,
+            "denom": self.denom,
         }
         if self.weight is not None:
             out["weight"] = self.weight
@@ -133,50 +154,6 @@ def _weight_value(weight: Optional[str], point: tuple[int, ...]) -> int:
     if weight == WEIGHT_FOUR_K_PLUS_ONE:
         return 4 * first + 1
     raise ValueError(f"unknown weight shape: {weight!r}")
-
-
-# -- chain completed squares ---------------------------------------------------
-#
-# Inside this module a quadratic exponent function on Z^l is an integer chain:
-# denom*E(x) = sum_i diag[i] x_i^2 + sum_i off[i] x_i x_(i+1) + lin.x + const,
-# every entry and denom a plain int.
-
-
-def _on_grid(v: Fraction, denom: int) -> int:
-    """denom*v for a denom that v.denominator divides."""
-    return v.numerator * (denom // v.denominator)
-
-
-@dataclass(frozen=True)
-class _Chain:
-    """An unweighted lattice sum given by its integer chain, as a route builds it.
-
-    lattice_sum_series and lattice_sum_above read only _form and weight, so
-    they take a _Chain as they take a LatticeSum; l is its dimension.
-    """
-
-    diag: tuple[int, ...]
-    off: tuple[int, ...]
-    lin: tuple[int, ...]
-    const: int
-    denom: int
-    weight = None
-
-    @property
-    def l(self) -> int:
-        return len(self.diag)
-
-    @cached_property
-    def _form(self) -> "_ScaledForm":
-        return _complete_squares(self.diag, self.off, self.lin, self.const, self.denom)
-
-
-def _kappa_parts(s: LatticeSum):
-    """The integer chain (diag, off, lin, const, denom) of a kappa-form lattice sum."""
-    denom = lcm(s.c.denominator, s.const.denominator, *(v.denominator for v in s.lin))
-    c = _on_grid(s.c, denom)
-    lin = [_on_grid(v, denom) for v in s.lin]
-    return [c] * s.l, [-c] * max(s.l - 1, 0), lin, _on_grid(s.const, denom), denom
 
 
 @dataclass(frozen=True)
@@ -205,38 +182,33 @@ class _ScaledForm:
     w0: tuple[int, ...]
 
 
-def _complete_squares(diag, off, lin, const, denom) -> _ScaledForm:
+def _complete_squares(a, b, l, c, grid) -> _ScaledForm:
     """Peel squares off the last coordinate of an integer chain, fraction-free,
     in one O(l) pass.
 
-    Dividing the chain and denom by their gcd gives grid and R = grid*E.
-    Keeping grid*E = R/m + (the squares peeled so far), m = 1 at the start,
-    eliminating x_i multiplies R and m by 4a_i, where a_i is x_i's diagonal
-    entry and b, l_i its entries beside x_(i-1) and alone (b = 0 at level 0):
-    4a_i (a_i x_i^2 + b x_(i-1) x_i + l_i x_i) is
+    The chain (diag a, off b, lin l, const c) is R = grid*E, reduced as
+    LatticeSum stores it.  Keeping grid*E = R/m + (the squares peeled so far),
+    m = 1 at the start, eliminating x_i multiplies R and m by 4a_i, where a_i
+    is x_i's diagonal entry and b, l_i its entries beside x_(i-1) and alone
+    (b = 0 at level 0): 4a_i (a_i x_i^2 + b x_(i-1) x_i + l_i x_i) is
     (2a_i x_i + b x_(i-1) + l_i)^2 - (b x_(i-1) + l_i)^2, so the level's square
     is (2a_i x_i + b x_(i-1) + l_i)^2 / (4a_i m) and the remainder, still a
     chain, has only x_(i-1)'s diagonal and linear entries changed.  So the
-    remainder is the untouched prefix of the divided chain times one running
-    integer scale s, plus -b^2 and -2b l_i on those two entries: each level
-    reads its entries as s times the prefix's plus those additions, and
-    divides m, s and the additions by their gcd, which keeps every value a
-    small exact integer (Bareiss, Math. Comp. 22, 1968).  Each square's
-    (W, w_prev, w0) is its linear form divided by the gcd of its entries.
-    How far a level divides does not change the form: multiplying R and m
-    by any lambda > 0 leaves each square, a rational invariant of the chain,
-    as it is, (W, w_prev, w0) is its primitive linear form with W > 0, and
-    sigma is the least scale that makes every K_i integral.  No square reads
-    the remainder's constant, so the elimination drops it and base is read
-    off x = 0 instead.  stride, the gcd of 2a_j, a_j + l_j and b_j over
-    every coordinate but the last of the divided chain, steps a walk's rows
+    remainder is the untouched prefix of the chain times one running integer
+    scale s, plus -b^2 and -2b l_i on those two entries: each level reads its
+    entries as s times the prefix's plus those additions, and divides m, s
+    and the additions by their gcd, which keeps every value a small exact
+    integer (Bareiss, Math. Comp. 22, 1968).  Each square's (W, w_prev, w0)
+    is its linear form divided by the gcd of its entries.  How far a level
+    divides does not change the form: multiplying R and m by any lambda > 0
+    leaves each square, a rational invariant of the chain, as it is,
+    (W, w_prev, w0) is its primitive linear form with W > 0, and sigma is the
+    least scale that makes every K_i integral.  No square reads the
+    remainder's constant, so the elimination drops it and base is read off
+    x = 0 instead.  stride, the gcd of 2a_j, a_j + l_j and b_j over every
+    coordinate but the last, steps a walk's rows
     (see _walk).  Raises if any pivot fails to be positive.
     """
-    g = gcd(denom, const, *diag, *off, *lin)
-    grid, c = denom // g, const // g
-    a = [v // g for v in diag]
-    b = [v // g for v in off]
-    l = [v // g for v in lin]
     # 1 when no coordinate but the last exists: every row then holds one spend
     stride = gcd(2 * gcd(*a[:-1]), *map(add, a[:-1], l), *b) or 1
     n = len(a)
@@ -494,8 +466,8 @@ def _walk(form: _ScaledForm, weight, units: int) -> QSeries:
     return _window(grid, lo, window, units)
 
 
-def lattice_sum_series(s: LatticeSum | _Chain, bound: RationalLike) -> QSeries:
-    """Expand a LatticeSum or a route's chain as a QSeries, correct through the bound.
+def lattice_sum_series(s: LatticeSum, bound: RationalLike) -> QSeries:
+    """Expand a LatticeSum as a QSeries, correct through the bound.
 
     Coefficient at each exponent is the number of lattice points reaching it,
     weighted when the sum carries a weight shape.  Positive-definiteness of
@@ -505,7 +477,7 @@ def lattice_sum_series(s: LatticeSum | _Chain, bound: RationalLike) -> QSeries:
     return _walk(form, s.weight, t.numerator * form.grid // t.denominator)
 
 
-def lattice_sum_above(s: LatticeSum | _Chain, order: RationalLike) -> tuple[Fraction, QSeries]:
+def lattice_sum_above(s: LatticeSum, order: RationalLike) -> tuple[Fraction, QSeries]:
     """The exact minimum exponent, lead, and the expansion through lead + order.
 
     Rounding each completed square in turn, level 0 first, picks the point

@@ -2,13 +2,16 @@
 
 It scans a coordinate box certified to contain every admissible point and
 evaluates the exponent directly, sharing no machinery with the chain engine
-in qchar.quadform, so the two can be checked against each other.  Large boxes
-take a vectorized numpy path; its int64 arithmetic is guarded by _INT64_CAP.
+in qchar.quadform, so the two can be checked against each other.  The box
+comes from the chain's Gram matrix in exact Fraction arithmetic: Sylvester's
+criterion refuses an indefinite chain, and a Gauss-Jordan inverse, not the
+engine's Bareiss completion, bounds each coordinate.  Large boxes take a
+vectorized numpy path; its int64 arithmetic is guarded by _INT64_CAP.
 """
 
 from fractions import Fraction
 from itertools import product as iter_product
-from math import floor, isqrt, lcm
+from math import ceil, floor, isqrt, prod
 from typing import Iterator
 
 import numpy as np
@@ -17,22 +20,50 @@ from qchar.qseries import RationalLike, as_rational
 from qchar.quadform import LatticeSum
 
 _INT64_CAP = 1 << 62
+# boxes with more points than this take the numpy path
+_ARRAY_VOLUME = 100_000
 
-# 333/106 is a classical continued-fraction convergent strictly below pi.
-_PI_LOWER = Fraction(333, 106)
+
+def gram(s: LatticeSum) -> list[list[Fraction]]:
+    """The symmetric A with x^T A x the quadratic part of s.denom * E(x)."""
+    a = [[Fraction(0)] * s.l for _ in range(s.l)]
+    for i, v in enumerate(s.diag):
+        a[i][i] = Fraction(v)
+    for i, v in enumerate(s.off):
+        a[i][i + 1] = a[i + 1][i] = Fraction(v, 2)
+    return a
 
 
-def _kappa_lambda_lower(l: int) -> Fraction:
-    """Certified positive rational below the least eigenvalue of the kappa Gram.
+def leading_minors(a: list[list[Fraction]]) -> list[Fraction]:
+    """The leading principal minors D_1..D_l of a, by Gaussian elimination
+    without row exchanges: D_k is the product of the first k pivots, and a
+    zero pivot makes every later minor undefined, so the list stops there
+    with a 0."""
+    m = [row[:] for row in a]
+    minors, det = [], Fraction(1)
+    for k in range(len(m)):
+        det *= m[k][k]
+        minors.append(det)
+        if not det:
+            break
+        for r in range(k + 1, len(m)):
+            f = m[r][k] / m[k][k]
+            m[r] = [x - f * y for x, y in zip(m[r], m[k])]
+    return minors
 
-    The exact value is 2*sin(pi/(2(l+1)))^2; sin is bounded below on [0, pi/2]
-    by its alternating series truncation x - x^3/6 evaluated at a rational
-    point below the true angle.
-    """
-    x = _PI_LOWER / (2 * (l + 1))
-    s = x - x**3 / 6
-    assert s > 0
-    return 2 * s * s
+
+def inverse(a: list[list[Fraction]]) -> list[list[Fraction]]:
+    """a^-1 by Gauss-Jordan elimination on [a | I]; a must be positive
+    definite, so every pivot it meets without row exchanges is positive."""
+    n = len(a)
+    m = [row[:] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(a)]
+    for k in range(n):
+        m[k] = [x / m[k][k] for x in m[k]]
+        for r in range(n):
+            if r != k and m[r][k]:
+                f = m[r][k]
+                m[r] = [x - f * y for x, y in zip(m[r], m[k])]
+    return [row[n:] for row in m]
 
 
 def _sqrt_upper(x: Fraction) -> Fraction:
@@ -42,71 +73,59 @@ def _sqrt_upper(x: Fraction) -> Fraction:
     return Fraction(isqrt(x.numerator * x.denominator) + 1, x.denominator)
 
 
+def certified_box(s: LatticeSum, bound: RationalLike) -> list[range]:
+    """One range per coordinate, holding every point with E <= bound.
+
+    With A = gram(s), b = s.lin and x* = -A^-1 b / 2, the chain is
+    s.denom * E(x) = (x - x*)^T A (x - x*) + e_min, e_min = const + b.x*/2,
+    so an admissible x has (x - x*)^T A (x - x*) <= r = s.denom * bound - e_min,
+    and on that ellipsoid |x_i - x*_i| <= sqrt(r (A^-1)_ii).  Raises
+    ValueError when A fails Sylvester's criterion.
+    """
+    a = gram(s)
+    if any(d <= 0 for d in leading_minors(a)):
+        raise ValueError("indefinite exponent function")
+    inv = inverse(a)
+    centre = [-sum(v * b for v, b in zip(row, s.lin)) / 2 for row in inv]
+    r = s.denom * as_rational(bound) - s.const - sum(b * x for b, x in zip(s.lin, centre)) / 2
+    if r < 0:
+        return [range(0)] * s.l
+    radius = [_sqrt_upper(r * inv[i][i]) for i in range(s.l)]
+    return [range(ceil(x - h), floor(x + h) + 1) for x, h in zip(centre, radius)]
+
+
 def lattice_enumerate_oracle(
     s: LatticeSum, bound: RationalLike
 ) -> Iterator[tuple[tuple[int, ...], Fraction]]:
-    """Reference enumerator: scan a certified box, evaluate E directly.
-
-    The box radius comes from c*lambda*|k|^2 - |lin|*|k| + const <= bound
-    with lambda a certified rational lower bound on the least eigenvalue of
-    the kappa Gram matrix, so no admissible point can escape the box.
-    """
+    """Reference enumerator: scan certified_box, evaluate E directly, in
+    lexicographic order."""
     t = as_rational(bound)
-    if s.c <= 0:
-        raise ValueError("indefinite exponent function")
-    if s.l == 0:
-        if s.const <= t:
-            yield (), s.const
-        return
-    lam = s.c * _kappa_lambda_lower(s.l)
-    norm2 = sum(v * v for v in s.lin)
-    lin_norm = _sqrt_upper(Fraction(norm2)) if norm2 else Fraction(0)
-    disc = lin_norm * lin_norm + 4 * lam * (t - s.const)
-    if disc < 0:
-        return
-    radius = floor((lin_norm + _sqrt_upper(disc)) / (2 * lam))
-    if radius < 0:
-        return
-
-    # every exponent lands on multiples of 1/scale
-    scale = lcm(
-        s.c.denominator,
-        s.const.denominator,
-        t.denominator,
-        *(v.denominator for v in s.lin),
-    )
-    diag = int(scale * s.c)
-    cross = -diag
-    lin_s = [int(scale * v) for v in s.lin]
-    const_s = int(scale * s.const)
-    t_s = int(scale * t)
-    l = s.l
-
-    side = 2 * radius + 1
-    volume = side**l
-    emax = diag * l * radius * radius + abs(cross) * l * radius * radius
-    emax += sum(abs(v) for v in lin_s) * radius + abs(const_s)
-    if l >= 2 and volume > 100_000 and emax < _INT64_CAP:
-        tail_axes = np.arange(-radius, radius + 1, dtype=np.int64)
-        shape = [side] * (l - 1)
-        tails = np.meshgrid(*([tail_axes] * (l - 1)), indexing="ij")
-        tail_e = np.zeros(shape, dtype=np.int64)
+    box = certified_box(s, t)
+    # integer exponents e = s.denom * E, admissible when e <= top
+    top = floor(t * s.denom)
+    diag, off, lin, const, l = s.diag, s.off, s.lin, s.const, s.l
+    reach = [max(abs(r.start), abs(r.stop - 1), 0) if r else 0 for r in box]
+    emax = sum(abs(d) * x * x for d, x in zip(diag, reach))
+    emax += sum(abs(c) * x * y for c, x, y in zip(off, reach, reach[1:]))
+    emax += sum(abs(v) * x for v, x in zip(lin, reach)) + abs(const)
+    if l >= 2 and prod(map(len, box)) > _ARRAY_VOLUME and emax < _INT64_CAP:
+        axes = [np.arange(r.start, r.stop, dtype=np.int64) for r in box[1:]]
+        tails = np.meshgrid(*axes, indexing="ij")
+        tail_e = np.full(tails[0].shape, const, dtype=np.int64)
         for i, axis in enumerate(tails):
-            tail_e += diag * axis * axis + lin_s[i + 1] * axis
+            tail_e += diag[i + 1] * axis * axis + lin[i + 1] * axis
             if i + 2 < l:
-                tail_e += cross * axis * tails[i + 1]
-        tail_e += const_s
-        for x0 in range(-radius, radius + 1):
-            e = tail_e + (diag * x0 * x0 + lin_s[0] * x0) + cross * x0 * tails[0]
-            hits = np.argwhere(e <= t_s)
-            for idx in hits:
-                point = (x0,) + tuple(int(v) - radius for v in idx)
-                yield point, Fraction(int(e[tuple(idx)]), scale)
+                tail_e += off[i + 1] * axis * tails[i + 1]
+        for x0 in box[0]:
+            e = tail_e + (diag[0] * x0 * x0 + lin[0] * x0) + off[0] * x0 * tails[0]
+            for idx in np.argwhere(e <= top):
+                point = (x0,) + tuple(int(axis[v]) for axis, v in zip(axes, idx))
+                yield point, Fraction(int(e[tuple(idx)]), s.denom)
         return
 
-    for point in iter_product(range(-radius, radius + 1), repeat=l):
-        e = diag * sum(v * v for v in point)
-        e += cross * sum(point[i] * point[i + 1] for i in range(l - 1))
-        e += sum(a * b for a, b in zip(lin_s, point)) + const_s
-        if e <= t_s:
-            yield point, Fraction(e, scale)
+    for point in iter_product(*box):
+        e = sum(d * x * x for d, x in zip(diag, point))
+        e += sum(c * x * y for c, x, y in zip(off, point, point[1:]))
+        e += sum(v * x for v, x in zip(lin, point)) + const
+        if e <= top:
+            yield point, Fraction(e, s.denom)

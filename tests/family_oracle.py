@@ -10,7 +10,7 @@ from fractions import Fraction
 
 from qchar.identities import IdentitySpec
 from qchar.qseries import ProductSpec
-from qchar.quadform import LatticeSum
+from squares_oracle import kappa_sum
 
 
 def class1_transcribed(m: int) -> IdentitySpec:
@@ -35,7 +35,7 @@ def class1_transcribed(m: int) -> IdentitySpec:
             (Fraction(m), -1),
         )
     )
-    rhs = LatticeSum(dim, Fraction(4 * m - 1), tuple(lin), Fraction(0))
+    rhs = kappa_sum(dim, 4 * m - 1, lin)
     return IdentitySpec("class1", lhs, rhs, m)
 
 
@@ -62,5 +62,5 @@ def class2_transcribed(m: int) -> IdentitySpec:
             (Fraction(3), -1),
         )
     )
-    rhs = LatticeSum(dim, Fraction(3 * m), tuple(lin), Fraction(0))
+    rhs = kappa_sum(dim, 3 * m, lin)
     return IdentitySpec("class2", lhs, rhs, m)

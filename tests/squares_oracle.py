@@ -7,7 +7,8 @@ pivot, last coordinate first.  qchar.quadform completes integer chains
 fraction-free instead; the two must agree on every level.  Both routes'
 chains are kept here in their Fraction form too (the character numerator
 with its Euler-product denominator, and the trace route's theta chain), as
-the oracles of the integer chains qchar.affine builds.
+the oracles of the integer chains qchar.affine builds.  kappa_sum writes the
+tests' kappa-form sums c*kappa(x) + lin.x + const as LatticeSums.
 """
 
 from fractions import Fraction
@@ -74,16 +75,21 @@ def form_matches(form, squares) -> bool:
 
 def route_chains(n_max):
     """Every route chain with n <= n_max, both routes and every k, beside its
-    Fraction chain: (label, the _Chain qchar.affine builds, (diag, off, lin, const))."""
+    Fraction chain: (label, the LatticeSum qchar.affine builds, (diag, off, lin, const))."""
     for n in range(1, n_max + 1):
         for parts in partitions(n):
             data = PartitionData.from_parts(parts)
             for k in range(n):
-                numerator, _ = character_data(parts, k)
-                dim, c = numerator.l, numerator.c
-                rational = ([c] * dim, [-c] * max(dim - 1, 0), numerator.lin, numerator.const)
+                rational = rational_chain(character_data(parts, k)[0])
                 yield ("character", parts, k), _character_parts(data, k).lattice, rational
                 yield ("trace", parts, k), _trace_parts(data, k).lattice, trace_chain(parts, k)
+
+
+def rational_chain(s):
+    """The Fraction chain (diag, off, lin, const) a LatticeSum denotes: its
+    integer entries over its denominator."""
+    parts = tuple([Fraction(v, s.denom) for v in part] for part in (s.diag, s.off, s.lin))
+    return parts + (Fraction(s.const, s.denom),)
 
 
 def chain_min(squares):
@@ -138,6 +144,14 @@ def integer_chain(diag, off, lin, const):
         ints[-1],
         denom,
     )
+
+
+def kappa_sum(l, c, lin, const=0, weight=None):
+    """The LatticeSum of weight(x) q^(c*kappa(x) + lin.x + const) over Z^l,
+    kappa(x) = sum x_i^2 - sum x_i x_(i+1), for rational c, lin and const."""
+    c = Fraction(c)
+    chain = integer_chain([c] * l, [-c] * max(l - 1, 0), lin, const)
+    return LatticeSum(*chain, weight=weight)
 
 
 def trace_chain(parts, k):
@@ -196,6 +210,6 @@ def character_data(parts, k):
     )
     kappa_c = sum(v * v for v in c) - sum(a * b for a, b in zip(c, c[1:]))
     const = big * kappa_c - sum(si * ci for si, ci in zip(tail, c))
-    numerator = LatticeSum(dim, Fraction(big), lin, Fraction(const))
+    numerator = kappa_sum(dim, big, lin, const)
     denominator = ProductSpec(((Fraction(big), dim),))
     return numerator, denominator

@@ -13,6 +13,7 @@ from fractions import Fraction
 from box_oracle import lattice_enumerate_oracle
 from point_oracle import lattice_enumerate
 from product_oracle import product_oracle
+from squares_oracle import kappa_sum
 from test_qseries import series_sum
 from test_quadform import kappa
 from qchar.affine import (
@@ -39,7 +40,6 @@ from qchar.qseries import (
     series_mul,
 )
 from qchar.quadform import (
-    LatticeSum,
     WEIGHT_ALTERNATING,
     WEIGHT_FOUR_K_PLUS_ONE,
     lattice_sum_series,
@@ -82,15 +82,16 @@ def test_intro_example_numerator_explicit_form():
     # the character numerator must realize the exponent 3*kappa(k) + k1 - k2 + 2k3
     char = specialized_character((1, 3), 3)
     num = char.lattice
-    assert (num.l, num.c, num.lin) == (3, 3, (1, -1, 2))
-    explicit = LatticeSum(3, Fraction(3), (Fraction(1), Fraction(-1), Fraction(2)))
+    const = Fraction(num.const, num.denom)
+    explicit = kappa_sum(3, Fraction(3), (Fraction(1), Fraction(-1), Fraction(2)))
+    assert num == kappa_sum(3, 3, (1, -1, 2), const)
     t = Fraction(100)
-    got = lattice_sum_series(num, t + num.const)
+    got = lattice_sum_series(num, t + const)
     want = lattice_sum_series(explicit, t)
     report = series_compare(got, want)
     assert report.match
     assert report.checked_through == 100
-    assert report.lhs_shift == num.const
+    assert report.lhs_shift == const
 
 
 # -- criteria 3 and 4: the two families ------------------------------------------
@@ -169,7 +170,7 @@ def _random_lattice_sum(rng):
     lin = tuple(Fraction(rng.randrange(-span, span + 1)) for _ in range(l))
     const = Fraction(rng.randrange(-8, 9), rng.choice((1, 2, 4)))
     weight = rng.choice((None, None, WEIGHT_ALTERNATING, WEIGHT_FOUR_K_PLUS_ONE))
-    return LatticeSum(l, c, lin, const, weight)
+    return kappa_sum(l, c, lin, const, weight)
 
 
 def test_enumerator_matches_box_oracle_on_100_instances():

@@ -9,7 +9,7 @@ from math import isqrt, lcm
 import pytest
 
 from product_oracle import mul_oracle, product_oracle
-from squares_oracle import character_data, trace_chain
+from squares_oracle import character_data, kappa_sum, rational_chain, trace_chain
 from terms_oracle import from_terms
 from qchar.affine import (
     PartitionData,
@@ -32,8 +32,6 @@ from qchar.qseries import (
 )
 from qchar.quadform import (
     LatticeSum,
-    _complete_squares,
-    _kappa_parts,
     lattice_sum_above,
     lattice_sum_series,
 )
@@ -215,7 +213,7 @@ def test_weight_config_and_partition_data():
 
 def test_character_data_intro_example():
     sc = specialized_character((1, 3), 3)
-    assert sc.lattice == LatticeSum(
+    assert sc.lattice == kappa_sum(
         3, Fraction(3), (Fraction(1), Fraction(-1), Fraction(2)), Fraction(1, 8)
     )
     assert sc.product == ProductSpec(((Fraction(3), -3),))
@@ -227,7 +225,8 @@ def test_character_quadratic_part_is_modulus():
             pd = PartitionData.from_parts(parts)
             for k in range(n):
                 sc = specialized_character(parts, k)
-                assert sc.lattice.c == pd.N
+                diag, off = rational_chain(sc.lattice)[:2]
+                assert diag == [pd.N] * (n - 1) and off == [-pd.N] * max(n - 2, 0)
                 assert sc.lattice.l == n - 1
                 specs = dict(sc.product.factors)
                 if n > 1:
@@ -323,7 +322,7 @@ def test_route_windows_below_q0_reach_as_far_as_their_lattice_factor():
 
 
 NEGATIVE_MINIMUM = Side(
-    LatticeSum(2, Fraction(1), (Fraction(3), Fraction(-2)), Fraction(-5, 3)),
+    kappa_sum(2, Fraction(1), (Fraction(3), Fraction(-2)), Fraction(-5, 3)),
     ProductSpec(((Fraction(1), 2), (Fraction(2), -1))),
 )
 
@@ -432,18 +431,11 @@ def test_oracles_never_reach_the_packed_kernel(monkeypatch):
         assert not box_trace((1, 1, 2), k, 20).is_zero()
 
 
-def chain_values(chain):
-    """An integer chain (diag, off, lin, const, denom) as the rationals it denotes."""
-    diag, off, lin, const, denom = chain
-    parts = tuple([Fraction(v, denom) for v in part] for part in (diag, off, lin))
-    return parts + (Fraction(const, denom),)
-
-
 def test_route_chains_match_their_fraction_formulas():
     # both routes build integer chains by hand; each must denote exactly the
     # Fraction formula of tests/squares_oracle.py, with the same Euler-product
-    # part, and specialized_character, the rational view of the character
-    # chain, must equal that formula's data
+    # part, and specialized_character, the character route's side, must
+    # equal that formula's data
     for n in range(1, 10):
         for parts in partitions(n):
             data = PartitionData.from_parts(parts)
@@ -453,19 +445,19 @@ def test_route_chains_match_their_fraction_formulas():
                 want = Side(numerator, inverse)
                 assert specialized_character(parts, k) == want, (parts, k)
                 side = _character_parts(data, k)
-                chain = astuple(side.lattice)
-                assert chain_values(chain) == chain_values(_kappa_parts(numerator))
+                assert rational_chain(side.lattice) == rational_chain(numerator)
                 assert side.product == inverse, (parts, k)
-                chain = astuple(_trace_parts(data, k).lattice)
-                assert chain_values(chain) == tuple(trace_chain(parts, k)), (parts, k)
+                chain = _trace_parts(data, k).lattice
+                assert rational_chain(chain) == tuple(trace_chain(parts, k)), (parts, k)
 
 
 def test_route_chains_and_forms_hold_plain_ints():
     for parts, k in (((1,), 0), ((1, 3), 1), ((1, 1, 2), 0), ((2, 3, 4), 5), ((1, 1, 6), 7)):
         data = PartitionData.from_parts(parts)
         for route_parts in (_character_parts, _trace_parts):
-            diag, off, lin, const, denom = astuple(route_parts(data, k).lattice)
-            form = _complete_squares(diag, off, lin, const, denom)
+            chain = route_parts(data, k).lattice
+            diag, off, lin, const, denom = astuple(chain)[:5]
+            form = chain._form
             values = (*diag, *off, *lin, const, denom, form.grid, form.sigma, form.base)
             values += (*form.K, *form.W, *form.w_prev, *form.w0)
             assert all(type(v) is int for v in values), (parts, k, route_parts)
@@ -478,7 +470,7 @@ def test_route_chains_and_forms_hold_plain_ints():
         (lambda: verify_proposition((1, 3), 1, True), TypeError),
         (lambda: PartitionData.from_parts((True, 2)), ValueError),
         (lambda: _weight_numerators(4, True), ValueError),
-        (lambda: LatticeSum(1, True, (False,)), TypeError),
+        (lambda: LatticeSum((True,), (), (False,)), TypeError),
     ],
     ids=["weight-index", "bound", "partition-part", "fundamental-weight", "lattice-sum"],
 )
@@ -543,7 +535,7 @@ def test_verify_certifies_any_window_it_hands_a_pure_product(product_work, order
     assert product_work[:3] == ["solve", False, "solve"]
 
     for const in (Fraction(0), Fraction(1, 8)):
-        theta = LatticeSum(1, Fraction(2), (Fraction(1),), const)
+        theta = kappa_sum(1, Fraction(2), (Fraction(1),), const)
         rhs = Side(theta, ProductSpec(((Fraction(1), 1),)))
         for lhs, certified in ((Side(None, GAUSS_B_TOP), True), (cube, False)):
             product_work.clear()
@@ -627,8 +619,9 @@ def test_proposition_trace_far_above_order_matches(parts, k, order, rhs_shift):
 def test_proposition_builds_each_route_once(monkeypatch):
     # the partition is validated once per verify, and each side's integer
     # chain is built and completed once and expanded once (Side.above), its
-    # lead read off that one walk, and the character route never builds the
-    # Fraction data of specialized_character.  The proposition is one
+    # lead read off that one walk, and the character route is built
+    # directly, not through specialized_character, which validates the
+    # partition again.  The proposition is one
     # identity: the ratio P_1/P_2 is one product and one multiply, and for
     # (1^n), where it is 1, there is neither
     import qchar.affine as affine

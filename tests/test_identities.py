@@ -30,6 +30,7 @@ from qchar.quadform import (
     lattice_sum_above,
     lattice_sum_series,
 )
+from squares_oracle import kappa_sum
 
 # -- classical builders -------------------------------------------------------
 
@@ -45,27 +46,28 @@ def test_classical_names_cover_builders():
 def test_classical_euler_data():
     spec = classical_identity("euler")
     assert spec.lhs == ProductSpec(((Fraction(1), 1),))
-    assert spec.rhs == LatticeSum(
+    assert spec.rhs == kappa_sum(
         1, Fraction(3, 2), (Fraction(1, 2),), Fraction(0), WEIGHT_ALTERNATING
     )
+    assert spec.rhs == LatticeSum((3,), (), (1,), 0, 2, WEIGHT_ALTERNATING)
 
 
 def test_classical_jacobi_data():
     spec = classical_identity("jacobi")
     assert spec.lhs == ProductSpec(((Fraction(1), 3),))
     assert spec.rhs.weight == WEIGHT_FOUR_K_PLUS_ONE
-    assert spec.rhs.c == 2 and spec.rhs.lin == (1,)
+    assert spec.rhs == kappa_sum(1, 2, (1,), 0, WEIGHT_FOUR_K_PLUS_ONE)
 
 
 def test_classical_gauss_pair_data():
     a = classical_identity("gauss_a")
     assert a.lhs == ProductSpec(((Fraction(1), 2), (Fraction(2), -1)))
-    assert a.rhs == LatticeSum(
+    assert a.rhs == kappa_sum(
         1, Fraction(1), (Fraction(0),), Fraction(0), WEIGHT_ALTERNATING
     )
     b = classical_identity("gauss_b")
     assert b.lhs == ProductSpec(((Fraction(2), 2), (Fraction(1), -1)))
-    assert b.rhs == LatticeSum(1, Fraction(2), (Fraction(1),), Fraction(0))
+    assert b.rhs == kappa_sum(1, Fraction(2), (Fraction(1),), Fraction(0))
     assert b.rhs.weight is None
 
 
@@ -99,7 +101,7 @@ def test_gauss_b_rhs_triangular_support():
 def test_class1_m1_data():
     spec = class1_identity(1)
     assert spec.params == 1
-    assert spec.rhs == LatticeSum(
+    assert spec.rhs == kappa_sum(
         3, Fraction(3), (Fraction(1), Fraction(-1), Fraction(2)), Fraction(0)
     )
     # scale-1 exponents merge: 1/(phi(q) phi(q)) -> phi(q)^-2
@@ -108,8 +110,7 @@ def test_class1_m1_data():
 
 def test_class1_m2_data():
     spec = class1_identity(2)
-    assert spec.rhs.l == 7 and spec.rhs.c == 7
-    assert spec.rhs.lin == (3, -1, -1, -1, -1, 6, -1)
+    assert spec.rhs == kappa_sum(7, 7, (3, -1, -1, -1, -1, 6, -1))
     assert spec.lhs == ProductSpec(
         ((Fraction(1), -1), (Fraction(2), -1), (Fraction(4), 2), (Fraction(7), 7))
     )
@@ -117,13 +118,12 @@ def test_class1_m2_data():
 
 def test_class1_m3_data():
     spec = class1_identity(3)
-    assert spec.rhs.l == 11 and spec.rhs.c == 11
-    assert spec.rhs.lin == (5, -1, -1, -1, -1, -1, -1, -1, 10, -1, -1)
+    assert spec.rhs == kappa_sum(11, 11, (5, -1, -1, -1, -1, -1, -1, -1, 10, -1, -1))
 
 
 def test_class2_m1_data():
     spec = class2_identity(1)
-    assert spec.rhs == LatticeSum(
+    assert spec.rhs == kappa_sum(
         3, Fraction(3), (Fraction(1), Fraction(-1), Fraction(2)), Fraction(0)
     )
     assert spec.lhs == ProductSpec(((Fraction(1), -2), (Fraction(2), 2), (Fraction(3), 3)))
@@ -131,8 +131,7 @@ def test_class2_m1_data():
 
 def test_class2_m2_data():
     spec = class2_identity(2)
-    assert spec.rhs.l == 7 and spec.rhs.c == 6
-    assert spec.rhs.lin == (-3, 4, -1, -1, -1, -1, 5)
+    assert spec.rhs == kappa_sum(7, 6, (-3, 4, -1, -1, -1, -1, 5))
     assert spec.lhs == ProductSpec(
         ((Fraction(1), -2), (Fraction(2), 2), (Fraction(3), -1), (Fraction(6), 8))
     )
@@ -140,7 +139,7 @@ def test_class2_m2_data():
 
 def test_class2_m3_data():
     spec = class2_identity(3)
-    assert spec.rhs.lin == (-3, -3, 7, -1, -1, -1, -1, -1, -1, -1, 8)
+    assert spec.rhs == kappa_sum(11, 9, (-3, -3, 7, -1, -1, -1, -1, -1, -1, -1, 8))
 
 
 def test_family_parameter_must_be_positive():
@@ -169,7 +168,7 @@ def test_derived_families_equal_transcribed_builders(derived, transcribed):
 
 
 def test_family_specs_build_the_character_route_once(monkeypatch):
-    # the ratio and the rational numerator come from one character route
+    # the ratio and the numerator come from one character route
     build, calls = affine._character_parts, []
 
     def counted(data, k):
@@ -231,7 +230,7 @@ def test_negative_order_is_refused():
 def test_lattice_side_far_above_order_is_checked_in_full():
     # euler's pentagonal sum times q^1000 against phi(q)
     euler = classical_identity("euler")
-    spec = IdentitySpec("shifted", euler.lhs, replace(euler.rhs, const=Fraction(1000)))
+    spec = IdentitySpec("shifted", euler.lhs, replace(euler.rhs, const=1000 * euler.rhs.denom))
     report = verify_identity(spec, 10)
     assert report.match
     assert report.checked_through == 10
@@ -247,7 +246,7 @@ def test_absent_factor_keeps_a_sides_own_grid(order, through):
     # with no product (or no lattice) is built alone, so its guarantee is its
     # own half-integer grid, not cut to the integer grid of a unit factor
     lhs = ProductSpec(((Fraction(1, 2), 1),))
-    rhs = LatticeSum(1, Fraction(3, 4), (Fraction(1, 4),), Fraction(0), WEIGHT_ALTERNATING)
+    rhs = kappa_sum(1, Fraction(3, 4), (Fraction(1, 4),), Fraction(0), WEIGHT_ALTERNATING)
     report = verify_identity(IdentitySpec("half", lhs, rhs), order)
     assert report.match
     assert report.checked_through == through
@@ -266,7 +265,7 @@ def test_vanishing_lattice_side_is_built_once(monkeypatch):
             return route(*args)
 
         monkeypatch.setattr(affine, name, counted)
-    rhs = LatticeSum(1, Fraction(1), (Fraction(1),), Fraction(0), WEIGHT_ALTERNATING)
+    rhs = kappa_sum(1, Fraction(1), (Fraction(1),), Fraction(0), WEIGHT_ALTERNATING)
     spec = IdentitySpec("vanishing", ProductSpec(((Fraction(1), 1),)), rhs)
     report = verify_identity(spec, 20)
     assert not report.match
@@ -392,7 +391,7 @@ def test_corrupted_lattice_side_is_caught():
     bad = IdentitySpec(
         good.name,
         good.lhs,
-        LatticeSum(3, Fraction(4), good.rhs.lin, Fraction(0)),
+        replace(good.rhs, diag=(4, 4, 4), off=(-4, -4)),
         good.params,
     )
     report = verify_identity(bad, 20)
@@ -411,23 +410,26 @@ def test_corrupted_product_side_is_caught():
 # -- agreement with the character construction --------------------------------
 
 
+def without_const(s):
+    # the chain with its constant dropped, on its own grid again
+    return replace(s, const=0)
+
+
 def test_class1_lattice_matches_character_numerator():
     # same quadratic and linear data; only the constant offset differs
     for m in (1, 2):
         ident = class1_identity(m)
         char = specialized_character((1, 4 * m - 1), 3 * m)
-        assert ident.rhs.l == char.lattice.l
-        assert ident.rhs.c == char.lattice.c
-        assert ident.rhs.lin == char.lattice.lin
+        assert char.lattice.const != 0
+        assert ident.rhs == without_const(char.lattice)
 
 
 def test_class2_lattice_matches_character_numerator():
     for m in (1, 2):
         ident = class2_identity(m)
         char = specialized_character((m, 3 * m), 4 * m - 1)
-        assert ident.rhs.l == char.lattice.l
-        assert ident.rhs.c == char.lattice.c
-        assert ident.rhs.lin == char.lattice.lin
+        assert char.lattice.const != 0
+        assert ident.rhs == without_const(char.lattice)
 
 
 def test_class1_series_equals_character_numerator_normalized():
@@ -436,7 +438,7 @@ def test_class1_series_equals_character_numerator_normalized():
     t = Fraction(25)
     lhs = normalize_shift(lattice_sum_series(ident.rhs, t))[0]
     rhs = normalize_shift(
-        lattice_sum_series(char.lattice, t + char.lattice.const)
+        lattice_sum_series(char.lattice, t + Fraction(char.lattice.const, char.lattice.denom))
     )[0]
     report = series_compare(lhs, rhs)
     assert report.match

@@ -8,6 +8,7 @@ digest.
 
 import hashlib
 import json
+from dataclasses import replace
 from fractions import Fraction
 
 from qchar.affine import (
@@ -25,12 +26,13 @@ from qchar.identities import (
     verify_identity,
 )
 from qchar.qseries import ProductSpec
-from qchar.quadform import WEIGHT_ALTERNATING, LatticeSum
+from qchar.quadform import WEIGHT_ALTERNATING
+from squares_oracle import kappa_sum
 
-# sha256 of canonical_outputs(), recorded when a side's product began to
-# follow its lattice window; only the 480 character and trace windows at
-# bound -3 changed then, zero windows now known through the lattice's order
-DIGEST = "c688ebdacd21a38728f214265098375fa85cfe9637993fe1058e2eaa1355a887"
+# sha256 of canonical_outputs(), recorded when a LatticeSum's JSON became
+# its integer chain; only the 10 classical and family spec labels changed
+# then, and every report and route window kept its bytes
+DIGEST = "53bdebb3b48e39c639b88fd5c7bcd2ecd158a61fca9f0040a97c62ea5df0760f"
 
 PROPOSITION_ORDERS = (Fraction(0), Fraction(3), Fraction(61, 2), Fraction(30))
 ROUTE_BOUNDS = (Fraction(-3), Fraction(7, 3), Fraction(61, 2))
@@ -49,22 +51,22 @@ def hand_specs():
         IdentitySpec(
             "half_scale",
             ProductSpec(((Fraction(1, 2), 1),)),
-            LatticeSum(1, Fraction(3, 4), (Fraction(1, 4),), 0, WEIGHT_ALTERNATING),
+            kappa_sum(1, Fraction(3, 4), (Fraction(1, 4),), 0, WEIGHT_ALTERNATING),
         ),
         IdentitySpec(
             "far_shift",
             euler.lhs,
-            LatticeSum(1, euler.rhs.c, euler.rhs.lin, Fraction(1000), WEIGHT_ALTERNATING),
+            replace(euler.rhs, const=1000 * euler.rhs.denom),
         ),
         IdentitySpec(
             "negative_minimum",
             ProductSpec(((Fraction(1), 2), (Fraction(2), -1))),
-            LatticeSum(2, Fraction(1), (Fraction(3), Fraction(-2)), Fraction(-5, 3)),
+            kappa_sum(2, Fraction(1), (Fraction(3), Fraction(-2)), Fraction(-5, 3)),
         ),
         IdentitySpec(
             "vanishing",
             ProductSpec(((Fraction(1), 1),)),
-            LatticeSum(1, Fraction(1), (Fraction(1),), Fraction(0), WEIGHT_ALTERNATING),
+            kappa_sum(1, Fraction(1), (Fraction(1),), Fraction(0), WEIGHT_ALTERNATING),
         ),
     )
 

@@ -41,7 +41,8 @@ from qchar.identities import (
     classical_identity,
     verify_identity,
 )
-from qchar.quadform import WEIGHT_ALTERNATING, LatticeSum, lattice_sum_series
+from qchar.quadform import WEIGHT_ALTERNATING, lattice_sum_series
+from squares_oracle import kappa_sum
 from qchar.qseries import (
     Mismatch,
     ProductSpec,
@@ -1269,8 +1270,8 @@ def test_internal_builders_pass_the_check_on_hand_fixtures(checked_builds):
             normalize_shift(a)
         series_compare(a, zero)
     # lattice windows that cancel at their least slot, and everywhere
-    lead_cancels = LatticeSum(2, Fraction(3), (Fraction(3), Fraction(-1)), 0, WEIGHT_ALTERNATING)
-    vanishing = LatticeSum(1, Fraction(1), (Fraction(1),), 0, WEIGHT_ALTERNATING)
+    lead_cancels = kappa_sum(2, Fraction(3), (Fraction(3), Fraction(-1)), 0, WEIGHT_ALTERNATING)
+    vanishing = kappa_sum(1, Fraction(1), (Fraction(1),), 0, WEIGHT_ALTERNATING)
     window = lattice_sum_series(lead_cancels, 8)
     assert (lead_cancels._form.least, window.lo) == (0, 1)
     assert lattice_sum_series(vanishing, 6) == QSeries.zero(6)

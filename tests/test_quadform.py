@@ -14,19 +14,20 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import box_oracle
 import squares_oracle
-from box_oracle import _kappa_lambda_lower, lattice_enumerate_oracle
+from box_oracle import certified_box, gram, inverse, lattice_enumerate_oracle, leading_minors
 from point_oracle import form_exponent, lattice_enumerate
+from squares_oracle import kappa_sum
 from terms_oracle import from_terms
+from walk_oracle import dict_walk
 from qchar.identities import class1_identity, classical_identity, verify_identity
 from qchar.qseries import ProductSpec, QSeries, phi_series, product_series, series_mul
 from qchar.quadform import (
     WEIGHT_ALTERNATING,
     WEIGHT_FOUR_K_PLUS_ONE,
     LatticeSum,
-    _Chain,
     _complete_squares,
-    _kappa_parts,
     _walk,
     _weight_value,
     lattice_sum_above,
@@ -45,13 +46,16 @@ def brute_kappa(k):
 
 
 def brute_exponent(s, point):
-    # the exponent function as LatticeSum documents it
-    return s.c * brute_kappa(point) + sum(a * b for a, b in zip(s.lin, point)) + s.const
+    # the exponent function as LatticeSum documents it, evaluated directly
+    total = sum(a * x * x for a, x in zip(s.diag, point))
+    total += sum(b * x * y for b, x, y in zip(s.off, point, point[1:]))
+    total += sum(v * x for v, x in zip(s.lin, point)) + s.const
+    return Fraction(total, s.denom)
 
 
 def kappa(k):
     """kappa(k) as the engine holds it: k's exponent under the bare kappa sum's squares."""
-    return form_exponent(LatticeSum(len(k), Fraction(1), (Fraction(0),) * len(k)), k)
+    return form_exponent(kappa_sum(len(k), 1, (0,) * len(k)), k)
 
 
 def brute_points(s, bound, radius):
@@ -68,18 +72,11 @@ def fracs(text):
     return tuple(Fraction(v) for v in text.split())
 
 
-def lattice_grid(s):
-    # every exponent c*kappa + lin.k + const lands on this grid
-    d = 1
-    for v in (s.c, s.const, *s.lin):
-        d = math.lcm(d, v.denominator)
-    return d
-
-
 def series_by_hand(s, bound):
     """Aggregate the enumerated stream into a QSeries, weights applied."""
     t = Fraction(bound)
-    grid = lattice_grid(s)
+    # every exponent of the reduced chain lands on its denominator's grid
+    grid = s.denom
     terms = []
     for point, exp in lattice_enumerate(s, t):
         terms.append((exp, _weight_value(s.weight, point)))
@@ -124,22 +121,43 @@ def test_kappa_positive_definite():
 
 
 def test_lattice_sum_validation():
-    with pytest.raises(ValueError):
-        LatticeSum(2, Fraction(0), (Fraction(1), Fraction(1)))
-    with pytest.raises(ValueError):
-        LatticeSum(2, Fraction(-3), (Fraction(1), Fraction(1)))
-    with pytest.raises(ValueError):
-        LatticeSum(2, Fraction(1), (Fraction(1),))
-    with pytest.raises(ValueError):
-        LatticeSum(-1, Fraction(1), ())
-    with pytest.raises(ValueError):
-        LatticeSum(1, Fraction(1), (Fraction(0),), weight="cubed")
-    s = LatticeSum(0, Fraction(1), (), Fraction(5, 4))
+    # a malformed chain raises at construction
+    malformed = [
+        ((1, 1), (), (0, 0)),  # off too short
+        ((1,), (0,), (0,)),  # off too long
+        ((1, 1), (-1,), (0,)),  # lin too short
+        ((1,), (), (0, 0)),  # lin too long
+        ((1,), (), (0,), 0, 0),  # denom zero
+        ((1,), (), (0,), 3, -2),  # denom negative
+    ]
+    for chain in malformed:
+        with pytest.raises(ValueError):
+            LatticeSum(*chain)
+    with pytest.raises(ValueError, match="unknown weight"):
+        LatticeSum((1,), (), (0,), weight="cubed")
+    s = kappa_sum(0, 1, (), Fraction(5, 4))
+    assert (s.l, s.const, s.denom) == (0, 5, 4)
     assert lattice_sum_above(s, 0)[0] == Fraction(5, 4)
 
 
+@pytest.mark.parametrize(
+    "s", [kappa_sum(2, 0, (1, 1)), kappa_sum(2, -3, (1, 1)), LatticeSum((1, 1), (3,), (0, 0)),
+          LatticeSum((2, 1, 2), (-2, -2), (0, 0, 1), 5, 3, WEIGHT_ALTERNATING)],
+    ids=["zero", "negative", "off-dominant", "singular"],
+)
+def test_an_indefinite_chain_raises_when_first_expanded(s):
+    # construction does no linear algebra; the completion refuses the chain,
+    # as Sylvester's criterion does in the box oracle
+    assert "_form" not in vars(s)
+    for expand in (lambda: lattice_sum_series(s, 5), lambda: lattice_sum_above(s, 0)):
+        with pytest.raises(ValueError, match="indefinite"):
+            expand()
+    with pytest.raises(ValueError, match="indefinite"):
+        certified_box(s, 5)
+
+
 def test_lattice_sum_exponent_frozen():
-    s = LatticeSum(3, Fraction(3), (Fraction(1), Fraction(-1), Fraction(2)))
+    s = kappa_sum(3, Fraction(3), (Fraction(1), Fraction(-1), Fraction(2)))
     assert form_exponent(s, (0, 0, 0)) == 0
     assert form_exponent(s, (1, 0, 0)) == 4
     assert form_exponent(s, (0, 1, 0)) == 2
@@ -147,7 +165,7 @@ def test_lattice_sum_exponent_frozen():
 
 
 def test_lattice_sum_json_round_trip():
-    s = LatticeSum(
+    s = kappa_sum(
         2,
         Fraction(3, 2),
         (Fraction(1, 2), Fraction(-2)),
@@ -155,27 +173,42 @@ def test_lattice_sum_json_round_trip():
         WEIGHT_ALTERNATING,
     )
     data = s.to_json()
-    assert data["c"] == "3/2"
-    assert data["weight"] == WEIGHT_ALTERNATING
-    plain = LatticeSum(1, Fraction(2), (Fraction(1),))
-    assert "weight" not in plain.to_json()
+    assert data == {"diag": [6, 6], "off": [-6], "lin": [2, -8], "const": -1, "denom": 4,
+                    "weight": WEIGHT_ALTERNATING}
+    assert json.loads(json.dumps(data)) == data
+    assert LatticeSum(**data) == s
+    plain = kappa_sum(1, Fraction(2), (Fraction(1),))
+    assert plain.to_json() == {"diag": [2], "off": [], "lin": [1], "const": 0, "denom": 1}
 
 
 def test_lattice_sum_refuses_bool_dimension():
-    # to_json would write "l": true
-    with pytest.raises(ValueError):
-        LatticeSum(True, Fraction(1), (Fraction(0),))
+    # to_json would write true for a bool, and a float or a Fraction is no
+    # chain entry: each raises, in every field, as a dimension does in the
+    # kappa signature this type replaced
+    with pytest.raises(TypeError):
+        LatticeSum(True, (), ())
+    fields = [
+        lambda v: ((v,), (), (0,)),
+        lambda v: ((1, 1), (v,), (0, 0)),
+        lambda v: ((1,), (), (v,)),
+        lambda v: ((1,), (), (0,), v),
+        lambda v: ((1,), (), (0,), 0, v),
+    ]
+    for bad in (True, False, 1.0, Fraction(1), Fraction(1, 2)):
+        for field in fields:
+            with pytest.raises(TypeError):
+                LatticeSum(*field(bad))
 
 
 def test_weight_values():
-    s = LatticeSum(1, Fraction(1), (Fraction(0),), weight=WEIGHT_ALTERNATING)
+    s = kappa_sum(1, Fraction(1), (Fraction(0),), weight=WEIGHT_ALTERNATING)
     assert _weight_value(s.weight, (2,)) == 1
     assert _weight_value(s.weight, (-3,)) == -1
-    j = LatticeSum(1, Fraction(2), (Fraction(1),), weight=WEIGHT_FOUR_K_PLUS_ONE)
+    j = kappa_sum(1, Fraction(2), (Fraction(1),), weight=WEIGHT_FOUR_K_PLUS_ONE)
     assert _weight_value(j.weight, (0,)) == 1
     assert _weight_value(j.weight, (-1,)) == -3
     assert _weight_value(j.weight, (2,)) == 9
-    bare = LatticeSum(2, Fraction(1), (Fraction(0), Fraction(0)))
+    bare = kappa_sum(2, Fraction(1), (Fraction(0), Fraction(0)))
     assert _weight_value(bare.weight, (5, -5)) == 1
 
 
@@ -183,7 +216,7 @@ def test_weight_values():
 
 
 def test_enumerate_one_dimensional_against_direct_scan():
-    s = LatticeSum(1, Fraction(2), (Fraction(1),))
+    s = kappa_sum(1, Fraction(2), (Fraction(1),))
     got = list(lattice_enumerate(s, 45))
     want = [(k, 2 * k * k + k) for k in range(-5, 6) if 2 * k * k + k <= 45]
     want = sorted(((k,), Fraction(e)) for k, e in want)
@@ -191,14 +224,14 @@ def test_enumerate_one_dimensional_against_direct_scan():
 
 
 def test_enumerate_is_lexicographic():
-    s = LatticeSum(3, Fraction(3), (Fraction(1), Fraction(-1), Fraction(2)))
+    s = kappa_sum(3, Fraction(3), (Fraction(1), Fraction(-1), Fraction(2)))
     pts = [p for p, _ in lattice_enumerate(s, 12)]
     assert pts == sorted(pts)
     assert len(pts) == len(set(pts))
 
 
 def test_enumerate_exponents_are_consistent():
-    s = LatticeSum(
+    s = kappa_sum(
         3, Fraction(3, 2), (Fraction(1, 2), Fraction(0), Fraction(-1)), Fraction(1, 4)
     )
     hits = list(lattice_enumerate(s, Fraction(19, 2)))
@@ -209,27 +242,27 @@ def test_enumerate_exponents_are_consistent():
 
 
 def test_enumerate_matches_brute_box():
-    s = LatticeSum(2, Fraction(1), (Fraction(1, 2), Fraction(-1, 2)))
+    s = kappa_sum(2, Fraction(1), (Fraction(1, 2), Fraction(-1, 2)))
     got = sorted(lattice_enumerate(s, 6))
     want = sorted(brute_points(s, Fraction(6), 6))
     assert got == want
 
 
 def test_enumerate_zero_dimensions():
-    inside = LatticeSum(0, Fraction(1), (), Fraction(3))
+    inside = kappa_sum(0, Fraction(1), (), Fraction(3))
     assert list(lattice_enumerate(inside, 3)) == [((), Fraction(3))]
-    outside = LatticeSum(0, Fraction(1), (), Fraction(7, 2))
+    outside = kappa_sum(0, Fraction(1), (), Fraction(7, 2))
     assert list(lattice_enumerate(outside, 3)) == []
 
 
 def test_enumerate_empty_below_constant():
-    s = LatticeSum(2, Fraction(5), (Fraction(0), Fraction(0)), Fraction(10))
+    s = kappa_sum(2, Fraction(5), (Fraction(0), Fraction(0)), Fraction(10))
     assert list(lattice_enumerate(s, 9)) == []
     assert list(lattice_enumerate(s, -100)) == []
 
 
 def test_enumerate_monotone_in_bound():
-    s = LatticeSum(3, Fraction(2), (Fraction(1), Fraction(0), Fraction(-1)))
+    s = kappa_sum(3, Fraction(2), (Fraction(1), Fraction(0), Fraction(-1)))
     small = set(lattice_enumerate(s, 8))
     large = set(lattice_enumerate(s, 15))
     assert small <= large
@@ -237,8 +270,8 @@ def test_enumerate_monotone_in_bound():
 
 def test_enumerate_reflection_symmetry():
     lin = (Fraction(1), Fraction(-2), Fraction(1, 2))
-    plus = LatticeSum(3, Fraction(2), lin)
-    minus = LatticeSum(3, Fraction(2), tuple(-v for v in lin))
+    plus = kappa_sum(3, Fraction(2), lin)
+    minus = kappa_sum(3, Fraction(2), tuple(-v for v in lin))
     got = sorted(lattice_enumerate(plus, 10))
     mirrored = sorted(
         (tuple(-x for x in p), e) for p, e in lattice_enumerate(minus, 10)
@@ -250,7 +283,7 @@ def test_enumerate_reflection_symmetry():
 
 
 def test_series_gauss_exponents():
-    s = LatticeSum(1, Fraction(2), (Fraction(1),))
+    s = kappa_sum(1, Fraction(2), (Fraction(1),))
     got = lattice_sum_series(s, 45)
     want = from_terms(
         [(2 * k * k + k, 1) for k in range(-5, 6) if 2 * k * k + k <= 45], 45
@@ -260,19 +293,19 @@ def test_series_gauss_exponents():
 
 
 def test_series_zero_dimensional():
-    s = LatticeSum(0, Fraction(1), (), Fraction(5, 2))
+    s = kappa_sum(0, Fraction(1), (), Fraction(5, 2))
     got = lattice_sum_series(s, 4)
     assert got == from_terms([(Fraction(5, 2), 1)], 4)
     assert lattice_sum_series(s, 2).is_zero()
 
 
 def test_series_empty_sum_is_zero():
-    s = LatticeSum(2, Fraction(3), (Fraction(0), Fraction(0)), Fraction(9))
+    s = kappa_sum(2, Fraction(3), (Fraction(0), Fraction(0)), Fraction(9))
     assert lattice_sum_series(s, 8).is_zero()
 
 
 def test_series_origin_only_term():
-    s = LatticeSum(4, Fraction(5), (Fraction(0),) * 4)
+    s = kappa_sum(4, Fraction(5), (Fraction(0),) * 4)
     got = lattice_sum_series(s, 4)
     assert got.lowest_exponent() == 0
     assert got[0] == 1
@@ -280,7 +313,7 @@ def test_series_origin_only_term():
 
 def test_series_alternating_weight_square_exponents():
     # sum over k of (-1)^k q^(k^2): coefficient 2(-1)^k at k^2, 1 at 0
-    s = LatticeSum(1, Fraction(1), (Fraction(0),), weight=WEIGHT_ALTERNATING)
+    s = kappa_sum(1, Fraction(1), (Fraction(0),), weight=WEIGHT_ALTERNATING)
     got = lattice_sum_series(s, 20)
     want = from_terms(
         [(0, 1), (1, -2), (4, 2), (9, -2), (16, 2)], 20
@@ -289,57 +322,57 @@ def test_series_alternating_weight_square_exponents():
 
 
 def test_series_four_k_plus_one_weight():
-    s = LatticeSum(1, Fraction(2), (Fraction(1),), weight=WEIGHT_FOUR_K_PLUS_ONE)
+    s = kappa_sum(1, Fraction(2), (Fraction(1),), weight=WEIGHT_FOUR_K_PLUS_ONE)
     got = lattice_sum_series(s, 12)
     want = from_terms([(0, 1), (1, -3), (3, 5), (6, -7), (10, 9)], 12)
     assert got == want
 
 
 def test_series_jacobi_cube():
-    s = LatticeSum(1, Fraction(2), (Fraction(1),), weight=WEIGHT_FOUR_K_PLUS_ONE)
+    s = kappa_sum(1, Fraction(2), (Fraction(1),), weight=WEIGHT_FOUR_K_PLUS_ONE)
     phi = phi_series(Fraction(1), 25)
     cube = series_mul(series_mul(phi, phi), phi)
     assert lattice_sum_series(s, 25) == cube
 
 
 def test_series_euler_pentagonal():
-    s = LatticeSum(
+    s = kappa_sum(
         1, Fraction(3, 2), (Fraction(1, 2),), weight=WEIGHT_ALTERNATING
     )
     assert lattice_sum_series(s, 15) == phi_series(Fraction(1), 15)
 
 
 def test_series_gauss_quotient_match():
-    s = LatticeSum(1, Fraction(2), (Fraction(1),))
+    s = kappa_sum(1, Fraction(2), (Fraction(1),))
     spec = ProductSpec(((Fraction(2), 2), (Fraction(1), -1)))
     assert lattice_sum_series(s, 30) == product_series(spec, 30)
 
 
 def test_series_three_dimensional_product_match():
     # the chain sum in three variables equals a five-factor Euler quotient
-    s = LatticeSum(3, Fraction(3), (Fraction(1), Fraction(-1), Fraction(2)))
+    s = kappa_sum(3, Fraction(3), (Fraction(1), Fraction(-1), Fraction(2)))
     spec = ProductSpec(((Fraction(3), 3), (Fraction(2), 2), (Fraction(1), -2)))
     assert lattice_sum_series(s, 25) == product_series(spec, 25)
 
 
 def test_series_matches_hand_aggregation():
     cases = [
-        LatticeSum(2, Fraction(1), (Fraction(1, 2), Fraction(-1, 2)), Fraction(1, 4)),
-        LatticeSum(3, Fraction(2), (Fraction(1), Fraction(0), Fraction(-1))),
-        LatticeSum(1, Fraction(5, 2), (Fraction(-3, 2),), Fraction(-2)),
-        LatticeSum(2, Fraction(3), (Fraction(2), Fraction(2)), weight=WEIGHT_ALTERNATING),
-        LatticeSum(4, Fraction(1), (Fraction(0),) * 4),
+        kappa_sum(2, Fraction(1), (Fraction(1, 2), Fraction(-1, 2)), Fraction(1, 4)),
+        kappa_sum(3, Fraction(2), (Fraction(1), Fraction(0), Fraction(-1))),
+        kappa_sum(1, Fraction(5, 2), (Fraction(-3, 2),), Fraction(-2)),
+        kappa_sum(2, Fraction(3), (Fraction(2), Fraction(2)), weight=WEIGHT_ALTERNATING),
+        kappa_sum(4, Fraction(1), (Fraction(0),) * 4),
         # 5- to 7-dimensional chains, fractional c, lin and const, both weights
-        LatticeSum(
+        kappa_sum(
             5, Fraction(5, 2), fracs("1/2 -3/2 0 1 -1/3"), Fraction(-1, 4),
             WEIGHT_ALTERNATING,
         ),
-        LatticeSum(
+        kappa_sum(
             6, Fraction(7, 3), fracs("-1 1/3 2/3 0 -1/2 1"), Fraction(1, 6),
             WEIGHT_FOUR_K_PLUS_ONE,
         ),
-        LatticeSum(7, Fraction(3, 2), fracs("1/2 0 -1/2 1 0 -1 1/4"), Fraction(-3, 4)),
-        LatticeSum(
+        kappa_sum(7, Fraction(3, 2), fracs("1/2 0 -1/2 1 0 -1 1/4"), Fraction(-3, 4)),
+        kappa_sum(
             7, Fraction(9, 4), fracs("-1/2 " * 7), Fraction(1, 3), WEIGHT_ALTERNATING
         ),
     ]
@@ -349,38 +382,91 @@ def test_series_matches_hand_aggregation():
 
 
 def test_series_fractional_bound_truncates_on_grid():
-    s = LatticeSum(1, Fraction(1), (Fraction(0),))
+    s = kappa_sum(1, Fraction(1), (Fraction(0),))
     got = lattice_sum_series(s, Fraction(19, 2))
     assert Fraction(got.order, got.denom) == 9
     assert got[9] == 2 and got[8] == 0 and got[4] == 2
 
 
 def test_series_negative_constant_shifts_window():
-    s = LatticeSum(1, Fraction(1), (Fraction(0),), Fraction(-7, 2))
+    s = kappa_sum(1, Fraction(1), (Fraction(0),), Fraction(-7, 2))
     got = lattice_sum_series(s, 4)
     assert got.lowest_exponent() == Fraction(-7, 2)
     assert got[Fraction(-7, 2)] == 1
     assert got[Fraction(-5, 2)] == 2
 
 
-# -- certified eigenvalue bound and the crude oracle ----------------------------
+# -- the certified box and the crude oracle ---------------------------------------
 
 
-def test_lambda_lower_is_positive_and_below_truth():
-    for l in range(1, 12):
-        lo = _kappa_lambda_lower(l)
-        true = 2 * math.sin(math.pi / (2 * (l + 1))) ** 2
-        assert 0 < lo
-        assert float(lo) <= true + 1e-12
+def cofactor_det(a):
+    # Laplace expansion along the first row, independent of any elimination
+    if not a:
+        return Fraction(1)
+    return sum(
+        (-1) ** j * a[0][j] * cofactor_det([row[:j] + row[j + 1 :] for row in a[1:]])
+        for j in range(len(a))
+    )
 
 
-def test_lambda_lower_bounds_the_form():
+def random_chain(rng, l, slacks=(-1, 0, 1, 2)):
+    # a tridiagonal chain whose diagonal exceeds its row's off-diagonal
+    # weight by a slack; a slack below 1 may leave it indefinite
+    off = [rng.randrange(-4, 5) for _ in range(l - 1)]
+    diag = []
+    for i in range(l):
+        near = (abs(off[i - 1]) if i else 0) + (abs(off[i]) if i < l - 1 else 0)
+        diag.append(-(-near // 2) + rng.choice(slacks))
+    lin = [rng.randrange(-3, 4) for _ in range(l)]
+    return LatticeSum(diag, off, lin, rng.randrange(-5, 6), rng.choice((1, 2, 3)))
+
+
+def test_box_oracle_minors_and_inverse_are_exact():
+    # the box oracle's own linear algebra: its leading minors are the
+    # determinants of a cofactor expansion, its Gauss-Jordan inverse is
+    # exact, and Sylvester's criterion refuses exactly the chains the
+    # engine's completion refuses
     rng = random.Random(37)
-    for _ in range(300):
-        l = rng.randrange(1, 6)
-        lam = _kappa_lambda_lower(l)
-        k = tuple(rng.randrange(-7, 8) for _ in range(l))
-        assert Fraction(brute_kappa(k)) >= lam * sum(v * v for v in k)
+    refused = 0
+    for _ in range(200):
+        s = random_chain(rng, rng.randrange(1, 6))
+        a = gram(s)
+        minors = leading_minors(a)
+        want = [cofactor_det([row[:k] for row in a[:k]]) for k in range(1, s.l + 1)]
+        assert minors == want[: len(minors)]
+        definite = all(d > 0 for d in want)
+        try:
+            s._form
+        except ValueError:
+            assert not definite
+            with pytest.raises(ValueError):
+                certified_box(s, 0)
+            refused += 1
+            continue
+        assert definite
+        inv = inverse(a)
+        identity = [[sum(x * y for x, y in zip(row, col)) for col in zip(*inv)] for row in a]
+        assert identity == [[int(i == j) for j in range(s.l)] for i in range(s.l)]
+    assert 20 < refused < 180
+
+
+def test_certified_box_holds_every_point_of_a_wide_scan():
+    # every point of a wide cube within the bound lies in the certified box.
+    # A slack of at least 1 puts every eigenvalue of the Gram matrix at 1 or
+    # more (Gershgorin), so denom*E(x) >= |x|^2 - |lin||x| + const and no
+    # admissible point leaves the cube of radius 8
+    rng = random.Random(41)
+    inside = 0
+    for _ in range(40):
+        s = random_chain(rng, rng.randrange(1, 4), slacks=(1, 2))
+        s = dataclasses.replace(s, denom=1)
+        bound = rng.randrange(0, 9)
+        box = certified_box(s, bound)
+        hits = brute_points(s, bound, 8)
+        assert all(all(x in r for x, r in zip(p, box)) for p, _ in hits), (s, bound)
+        assert sorted(hits) == list(lattice_enumerate_oracle(s, bound))
+        inside += len(hits)
+    assert inside > 100
 
 
 def random_lattice_sum(rng):
@@ -395,7 +481,7 @@ def random_lattice_sum(rng):
     )
     const = Fraction(rng.randrange(-8, 9), rng.choice((1, 2, 4)))
     weight = rng.choice((None, None, WEIGHT_ALTERNATING, WEIGHT_FOUR_K_PLUS_ONE))
-    return LatticeSum(l, c, lin, const, weight)
+    return kappa_sum(l, c, lin, const, weight)
 
 
 def test_oracle_agrees_with_enumerate_on_seeded_instances():
@@ -432,15 +518,15 @@ def test_lattice_sum_above_lead_matches_box_oracle():
         )
         const = Fraction(rng.randrange(-8, 9), rng.choice((1, 2, 4)))
         weight = rng.choice((None, WEIGHT_ALTERNATING, WEIGHT_FOUR_K_PLUS_ONE))
-        s = LatticeSum(l, c, lin, const, weight)
+        s = kappa_sum(l, c, lin, const, weight)
         want = box_minimum(s)
         assert lattice_sum_above(s, 0)[0] == want, s
         moved += want < const
     assert moved > 10
     # (-1)^k q^(k^2+k) cancels at its minimum, and everywhere else, but its
     # lead is still the least exponent a point reaches; a 4k+1 weight in 2-D
-    vanishing = LatticeSum(1, Fraction(1), (Fraction(1),), Fraction(0), WEIGHT_ALTERNATING)
-    four = LatticeSum(2, Fraction(3, 2), fracs("-1/2 1"), Fraction(-1, 4), WEIGHT_FOUR_K_PLUS_ONE)
+    vanishing = kappa_sum(1, Fraction(1), (Fraction(1),), Fraction(0), WEIGHT_ALTERNATING)
+    four = kappa_sum(2, Fraction(3, 2), fracs("-1/2 1"), Fraction(-1, 4), WEIGHT_FOUR_K_PLUS_ONE)
     for s in (vanishing, four):
         assert lattice_sum_above(s, 0)[0] == box_minimum(s), s
     assert lattice_sum_above(vanishing, 6) == (0, QSeries.zero(6))
@@ -504,7 +590,7 @@ def counting(monkeypatch, name):
 
 def test_lattice_sum_above_completes_squares_once(monkeypatch):
     calls = counting(monkeypatch, "_complete_squares")
-    s = LatticeSum(3, Fraction(3, 2), fracs("1/2 -1 2"), Fraction(-5, 4))
+    s = kappa_sum(3, Fraction(3, 2), fracs("1/2 -1 2"), Fraction(-5, 4))
     lead, series = lattice_sum_above(s, 0)
     assert lead == box_minimum(s) and Fraction(series.order, series.denom) == lead
     assert calls[0] == 1
@@ -541,7 +627,7 @@ def test_verify_identity_completes_squares_once(monkeypatch, make):
 
 def test_completed_form_stays_out_of_the_value():
     args = (3, Fraction(3, 2), fracs("1/2 -1 2"), Fraction(-5, 4), WEIGHT_ALTERNATING)
-    s, fresh = LatticeSum(*args), LatticeSum(*args)
+    s, fresh = kappa_sum(*args), kappa_sum(*args)
     want = lattice_sum_series(s, 6)
     assert "_form" in vars(s) and "_form" not in vars(fresh)
     assert s == fresh and hash(s) == hash(fresh)
@@ -554,9 +640,9 @@ def test_completed_form_stays_out_of_the_value():
 
 def test_replace_completes_its_own_form(monkeypatch):
     calls = counting(monkeypatch, "_complete_squares")
-    s = LatticeSum(3, Fraction(3, 2), fracs("1/2 -1 2"), Fraction(-5, 4))
+    s = kappa_sum(3, Fraction(3, 2), fracs("1/2 -1 2"), Fraction(-5, 4))
     low = lattice_sum_above(s, 0)[0]
-    moved = dataclasses.replace(s, const=Fraction(0))
+    moved = dataclasses.replace(s, const=0)
     assert "_form" not in vars(moved)
     assert lattice_sum_above(moved, 0)[0] == low + Fraction(5, 4)
     assert calls[0] == 2
@@ -623,7 +709,7 @@ def test_walk_prices_each_coordinate_once_per_predecessor(monkeypatch):
     # spend) pair, or adds a part per spend instead of per row, gives the
     # same series.  The sum is the character numerator of (1^7), k = 0.
     calls = counting(monkeypatch, "_level_range")
-    s = LatticeSum(6, Fraction(1), (Fraction(0),) * 6)
+    s = kappa_sum(6, Fraction(1), (Fraction(0),) * 6)
     # each (predecessor row, value) pair of levels 0..4 adds its kept part
     # into a row once; the last level is folded, one range per group
     got, adds = walk_line_hits(lambda: lattice_sum_series(s, 30), "spend")
@@ -634,61 +720,31 @@ def test_walk_prices_each_coordinate_once_per_predecessor(monkeypatch):
 
 
 def test_oracle_zero_dimensional_and_empty():
-    s = LatticeSum(0, Fraction(1), (), Fraction(2))
+    s = kappa_sum(0, Fraction(1), (), Fraction(2))
     assert list(lattice_enumerate_oracle(s, 2)) == [((), Fraction(2))]
     assert list(lattice_enumerate_oracle(s, 1)) == []
-    far = LatticeSum(2, Fraction(4), (Fraction(0), Fraction(0)), Fraction(50))
+    far = kappa_sum(2, Fraction(4), (Fraction(0), Fraction(0)), Fraction(50))
     assert list(lattice_enumerate_oracle(far, 10)) == []
 
 
-def test_oracle_vectorized_box_agrees():
-    # large enough box to take the array path, compared point for point
-    s = LatticeSum(3, Fraction(1, 4), (Fraction(1, 2), Fraction(0), Fraction(-1)))
-    got = list(lattice_enumerate_oracle(s, 18))
-    want = list(lattice_enumerate(s, 18))
-    assert got == want
-    assert len(got) > 400
+def test_oracle_vectorized_box_agrees(monkeypatch):
+    # the array path, forced, against the plain scan and the engine, point
+    # for point, on a kappa chain and on a weighted chain that is not kappa
+    cases = [
+        (kappa_sum(3, Fraction(1, 4), (Fraction(1, 2), Fraction(0), Fraction(-1))), 18),
+        (LatticeSum((3, 2, 5, 2), (-3, 1, 4), (1, 0, -2, 1), 1, 6, WEIGHT_FOUR_K_PLUS_ONE), 7),
+    ]
+    for s, bound in cases:
+        plain = list(lattice_enumerate_oracle(s, bound))
+        assert math.prod(map(len, certified_box(s, bound))) <= box_oracle._ARRAY_VOLUME
+        monkeypatch.setattr(box_oracle, "_ARRAY_VOLUME", 0)
+        got = list(lattice_enumerate_oracle(s, bound))
+        monkeypatch.undo()
+        assert got == plain == list(lattice_enumerate(s, bound))
+        assert len(got) > 400
 
 
 # -- property tests --------------------------------------------------------------
-
-
-@st.composite
-def lattice_sums(draw):
-    l = draw(st.integers(min_value=0, max_value=3))
-    c = draw(st.sampled_from([Fraction(1), Fraction(3, 2), Fraction(2), Fraction(3)]))
-    lin = tuple(
-        draw(
-            st.sampled_from(
-                [Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-3, 2)]
-            )
-        )
-        for _ in range(l)
-    )
-    const = draw(st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(-1), Fraction(2)]))
-    weight = draw(st.sampled_from([None, WEIGHT_ALTERNATING, WEIGHT_FOUR_K_PLUS_ONE]))
-    return LatticeSum(l, c, lin, const, weight)
-
-
-@settings(max_examples=40, deadline=None)
-@given(lattice_sums(), st.integers(min_value=0, max_value=10))
-def test_property_enumerate_sound_and_complete(s, bound):
-    hits = list(lattice_enumerate(s, bound))
-    pts = [p for p, _ in hits]
-    assert pts == sorted(pts)
-    for point, exp in hits:
-        assert exp == brute_exponent(s, point)
-        assert exp <= bound
-    assert sorted(hits) == sorted(lattice_enumerate_oracle(s, bound))
-
-
-@settings(max_examples=40, deadline=None)
-@given(lattice_sums(), st.integers(min_value=0, max_value=10))
-def test_property_series_aggregates_enumeration(s, bound):
-    assert lattice_sum_series(s, bound) == series_by_hand(s, Fraction(bound))
-
-
-# -- the integer completion against the Fraction oracle ------------------------
 
 small_rationals = st.builds(
     Fraction, st.integers(min_value=-4, max_value=4), st.sampled_from([1, 2, 3])
@@ -701,11 +757,12 @@ slacks = st.sampled_from(
     [Fraction(-1, 2), Fraction(0), Fraction(1, 2), Fraction(1), Fraction(3, 2),
      Fraction(2), Fraction(3), Fraction(5)]
 )
+WEIGHTS = (None, WEIGHT_ALTERNATING, WEIGHT_FOUR_K_PLUS_ONE)
 
 
 @st.composite
-def rational_chains(draw):
-    l = draw(st.integers(min_value=0, max_value=6))
+def rational_chains(draw, max_dim=6):
+    l = draw(st.integers(min_value=0, max_value=max_dim))
     off = [draw(small_rationals) for _ in range(max(l - 1, 0))]
     diag = []
     for i in range(l):
@@ -715,47 +772,116 @@ def rational_chains(draw):
     return diag, off, lin, draw(small_rationals)
 
 
+@st.composite
+def lattice_sums(draw):
+    """A tridiagonal chain in dimensions 0-3, kappa or not, definite or not,
+    on the lcm of its denominators, with a weight shape."""
+    chain = squares_oracle.integer_chain(*draw(rational_chains(max_dim=3)))
+    return LatticeSum(*chain, weight=draw(st.sampled_from(WEIGHTS)))
+
+
+def small_definite(s, bound):
+    """Whether s is definite, its box at the bound small enough to scan; an
+    indefinite s must be refused by the engine and the box oracle alike."""
+    try:
+        box = certified_box(s, bound)
+    except ValueError:
+        with pytest.raises(ValueError, match="indefinite"):
+            lattice_sum_series(s, bound)
+        return False
+    assume(math.prod(map(len, box)) <= 20000)
+    return True
+
+
+@settings(max_examples=60, deadline=None)
+@given(lattice_sums(), st.integers(min_value=0, max_value=10))
+def test_property_enumerate_sound_and_complete(s, bound):
+    if not small_definite(s, bound):
+        return
+    hits = list(lattice_enumerate(s, bound))
+    pts = [p for p, _ in hits]
+    assert pts == sorted(pts)
+    for point, exp in hits:
+        assert exp == brute_exponent(s, point)
+        assert exp <= bound
+    assert hits == list(lattice_enumerate_oracle(s, bound))
+
+
+@settings(max_examples=60, deadline=None)
+@given(lattice_sums(), st.integers(min_value=0, max_value=10))
+def test_property_series_aggregates_enumeration(s, bound):
+    if not small_definite(s, bound):
+        return
+    got = lattice_sum_series(s, bound)
+    assert got == series_by_hand(s, Fraction(bound))
+    assert got == dict_walk(s._form, s.weight, bound * s.denom)[1]
+
+
+# -- the integer completion against the Fraction oracle ------------------------
+
+
+def on_finer_grid(ints, extra):
+    """An integer chain (diag, off, lin, const, denom) with every entry times extra."""
+    diag, off, lin, const, denom = ints
+    return [v * extra for v in diag], [v * extra for v in off], [v * extra for v in lin], \
+        const * extra, denom * extra
+
+
 @settings(max_examples=200, deadline=None)
 @given(rational_chains(), st.sampled_from([1, 2, 6]))
 def test_property_integer_squares_match_fraction_oracle(chain, extra):
     # extra puts the chain on a finer denominator than its grid, which the
-    # completion must reduce away
-    diag, off, lin, const, denom = squares_oracle.integer_chain(*chain)
-    scaled = (
-        [v * extra for v in diag],
-        [v * extra for v in off],
-        [v * extra for v in lin],
-        const * extra,
-        denom * extra,
-    )
+    # constructor must reduce away
+    scaled = on_finer_grid(squares_oracle.integer_chain(*chain), extra)
     try:
         squares = squares_oracle.complete_squares(*chain)
     except ValueError:
         with pytest.raises(ValueError):
-            _complete_squares(*scaled)
+            LatticeSum(*scaled)._form
         return
     # uneven pivots can still leave too many points for the oracle's scan
     assume(squares_oracle.scan_size(squares) <= 20000)
-    chain = _Chain(*scaled)
-    assert squares_oracle.form_matches(chain._form, squares)
-    assert lattice_sum_above(chain, 0)[0] == squares_oracle.chain_min(squares)
+    s = LatticeSum(*scaled)
+    assert squares_oracle.form_matches(s._form, squares)
+    assert lattice_sum_above(s, 0)[0] == squares_oracle.chain_min(squares)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rational_chains(), st.sampled_from([1, 2, 6]), st.sampled_from(WEIGHTS))
+def test_property_a_finer_denominator_gives_the_reduced_chain(chain, extra, weight):
+    # the lcm chain of integer_chain is already reduced, so it is stored as
+    # given, and the same chain on a finer denominator is the same value
+    ints = squares_oracle.integer_chain(*chain)
+    reduced = LatticeSum(*ints, weight=weight)
+    finer = LatticeSum(*on_finer_grid(ints, extra), weight=weight)
+    assert dataclasses.astuple(reduced)[:5] == (*map(tuple, ints[:3]), *ints[3:])
+    assert finer == reduced and hash(finer) == hash(reduced) and repr(finer) == repr(reduced)
+    assert json.dumps(finer.to_json()) == json.dumps(reduced.to_json())
+    try:
+        form = reduced._form
+    except ValueError:
+        with pytest.raises(ValueError):
+            finer._form
+        return
+    assert finer._form == form
 
 
 def test_every_route_chain_completes_like_the_fraction_oracle():
-    # both routes' chains for every partition with n <= 7 and every k, as
-    # the sweep workload walks them, against their Fraction chains
+    # both routes' chains for every partition with n <= 8 and every k, the
+    # sweep workload's and the n = 8 ones beyond it, against their Fraction
+    # chains
     count = 0
-    for label, chain, rational in squares_oracle.route_chains(7):
+    for label, chain, rational in squares_oracle.route_chains(8):
         squares = squares_oracle.complete_squares(*rational)
         assert squares_oracle.form_matches(chain._form, squares), label
         count += 1
-    assert count == 480
+    assert count == 832
 
 
 def test_one_form_walks_any_bound_like_fresh_builds():
     # bounds on and off the grid (4 here), below the minimum and far above it
-    s = LatticeSum(3, Fraction(3, 2), fracs("1/2 -1 2"), Fraction(-5, 4), WEIGHT_ALTERNATING)
-    form = _complete_squares(*_kappa_parts(s))
+    s = kappa_sum(3, Fraction(3, 2), fracs("1/2 -1 2"), Fraction(-5, 4), WEIGHT_ALTERNATING)
+    form = _complete_squares(s.diag, s.off, s.lin, s.const, s.denom)
     assert form.grid == 4
     for bound in (Fraction(-7, 2), Fraction(7, 3), 12, Fraction(61, 2)):
         walked = _walk(form, s.weight, math.floor(bound * form.grid))
@@ -764,9 +890,9 @@ def test_one_form_walks_any_bound_like_fresh_builds():
 
 
 def test_kappa_form_holds_plain_ints():
-    s = LatticeSum(3, Fraction(3, 2), fracs("1/2 -1 2"), Fraction(-5, 4))
-    chain = _kappa_parts(s)
-    assert chain == ([6, 6, 6], [-6, -6], [2, -4, 8], -5, 4)
-    form = _complete_squares(*chain)
-    for value in (form.grid, form.sigma, form.base, *form.K, *form.W, *form.w_prev, *form.w0):
+    s = kappa_sum(3, Fraction(3, 2), fracs("1/2 -1 2"), Fraction(-5, 4))
+    assert dataclasses.astuple(s) == ((6, 6, 6), (-6, -6), (2, -4, 8), -5, 4, None)
+    form = s._form
+    values = (*s.diag, *s.off, *s.lin, s.const, s.denom, form.grid, form.sigma, form.base)
+    for value in (*values, *form.K, *form.W, *form.w_prev, *form.w0):
         assert type(value) is int

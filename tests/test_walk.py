@@ -1,5 +1,6 @@
 """The packed lattice walk checked against the dict-of-spends walk oracle."""
 
+from dataclasses import replace
 from fractions import Fraction
 from math import floor
 
@@ -34,6 +35,7 @@ from qchar.quadform import (
     lattice_sum_series,
 )
 from point_oracle import _scaled_points
+from squares_oracle import kappa_sum
 from test_quadform import INPLACE_OPS, counting, line_hits, walk_line_hits
 from walk_oracle import dict_levels, dict_walk
 
@@ -114,7 +116,7 @@ def chains(draw):
     const = draw(st.integers(min_value=-9, max_value=9))
     denom = draw(st.integers(min_value=1, max_value=6))
     try:
-        form = _complete_squares(diag, off, lin, const, denom)
+        form = LatticeSum(diag, off, lin, const, denom)._form
     except ValueError:
         assume(False)
     return form, draw(st.sampled_from(WEIGHTS))
@@ -136,18 +138,14 @@ def test_property_packed_walk_matches_dict_walk(chain, extra):
     assert walked(form, weight, units) == dict_walk(form, weight, units)
 
 
-def lattice(l, c, lin, const, weight=None):
-    return LatticeSum(l, Fraction(c), tuple(map(Fraction, lin)), Fraction(const), weight)
-
-
 SIGNED_SUMS = (
-    lattice(2, 1, ("1/2", 0), 0),
-    lattice(2, 2, (1, -1), 0),
-    lattice(3, "3/2", ("1/2", -1, 2), "-5/4"),
-    lattice(3, 1, (0, 0, 0), 0),
-    lattice(4, 1, (0, "1/2", 0, -1), "1/3"),
-    lattice(5, 2, (1, -1, 0, "1/2", 0), 0),
-    lattice(6, 1, (0, "1/2", 0, -1, 0, "1/3"), 0),
+    kappa_sum(2, 1, ("1/2", 0), 0),
+    kappa_sum(2, 2, (1, -1), 0),
+    kappa_sum(3, "3/2", ("1/2", -1, 2), "-5/4"),
+    kappa_sum(3, 1, (0, 0, 0), 0),
+    kappa_sum(4, 1, (0, "1/2", 0, -1), "1/3"),
+    kappa_sum(5, 2, (1, -1, 0, "1/2", 0), 0),
+    kappa_sum(6, 1, (0, "1/2", 0, -1, 0, "1/3"), 0),
 )
 
 
@@ -157,7 +155,7 @@ def test_weighted_walks_cut_signed_rows_like_the_dict_walk(s, weight):
     # a mask that drops the top slots of a row with negative slots must
     # leave the kept slots balanced; level 0's rows hold one slot and the
     # folded last level masks nothing, so the cut first happens in dimension 4
-    s = LatticeSum(s.l, s.c, s.lin, s.const, weight)
+    s = replace(s, weight=weight)
     bound = lattice_sum_above(s, 0)[0] + 12
     got, balanced = walk_line_hits(lambda: lattice_sum_series(s, bound), "part", "-=")
     assert got == dict_walk(s._form, weight, floor(bound * s._form.grid))[1]
@@ -359,7 +357,7 @@ def test_dimension_3_walks_scatter_their_pairs_into_the_folds_groups(walks, monk
 def test_dimension_3_counts_that_cancel_at_the_least_slot_match_the_dict_walk(weight):
     # under the alternating sign the scattered counts cancel at the least
     # slot: the lead is -1/2, yet the window starts at 0
-    s = lattice(3, "3/2", (0, "1/2", "3/2"), 0, weight)
+    s = kappa_sum(3, "3/2", (0, "1/2", "3/2"), 0, weight)
     form = s._form
     lead, _ = lattice_sum_above(s, 0)
     units = floor((lead + 12) * form.grid)

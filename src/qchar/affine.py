@@ -16,9 +16,10 @@ candidate that product_series certifies.  The routes share the partition's
 PartitionData, but no chain.  Each route's formula is written once, as an
 integer chain (_character_parts, _trace_parts).
 
-A proposition is one identity, paired once by _proposition: numerator *
-P_1/P_2 = theta.  verify_proposition checks it with one product, and
-qchar.identities pairs the same two routes the same way and inverts the
+A proposition is one identity, built in one place: _proposition(parts, k)
+validates the partition once, builds both routes from it and pairs them as
+numerator * P_1/P_2 = theta.  verify_proposition checks it with one
+product, and qchar.identities reads its numerator side and inverts the
 ratio for the two families' product sides.
 
 Everything is exact: moduli and specialization vectors are integers by
@@ -242,22 +243,22 @@ def _character_parts(data: PartitionData, k: int) -> Side:
     N*e_k - s (head entry of s excluded, it pairs with no lattice
     coordinate), and the constant N*kappa(c) - s.c rides along so the
     exponent function is the specialization verbatim, not a shifted cousin.
-    The chain is that exponent times n^2, all in integers: n*c_i =
-    min(i,k)(n - max(i,k)) is integral, so the constant n^2(N kappa(c) - s.c)
-    is N kappa(nc) - n s.(nc).  It is the chain (diag, off, lin, const) over
-    denom = n^2, which LatticeSum reduces; the product is the quotient's
+    The chain is that exponent times 2n, all in integers: C c = e_k gives
+    kappa(c) = (c|c)/2 = c_k/2 = k(n-k)/(2n), and n*c_i = min(i,k)(n -
+    max(i,k)) is integral, so the constant 2n(N kappa(c) - s.c) is
+    N k(n-k) - 2 s.(nc).  It is the chain (diag, off, lin, const) over
+    denom = 2n, which LatticeSum reduces; the product is the quotient's
     1/phi(q^N)^(n-1), empty at n = 1.
     """
     n, big = data.n, data.N
     nc = _weight_numerators(n, k)
     tail = data.s[1:]
-    sq = n * n
-    lin = list(map(mul, tail, repeat(-sq)))
+    grid = 2 * n
+    lin = list(map(mul, tail, repeat(-grid)))
     if k:
-        lin[k - 1] += sq * big
-    kappa_nc = sum(map(mul, nc, nc)) - sum(map(mul, nc, nc[1:]))
-    const = big * kappa_nc - n * sum(map(mul, tail, nc))
-    chain = LatticeSum((sq * big,) * (n - 1), (-sq * big,) * max(n - 2, 0), lin, const, sq)
+        lin[k - 1] += grid * big
+    const = big * k * (n - k) - 2 * sum(map(mul, tail, nc))
+    chain = LatticeSum((grid * big,) * (n - 1), (-grid * big,) * max(n - 2, 0), lin, const, grid)
     return Side(chain, ProductSpec(((big, 1 - n),)))
 
 
@@ -288,7 +289,7 @@ def specialized_character_series(parts: Sequence[int], k: int, bound) -> QSeries
     No character numerator with n <= 9 starts below q^0 (the tests pin
     that), so its quotient runs through the bound, or q^0 when that is less.
     """
-    return _character_parts(PartitionData.from_parts(parts), k).series(bound)
+    return specialized_character(parts, k).series(bound)
 
 
 def trace_series(parts: Sequence[int], k: int, bound) -> QSeries:
@@ -296,13 +297,16 @@ def trace_series(parts: Sequence[int], k: int, bound) -> QSeries:
     return _trace_parts(PartitionData.from_parts(parts), k).series(bound)
 
 
-def _proposition(char: Side, trace: Side) -> tuple[Side, Side]:
-    """The proposition's two sides from its two routes: numerator * P_1/P_2
-    and the trace theta.
+def _proposition(parts: Sequence[int], k: int) -> tuple[Side, Side]:
+    """The proposition's two sides for (parts, k): numerator * P_1/P_2 and
+    the trace theta.
 
-    Both routes divided by P_2, so one product, phi(q^N)^(-n) prod_i
+    The partition is validated once and both routes built from it.  Both
+    routes divided by P_2, so one product, phi(q^N)^(-n) prod_i
     phi(q^(N/n_i)), remains; for (1^n) it cancels and both sides are walks.
     """
+    data = PartitionData.from_parts(parts)
+    char, trace = _character_parts(data, k), _trace_parts(data, k)
     ratio = ProductSpec(
         char.product.factors + tuple((scale, -power) for scale, power in trace.product.factors)
     )
@@ -317,5 +321,4 @@ def verify_proposition(parts: Sequence[int], k: int, bound) -> VerifyReport:
     routes, dividing by P_2 = 1 + O(q) moves neither shift nor the first
     mismatching exponent, only the coefficients a mismatch reports.
     """
-    data = PartitionData.from_parts(parts)
-    return verify(*_proposition(_character_parts(data, k), _trace_parts(data, k)), bound)
+    return verify(*_proposition(parts, k), bound)

@@ -4,24 +4,25 @@ Each identity pairs a finite Euler-product quotient with a lattice sum whose
 expansions must agree coefficient by coefficient.  Four one-dimensional
 classics (Euler's pentagonal identity, Jacobi's cube, and a signed and an
 unsigned identity of Gauss) share the data model with two infinite families
-in dimension 4m - 1.  Each family member is derived, not transcribed: it is
-the proposition of qchar.affine for a two-part partition, whose trace theta
-sum Gauss's identity gauss_b turns into an Euler-product quotient.  The
-m = 1 members of the two families are the same proposition.  verify_identity
-reads a spec as two Sides, a pure product and a pure lattice sum, and hands
-them to qchar.affine.verify, which walks the lattice sum first and certifies
-its window against the product's recurrence.  A match is a proof: the
-window comes from the walk alone, the recurrence from the product's divisor
-sieve alone, and the recurrence has one solution.
+in dimension 4m - 1.  Each classic is one row of a table, its product
+factors and its lattice chain.  Each family member is derived, not
+transcribed: it reads the numerator side of qchar.affine._proposition(parts,
+k) for a two-part partition, whose trace theta sum Gauss's identity gauss_b
+turns into an Euler-product quotient.  The m = 1 members of the two
+families are the same proposition.  verify_identity reads a spec as two
+Sides, a pure product and a pure lattice sum, and hands them to
+qchar.affine.verify, which walks the lattice sum first and certifies its
+window against the product's recurrence.  A match is a proof: the window
+comes from the walk alone, the recurrence from the product's divisor sieve
+alone, and the recurrence has one solution.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from typing import Optional
 
-from .affine import PartitionData, Side, _proposition, _trace_parts, specialized_character, verify
+from .affine import Side, _proposition, verify
 from .qseries import ProductSpec, VerifyReport
 from .quadform import WEIGHT_ALTERNATING, WEIGHT_FOUR_K_PLUS_ONE, LatticeSum
 
@@ -34,7 +35,17 @@ __all__ = [
     "verify_identity",
 ]
 
-CLASSICAL_NAMES = ("euler", "jacobi", "gauss_a", "gauss_b")
+# name -> (product factors (scale, power), lattice chain (diag, off, lin,
+# const, denom, weight)); classical_identity builds a fresh LatticeSum from
+# the chain each call, since a LatticeSum caches its completed form
+_CLASSICAL = {
+    "euler": (((1, 1),), ((3,), (), (1,), 0, 2, WEIGHT_ALTERNATING)),
+    "jacobi": (((1, 3),), ((2,), (), (1,), 0, 1, WEIGHT_FOUR_K_PLUS_ONE)),
+    "gauss_a": (((1, 2), (2, -1)), ((1,), (), (0,), 0, 1, WEIGHT_ALTERNATING)),
+    "gauss_b": (((2, 2), (1, -1)), ((2,), (), (1,))),
+}
+
+CLASSICAL_NAMES = tuple(_CLASSICAL)
 
 
 @dataclass(frozen=True)
@@ -73,23 +84,10 @@ def classical_identity(name: str) -> IdentitySpec:
     gauss_a: phi(q)^2/phi(q^2) = sum (-1)^k q^(k^2)
     gauss_b: phi(q^2)^2/phi(q) = sum q^(2k^2+k)
     """
-    one = Fraction(1)
-    two = Fraction(2)
-    if name == "euler":
-        lhs = ProductSpec(((one, 1),))
-        rhs = LatticeSum((3,), (), (1,), 0, 2, WEIGHT_ALTERNATING)
-    elif name == "jacobi":
-        lhs = ProductSpec(((one, 3),))
-        rhs = LatticeSum((2,), (), (1,), 0, 1, WEIGHT_FOUR_K_PLUS_ONE)
-    elif name == "gauss_a":
-        lhs = ProductSpec(((one, 2), (two, -1)))
-        rhs = LatticeSum((1,), (), (0,), 0, 1, WEIGHT_ALTERNATING)
-    elif name == "gauss_b":
-        lhs = ProductSpec(((two, 2), (one, -1)))
-        rhs = LatticeSum((2,), (), (1,))
-    else:
+    if not isinstance(name, str) or name not in _CLASSICAL:
         raise ValueError(f"unknown classical identity: {name!r}")
-    return IdentitySpec(name, lhs, rhs)
+    factors, chain = _CLASSICAL[name]
+    return IdentitySpec(name, ProductSpec(factors), LatticeSum(*chain))
 
 
 def _proposition_identity(name: str, m: int, parts, k: int, a: int) -> IdentitySpec:
@@ -98,14 +96,11 @@ def _proposition_identity(name: str, m: int, parts, k: int, a: int) -> IdentityS
     qchar.affine._proposition reads it as numerator * P_1/P_2 = theta, and
     theta is gauss_b's lattice side at q^a up to a monomial, so the numerator
     with its constant dropped is the inverted ratio times gauss_b's product.
-    Each route is built once, as its integer chain, and paired there.
     """
-    trace = _trace_parts(PartitionData.from_parts(parts), k)
-    side = _proposition(specialized_character(parts, k), trace)[0]
-    gauss = classical_identity("gauss_b").lhs
+    side = _proposition(parts, k)[0]
     lhs = ProductSpec(
         tuple((scale, -power) for scale, power in side.product.factors)
-        + tuple((a * scale, power) for scale, power in gauss.factors)
+        + tuple((a * scale, power) for scale, power in _CLASSICAL["gauss_b"][0])
     )
     return IdentitySpec(name, lhs, replace(side.lattice, const=0), m)
 

@@ -144,6 +144,21 @@ def _json_rational(value, what: str) -> Fraction:
     raise ValueError(f"{what} must be an integer or a num/den rational, got {got}")
 
 
+def _check_fields(denom, lo, coeffs, order) -> None:
+    """The field checks QSeries(...) and from_window share: bool is an int, but
+    to_json would write it as a JSON boolean, so each field's type is compared."""
+    if type(denom) is not int or denom < 1:
+        raise ValueError("denom must be a positive integer")
+    if type(lo) is not int or type(order) is not int:
+        raise ValueError("window bounds must be plain integers")
+    if lo > order:
+        raise ValueError("window start exceeds the guaranteed order")
+    if len(coeffs) != order - lo + 1:
+        raise ValueError("coefficient window does not span [lo, order]")
+    if {*map(type, coeffs)} != {int}:
+        raise ValueError("coefficients must be plain integers")
+
+
 @dataclass(frozen=True)
 class QSeries:
     """Sum of coeffs[i] * q^((lo+i)/denom), guaranteed correct through q^(order/denom).
@@ -165,18 +180,7 @@ class QSeries:
     order: int
 
     def __post_init__(self) -> None:
-        # bool is an int, but to_json would write it as a JSON boolean
-        if type(self.denom) is not int or self.denom < 1:
-            raise ValueError("denom must be a positive integer")
-        if type(self.lo) is not int or type(self.order) is not int:
-            raise ValueError("window bounds must be plain integers")
-        if self.lo > self.order:
-            raise ValueError("window start exceeds the guaranteed order")
-        if len(self.coeffs) != self.order - self.lo + 1:
-            raise ValueError("coefficient window does not span [lo, order]")
-        # one pass over the types: bool, float and int subclasses are refused
-        if {*map(type, self.coeffs)} != {int}:
-            raise ValueError("coefficients must be plain integers")
+        _check_fields(self.denom, self.lo, self.coeffs, self.order)
         if self.coeffs[0] == 0 and any(self.coeffs):
             raise ValueError("window start is not tight")
         if not any(self.coeffs) and len(self.coeffs) != 1:
@@ -193,14 +197,7 @@ class QSeries:
         makes the window tight, so no second scan is needed.
         """
         cs = tuple(coeffs)
-        if type(denom) is not int or denom < 1:
-            raise ValueError("denom must be a positive integer")
-        if type(lo) is not int or type(order) is not int:
-            raise ValueError("window bounds must be plain integers")
-        if len(cs) != order - lo + 1 or not cs:
-            raise ValueError("coefficient window does not span [lo, order]")
-        if {*map(type, cs)} != {int}:
-            raise ValueError("coefficients must be plain integers")
+        _check_fields(denom, lo, cs, order)
         return _window(denom, lo, cs, order)
 
     @staticmethod
@@ -242,6 +239,8 @@ class QSeries:
 
     def rebase(self, denom: int) -> "QSeries":
         """Re-express on a finer grid; denom must be a multiple of the current one."""
+        if type(denom) is not int or denom < 1:
+            raise ValueError("denom must be a positive integer")
         if denom % self.denom:
             raise ValueError("new denom must be a multiple of the current denom")
         f = denom // self.denom
@@ -357,7 +356,7 @@ def series_mul(a: QSeries, b: QSeries) -> QSeries:
 
 def series_pow(a: QSeries, n: int) -> QSeries:
     """Integer power by repeated squaring; negative powers invert first."""
-    if not isinstance(n, int):
+    if type(n) is not int:  # bool is an int, but True is no power
         raise ValueError("series powers must be integers")
     if n < 0:
         return series_pow(series_inv(a), -n)

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -166,6 +167,14 @@ def test_verify_json_timing_flag(capsys):
     assert code == 0
     blob = json.loads(out)
     assert isinstance(blob["wall_time_ms"], int)
+
+
+def test_verify_text_timing_line(capsys):
+    code, out, _ = run_cli(capsys, "verify", "classical", "euler", "--order", "20", "--timing")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "match"
+    assert re.fullmatch(r"wall time: \d+ ms", lines[-1]), lines
 
 
 def test_verify_report_round_trips(capsys):

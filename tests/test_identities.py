@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from family_oracle import class1_transcribed, class2_transcribed
-from qchar import affine
+from qchar import affine, identities
 from qchar.affine import specialized_character, verify_proposition
 from qchar.identities import (
     CLASSICAL_NAMES,
@@ -36,11 +36,17 @@ from squares_oracle import kappa_sum
 
 
 def test_classical_names_cover_builders():
+    # each classical identity is declared once, as a row of the table, and
+    # each call builds its own lattice side from the row's chain, since a
+    # LatticeSum caches its completed form
     assert CLASSICAL_NAMES == ("euler", "jacobi", "gauss_a", "gauss_b")
+    assert CLASSICAL_NAMES == tuple(identities._CLASSICAL)
     for name in CLASSICAL_NAMES:
         spec = classical_identity(name)
         assert spec.name == name
         assert spec.params is None
+        again = classical_identity(name)
+        assert again.rhs is not spec.rhs and again == spec, name
 
 
 def test_classical_euler_data():
@@ -72,8 +78,10 @@ def test_classical_gauss_pair_data():
 
 
 def test_classical_unknown_name_rejected():
-    with pytest.raises(ValueError):
-        classical_identity("ramanujan")
+    # a name that is no key of the table, hashable or not, is unknown
+    for name in ("ramanujan", ["euler"], None):
+        with pytest.raises(ValueError):
+            classical_identity(name)
 
 
 def test_euler_lhs_series_window():
@@ -168,20 +176,34 @@ def test_derived_families_equal_transcribed_builders(derived, transcribed):
 
 
 def test_family_specs_build_the_character_route_once(monkeypatch):
-    # the ratio and the numerator come from one character route
+    # the ratio and the numerator come from one character route, and the
+    # partition is validated once per family spec and per
+    # verify_proposition: affine._proposition builds both routes from one
+    # PartitionData
     build, calls = affine._character_parts, []
+    from_parts, validated = affine.PartitionData.from_parts, []
 
     def counted(data, k):
         calls.append((data.parts, k))
         return build(data, k)
 
+    def counted_parts(parts):
+        validated.append(tuple(parts))
+        return from_parts(parts)
+
     monkeypatch.setattr(affine, "_character_parts", counted)
+    monkeypatch.setattr(affine.PartitionData, "from_parts", staticmethod(counted_parts))
     for m in range(1, 4):
         for make, parts, k in ((class1_identity, (1, 4 * m - 1), 3 * m),
                                (class2_identity, (m, 3 * m), 4 * m - 1)):
             calls.clear()
+            validated.clear()
             make(m)
             assert calls == [(parts, k)], (make, m)
+            assert validated == [parts], (make, m)
+    validated.clear()
+    assert verify_proposition((1, 3), 3, 20).match
+    assert validated == [(1, 3)]
 
 
 def test_families_coincide_at_m1():

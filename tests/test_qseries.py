@@ -247,6 +247,16 @@ def test_pow_binomials():
         assert (got.denom, got.lo, got.coeffs, got.order) == (2, units, (0,), units)
 
 
+def test_pow_refuses_a_non_integer_power_and_inverts_a_negative_one():
+    # True is an int, but no power: it would return the series itself
+    a = phi_series(1, 12)
+    for n in (True, False, 2.0):
+        with pytest.raises(ValueError, match="series powers must be integers"):
+            series_pow(a, n)
+    # phi(q)^-2, the generating function of pairs of partitions
+    assert series_pow(a, -2) == product_oracle(ProductSpec(((1, -2),)), 12)
+
+
 # -- inversion ----------------------------------------------------------------
 
 
@@ -1159,6 +1169,35 @@ def test_rebase_reduce_roundtrip():
     coarse = fine.reduced()
     assert (coarse.denom, coarse.lo, coarse.order, coarse.coeffs) == (1, 10, 10, (0,))
     assert fine == z and coarse == z
+
+
+@pytest.mark.parametrize("denom", [True, False, 2.0, Fraction(4), 0, -2])
+def test_rebase_refuses_a_grid_that_is_not_a_positive_integer(denom):
+    # True is an int, and would return the series itself; 2.0 would fail
+    # inside list repetition
+    with pytest.raises(ValueError, match="denom must be a positive integer"):
+        QSeries(2, 1, (3, 0, -1, 4), 4).rebase(denom)
+
+
+def test_qseries_refuses_a_window_that_does_not_span_or_collapse():
+    # a window longer than [lo, order], from either public constructor, a
+    # zero window of more than one slot, and a rebase onto a grid that is
+    # not a multiple of the series' own
+    with pytest.raises(ValueError, match="does not span"):
+        QSeries(1, 0, (1, 2), 0)
+    with pytest.raises(ValueError, match="does not span"):
+        QSeries.from_window(1, 0, [1, 2, 3], 1)
+    with pytest.raises(ValueError, match="must collapse to a single slot"):
+        QSeries(1, 0, (0, 0), 1)
+    with pytest.raises(ValueError, match="multiple of the current denom"):
+        QSeries(2, 1, (3, 0, -1, 4), 4).rebase(3)
+
+
+def test_equal_series_on_different_grids_hash_alike():
+    p = phi_series(1, 20)
+    fine = p.rebase(6)
+    assert fine.denom == 6 and fine == p and hash(fine) == hash(p)
+    assert len({p, fine, fine.reduced()}) == 1
 
 
 def test_cancelled_terms_trim_the_window():

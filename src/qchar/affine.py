@@ -16,6 +16,12 @@ candidate that product_series certifies.  The routes share the partition's
 PartitionData, but no chain.  Each route's formula is written once, as an
 integer chain (_character_parts, _trace_parts).
 
+Two pure lattice sides that verify proves one lattice, translated, walk
+once, the lhs window read off the rhs's.  Both routes of every (1^n) are
+kappa chains, the trace chain at x + v, v_i = min(i, k), being the
+character chain at x plus k^2/(2n), so a (1^n) match is proved at every
+order by that exact translation, not by two unrelated algorithms agreeing.
+
 A proposition is one identity, built in one place: _proposition(parts, k)
 validates the partition once, builds both routes from it and pairs them as
 numerator * P_1/P_2 = theta.  verify_proposition checks it with one
@@ -217,6 +223,12 @@ def verify(lhs: Side, rhs: Side, bound) -> VerifyReport:
     candidate.  A pure product lhs, as in every identity, is then the rhs
     window when that passes the product's recurrence and the recurrence's
     solution when it does not, so the report is the same either way.
+
+    Two pure lattice sides that _translation proves one lattice, as both
+    routes of every (1^n) are, walk once: the lhs builder reads the rhs
+    window moved down by delta (_translated), which is the lhs walk's window
+    exactly, so the report is the same.  A side with a product costs this
+    one attribute check.
     """
     window = None
 
@@ -225,7 +237,78 @@ def verify(lhs: Side, rhs: Side, bound) -> VerifyReport:
         window = rhs.above(order)
         return window
 
-    return _compare_builders(lambda order: lhs.above(order, window), right, as_rational(bound))
+    delta = None
+    if lhs.product is None and rhs.product is None:
+        delta = _translation(lhs.lattice, rhs.lattice)
+    if delta is None:
+        left = lambda order: lhs.above(order, window)
+    else:
+        left = lambda order: _translated(window, delta, lhs.lattice.denom, order)
+    return _compare_builders(left, right, as_rational(bound))
+
+
+def _translation(a: LatticeSum, b: LatticeSum) -> Optional[Fraction]:
+    """delta with E_b(x + v) = E_a(x) + delta at every x, for one integral v,
+    or None when the chains show no such v.
+
+    Unweighted chains whose quadratic parts agree over a common denominator,
+    Q_a/da = Q_b/db, differ at x + v by a linear and a constant term, and
+    the linear term vanishes exactly when 2 db Q_a v = db lin_a - da lin_b.
+    That system is tridiagonal, d_i = 2 db diag_a_i on the diagonal and
+    o_i = db off_a_i beside it, with right side r_i = db lin_a_i - da lin_b_i,
+    and is solved in integers: eliminating downwards, row i's pivot is
+    M_(i+1)/M_i, M_i the leading principal minors (M_0 = 1, M_(i+1) =
+    d_i M_i - o_(i-1)^2 M_(i-1)), and its right side is R_i/M_(i+1) with
+    R_i = r_i M_i - o_(i-1) R_(i-1); substituting upwards,
+    v_i = (R_i - o_i M_i v_(i+1)) / M_(i+1), a division that leaves a
+    remainder exactly when v is not integral.  A minor that is not positive
+    means an indefinite chain, left for the walk to refuse.  An integral v
+    maps Z^l onto itself, so the two sums are one lattice, and
+    delta = E_b(v) - E_a(0).
+    """
+    if a.weight is not None or b.weight is not None or a.l != b.l:
+        return None
+    da, db, l = a.denom, b.denom, a.l
+    if any(p * db != r * da for p, r in zip(a.diag + a.off, b.diag + b.off)):
+        return None
+    # minor[i + 1] is M_i and rows[i + 1] is R_i, with M_(-1) = R_(-1) = 0
+    minor, rows = [0, 1], [0]
+    for i in range(l):
+        c = db * a.off[i - 1] if i else 0
+        minor.append(2 * db * a.diag[i] * minor[-1] - c * c * minor[-2])
+        rows.append((db * a.lin[i] - da * b.lin[i]) * minor[-2] - c * rows[-1])
+        if minor[-1] <= 0:
+            return None
+    v, x = [0] * l, 0
+    for i in range(l - 1, -1, -1):
+        c = db * a.off[i] if i < l - 1 else 0
+        x, rem = divmod(rows[i + 1] - c * minor[i + 1] * x, minor[i + 2])
+        if rem:
+            return None
+        v[i] = x
+    value = (b.const + sum(map(mul, b.diag, map(mul, v, v)))
+             + sum(map(mul, b.off, map(mul, v, v[1:]))) + sum(map(mul, b.lin, v)))
+    return Fraction(value, db) - Fraction(a.const, da)
+
+
+def _translated(window: QSeries, delta: Fraction, grid: int, order: Fraction) -> QSeries:
+    """The lhs walk's window, read off the rhs window of the same lattice.
+
+    window is lattice_sum_above's expansion of the rhs through its lead plus
+    order; the lhs's exponents are the rhs's minus delta, on its own grid.
+    The rhs is unweighted, so its window starts at its lead, and the lhs
+    lead is that minus delta.  On the common grid m the window moves down
+    delta*m slots and is read every m/grid slots, from the lhs lead, which
+    lies on the lhs grid, through that lead plus order, cut as
+    lattice_sum_above cuts.  A slot past the rhs window's order holds an
+    exponent off the rhs grid, where no point lies, so it reads 0.
+    """
+    m = lcm(window.denom, grid)
+    moved, f = window.rebase(m), m // grid
+    lo = (moved.lo - delta.numerator * (m // delta.denominator)) // f
+    n = order.numerator * grid // order.denominator + 1
+    coeffs = moved.coeffs[::f][:n]
+    return _series(grid, lo, coeffs + (0,) * (n - len(coeffs)), lo + n - 1)
 
 
 def specialized_character(parts: Sequence[int], k: int) -> Side:
@@ -303,7 +386,12 @@ def _proposition(parts: Sequence[int], k: int) -> tuple[Side, Side]:
 
     The partition is validated once and both routes built from it.  Both
     routes divided by P_2, so one product, phi(q^N)^(-n) prod_i
-    phi(q^(N/n_i)), remains; for (1^n) it cancels and both sides are walks.
+    phi(q^(N/n_i)), remains.  For (1^n) it cancels, and the sides are one
+    lattice: N = 1 and s = (1, 0, ..., 0), so the numerator is
+    kappa(x) + x_k + k(n-k)/(2n) (no x_k at k = 0), and the theta, in
+    partial sums with s_0 = 0 and s_n = k, is kappa(x) - k x_(n-1) + k^2/2.
+    At x + v, v_i = min(i, k), the theta is the numerator plus k^2/(2n), and
+    verify proves that translation (_translation) and walks the theta alone.
     """
     data = PartitionData.from_parts(parts)
     char, trace = _character_parts(data, k), _trace_parts(data, k)

@@ -485,11 +485,11 @@ def lattice_sum_above(s: LatticeSum, order: RationalLike) -> tuple[Fraction, QSe
     (Babai's nearest plane).  Its exponent is attained, so it bounds the
     minimum, and every square it leaves is at most K_i W_i^2 / 4, so it is
     at most Babai's bound cstar + sum(d_i)/4, where sigma*grid*cstar = base
-    and sigma*grid*d_i = K_i W_i^2; on 484 of the 489 walks of the benchmark
-    workloads it is the minimum itself.  So one walk through that exponent
-    plus the order, via lattice_sum_series like every expansion, reaches the
-    minimum, its least slot whatever the weight (see _walk), and lead + order,
-    cut there (to 0 if order < 0).
+    and sigma*grid*d_i = K_i W_i^2; on 484 of the 489 lattice sides the
+    benchmark workloads build it is the minimum itself.  So one walk through
+    that exponent plus the order, via lattice_sum_series like every
+    expansion, reaches the minimum, its least slot whatever the weight (see
+    _walk), and lead + order, cut there (to 0 if order < 0).
     """
     form, t = s._form, as_rational(order)
     units = _nearest_plane(form) + max(t.numerator, 0) * form.grid // t.denominator

@@ -15,7 +15,10 @@ from qchar.affine import (
     PartitionData,
     Side,
     _character_parts,
+    _proposition,
     _trace_parts,
+    _translated,
+    _translation,
     _weight_numerators,
     partitions,
     specialized_character,
@@ -26,6 +29,7 @@ from qchar.affine import (
 )
 from qchar.qseries import (
     ProductSpec,
+    _compare_builders,
     normalize_shift,
     product_series,
     series_compare,
@@ -699,6 +703,35 @@ def test_proposition_equals_the_two_product_pairing():
                     assert got.checked_through >= want.checked_through, (parts, k, order)
                 pairs += 1
     assert pairs == 240
+
+
+ALL_ONES_ORDERS = tuple(map(Fraction, ("0", "3", "30", "61/2", "7/3")))
+
+
+def test_all_ones_proposition_is_one_lattice_translated():
+    """Both sides of a (1^n) proposition are kappa chains, and the trace
+    chain at x + v, v_i = min(i, k), is the character chain at x plus
+    k^2/(2n): verify walks the trace side only and reads the character
+    window off it.  The two-walk report, each side walked on its own, is
+    the oracle; the translated window is the character walk's window, field
+    for field, and the translation is the two leads' difference."""
+    for n in range(1, 9):
+        for k in range(n):
+            lhs, rhs = _proposition((1,) * n, k)
+            assert lhs.product is None and rhs.product is None
+            delta = _translation(lhs.lattice, rhs.lattice)
+            assert delta == Fraction(k * k, 2 * n), (n, k)
+            for order in ALL_ONES_ORDERS:
+                got = verify_proposition((1,) * n, k, order).to_json()
+                want = _compare_builders(lhs.above, rhs.above, order).to_json()
+                assert got == want, (n, k, order)
+                window = _translated(rhs.above(order), delta, lhs.lattice.denom, order)
+                walked = lhs.above(order)
+                assert astuple(window) == astuple(walked), (n, k, order)
+                assert type(window.coeffs) is tuple
+                assert lattice_sum_above(rhs.lattice, order)[0] - delta == (
+                    lattice_sum_above(lhs.lattice, order)[0]
+                )
 
 
 def test_proposition_json_shape():

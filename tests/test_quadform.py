@@ -4,6 +4,7 @@ import dataclasses
 import dis
 import json
 import math
+import operator
 import pickle
 import random
 import sys
@@ -533,9 +534,10 @@ def test_lattice_sum_above_lead_matches_box_oracle():
 
 
 def workload_lattice_sides():
-    """(lattice, order) of every walk the three benchmark workloads make: both
-    routes of each proposition with n <= 7 at order 30, the family and the
-    classical identities' lattice sides at their orders."""
+    """(lattice, order) of every lattice side the three benchmark workloads
+    build: both routes of each proposition with n <= 7 at order 30 (the
+    (1^n) character routes are read off their trace walks, not walked), the
+    family and the classical identities' lattice sides at their orders."""
     from qchar.affine import PartitionData, _character_parts, _trace_parts, partitions
     from qchar.identities import CLASSICAL_NAMES, class2_identity
 
@@ -553,11 +555,54 @@ def workload_lattice_sides():
         yield classical_identity(name).rhs, 3000
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_translation_matches_a_dense_solve(data):
+    """_translation against box_oracle's exact Gram inverse: v solves
+    2 A v = lin_a - (da/db) lin_b, A the Gram matrix of a's quadratic part,
+    and a translation exists exactly when v is integral.  b is a, translated
+    by an integral v, written on a grid s times finer with e/(s da) added,
+    and then its linear entries may move, which leaves v fractional or
+    moves it to another integral point."""
+    from qchar.affine import _translation
+
+    ints = lambda lo, hi: st.integers(min_value=lo, max_value=hi)
+    vec = lambda n, lo, hi: data.draw(st.lists(ints(lo, hi), min_size=n, max_size=n))
+    l = data.draw(ints(1, 4))
+    a = LatticeSum(tuple(vec(l, 1, 9)), tuple(vec(l - 1, -4, 4)), tuple(vec(l, -9, 9)),
+                   data.draw(ints(-9, 9)), data.draw(ints(1, 6)))
+    try:
+        a._form
+    except ValueError:
+        assume(False)
+    v, bump = vec(l, -3, 3), vec(l, -2, 2)
+    s, e = data.draw(ints(1, 3)), data.draw(ints(-5, 5))
+    a2 = [[2 * x for x in row] for row in gram(a)]
+    # denom * E_a(y - v) = Q(y) + (lin - 2Av).y + denom * E_a(v) - 2 lin.v
+    lin_b = [x - sum(map(operator.mul, row, v)) for x, row in zip(a.lin, a2)]
+    const_b = brute_exponent(a, v) * a.denom - 2 * sum(map(operator.mul, a.lin, v))
+    b = LatticeSum(tuple(x * s for x in a.diag), tuple(x * s for x in a.off),
+                   tuple(int(x) * s + y for x, y in zip(lin_b, bump)),
+                   int(const_b) * s + e, a.denom * s)
+    inv = inverse(a2)
+    r = [x - Fraction(a.denom, b.denom) * y for x, y in zip(a.lin, b.lin)]
+    u = [sum(map(operator.mul, row, r)) for row in inv]
+    want = None
+    if all(x.denominator == 1 for x in u):
+        want = brute_exponent(b, [int(x) for x in u]) - brute_exponent(a, [0] * l)
+    assert _translation(a, b) == want
+    if want is not None:
+        assert _translation(b, a) == -want
+    if not any(bump):
+        assert want == Fraction(e, a.denom * s)
+
+
 def test_nearest_plane_walk_reaches_the_minimum_within_babais_bound():
     """lattice_sum_above walks through its nearest-plane point's exponent
     plus the order: never short of the minimum plus the order, never past
     Babai's worst case cstar + sum(d_i)/4 plus the order, and on all but 5
-    of the 489 workload walks through exactly the minimum plus the order."""
+    of the 489 lattice sides the workloads build through exactly the
+    minimum plus the order."""
     import qchar.quadform as quadform
 
     exact = walks = 0
@@ -609,6 +654,52 @@ def test_each_verify_walks_each_lattice_side_once(monkeypatch):
     assert calls[0] == 3
     assert main(["verify", "class1", "--m", "2", "--order", "20"]) == 0
     assert calls[0] == 4
+    # a (1^n) proposition's two sides are one lattice, translated
+    assert verify_proposition((1, 1, 1, 1, 1), 2, 30).match
+    assert calls[0] == 5
+
+
+def test_only_a_proved_translation_walks_one_side(monkeypatch):
+    """verify walks one of two pure lattice sides only when both are
+    unweighted, their quadratic parts agree over a common denominator and
+    the translation v solving 2Q v = lin_lhs - lin_rhs is integral.  Every
+    pair reports what walking each side on its own reports."""
+    from qchar.affine import Side, verify
+    from qchar.qseries import _compare_builders
+
+    calls = counting(monkeypatch, "_walk")
+
+    def walks(lhs, rhs, order=Fraction(20)):
+        calls[0] = 0
+        got = verify(Side(lhs), Side(rhs), order)
+        made = calls[0]
+        want = _compare_builders(Side(lhs).above, Side(rhs).above, order)
+        assert json.dumps(got.to_json()) == json.dumps(want.to_json())
+        return made, got
+
+    kappa2 = LatticeSum((2, 2), (-2,), (0, 0))
+    # x^2 against (x - 1)^2 + 3/2, on the grids 1 and 2
+    made, got = walks(LatticeSum((1,), (), (0,)), LatticeSum((2,), (), (-4,), 5, 2))
+    assert made == 1 and got.match and got.rhs_shift == Fraction(3, 2)
+    # one quadratic part over denominators 1 and 2, v = 0, at a fractional order
+    made, got = walks(kappa2, LatticeSum((4, 4), (-4,), (0, 0), 1, 2), Fraction(7, 3))
+    assert made == 1 and got.match and got.rhs_shift == Fraction(1, 2)
+    # equal quadratic parts, v = (1/3, 1/6): not one lattice
+    made, got = walks(LatticeSum((2, 2), (-2,), (1, 0)), kappa2)
+    assert made == 2 and not got.match
+    # quadratic parts that differ in one entry
+    made, got = walks(kappa2, LatticeSum((2, 2), (-1,), (0, 0)))
+    assert made == 2 and not got.match and got.first_mismatch.exponent == 2
+    # weighted: the same chain, alternating on both sides and on one
+    signed = dataclasses.replace(kappa2, weight=WEIGHT_ALTERNATING)
+    made, got = walks(signed, signed)
+    assert made == 2 and got.match
+    made, got = walks(kappa2, signed)
+    assert made == 2 and not got.match
+    # a singular quadratic part has no translation to prove: the walk refuses it
+    flat = LatticeSum((1, 1), (-2,), (0, 0))
+    with pytest.raises(ValueError, match="indefinite"):
+        verify(Side(flat), Side(flat), 5)
 
 
 @pytest.mark.parametrize(

@@ -55,3 +55,22 @@ def test_tracer_installs_counts_builds_and_uninstalls(capsys):
         tracer.uninstall()
         for (module, attr), value in originals.items():
             assert getattr(module, attr) is value, attr
+
+
+def test_all_ones_verify_builds_twice_and_walks_once():
+    # a (1^n) verify reads its character window off its one trace walk:
+    # still two builds through _compare_builders, and one lattice span, so the
+    # sweep's traced counters repeat from pass to pass
+    layers = load_layers()
+    tracer = layers.Tracer()
+    tracer.install()
+    try:
+        assert qchar.affine.verify_proposition((1, 1, 1, 1, 1), 2, 30).match
+    finally:
+        tracer.uninstall()
+    names = [span[0] for span in tracer.spans]
+    assert names.count(layers.BUILD_SPAN) == 2
+    assert names.count("quadform.lattice_sum_series") == 1
+    metrics = layers.layer_metrics(tracer)
+    assert metrics["qseries.driver.builds_per_verify"] == (2.0, "builds/verify")
+    assert metrics["lattice_sum_series.dim4.points"][0] > 0

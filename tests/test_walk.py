@@ -78,12 +78,25 @@ def assert_bound_covers(form, weight, units, series):
 
 
 def test_sweep_walks_match_the_dict_walk(walks):
-    # the benchmark's sweep: both routes of every (partition, k) with n <= 7
+    # the benchmark's sweep: every (partition, k) with n <= 7 at order 30
     for n in range(1, 8):
         for parts in partitions(n):
             for k in range(n):
                 assert verify_proposition(parts, k, 30).match
-    assert len(walks) == 480
+    # 240 verifies, but each (1^n)'s character window is its trace window
+    # translated (affine._translation), so 28 verifies walk one lattice
+    assert len(walks) == 452
+    assert_matches_oracle(walks)
+
+
+def test_all_ones_character_walks_match_the_dict_walk(walks):
+    # the (1^n) character chains, which the sweep reads off their trace
+    # windows instead of walking, walked at the sweep's order
+    for n in range(1, 8):
+        data = PartitionData.from_parts((1,) * n)
+        for k in range(n):
+            lattice_sum_above(_character_parts(data, k).lattice, 30)
+    assert len(walks) == 28
     assert_matches_oracle(walks)
 
 

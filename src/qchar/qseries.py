@@ -9,14 +9,15 @@ arbitrary-precision integers and exact rationals; nothing here touches
 floating point.  product_series solves its recurrence by halves of its window
 and pushes a solved half into the next when it has at least 8 nonzero
 coefficients.  Handed a candidate window, such as an identity's lattice
-side, it first certifies the candidate against the recurrence with one
-product, and returns it when it passes, since the recurrence has one
-solution.  Pushes, certificates and series_mul share one packed kernel,
-_convolve: a scatter of shifted packed slots for sparse coefficients, one
-packed multiply for dense ones.  The divisor sums sigma(k) behind the
-recurrence come from one table per process, sieved on the first product
-that needs it, never at import, and sieved again, longer, when a product
-reaches past its end.
+side, it first certifies the candidate against the recurrence, and returns
+it when it passes, since the recurrence has one solution.  Pushes and
+series_mul share one packed kernel, _convolve; the certificate, _certify,
+packs the log-derivative straight from the divisor sums and settles every
+coefficient with one integer equality.  Both scatter shifted packed slots
+for sparse coefficients and multiply once for dense ones.  The divisor sums
+sigma(k) behind the recurrence come from one table per process, sieved on
+the first product that needs it, never at import, and sieved again, longer,
+when a product reaches past its end.
 
 A series is checked once, where it enters: QSeries(...), QSeries.from_window
 and QSeries.zero scan every field and coefficient.  The windows the program
@@ -35,8 +36,8 @@ from array import array
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import floor, gcd, isqrt, lcm
-from itertools import compress, repeat
-from operator import add, eq, lshift, mul, sub
+from itertools import accumulate, compress, repeat
+from operator import add, lshift, mul, sub
 from typing import Callable, Iterable, Optional, Union
 
 RationalLike = Union[int, str, Fraction]
@@ -475,7 +476,9 @@ class ProductSpec:
 # bit, adding 2^(w-1).  Widths with an array typecode move through one array.
 # Wider slots, multiples of 64, decode as q 64-bit words each: one strided
 # array per place, joined by C-level maps.  They encode one to_bytes a slot,
-# which measured faster than building the word arrays from Python ints.
+# which measured faster than building the word arrays from Python ints.  The
+# certificate packs at any whole number of bytes; below 64 bits a slot is the
+# low bytes of a 64-bit word, copied one byte plane at a time.
 _BLOCK = 32
 _PUSH = 8  # the nonzero count that pushes a half; product_series says why
 _SPARSE = 8  # the density at which _convolve scatters instead of multiplying
@@ -507,6 +510,11 @@ def _pack(values: list[int], w: int) -> int:
     code = _TYPECODES.get(w)
     if code:
         raw = _words(code, values).tobytes()
+    elif w < 64:
+        words, size = _words("q", values).tobytes(), w // 8
+        raw = bytearray(size * len(values))
+        for b in range(size):
+            raw[b::size] = words[b::8]
     else:
         raw = b"".join(v.to_bytes(w // 8, "little", signed=True) for v in values)
     return (int.from_bytes(raw, "little") ^ lift) - lift
@@ -532,6 +540,9 @@ def _unpack(x: int, k: int, w: int):
 # a caller holds never changes, and threads that race to grow it at worst
 # sieve twice
 _SIGMA = [0]
+# (a table _divisor_sums returned, its running maximum, its values as 8-byte
+# words): made once a table, replaced with it, never changed
+_SIGMA_VIEWS = ([0], [0], bytes(8))
 
 
 def _divisor_sums(top: int) -> list[int]:
@@ -550,14 +561,63 @@ def _divisor_sums(top: int) -> list[int]:
     return sigma
 
 
+def _sigma_views(top: int) -> tuple[list[int], list[int], bytes]:
+    """_divisor_sums(top), max sigma(1..k) for each k, and sigma's values as
+    little-endian 8-byte words, the last two made once a table."""
+    global _SIGMA_VIEWS
+    sigma = _divisor_sums(top)
+    views = _SIGMA_VIEWS
+    if views[0] is not sigma:
+        views = sigma, list(accumulate(sigma, max)), _words("q", sigma).tobytes()
+        _SIGMA_VIEWS = views
+    return views
+
+
+def _steps(spec: ProductSpec, d: int) -> list[tuple[int, int]]:
+    """(t, p) for each factor phi(x^t)^p of the product on the grid x = q^(1/d)."""
+    return [(s.numerator * (d // s.denominator), p) for s, p in spec.factors]
+
+
 def _log_derivative(spec: ProductSpec, d: int, units: int) -> list[int]:
-    """L_0..L_units on the grid of 1/d, sliced out of _divisor_sums."""
-    steps = [(s.numerator * (d // s.denominator), p) for s, p in spec.factors]
+    """L_0..L_units on the grid of 1/d, sliced out of _divisor_sums: L_k takes
+    -p t sigma(k/t) from each factor phi(x^t)^p with t dividing k."""
+    steps = _steps(spec, d)
     logd = [0] * (units + 1)
     sigma = _divisor_sums(units // min(steps)[0] if steps else 0)
     for t, p in steps:
         logd[t::t] = map(sub, logd[t::t], map((p * t).__mul__, sigma[1 : units // t + 1]))
     return logd
+
+
+def _sieve_packer(spec: ProductSpec, d: int, units: int):
+    """(pack, lmax) for L_1..L_units on the grid of 1/d, as _certify takes
+    them, with no list of L built.
+
+    lmax = sum |p| t max sigma(1..units // t) over the factors bounds |L_k|,
+    read off the running maximum of the table.  pack(w, reverse) is the int
+    of L_1..L_units in w-bit slots, L_k at slot k - 1 or, reversed, at
+    units - k.  The int of slots v_i is sum v_i 2^(w i), linear in v, so it
+    adds -p t times the int of each factor's sigma(k/t) at the slots of its
+    multiples k of t.  Those are written into zeroed bytes one byte plane at
+    a time, each plane one strided slice copy out of the table's 8-byte
+    words; sigma <= lmax < 2^(w-1), so the bytes above a value are zero.
+    """
+    steps = [(t, p) for t, p in _steps(spec, d) if t <= units]
+    _, peak, words = _sigma_views(units // min(steps)[0] if steps else 0)
+    lmax = sum(abs(p) * t * peak[units // t] for t, p in steps)
+
+    def pack(w: int, reverse: bool) -> int:
+        size = w // 8  # bytes a slot
+        ell = 0
+        for t, p in steps:
+            n, slots = units // t, bytearray(size * units)
+            start, step = ((units - t) * size, -t * size) if reverse else ((t - 1) * size, t * size)
+            for b in range(min(size, 8)):
+                slots[start + b :: step] = words[8 + b : 8 * n + 8 : 8]
+            ell -= p * t * int.from_bytes(slots, "little")
+        return ell
+
+    return pack, lmax
 
 
 def _cut(x: int, start: int, k: int, w: int) -> int:
@@ -580,16 +640,16 @@ def _convolve(c: list[int], logd: list[int], lmax: int, start: int, k: int):
     L_1..L_(start+k) are packed once at width w.  When at most one c_j in
     _SPARSE is nonzero, each nonzero c_j adds c_j times that int shifted up
     j slots, a c_j of +-1 by adding or subtracting the shifted int with no
-    multiply (every coefficient of euler's and gauss_b's windows is +-1);
-    otherwise c is packed too and the two are multiplied once.
+    multiply (every coefficient of euler's expansion is +-1); otherwise c
+    is packed too and the two are multiplied once.
     Either way _cut keeps the k slots asked for.  Width: every slot of the
-    full product, those _cut drops included, sums at most n terms c_j L_i,
-    n the nonzero count, so it is at most n max|c| max(lmax, 1), and so is
-    each packed c_j or L_i; _slot_width fits that bound below 2^(w-1), and
-    the rounding in _cut is exact.
+    full product, those _cut drops included, is a sum of c_j L_i with
+    distinct j, so it is at most ||c||_1 max(lmax, 1), ||c||_1 = sum |c_j|,
+    and so is each packed c_j or L_i; _slot_width fits that bound below
+    2^(w-1), and the rounding in _cut is exact.
     """
     js = list(compress(range(len(c)), c))
-    w = _slot_width(len(js) * max(map(abs, c)) * max(lmax, 1))
+    w = _slot_width(sum(map(abs, c)) * max(lmax, 1))
     ell = _pack(logd[1 : start + k + 1], w)
     if len(js) * _SPARSE <= len(c):
         acc = 0
@@ -655,14 +715,16 @@ def product_series(spec: ProductSpec, order: RationalLike,
     It is read over its leading monomial at the exponents m/d as c_0..c_n
     (terms off that grid are not read; a candidate that is zero or
     guaranteed short of the request is discarded).  If c_0 = 1 and
-    m c_m = S_m for 1 <= m <= n, where S = L c takes one packed product
-    (_certify), c is returned as the expansion.  A pass is a proof: F_0 = 1
-    and the recurrence fix F_1, F_2, ... one at a time, so the one window
-    that satisfies them is F, whatever produced it.  Checking needs the
-    product L c once and offline, where solving needs it online, half by
-    half.  All or nothing: a failing candidate is discarded, and the
-    recurrence is solved as below, so it costs one check on top of the
-    solve.
+    m c_m = S_m for 1 <= m <= n, where S = L c, c is returned as the
+    expansion.  A pass is a proof: F_0 = 1 and the recurrence fix F_1, F_2,
+    ... one at a time, so the one window that satisfies them is F,
+    whatever produced it.  Checking needs the product L c once and
+    offline, where solving needs it online, half by half: _certify packs L
+    straight from the divisor-sum table (_sieve_packer), with a bound on
+    |L| read off the table, and compares all of S with the packed m c_m as
+    one integer, building no list of L.  All or nothing: a failing
+    candidate is discarded, and the recurrence is solved as below, so it
+    costs one check on top of the solve.
 
     L slices each factor's share out of _divisor_sums, the process's one
     table of sigma, sieved by divisor pairs (e, k/e), e <= sqrt(k), on first
@@ -688,12 +750,12 @@ def product_series(spec: ProductSpec, order: RationalLike,
     units = t.numerator * d // t.denominator
     if units < 0:
         return QSeries.zero(t, d)
-    logd = _log_derivative(spec, d, units)
-    lmax = max(map(abs, logd))
     if candidate is not None:
         coeffs = _window_on_grid(candidate, d, units)
-        if coeffs and _certify(logd, lmax, coeffs):
+        if coeffs and _certify(coeffs, *_sieve_packer(spec, d, units)):
             return _series(d, 0, coeffs, units)
+    logd = _log_derivative(spec, d, units)
+    lmax = max(map(abs, logd))
     coeffs = [1] + [0] * units
     _solve(logd, lmax, coeffs, [0], 0, units + 1)
     return _series(d, 0, tuple(coeffs), units)
@@ -712,17 +774,75 @@ def _window_on_grid(candidate: QSeries, d: int, units: int) -> tuple[int, ...]:
     return c.coeffs[: units * g + 1 : g]
 
 
-def _certify(logd: list[int], lmax: int, c: tuple[int, ...]) -> bool:
-    """Whether c_0 = 1 and m c_m = S_m for 1 <= m <= units, S = L c.
+def _certify(c: tuple[int, ...], pack: Callable[[int, bool], int], lmax: int) -> bool:
+    """Whether c_0 = 1 and d_m = S_m - m c_m = 0 for 1 <= m <= units, where
+    S_m = sum_(j<m) L_(m-j) c_j, with L_1..L_units given as pack(w, reverse),
+    their int in w-bit slots, L_k at slot k - 1 or, reversed, at units - k
+    (_sieve_packer's), and lmax >= max |L_k|.  No pass over the slots runs
+    in Python: only the nonzero c_j of a sparse window are visited.
 
-    S_m = sum_(j<m) L_(m-j) c_j reads c_0..c_(units-1), and slots 0..units-1
-    of one _convolve are S_1..S_units.
+    Width.  With n = sum |c_j| over c_0..c_units, |S_m| <= n lmax and
+    |m c_m| <= units n, so each d_m, and each L_k, c_j, m c_m and partial
+    sum of the c_j that is packed, is at most n (lmax + units) in size.  w
+    is the fewest whole bytes that put that bound below h = 2^(w-1).
+
+    Equality.  Digits with |d_s| < h over k slots sum to less than
+    2^(w k - 1) in size, so the sum is 0 modulo 2^(w k) only when it is 0,
+    and then each d_s is, the lowest first, being 0 modulo 2^w.  _defect
+    packs the d_m, and the verdict is that one int being 0:
+    - dense, more than one c_j in _SPARSE nonzero among c_0..c_(units-1):
+      the int of those c_j times the int of L has S_(s+1) at slot s, for
+      s < units, and multiples of 2^(w units) above; the int of the m c_m
+      at slot m - 1 is subtracted and the rest read modulo 2^(w units);
+    - sparse, the rest: the reversed L with h added to each slot, the
+      lift, has every slot in [0, 2^w), so shifting it down j slots drops
+      the lowest j exactly and leaves L_k + h at slot units - j - k for
+      k <= units - j, the slots that the d_m with m > j read.  Adding c_j
+      times each such copy, in descending j so that the sum is never longer
+      than its next term, leaves S_m + h sum_(j<m) c_j at slot units - m.
+      The lifts come off at once: the partial sums are constant between
+      nonzero c_j, so they are packed a run at a time and times h
+      subtracted, with the m c_m at slot units - m; what is left is the
+      d_m, exactly.
     """
-    units = len(logd) - 1
+    units = len(c) - 1
     if c[0] != 1 or not units:  # with no m >= 1, c_0 = 1 is the whole check
         return c[0] == 1
-    s = _convolve(c[:units], logd, lmax, 0, units)
-    return all(map(eq, s, map(mul, c[1:], range(1, units + 1))))
+    w = 8 * ((sum(map(abs, compress(c, c))) * (lmax + units)).bit_length() // 8 + 1)
+    return not _defect(c, pack, w, (units - c[:units].count(0)) * _SPARSE <= units)
+
+
+def _defect(c: tuple[int, ...], pack: Callable[[int, bool], int], w: int, sparse: bool) -> int:
+    """_certify's d_m at width w, by the kernel it names: d_m at slot m - 1
+    modulo 2^(w units) when dense, at slot units - m exactly when sparse."""
+    units = len(c) - 1
+    if not sparse:
+        target = _pack(list(map(mul, c[1:], range(1, units + 1))), w)
+        return (_pack(c[:units], w) * pack(w, False) - target) & ((1 << w * units) - 1)
+    size, lift = w // 8, _lift(units, w)
+    ell = pack(w, True) + lift
+    js = list(compress(range(units), c))
+    # slot units - m: sum_(j<m) c_j, one run from each nonzero c_j on, and m c_m
+    below, target, sums = 0, bytearray(size * units), bytearray(size * units)
+    for j, nxt in zip(js, js[1:] + [units]):
+        below += c[j]
+        sums[(units - nxt) * size : (units - j) * size] = (
+            below.to_bytes(size, "little", signed=True) * (nxt - j)
+        )
+        if c[nxt]:
+            target[(units - nxt) * size : (units - nxt + 1) * size] = (
+                (nxt * c[nxt]).to_bytes(size, "little", signed=True)
+            )
+    acc = 0
+    for j in reversed(js):
+        if c[j] == 1:
+            acc += ell >> j * w
+        elif c[j] == -1:
+            acc -= ell >> j * w
+        else:
+            acc += c[j] * (ell >> j * w)
+    lifts = (int.from_bytes(sums, "little") ^ lift) - lift << (w - 1)
+    return acc - lifts - ((int.from_bytes(target, "little") ^ lift) - lift)
 
 
 # -- comparison up to a monomial shift --------------------------------------

@@ -421,14 +421,16 @@ def test_trace_theta_matches_box_scan():
 
 def test_oracles_never_reach_the_packed_kernel(monkeypatch):
     """The literal product and the box-scan trace multiply by mul_oracle, so
-    they still run with qseries._convolve gone: they check the packed kernel
-    behind series_mul and product_series rather than share it."""
+    they still run with qseries._convolve and qseries._certify gone: they
+    check the packed kernels behind series_mul and product_series rather
+    than share them."""
     import qchar.qseries as qseries
 
     def refused(*args):
-        raise AssertionError("an oracle reached _convolve")
+        raise AssertionError("an oracle reached a packed kernel")
 
     monkeypatch.setattr(qseries, "_convolve", refused)
+    monkeypatch.setattr(qseries, "_certify", refused)
     spec = ProductSpec(((Fraction(1, 2), -3), (Fraction(2), 2), (Fraction(3), 1)))
     assert not product_oracle(spec, 300).is_zero()
     for k in range(4):

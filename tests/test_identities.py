@@ -8,7 +8,7 @@ import pytest
 
 from family_oracle import class1_transcribed, class2_transcribed
 from qchar import affine, identities
-from qchar.affine import specialized_character, verify_proposition
+from qchar.affine import partitions, specialized_character, verify_proposition
 from qchar.identities import (
     CLASSICAL_NAMES,
     IdentitySpec,
@@ -345,15 +345,16 @@ def test_identity_reports_equal_those_with_the_product_solved(spec, order):
 
 def test_matching_identities_are_certified_not_solved(monkeypatch):
     """A matching identity's product side is its lattice window, certified by
-    one check: no recurrence solve and one kernel call, or a fallback would
-    hide behind the same report.  The kernel is observed by what it packs:
-    the sparse classical sides pack L alone and scatter, the dense family
-    sides pack the window beside it and multiply.  A false pairing solves,
-    and pushes only halves of at least 8 nonzero coefficients."""
+    one check: no recurrence solve and no _convolve, or a fallback would
+    hide behind the same report.  The kernel is observed by how the
+    certificate asks for L: the sparse classical sides take it reversed and
+    scatter, the dense family sides take it forward and multiply.  A false
+    pairing solves, and pushes only halves of at least 8 nonzero
+    coefficients."""
     import qchar.qseries as qseries
 
     calls, counts = [], []
-    solve, convolve, pack = qseries._solve, qseries._convolve, qseries._pack
+    solve, convolve, certify = qseries._solve, qseries._convolve, qseries._certify
 
     def solved(*args):
         calls.append("solve")
@@ -364,24 +365,56 @@ def test_matching_identities_are_certified_not_solved(monkeypatch):
         counts.append(len(c) - c.count(0))
         return convolve(c, *args)
 
-    def packed(*args):
-        calls[-1] = {"convolve": "sparse", "sparse": "dense"}[calls[-1]]
-        return pack(*args)
+    def certified(c, pack, lmax):
+        def packed(w, reverse):
+            kernels.append("sparse" if reverse else "dense")
+            return pack(w, reverse)
+
+        kernels = []
+        verdict = certify(c, packed, lmax)
+        calls.append((*kernels, verdict))
+        return verdict
 
     monkeypatch.setattr(qseries, "_solve", solved)
     monkeypatch.setattr(qseries, "_convolve", convolved)
-    monkeypatch.setattr(qseries, "_pack", packed)
+    monkeypatch.setattr(qseries, "_certify", certified)
     for spec, order in WORKLOAD_IDENTITIES:
         calls.clear()
         assert verify_identity(spec, order).match
-        assert calls == ["sparse" if spec.params is None else "dense"], spec
+        assert calls == [("sparse" if spec.params is None else "dense", True)], spec
     spec, order = FALSE_PAIRINGS[-1]
     calls.clear()
-    counts.clear()
     assert not verify_identity(spec, order).match
     # the failed certificate, then the solve, whose pushes pass the count
-    assert calls[:2] == ["sparse", "solve"] and "dense" in calls[2:]
-    assert len(counts) > 1 and min(counts[1:]) >= 8
+    assert calls[:2] == [("sparse", False), "solve"] and "convolve" in calls[2:]
+    assert min(counts) >= 8
+
+
+def test_certificates_made_by_each_benchmark_workload(monkeypatch):
+    """Where the certificate runs: the proposition sweep (every partition with
+    n <= 7, every k, at order 30) makes none, since a proposition's sides
+    are never a pure product against a candidate; the five family verifies
+    make one each, and so do the four classical ones at 3000."""
+    import qchar.qseries as qseries
+
+    made = []
+    certify = qseries._certify
+
+    def counted(*args):
+        made.append(certify(*args))
+        return made[-1]
+
+    monkeypatch.setattr(qseries, "_certify", counted)
+    sweep = [(parts, k) for n in range(1, 8) for parts in partitions(n) for k in range(n)]
+    assert len(sweep) == 240
+    assert all(verify_proposition(parts, k, 30).match for parts, k in sweep)
+    assert made == []
+    families = [(spec, order) for spec, order in WORKLOAD_IDENTITIES if spec.params]
+    classics = [(spec, order) for spec, order in WORKLOAD_IDENTITIES if not spec.params]
+    for runs, count in ((families, 5), (classics, 4)):
+        made.clear()
+        assert all(verify_identity(spec, order).match for spec, order in runs)
+        assert made == [True] * count
 
 
 def test_classical_identities_hold():

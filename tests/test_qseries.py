@@ -444,8 +444,8 @@ def convolves(monkeypatch):
     The kernel and width are observed, not recomputed: the dense kernel
     packs c beside L, the sparse one packs L alone, and both pack at the
     width they decode.  Each call's slots are checked against the schoolbook
-    as it is made, and its width against the bound _convolve proves, which
-    counts c's nonzero terms, not its length.
+    as it is made, and its width against the bound _convolve proves,
+    ||c||_1 max(lmax, 1), which sums c's magnitudes, not its length.
     """
     made, widths = [], []
     convolve, pack = qseries._convolve, qseries._pack
@@ -459,7 +459,7 @@ def convolves(monkeypatch):
         slots = list(convolve(c, logd, lmax, start, k))
         assert slots == schoolbook_slots(c, logd, start, k)
         assert lmax == max(map(abs, logd))
-        bound = (len(c) - c.count(0)) * max(map(abs, c)) * max(lmax, 1)
+        bound = sum(map(abs, c)) * max(lmax, 1)
         assert len(widths) in (1, 2) and set(widths) == {qseries._slot_width(bound)}
         made.append(Convolve(("sparse", "dense")[len(widths) - 1], tuple(c), start, k, widths[0]))
         return slots
@@ -687,6 +687,15 @@ def test_pack_unpack_round_trip_at_every_width(w):
         packed = qseries._pack(values, w)
         assert packed == sum(v << (w * j) for j, v in enumerate(values))
         assert list(qseries._unpack(packed, len(values), w)) == values
+
+
+@pytest.mark.parametrize("w", (24, 40, 48, 56, 72, 200))
+def test_pack_at_whole_bytes_between_the_typecodes(w):
+    """The certificate packs at any whole number of bytes: below 64 bits
+    through the low bytes of 64-bit words, above it a to_bytes a slot."""
+    half = 1 << (w - 1)
+    for values in ([half - 1, -half, 0, 1, -1], [0] * 3, [-half] * 2, [5], []):
+        assert qseries._pack(values, w) == sum(v << (w * j) for j, v in enumerate(values))
 
 
 @pytest.mark.parametrize("w", (8, 16, 32, 64, 128, 192))
@@ -932,13 +941,75 @@ def test_a_candidate_on_a_coarser_grid_is_read_at_the_products_grid(solves):
     assert solves[0] == 2
 
 
+@dataclass(frozen=True)
+class Certificate:
+    kernel: str
+    w: int
+    verdict: bool
+
+
+@pytest.fixture
+def certificates(monkeypatch):
+    """Every _certify call that packs L, in call order, as a Certificate.
+
+    The kernel and width are observed through the packer the call is
+    handed: the sparse kernel asks for L reversed, the dense one forward,
+    each once, at the width it works at.  A call settled by c_0 alone packs
+    nothing and is not recorded.
+    """
+    made = []
+    certify = qseries._certify
+
+    def observed(c, pack, lmax):
+        def packed(w, reverse):
+            asked.append((w, reverse))
+            return pack(w, reverse)
+
+        asked = []
+        verdict = certify(c, packed, lmax)
+        assert len(asked) <= 1
+        for w, reverse in asked:
+            made.append(Certificate("sparse" if reverse else "dense", w, verdict))
+        return verdict
+
+    monkeypatch.setattr(qseries, "_certify", observed)
+    return made
+
+
+def list_packer(logd):
+    """The pack(w, reverse) of _certify for any integer L_0..L_units, by _pack."""
+    return lambda w, reverse: qseries._pack(logd[:0:-1] if reverse else logd[1:], w)
+
+
+def schoolbook_certificate(c, logd):
+    """c_0 = 1 and m c_m = sum_(j<m) L_(m-j) c_j for every m >= 1, term by term."""
+    return c[0] == 1 and all(
+        m * c[m] == sum(logd[m - j] * c[j] for j in range(m)) for m in range(1, len(c))
+    )
+
+
+def defect_slots(x, units, w, kernel):
+    """d_1..d_units out of _defect's int: balanced w-bit digits, taken from
+    the bottom; the dense int holds d_m at slot m - 1 modulo 2^(w units),
+    the sparse one d_m at slot units - m exactly."""
+    digits = []
+    for _ in range(units):
+        v = x & ((1 << w) - 1)
+        v -= (v >> (w - 1)) << w
+        digits.append(v)
+        x = (x - v) >> w
+    assert x == 0 or kernel == "dense"
+    return digits if kernel == "dense" else digits[::-1]
+
+
 @pytest.mark.parametrize("nonzero, big", ((12, 3), (12, 1 << 70), (90, 3), (90, 1 << 40)))
-def test_certify_accepts_exactly_the_solution_of_its_recurrence(convolves, nonzero, big):
+def test_certify_accepts_exactly_the_solution_of_its_recurrence(certificates, nonzero, big):
     """Any integer c with c_0 = 1 solves m c_m = sum_(j<m) L_(m-j) c_j for one
     integer L, L_m = m c_m - sum_(0<j<m) L_(m-j) c_j: _certify accepts c
-    against that L and refuses c changed at any slot, by one _convolve that
-    scatters when at most one slot in _SPARSE is nonzero and multiplies
-    otherwise, at widths up to hundreds of bits."""
+    against that L, handed over as a packer of the list, and refuses c
+    changed at any slot, by one kernel that scatters when at most one slot
+    in _SPARSE is nonzero and multiplies otherwise, at widths from 72 bits
+    to thousands."""
     rng = random.Random(nonzero * big)
     units = 100
     c = [1] + [0] * units
@@ -948,42 +1019,105 @@ def test_certify_accepts_exactly_the_solution_of_its_recurrence(convolves, nonze
     for m in range(1, units + 1):
         logd[m] = m * c[m] - sum(logd[m - j] * c[j] for j in range(1, m))
     lmax = max(map(abs, logd))
-    assert qseries._certify(logd, lmax, c)
-    dense = nonzero * qseries._SPARSE > units
-    assert [(call.kernel, call.c, call.start, call.k) for call in convolves] == [
-        ("dense" if dense else "sparse", tuple(c[:units]), 0, units)
-    ]
+    assert qseries._certify(tuple(c), list_packer(logd), lmax)
+    kernel = "dense" if nonzero * qseries._SPARSE > units else "sparse"
+    assert [(call.kernel, call.verdict) for call in certificates] == [(kernel, True)]
+    assert certificates[0].w > 64  # past every array typecode
     for slot in (0, 1, units // 2, units):
         bad = c[:]
         bad[slot] -= 1
-        assert not qseries._certify(logd, lmax, bad), slot
+        assert not qseries._certify(tuple(bad), list_packer(logd), lmax), slot
 
 
 @pytest.mark.parametrize("nonzero", (8, 60))
 @pytest.mark.parametrize("sign", (1, -1))
 def test_certify_sums_exactly_at_the_width_bound(monkeypatch, nonzero, sign):
-    """c_0 = 1 and nonzero - 1 more slots of a, against L_i = sign l: the last
-    slot of S = L c sums to sign l (1 + (nonzero - 1) a), at least seven
-    eighths of the bound nonzero a l that sets the width, so 64-bit slots
+    """c_0 = 1 and nonzero - 1 more slots of a, against L_i = sign l: with
+    c_100 = 0, the last defect d_100 = S_100 sums to
+    sign l (1 + (nonzero - 1) a), at least seven eighths of the bound
+    ||c||_1 (l + units) that sets the width, so the kernel's 40-bit slots
     hold it where the 32 bits that a l alone fits would not.  Both kernels
-    decode every slot exactly: scatter at 8 nonzero in 100, multiply at 60."""
+    pack every defect exactly: scatter at 8 nonzero in 100, multiply at 60."""
     decoded = []
-    unpack = qseries._unpack
+    defect = qseries._defect
 
-    def recorded(*args):
-        decoded.append(list(unpack(*args)))
-        return decoded[-1]
+    def recorded(c, pack, w, sparse):
+        x = defect(c, pack, w, sparse)
+        decoded.append((w, defect_slots(x, len(c) - 1, w, "sparse" if sparse else "dense")))
+        return x
 
-    monkeypatch.setattr(qseries, "_unpack", recorded)
+    monkeypatch.setattr(qseries, "_defect", recorded)
     units, a, ell = 100, 1 << 20, 1 << 10
-    assert qseries._slot_width(a * ell) == 32 < qseries._slot_width(nonzero * a * ell) == 64
     c = [1] + [0] * units
     for j in random.Random(nonzero).sample(range(1, units), nonzero - 1):
         c[j] = a
     logd = [0] + [sign * ell] * units
-    assert not qseries._certify(logd, ell, c)
-    want = [sum(logd[m - j] * c[j] for j in range(m)) for m in range(1, units + 1)]
-    assert decoded == [want] and abs(want[-1]) == ell * (1 + (nonzero - 1) * a)
+    assert not qseries._certify(tuple(c), list_packer(logd), ell)
+    want = [sum(logd[m - j] * c[j] for j in range(m)) - m * c[m] for m in range(1, units + 1)]
+    bound = (1 + (nonzero - 1) * a) * (ell + units)
+    assert abs(want[-1]) == ell * (1 + (nonzero - 1) * a) and 8 * abs(want[-1]) >= 7 * bound
+    assert qseries._slot_width(a * ell) == 32 <= abs(want[-1]).bit_length() and bound < 1 << 39
+    assert decoded == [(40, want)]
+
+
+def perturbed_windows(rng, spec, units):
+    """(d, c, L) for the spec on its grid q^(1/d): its exact window
+    c_0..c_units, then c with each slot, c_0 and c_units included, moved by
+    +-1 and by +-2^40 or more, each against the multiples-loop L."""
+    d = lcm(*(s.denominator for s, _ in spec.factors))
+    exact = list(product_series(spec, Fraction(units, d)).coeffs)
+    logd = log_derivative_oracle(spec, d, units)
+    yield d, exact, logd
+    for slot in range(units + 1):
+        for move in (1, 1 << rng.randint(40, 130)):
+            bad = exact[:]
+            bad[slot] += rng.choice((-1, 1)) * move
+            yield d, bad, logd
+
+
+def short_specs(rng):
+    """Products with integral and fractional scales and negative powers, on
+    windows of at most 41 slots; phi(x^5)^p, phi(x^7)^p and phi(x^50) are
+    sparse there."""
+    for _ in range(24):
+        den = rng.choice((1, 1, 2, 3))
+        factors = tuple(
+            (Fraction(rng.randint(1, 3 * den), den), rng.choice((-3, -2, -1, 1, 2, 3)))
+            for _ in range(rng.randint(1, 3))
+        )
+        yield ProductSpec(factors), rng.randint(1, 41)
+    for t in (5, 7):
+        for p in (1, -1, 2):
+            yield ProductSpec(((Fraction(t), p),)), 41
+    yield ProductSpec(((Fraction(50), 1),)), 41  # L = 0: the narrowest sparse window
+
+
+FORCED_WIDTHS = (8, 16, 24, 32, 40, 64, 128, 200)
+
+
+def test_certify_matches_the_schoolbook_on_every_perturbed_slot(certificates):
+    """_certify's verdict against the term-by-term check, on every slot of
+    short windows of random products moved by small and huge amounts, with
+    L packed by the sieve.  Each window is certified at its own width and
+    again at widths of 8, 16, 24, 32, 40, 64, 128 and 200 bits that an lmax
+    above the table's bound forces (a larger lmax is still a bound), so
+    both kernels run at every array typecode's width, at whole bytes
+    between them, and past them, where no typecode exists."""
+    rng = random.Random(20261019)
+    for spec, units in short_specs(rng):
+        for d, c, logd in perturbed_windows(rng, spec, units):
+            pack, lmax = qseries._sieve_packer(spec, d, units)
+            assert lmax >= max(map(abs, logd))
+            want = schoolbook_certificate(c, logd)
+            norm = sum(map(abs, c)) or 1
+            # norm (bound + units) >= 2^(w-2) takes w bits, past every narrower width
+            forced = [-(-(1 << (w - 2)) // norm) - units for w in FORCED_WIDTHS]
+            for bound in [lmax] + [b for b in forced if b >= lmax]:
+                assert qseries._certify(tuple(c), pack, bound) == want, (spec, c)
+    seen = {(call.kernel, call.w) for call in certificates}
+    for kernel in ("sparse", "dense"):
+        assert set(FORCED_WIDTHS) <= {w for k, w in seen if k == kernel}, kernel
+    assert {call.verdict for call in certificates} == {True, False}
 
 
 # -- the sieve for L and sigma ----------------------------------------------------
@@ -1040,23 +1174,34 @@ def test_log_derivative_matches_oracle(monkeypatch):
     assert len(qseries._SIGMA) == 10**4 + 1
 
 
-def test_classical_four_report_the_same_from_a_fresh_and_a_grown_table(monkeypatch):
+def test_classical_four_report_the_same_from_a_fresh_and_a_grown_table(monkeypatch, certificates):
     """L sliced from one sigma table as it is sieved (3000), read as a prefix
     (30) and sieved again past twice its end (6001), against the multiples
-    loop; then the classical four at 3000 twice, the second round from the
-    table the first left, with byte-identical reports."""
+    loop; then the classical four at 3000 in three rounds: from an emptied
+    table, from the table the first round left and from one grown to 10^4.
+    The reports are byte-identical, the certificates take the same kernels
+    and widths to the same verdicts, and the table and its views that a
+    round held keep their values while later rounds grow new ones."""
     monkeypatch.setattr(qseries, "_SIGMA", [0])
     specs = [classical_identity("euler").lhs, ProductSpec(((8, -3),))]
     for units in (3000, 30, 6001):
         for spec in specs:
             assert qseries._log_derivative(spec, 1, units) == log_derivative_oracle(spec, 1, units)
-    rounds = [
-        [json.dumps(verify_identity(classical_identity(name), 3000).to_json())
-         for name in CLASSICAL_NAMES]
-        for _ in range(2)
-    ]
-    assert rounds[0] == rounds[1]
-    assert all(json.loads(report)["match"] for report in rounds[0])
+    monkeypatch.setattr(qseries, "_SIGMA", [0])
+    rounds, held = [], []
+    for grow in (0, 0, 10**4):
+        qseries._divisor_sums(grow)
+        before = len(certificates)
+        reports = [json.dumps(verify_identity(classical_identity(name), 3000).to_json())
+                   for name in CLASSICAL_NAMES]
+        rounds.append((reports, certificates[before:]))
+        views = qseries._SIGMA_VIEWS
+        held.append((views, [list(view) for view in views]))
+    assert rounds[0] == rounds[1] == rounds[2]
+    assert all(json.loads(report)["match"] for report in rounds[0][0])
+    assert [call.verdict for call in rounds[0][1]] == [True] * 4
+    assert [len(views[0]) for views, _ in held] == [3001, 3001, 10**4 + 1]
+    assert all(list(map(list, views)) == values for views, values in held)
 
 
 def test_import_and_identity_specs_sieve_nothing():

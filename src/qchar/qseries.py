@@ -477,12 +477,15 @@ class ProductSpec:
 # Wider slots, multiples of 64, decode as q 64-bit words each: one strided
 # array per place, joined by C-level maps.  They encode one to_bytes a slot,
 # which measured faster than building the word arrays from Python ints.  The
-# certificate packs at any whole number of bytes; below 64 bits a slot is the
-# low bytes of a 64-bit word, copied one byte plane at a time.
+# certificate packs, and the lattice walk decodes, at any whole number of
+# bytes; below 64 bits a slot is the low bytes of a 64-bit word, copied one
+# byte plane at a time, and a slot of other whole bytes decodes widened to
+# whole 64-bit words the same way, its top byte's sign filling the bytes above.
 _BLOCK = 32
 _PUSH = 8  # the nonzero count that pushes a half; product_series says why
 _SPARSE = 8  # the density at which _convolve scatters instead of multiplying
 _TYPECODES = {array(code).itemsize * 8: code for code in "bhiq"}
+_SIGN_FILL = bytes(0xFF if b >> 7 else 0 for b in range(256))  # a top byte's sign byte
 
 
 def _slot_width(bound: int) -> int:
@@ -527,8 +530,17 @@ def _unpack(x: int, k: int, w: int):
     code = _TYPECODES.get(w)
     if code:
         return _words(code, raw)
+    size, q = w // 8, -(-w // 64)
+    if w % 64:
+        # widen each slot to q whole words, its sign in the bytes above it
+        wide, span = bytearray(8 * q * k), 8 * q
+        for b in range(size):
+            wide[b::span] = raw[b::size]
+        fill = raw[size - 1 :: size].translate(_SIGN_FILL)
+        for b in range(size, span):
+            wide[b::span] = fill
+        raw = wide
     # a slot's signed top word, then each lower word shifted in below it
-    q = w // 64
     slots = _words("q", raw)[q - 1 :: q]
     low = _words("Q", raw)
     for t in range(q - 2, -1, -1):

@@ -698,6 +698,18 @@ def test_pack_at_whole_bytes_between_the_typecodes(w):
         assert qseries._pack(values, w) == sum(v << (w * j) for j, v in enumerate(values))
 
 
+@pytest.mark.parametrize("w", (24, 40, 56, 72, 80, 120, 136, 200))
+def test_unpack_at_whole_bytes_between_the_typecodes(w):
+    """The lattice walk decodes at any whole number of bytes: a slot widened
+    to whole 64-bit words, its top byte's sign filling the bytes above."""
+    half = 1 << (w - 1)
+    rng = random.Random(w)
+    for values in ([half - 1, -half, 0, 1, -1], [0] * 3, [-half] * 2, [5], [],
+                   [rng.randrange(-half, half) for _ in range(40)]):
+        packed = sum(v << (w * j) for j, v in enumerate(values))
+        assert list(qseries._unpack(packed, len(values), w)) == values
+
+
 @pytest.mark.parametrize("w", (8, 16, 32, 64, 128, 192))
 def test_slot_width_at_each_boundary(w):
     """A bound fits w bits while it is below 2^(w-1), the balanced slot's top."""

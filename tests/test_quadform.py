@@ -776,20 +776,20 @@ def line_hits(run, code, match):
 
 
 def walk_line_hits(run, store, op=None):
-    """Run run() and count how often _walk executes the line that stores into
-    the local store, after the in-place op when one is given."""
+    """Run run() and count how often the row walk executes the line that
+    stores into the local store, after the in-place op when one is given."""
     import qchar.quadform as quadform
 
     return line_hits(
         run,
-        quadform._walk.__code__,
+        quadform._walk_rows.__code__,
         lambda a, b: b.opname == "STORE_FAST" and b.argval == store
         and op in (None, a.argrepr, INPLACE_OPS.get(a.opname)),
     )
 
 
 def test_walk_line_hits_refuses_a_missing_or_ambiguous_line():
-    # _walk stores row on three lines and stores no local named absent
+    # _walk_rows stores row on three lines and stores no local named absent
     for store, op in (("row", None), ("absent", None), ("spend", "-=")):
         with pytest.raises(AssertionError):
             walk_line_hits(lambda: pytest.fail("ran"), store, op)
@@ -798,15 +798,20 @@ def test_walk_line_hits_refuses_a_missing_or_ambiguous_line():
 def test_walk_prices_each_coordinate_once_per_predecessor(monkeypatch):
     # work counts are the only guard here: a walk that prices every (value,
     # spend) pair, or adds a part per spend instead of per row, gives the
-    # same series.  The sum is the character numerator of (1^7), k = 0.
-    calls = counting(monkeypatch, "_level_range")
+    # same series.  The sum is the character numerator of (1^7), k = 0, at
+    # 20, which _walk sends down the rows (at 30 it takes the residues).
+    import qchar.quadform as quadform
+
     s = kappa_sum(6, Fraction(1), (Fraction(0),) * 6)
+    form = s._form
+    assert not quadform._residues_pay(form, form.sigma * 20 * form.grid - form.base)
+    calls = counting(monkeypatch, "_level_range")
     # each (predecessor row, value) pair of levels 0..4 adds its kept part
     # into a row once; the last level is folded, one range per group
-    got, adds = walk_line_hits(lambda: lattice_sum_series(s, 30), "spend")
-    assert calls[0] == 79  # 96 before the fold
-    assert adds == 797  # 956 before the fold; the dict walk merged 8466 spends
-    assert got.order == 30 and got[1] == 42
+    got, adds = walk_line_hits(lambda: lattice_sum_series(s, 20), "spend")
+    assert calls[0] == 63  # 76 before the fold
+    assert adds == 527  # 630 before the fold; the dict walk merged 4040 spends
+    assert got.order == 20 and got[1] == 42
     assert got.truncated(6) == series_by_hand(s, 6)
 
 

@@ -29,11 +29,14 @@ from qchar.quadform import (
     _complete_squares,
     _count_bound,
     _level_range,
+    _residues_pay,
     _ScaledForm,
     _walk,
+    _walk_width,
     lattice_sum_above,
     lattice_sum_series,
 )
+from box_oracle import lattice_enumerate_oracle
 from point_oracle import _scaled_points
 from squares_oracle import kappa_sum
 from test_quadform import INPLACE_OPS, counting, line_hits, walk_line_hits
@@ -62,6 +65,18 @@ def walked(form, weight, units):
     vars(form).pop("least", None)
     series = _walk(form, weight, units)
     return vars(form).get("least"), series
+
+
+PATHS = ("rows", "residues")
+
+
+def walk_by(path, form, weight, units):
+    """walked(form, weight, units) with _walk sent down the given path."""
+    import qchar.quadform as quadform
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(quadform, "_residues_pay", lambda form, budget: path == "residues")
+        return walked(form, weight, units)
 
 
 def assert_matches_oracle(seen):
@@ -120,12 +135,15 @@ def test_classical_walks_match_the_dict_walk(walks):
 
 
 @st.composite
-def chains(draw):
-    """A positive-definite integer chain in dimensions 0-4, and a weight shape."""
-    l = draw(st.integers(min_value=0, max_value=4))
-    diag = [draw(st.integers(min_value=1, max_value=9)) for _ in range(l)]
-    off = [draw(st.integers(min_value=-4, max_value=4)) for _ in range(max(l - 1, 0))]
-    lin = [draw(st.integers(min_value=-9, max_value=9)) for _ in range(l)]
+def chains(draw, top=4, scale=1):
+    """A positive-definite integer chain in dimensions 0-top whose quadratic
+    and linear entries share a factor 1-scale, so that its strides may pass
+    1, and a weight shape."""
+    l = draw(st.integers(min_value=0, max_value=top))
+    f = draw(st.integers(min_value=1, max_value=scale))
+    diag = [f * draw(st.integers(min_value=1, max_value=9)) for _ in range(l)]
+    off = [f * draw(st.integers(min_value=-4, max_value=4)) for _ in range(max(l - 1, 0))]
+    lin = [f * draw(st.integers(min_value=-9, max_value=9)) for _ in range(l)]
     const = draw(st.integers(min_value=-9, max_value=9))
     denom = draw(st.integers(min_value=1, max_value=6))
     try:
@@ -139,7 +157,7 @@ def chains(draw):
 @given(chains(), st.integers(min_value=-6, max_value=40))
 @example(  # keyed by p mod W, the weighted 1-D walk read -2 here instead of 6
     chain=(_ScaledForm(grid=1, sigma=4, stride=1, base=-1, K=(1,), W=(2,), w_prev=(0,),
-                       w0=(-1,)), WEIGHT_FOUR_K_PLUS_ONE),
+                       w0=(-1,), strides=(2,), periods=(2,)), WEIGHT_FOUR_K_PLUS_ONE),
     extra=0,
 )
 def test_property_packed_walk_matches_dict_walk(chain, extra):
@@ -176,16 +194,32 @@ def test_weighted_walks_cut_signed_rows_like_the_dict_walk(s, weight):
     assert (balanced > 0) == (s.l >= 4)
 
 
-def test_width_above_64_bits_matches_the_dict_walk():
+def test_width_above_64_bits_matches_the_dict_walk(monkeypatch):
     # the class1 m = 5 numerator at order 400 bounds its counts by a 68-bit
-    # number, so with the sign bit its slots are 128 bits wide
+    # number, so with the sign bit its slots are 72 bits wide, the fewest
+    # whole bytes (128 when widths above 64 went by whole words)
+    import qchar.quadform as quadform
+
     s = class1_identity(5).rhs
     form = s._form
     units = floor((lattice_sum_above(s, 0)[0] + 400) * form.grid)
     budget = form.sigma * units - form.base
     assert _count_bound(form, s.weight, budget).bit_length() == 68
-    got = walked(form, s.weight, units)
-    assert got == dict_walk(form, s.weight, units)
+    assert _walk_width(_count_bound(form, s.weight, budget)) == 72
+    widths = []
+    inner = quadform._unpack
+
+    def unpack(x, k, w):
+        widths.append(w)
+        return inner(x, k, w)
+
+    monkeypatch.setattr(quadform, "_unpack", unpack)
+    want = dict_walk(form, s.weight, units)
+    for path in PATHS:
+        widths.clear()
+        got = walk_by(path, form, s.weight, units)
+        assert got == want, path
+        assert widths and set(widths) == {72}, path
     assert_bound_covers(form, s.weight, units, got[1])
 
 
@@ -287,12 +321,14 @@ def fold_groups(form, budget):
 def test_fold_adds_each_group_once_per_value_of_the_last_coordinate():
     # work counts are the only guard here: adding each row of x_(l-2) once
     # per value of x_(l-1), as the walk did before the fold, or multiplying
-    # a group by its packed theta gives the same series
+    # a group by its packed theta gives the same series.  _walk sends every
+    # sampled form down the rows.
     fold = rows = 0
     for form, units in sampled_forms():
         if len(form.K) < 2:
             continue
         budget = form.sigma * units - form.base
+        assert not _residues_pay(form, budget), form
         K, W, c, t = form.K[-1], form.W[-1], form.w_prev[-1], form.w0[-1]
         want = sum(
             len(_level_range(K, W, r, budget - least))
@@ -328,54 +364,223 @@ def test_a_group_whose_theta_misses_the_budget_adds_nothing():
     assert got[0] == units and got[1].coeffs == (1,)
 
 
-def scatter_add_hits(run):
-    """Run run() and count _scatter's list adds, its one in-place add."""
-    import qchar.quadform as quadform
-
-    return line_hits(
-        run, quadform._scatter.__code__, lambda a, b: "+=" in (b.argrepr, INPLACE_OPS.get(b.opname))
-    )
-
-
-def test_dimension_3_walks_scatter_their_pairs_into_the_folds_groups(walks, monkeypatch):
-    # work counts are the only guard here: building x_1's rows and merging
-    # them into groups, as l >= 4 does, gives the same series
-    for build in (class1_identity, class2_identity):
-        assert verify_identity(build(1), 800).match
-    families = list(walks)
-    monkeypatch.undo()  # line_hits must trace _walk itself, not the recorder
-    packs = counting(monkeypatch, "_pack")
-    runs = [(form, None, units) for form, units in sampled_forms() if len(form.K) == 3]
-    assert len(runs) == 31
-    seen = []
-    for form, weight, units in runs + families:
-        budget = form.sigma * units - form.base
-        K, W, c, t = form.K[1], form.W[1], form.w_prev[1], form.w0[1]
-        pairs = sum(
-            len(_level_range(K, W, t + c * x, budget - min(spent)))
-            for x, spent in next(dict_levels(form, weight, budget)).items()
-        )
-        packs[0] = 0
-        _, spends = walk_line_hits(lambda: _walk(form, weight, units), "spend")
-        assert spends == 0, form  # no row of x_0 or x_1
-        assert packs[0] == len(fold_groups(form, budget)), form
-        _, adds = scatter_add_hits(lambda: _walk(form, weight, units))
-        assert adds == pairs, form
-        seen.append(adds)
-    assert [len(f.K) for f, _, _ in families] == [3, 3]
-    assert seen[-2:] == [1181, 1181]
-
-
 @pytest.mark.parametrize("weight", (WEIGHT_ALTERNATING, WEIGHT_FOUR_K_PLUS_ONE))
 def test_dimension_3_counts_that_cancel_at_the_least_slot_match_the_dict_walk(weight):
-    # under the alternating sign the scattered counts cancel at the least
-    # slot: the lead is -1/2, yet the window starts at 0
+    # under the alternating sign the counts cancel at the least slot, on
+    # either path: the lead is -1/2, yet the window starts at 0
     s = kappa_sum(3, "3/2", (0, "1/2", "3/2"), 0, weight)
     form = s._form
     lead, _ = lattice_sum_above(s, 0)
     units = floor((lead + 12) * form.grid)
-    got = walked(form, weight, units)
-    assert got == dict_walk(form, weight, units)
     assert lead == Fraction(-1, 2)
-    if weight == WEIGHT_ALTERNATING:
-        assert got[0] == lead * form.grid < got[1].lo == 0
+    for path in PATHS:
+        got = walk_by(path, form, weight, units)
+        assert got == dict_walk(form, weight, units)
+        if weight == WEIGHT_ALTERNATING:
+            assert got[0] == lead * form.grid < got[1].lo == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(chains(top=5, scale=4), st.integers(min_value=-6, max_value=40))
+@example(  # dimension 5, every stride 2, alternating
+    chain=(LatticeSum((4, 6, 4, 6, 4), (-2, 2, -2, 2), (2, 0, -2, 4, 0), 1, 3)._form,
+           WEIGHT_ALTERNATING),
+    extra=12,
+)
+def test_property_each_path_matches_dict_walk(chain, extra):
+    # both paths, whichever _walk would take, from below the minimum (a
+    # zero window) to 40 grid slots above the nearest-plane bound
+    form, weight = chain
+    pivots = sum(k * w * w for k, w in zip(form.K, form.W))
+    units = (4 * form.base + pivots) // (4 * form.sigma) + extra
+    want = dict_walk(form, weight, units)
+    for path in PATHS:
+        assert walk_by(path, form, weight, units) == want, path
+
+
+def suffix_form(form, i, p, paid):
+    """Levels i..l-1 of form entered at p_i = p after a prefix that spent
+    paid, so that its points' exponents are the whole chain's; every stride
+    1, which any two spends share."""
+    return _ScaledForm(
+        grid=form.grid, sigma=form.sigma, stride=1, base=form.base + paid,
+        K=form.K[i:], W=form.W[i:], w_prev=(0,) + form.w_prev[i + 1 :],
+        w0=(p,) + form.w0[i + 1 :], strides=(1,) * (len(form.K) - i),
+        periods=form.periods[i:],
+    )
+
+
+LEMMA_SUMS = (
+    *((s, 8) for s in SIGNED_SUMS),
+    (class1_identity(1).rhs, 30),
+    (class2_identity(2).rhs, 6),
+    (_character_parts(PartitionData.from_parts((1, 6)), 3).lattice, 6),
+)
+
+
+def test_suffix_thetas_repeat_with_period_P_i():
+    # T_i(p) = T_i(p + P_i), so the residue walk keeps one theta per class:
+    # after each real prefix, the suffix walked from p = r and from r + P_i,
+    # r its p_i mod P_i, on either path, must be the box oracle's points
+    # with that prefix
+    checked = 0, 0
+    for s, order in LEMMA_SUMS:
+        form = s._form
+        units = floor((lattice_sum_above(s, 0)[0] + order) * form.grid)
+        sums = {}
+        for point, e in lattice_enumerate_oracle(s, Fraction(units, form.grid)):
+            paid = prev = 0
+            for i in range(1, s.l):
+                v = form.W[i - 1] * point[i - 1] + form.w_prev[i - 1] * prev + form.w0[i - 1]
+                paid += form.K[i - 1] * v * v
+                prev = point[i - 1]
+                counts = sums.setdefault((i, point[:i]), (paid, {}))[1]
+                counts[e * form.grid] = counts.get(e * form.grid, 0) + 1
+        # prefixes reaching one residue with one spend leave one suffix sum
+        classes = {}
+        for (i, prefix), (paid, want) in sums.items():
+            r = (form.w0[i] + form.w_prev[i] * prefix[-1]) % form.periods[i]
+            assert classes.setdefault((i, r, paid), want) == want
+        for (i, r, paid), want in classes.items():
+            for p in (r, r + form.periods[i]):
+                for path in PATHS:
+                    _, got = walk_by(path, suffix_form(form, i, p, paid), None, units)
+                    assert {got.lo + j: c for j, c in enumerate(got.coeffs) if c} == want
+        checked = checked[0] + len(sums), checked[1] + len(classes)
+    assert checked == (5420, 658)
+
+
+def test_suffix_spends_share_a_residue_mod_sigma_strides():
+    # the spends of levels i..l-1 after any prefix reaching one residue of
+    # p_i mod P_i are congruent mod sigma*strides[i]
+    for form, units in sampled_forms():
+        residues = {}
+        for point, total in _scaled_points(form, units):
+            paid, prev = form.base, 0
+            for i, x in enumerate(point):
+                p = form.w0[i] + form.w_prev[i] * prev
+                step = form.sigma * form.strides[i]
+                residues.setdefault((i, p % form.periods[i]), set()).add((total - paid) % step)
+                v = form.W[i] * x + p
+                paid += form.K[i] * v * v
+                prev = x
+        assert all(len(r) == 1 for r in residues.values()), form
+
+
+def completing_terms(form, units):
+    """The residue walk's terms, read off the points one by one: (level i,
+    residue r of p_i, value) triples whose value completes r's least prefix
+    to a point within the budget."""
+    budget = form.sigma * units - form.base
+    least, suffix = {}, {}
+    for point, total in _scaled_points(form, units):
+        paid, prev = form.base, 0
+        for i, x in enumerate(point):
+            p = form.w0[i] + form.w_prev[i] * prev
+            key = (i, p % form.periods[i] if i else p)
+            v = form.W[i] * x + p
+            least[key] = min(least.get(key, total), paid - form.base)
+            suffix[key, v] = min(suffix.get((key, v), total), total - paid)
+            paid += form.K[i] * v * v
+            prev = x
+    return sum(spend <= budget - least[key] for (key, _), spend in suffix.items())
+
+
+def residue_adds(run):
+    """Run run() and count the residue walk's shift-adds, its in-place add into acc."""
+    import qchar.quadform as quadform
+
+    return line_hits(
+        run,
+        quadform._walk_residues.__code__,
+        lambda a, b: b.opname == "STORE_FAST" and b.argval == "acc"
+        and "+=" in (a.argrepr, INPLACE_OPS.get(a.opname)),
+    )
+
+
+def test_residue_walk_shift_adds_once_per_completing_term():
+    # work counts are the only guard here: a walk that keeps one theta per
+    # value of x_(i-1), as the rows do, or shift-adds children that complete
+    # no point within the budget, gives the same series
+    total = 0
+    for form, units in sampled_forms():
+        (_, got), adds = residue_adds(lambda: walk_by("residues", form, None, units))
+        assert got == dict_walk(form, None, units)[1]
+        assert adds == completing_terms(form, units), form
+        total += adds
+    assert total == 3840
+
+
+def test_residue_thetas_spread_where_the_suffix_stride_refines(monkeypatch):
+    # n = 7 character chains whose strides fall toward level 0, such as
+    # 7, 7, 7, 42, 42, 42: the residue walk spreads a child's slots to its
+    # parent's finer step before the level sums it
+    spreads = counting(monkeypatch, "_spread")
+    refined = 0
+    for parts in partitions(7):
+        data = PartitionData.from_parts(parts)
+        for k in range(1, 7):
+            chain = _character_parts(data, k).lattice
+            form = chain._form
+            if len(set(form.strides)) > 1:
+                units = floor((lattice_sum_above(chain, 0)[0] + 30) * form.grid)
+                want = dict_walk(form, None, units)
+                for path in PATHS:
+                    assert walk_by(path, form, None, units) == want, path
+                refined += 1
+    assert refined == 60 and spreads[0] > 0
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: class1_identity(3).rhs,
+        lambda: _character_parts(PartitionData.from_parts((1,) * 8), 0).lattice,
+        lambda: _character_parts(PartitionData.from_parts((2, 2, 2, 2)), 1).lattice,
+    ],
+    ids=["class1-m3", "ones8-k0", "twos4-k1"],
+)
+def test_residue_walk_matches_the_rows_at_order_1000(make):
+    # the frontier the residue path is for: _walk takes it here, and both
+    # paths give one window and one least slot
+    s = make()
+    form = s._form
+    units = floor((lattice_sum_above(s, 0)[0] + 1000) * form.grid)
+    assert _residues_pay(form, form.sigma * units - form.base)
+    rows = walk_by("rows", form, s.weight, units)
+    assert walk_by("residues", form, s.weight, units) == rows
+    assert len(rows[1].coeffs) > 900
+
+
+def test_paths_taken_by_each_benchmark_workload(monkeypatch):
+    """Which path _walk takes in each workload of the benchmark: the sweep
+    (every partition with n <= 7, every k, at order 30) walks 48 lattices by
+    residues and 376 by rows, the rest being empty or zero-dimensional;
+    class1 m = 3 at 56 takes the rows and the other four family walks the
+    residues; the four classical walks are one-dimensional and take the
+    rows."""
+    import qchar.quadform as quadform
+
+    taken = []
+    for name in ("_walk_rows", "_walk_residues"):
+
+        def spy(*args, name=name, inner=getattr(quadform, name)):
+            taken.append(name[6:])
+            return inner(*args)
+
+        monkeypatch.setattr(quadform, name, spy)
+    for n in range(1, 8):
+        for parts in partitions(n):
+            for k in range(n):
+                assert verify_proposition(parts, k, 30).match
+    assert (taken.count("rows"), taken.count("residues")) == (376, 48)
+    taken.clear()
+    for build, m, order in ((class1_identity, 1, 800), (class1_identity, 2, 160),
+                            (class1_identity, 3, 56), (class2_identity, 1, 800),
+                            (class2_identity, 2, 100)):
+        assert verify_identity(build(m), order).match
+    assert taken == ["residues", "residues", "rows", "residues", "residues"]
+    taken.clear()
+    for name in CLASSICAL_NAMES:
+        assert verify_identity(classical_identity(name), 3000).match
+    assert taken == ["rows"] * 4

@@ -743,23 +743,26 @@ def test_replace_completes_its_own_form(monkeypatch):
 INPLACE_OPS = {"INPLACE_ADD": "+=", "INPLACE_SUBTRACT": "-="}
 
 
-def line_hits(run, code, match):
-    """Run run() and count how often code executes the line of the one
-    instruction that match(previous, instruction) picks.
+def line_hits(run, code, match, lines=1):
+    """Run run() and count how often code executes the lines of the
+    instructions that match(previous, instruction) picks, one per line.
 
-    The line is read off the code object that runs, so an edit to the source
-    file while the suite runs cannot move it.  A match that picks no
-    instruction, or more than one, raises before run() starts: a later
-    branch reusing a name must not silently retarget the count.
+    The lines are read off the code object that runs, so an edit to the
+    source file while the suite runs cannot move them.  A match that picks
+    other than lines instructions, or two on one line, raises before run()
+    starts: a later branch reusing a name must not silently retarget the
+    count.
     """
     ops = list(dis.get_instructions(code))
     offsets = [b.offset for a, b in zip(ops, ops[1:]) if match(a, b)]
-    assert len(offsets) == 1, (code.co_name, offsets)
-    target = next(line for start, end, line in code.co_lines() if start <= offsets[0] < end)
+    targets = {
+        line for start, end, line in code.co_lines() for at in offsets if start <= at < end
+    }
+    assert len(offsets) == len(targets) == lines, (code.co_name, offsets)
     hits = [0]
 
     def local(frame, event, arg):
-        if event == "line" and frame.f_lineno == target:
+        if event == "line" and frame.f_lineno in targets:
             hits[0] += 1
         return local
 
@@ -776,41 +779,37 @@ def line_hits(run, code, match):
 
 
 def walk_line_hits(run, store, op=None):
-    """Run run() and count how often the row walk executes the line that
+    """Run run() and count how often the lattice walk executes the line that
     stores into the local store, after the in-place op when one is given."""
     import qchar.quadform as quadform
 
     return line_hits(
         run,
-        quadform._walk_rows.__code__,
+        quadform._walk_residues.__code__,
         lambda a, b: b.opname == "STORE_FAST" and b.argval == store
         and op in (None, a.argrepr, INPLACE_OPS.get(a.opname)),
     )
 
 
 def test_walk_line_hits_refuses_a_missing_or_ambiguous_line():
-    # _walk_rows stores row on three lines and stores no local named absent
-    for store, op in (("row", None), ("absent", None), ("spend", "-=")):
+    # _walk_residues stores thetas on three lines and stores no local named absent
+    for store, op in (("thetas", None), ("absent", None), ("spend", "-=")):
         with pytest.raises(AssertionError):
             walk_line_hits(lambda: pytest.fail("ran"), store, op)
 
 
 def test_walk_prices_each_coordinate_once_per_predecessor(monkeypatch):
     # work counts are the only guard here: a walk that prices every (value,
-    # spend) pair, or adds a part per spend instead of per row, gives the
-    # same series.  The sum is the character numerator of (1^7), k = 0, at
-    # 20, which _walk sends down the rows (at 30 it takes the residues).
-    import qchar.quadform as quadform
-
+    # spend) pair, keeps one theta per value of the coordinate before, or
+    # takes each range again on its way back, gives the same series.  The
+    # sum is the character numerator of (1^7), k = 0, at 20.
     s = kappa_sum(6, Fraction(1), (Fraction(0),) * 6)
-    form = s._form
-    assert not quadform._residues_pay(form, form.sigma * 20 * form.grid - form.base)
     calls = counting(monkeypatch, "_level_range")
-    # each (predecessor row, value) pair of levels 0..4 adds its kept part
-    # into a row once; the last level is folded, one range per group
-    got, adds = walk_line_hits(lambda: lattice_sum_series(s, 20), "spend")
-    assert calls[0] == 63  # 76 before the fold
-    assert adds == 527  # 630 before the fold; the dict walk merged 4040 spends
+    # the forward pass takes one range per reached residue of each level;
+    # the backward pass shift-adds each term that completes a point once
+    got, adds = walk_line_hits(lambda: lattice_sum_series(s, 20), "acc", "+=")
+    assert calls[0] == 21  # 63 when rows walked levels 0..4 and folded level 5
+    assert adds == 222  # the rows added 527 parts; the dict walk merged 4040 spends
     assert got.order == 20 and got[1] == 42
     assert got.truncated(6) == series_by_hand(s, 6)
 

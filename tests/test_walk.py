@@ -28,8 +28,6 @@ from qchar.quadform import (
     LatticeSum,
     _complete_squares,
     _count_bound,
-    _level_range,
-    _residues_pay,
     _ScaledForm,
     _walk,
     _walk_width,
@@ -39,7 +37,7 @@ from qchar.quadform import (
 from box_oracle import lattice_enumerate_oracle
 from point_oracle import _scaled_points
 from squares_oracle import kappa_sum
-from test_quadform import INPLACE_OPS, counting, line_hits, walk_line_hits
+from test_quadform import INPLACE_OPS, counting, line_hits
 from walk_oracle import dict_levels, dict_walk
 
 WEIGHTS = (None, WEIGHT_ALTERNATING, WEIGHT_FOUR_K_PLUS_ONE)
@@ -65,18 +63,6 @@ def walked(form, weight, units):
     vars(form).pop("least", None)
     series = _walk(form, weight, units)
     return vars(form).get("least"), series
-
-
-PATHS = ("rows", "residues")
-
-
-def walk_by(path, form, weight, units):
-    """walked(form, weight, units) with _walk sent down the given path."""
-    import qchar.quadform as quadform
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(quadform, "_residues_pay", lambda form, budget: path == "residues")
-        return walked(form, weight, units)
 
 
 def assert_matches_oracle(seen):
@@ -116,14 +102,18 @@ def test_all_ones_character_walks_match_the_dict_walk(walks):
 
 
 def test_family_walks_match_the_dict_walk(walks):
-    # the families workload's runs, then the dimension-3 walk at 4000, where
-    # the scattered lists are longest: about 4000 slots per group
+    # the families workload's runs, then the dimension-3 walks at 4000,
+    # whose thetas are longest, about 4000 slots each, and a long chain:
+    # class1 m = 20, dimension 79, through its nearest-plane point
     runs = ((class1_identity, 1, 800), (class1_identity, 2, 160), (class1_identity, 3, 56),
             (class2_identity, 1, 800), (class2_identity, 2, 100),
             (class1_identity, 1, 4000), (class2_identity, 1, 4000))
     for build, m, order in runs:
         assert verify_identity(build(m), order).match
-    assert len(walks) == 7
+    long_chain = class1_identity(20).rhs
+    assert long_chain.l == 79
+    lattice_sum_above(long_chain, 0)
+    assert len(walks) == 8
     assert_matches_oracle(walks)
 
 
@@ -156,8 +146,8 @@ def chains(draw, top=4, scale=1):
 @settings(max_examples=150, deadline=None)
 @given(chains(), st.integers(min_value=-6, max_value=40))
 @example(  # keyed by p mod W, the weighted 1-D walk read -2 here instead of 6
-    chain=(_ScaledForm(grid=1, sigma=4, stride=1, base=-1, K=(1,), W=(2,), w_prev=(0,),
-                       w0=(-1,), strides=(2,), periods=(2,)), WEIGHT_FOUR_K_PLUS_ONE),
+    chain=(_ScaledForm(grid=1, sigma=4, base=-1, K=(1,), W=(2,), w_prev=(0,), w0=(-1,),
+                       strides=(2,), periods=(2,)), WEIGHT_FOUR_K_PLUS_ONE),
     extra=0,
 )
 def test_property_packed_walk_matches_dict_walk(chain, extra):
@@ -183,15 +173,14 @@ SIGNED_SUMS = (
 @pytest.mark.parametrize("weight", (WEIGHT_ALTERNATING, WEIGHT_FOUR_K_PLUS_ONE))
 @pytest.mark.parametrize("s", SIGNED_SUMS, ids=lambda s: f"l{s.l}")
 def test_weighted_walks_cut_signed_rows_like_the_dict_walk(s, weight):
-    # a mask that drops the top slots of a row with negative slots must
-    # leave the kept slots balanced; level 0's rows hold one slot and the
-    # folded last level masks nothing, so the cut first happens in dimension 4
+    # the weight enters at level 0, so the root theta holds negative slots
+    # and its _cut, which drops the slots above the budget, must leave the
+    # kept slots balanced
     s = replace(s, weight=weight)
     bound = lattice_sum_above(s, 0)[0] + 12
-    got, balanced = walk_line_hits(lambda: lattice_sum_series(s, bound), "part", "-=")
+    got = lattice_sum_series(s, bound)
     assert got == dict_walk(s._form, weight, floor(bound * s._form.grid))[1]
     assert any(got.coeffs)
-    assert (balanced > 0) == (s.l >= 4)
 
 
 def test_width_above_64_bits_matches_the_dict_walk(monkeypatch):
@@ -214,12 +203,9 @@ def test_width_above_64_bits_matches_the_dict_walk(monkeypatch):
         return inner(x, k, w)
 
     monkeypatch.setattr(quadform, "_unpack", unpack)
-    want = dict_walk(form, s.weight, units)
-    for path in PATHS:
-        widths.clear()
-        got = walk_by(path, form, s.weight, units)
-        assert got == want, path
-        assert widths and set(widths) == {72}, path
+    got = walked(form, s.weight, units)
+    assert got == dict_walk(form, s.weight, units)
+    assert widths and set(widths) == {72}
     assert_bound_covers(form, s.weight, units, got[1])
 
 
@@ -233,8 +219,8 @@ def test_class1_m3_walk_at_order_1000_matches_the_dict_walk():
 
 
 def test_stride_seven_rows_match_the_dict_walk(monkeypatch):
-    # 84 of the sweep's n = 7 character numerators at k >= 1 step their rows
-    # by 7 grid slots; the fold unpacks one accumulator per residue mod 7
+    # 84 of the sweep's n = 7 character numerators at k >= 1 step their
+    # root thetas, and so their windows, by 7 grid slots
     import qchar.quadform as quadform
 
     unpacked = [0]
@@ -251,7 +237,7 @@ def test_stride_seven_rows_match_the_dict_walk(monkeypatch):
         for k in range(1, 7):
             chain = _character_parts(data, k).lattice
             form = chain._form
-            if form.stride == 7:
+            if form.strides[0] == 7:
                 strided += 1
                 units = floor((lattice_sum_above(chain, 0)[0] + 30) * form.grid)
                 got = walked(form, None, units)
@@ -278,7 +264,8 @@ def sampled_forms():
 
 @pytest.mark.parametrize("weight", WEIGHTS)
 def test_count_bound_covers_every_count_the_dict_walk_keeps(weight):
-    # the width proof's bound must reach every count of every level's rows
+    # the width proof's bound must reach every count the dict walk keeps at
+    # any level, each a number of prefixes spending one amount
     # (l = 0 keeps only the empty point, which weighs 1)
     for form, units in sampled_forms():
         budget = form.sigma * units - form.base
@@ -292,70 +279,22 @@ def test_count_bound_covers_every_count_the_dict_walk_keeps(weight):
         assert bound >= top > 0, form
 
 
-def test_row_spends_share_a_residue_mod_sigma_stride():
-    # prefixes that agree on x_i spend amounts congruent mod sigma*stride
-    for form, units in sampled_forms():
-        step = form.sigma * form.stride
-        residues = {}
-        for point, _ in _scaled_points(form, units):
-            spend, prev = 0, 0
-            for i, x in enumerate(point):
-                v = form.W[i] * x + form.w_prev[i] * prev + form.w0[i]
-                spend += form.K[i] * v * v
-                residues.setdefault((i, x), set()).add(spend % step)
-                prev = x
-        assert all(len(r) == 1 for r in residues.values()), form
-
-
-def fold_groups(form, budget):
-    """The fold's groups, from the dict walk: (p mod W, spend mod step) -> least spend."""
-    K, W, c, t = form.K[-1], form.W[-1], form.w_prev[-1], form.w0[-1]
-    step = form.sigma * form.stride
-    groups = {}
-    for x, spent in list(dict_levels(form, None, budget))[-2].items():
-        key = ((t + c * x) % W, min(spent) % step)
-        groups[key] = min(groups.get(key, budget), min(spent))
-    return groups
-
-
-def test_fold_adds_each_group_once_per_value_of_the_last_coordinate():
-    # work counts are the only guard here: adding each row of x_(l-2) once
-    # per value of x_(l-1), as the walk did before the fold, or multiplying
-    # a group by its packed theta gives the same series.  _walk sends every
-    # sampled form down the rows.
-    fold = rows = 0
-    for form, units in sampled_forms():
-        if len(form.K) < 2:
-            continue
-        budget = form.sigma * units - form.base
-        assert not _residues_pay(form, budget), form
-        K, W, c, t = form.K[-1], form.W[-1], form.w_prev[-1], form.w0[-1]
-        want = sum(
-            len(_level_range(K, W, r, budget - least))
-            for (r, _), least in fold_groups(form, budget).items()
-        )
-        _, adds = walk_line_hits(lambda: _walk(form, None, units), "f")
-        assert adds == want, form
-        fold += adds
-        rows += sum(
-            len(_level_range(K, W, t + c * x, budget - min(spent)))
-            for x, spent in list(dict_levels(form, None, budget))[-2].items()
-        )
-    assert (fold, rows) == (1066, 2804)
-
-
 def test_a_group_whose_theta_misses_the_budget_adds_nothing():
-    # of the budget's 80 units, x_0 = 4 spends 25 and leaves its group,
-    # p = 5 (mod 10), less than its theta's cheapest term 11 * 5^2, while
-    # x_0 = 3 spends 36 and its group's cheapest term 11 * 2^2 fills the
-    # rest: the fold must skip the first group and keep the second
+    # of the budget's 80 units, x_0 = 4 spends 25 and reaches the residue
+    # p = 5 (mod 10) of the last level, which leaves less than its theta's
+    # cheapest term 11 * 5^2, while x_0 = 3 spends 36 and reaches p = 8,
+    # whose cheapest term 11 * 2^2 fills the rest: the walk must keep no
+    # theta for the first residue and keep the second's
     form = _complete_squares([1, 5], [-3], [-3, -3], 0, 1)
     units = -7
     budget = form.sigma * units - form.base
-    K, W = form.K[-1], form.W[-1]
-    assert (budget, K, W) == (80, 11, 10)
-    groups = fold_groups(form, budget)
-    assert {r: budget - least < K * min(r, W - r) ** 2 for (r, _), least in groups.items()} == {
+    K, W, c, t = form.K[-1], form.W[-1], form.w_prev[-1], form.w0[-1]
+    assert (budget, K, W, form.periods[-1]) == (80, 11, 10, 10)
+    reached = {}
+    for x, spent in list(dict_levels(form, None, budget))[-2].items():
+        r = (t + c * x) % W
+        reached[r] = min(reached.get(r, budget), min(spent))
+    assert {r: budget - least < K * min(r, W - r) ** 2 for r, least in reached.items()} == {
         5: True,
         8: False,
     }
@@ -366,18 +305,17 @@ def test_a_group_whose_theta_misses_the_budget_adds_nothing():
 
 @pytest.mark.parametrize("weight", (WEIGHT_ALTERNATING, WEIGHT_FOUR_K_PLUS_ONE))
 def test_dimension_3_counts_that_cancel_at_the_least_slot_match_the_dict_walk(weight):
-    # under the alternating sign the counts cancel at the least slot, on
-    # either path: the lead is -1/2, yet the window starts at 0
+    # under the alternating sign the counts cancel at the least slot: the
+    # lead is -1/2, yet the window starts at 0
     s = kappa_sum(3, "3/2", (0, "1/2", "3/2"), 0, weight)
     form = s._form
     lead, _ = lattice_sum_above(s, 0)
     units = floor((lead + 12) * form.grid)
     assert lead == Fraction(-1, 2)
-    for path in PATHS:
-        got = walk_by(path, form, weight, units)
-        assert got == dict_walk(form, weight, units)
-        if weight == WEIGHT_ALTERNATING:
-            assert got[0] == lead * form.grid < got[1].lo == 0
+    got = walked(form, weight, units)
+    assert got == dict_walk(form, weight, units)
+    if weight == WEIGHT_ALTERNATING:
+        assert got[0] == lead * form.grid < got[1].lo == 0
 
 
 @settings(max_examples=200, deadline=None)
@@ -388,14 +326,12 @@ def test_dimension_3_counts_that_cancel_at_the_least_slot_match_the_dict_walk(we
     extra=12,
 )
 def test_property_each_path_matches_dict_walk(chain, extra):
-    # both paths, whichever _walk would take, from below the minimum (a
-    # zero window) to 40 grid slots above the nearest-plane bound
+    # chains whose strides pass 1, from below the minimum (a zero window)
+    # to 40 grid slots above the nearest-plane bound
     form, weight = chain
     pivots = sum(k * w * w for k, w in zip(form.K, form.W))
     units = (4 * form.base + pivots) // (4 * form.sigma) + extra
-    want = dict_walk(form, weight, units)
-    for path in PATHS:
-        assert walk_by(path, form, weight, units) == want, path
+    assert walked(form, weight, units) == dict_walk(form, weight, units)
 
 
 def suffix_form(form, i, p, paid):
@@ -403,7 +339,7 @@ def suffix_form(form, i, p, paid):
     paid, so that its points' exponents are the whole chain's; every stride
     1, which any two spends share."""
     return _ScaledForm(
-        grid=form.grid, sigma=form.sigma, stride=1, base=form.base + paid,
+        grid=form.grid, sigma=form.sigma, base=form.base + paid,
         K=form.K[i:], W=form.W[i:], w_prev=(0,) + form.w_prev[i + 1 :],
         w0=(p,) + form.w0[i + 1 :], strides=(1,) * (len(form.K) - i),
         periods=form.periods[i:],
@@ -421,8 +357,7 @@ LEMMA_SUMS = (
 def test_suffix_thetas_repeat_with_period_P_i():
     # T_i(p) = T_i(p + P_i), so the residue walk keeps one theta per class:
     # after each real prefix, the suffix walked from p = r and from r + P_i,
-    # r its p_i mod P_i, on either path, must be the box oracle's points
-    # with that prefix
+    # r its p_i mod P_i, must be the box oracle's points with that prefix
     checked = 0, 0
     for s, order in LEMMA_SUMS:
         form = s._form
@@ -443,9 +378,8 @@ def test_suffix_thetas_repeat_with_period_P_i():
             assert classes.setdefault((i, r, paid), want) == want
         for (i, r, paid), want in classes.items():
             for p in (r, r + form.periods[i]):
-                for path in PATHS:
-                    _, got = walk_by(path, suffix_form(form, i, p, paid), None, units)
-                    assert {got.lo + j: c for j, c in enumerate(got.coeffs) if c} == want
+                _, got = walked(suffix_form(form, i, p, paid), None, units)
+                assert {got.lo + j: c for j, c in enumerate(got.coeffs) if c} == want
         checked = checked[0] + len(sums), checked[1] + len(classes)
     assert checked == (5420, 658)
 
@@ -487,28 +421,33 @@ def completing_terms(form, units):
 
 
 def residue_adds(run):
-    """Run run() and count the residue walk's shift-adds, its in-place add into acc."""
+    """Run run() and count the walk's adds: its two in-place adds, the
+    shift-add into acc and the one-level case's add into the window."""
     import qchar.quadform as quadform
 
     return line_hits(
         run,
         quadform._walk_residues.__code__,
-        lambda a, b: b.opname == "STORE_FAST" and b.argval == "acc"
-        and "+=" in (a.argrepr, INPLACE_OPS.get(a.opname)),
+        lambda a, b: "+=" in (b.argrepr, INPLACE_OPS.get(b.opname)),
+        lines=2,
     )
 
 
 def test_residue_walk_shift_adds_once_per_completing_term():
     # work counts are the only guard here: a walk that keeps one theta per
-    # value of x_(i-1), as the rows do, or shift-adds children that complete
+    # value of x_(i-1), as the rows did, or shift-adds children that complete
     # no point within the budget, gives the same series
     total = 0
     for form, units in sampled_forms():
-        (_, got), adds = residue_adds(lambda: walk_by("residues", form, None, units))
+        (_, got), adds = residue_adds(lambda: walked(form, None, units))
         assert got == dict_walk(form, None, units)[1]
         assert adds == completing_terms(form, units), form
         total += adds
     assert total == 3840
+    # class1 m = 40, dimension 159, through its nearest-plane point: the
+    # rows made 29,942 shift-adds here
+    _, adds = residue_adds(lambda: lattice_sum_above(class1_identity(40).rhs, 0))
+    assert adds == 9608
 
 
 def test_residue_thetas_spread_where_the_suffix_stride_refines(monkeypatch):
@@ -524,9 +463,7 @@ def test_residue_thetas_spread_where_the_suffix_stride_refines(monkeypatch):
             form = chain._form
             if len(set(form.strides)) > 1:
                 units = floor((lattice_sum_above(chain, 0)[0] + 30) * form.grid)
-                want = dict_walk(form, None, units)
-                for path in PATHS:
-                    assert walk_by(path, form, None, units) == want, path
+                assert walked(form, None, units) == dict_walk(form, None, units)
                 refined += 1
     assert refined == 60 and spreads[0] > 0
 
@@ -541,46 +478,11 @@ def test_residue_thetas_spread_where_the_suffix_stride_refines(monkeypatch):
     ids=["class1-m3", "ones8-k0", "twos4-k1"],
 )
 def test_residue_walk_matches_the_rows_at_order_1000(make):
-    # the frontier the residue path is for: _walk takes it here, and both
-    # paths give one window and one least slot
+    # the frontier the residue walk is for, where its thetas are few and
+    # long: it gives the dict walk's window and least slot
     s = make()
     form = s._form
     units = floor((lattice_sum_above(s, 0)[0] + 1000) * form.grid)
-    assert _residues_pay(form, form.sigma * units - form.base)
-    rows = walk_by("rows", form, s.weight, units)
-    assert walk_by("residues", form, s.weight, units) == rows
-    assert len(rows[1].coeffs) > 900
-
-
-def test_paths_taken_by_each_benchmark_workload(monkeypatch):
-    """Which path _walk takes in each workload of the benchmark: the sweep
-    (every partition with n <= 7, every k, at order 30) walks 48 lattices by
-    residues and 376 by rows, the rest being empty or zero-dimensional;
-    class1 m = 3 at 56 takes the rows and the other four family walks the
-    residues; the four classical walks are one-dimensional and take the
-    rows."""
-    import qchar.quadform as quadform
-
-    taken = []
-    for name in ("_walk_rows", "_walk_residues"):
-
-        def spy(*args, name=name, inner=getattr(quadform, name)):
-            taken.append(name[6:])
-            return inner(*args)
-
-        monkeypatch.setattr(quadform, name, spy)
-    for n in range(1, 8):
-        for parts in partitions(n):
-            for k in range(n):
-                assert verify_proposition(parts, k, 30).match
-    assert (taken.count("rows"), taken.count("residues")) == (376, 48)
-    taken.clear()
-    for build, m, order in ((class1_identity, 1, 800), (class1_identity, 2, 160),
-                            (class1_identity, 3, 56), (class2_identity, 1, 800),
-                            (class2_identity, 2, 100)):
-        assert verify_identity(build(m), order).match
-    assert taken == ["residues", "residues", "rows", "residues", "residues"]
-    taken.clear()
-    for name in CLASSICAL_NAMES:
-        assert verify_identity(classical_identity(name), 3000).match
-    assert taken == ["rows"] * 4
+    got = walked(form, s.weight, units)
+    assert got == dict_walk(form, s.weight, units)
+    assert len(got[1].coeffs) > 900

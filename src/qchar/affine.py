@@ -14,7 +14,8 @@ verify, which qchar.identities uses too, compares two that way, building the
 rhs first and handing its window to the lhs: a pure product takes it as the
 candidate that product_series certifies.  The routes share the partition's
 PartitionData, but no chain.  Each route's formula is written once, as an
-integer chain (_character_parts, _trace_parts).
+integer chain and its product's integer (scale, power) factors
+(_character_parts, _trace_parts).
 
 Two pure lattice sides that verify proves one lattice, translated, walk
 once, the lhs window read off the rhs's.  Both routes of every (1^n) are
@@ -24,9 +25,10 @@ order by that exact translation, not by two unrelated algorithms agreeing.
 
 A proposition is one identity, built in one place: _proposition(parts, k)
 validates the partition once, builds both routes from it and pairs them as
-numerator * P_1/P_2 = theta.  verify_proposition checks it with one
-product, and qchar.identities reads its numerator side and inverts the
-ratio for the two families' product sides.
+numerator * P_1/P_2 = theta, merging both routes' factors into one ratio
+spec.  verify_proposition checks it with one product, and qchar.identities
+reads its numerator side and inverts the ratio for the two families'
+product sides.
 
 Everything is exact: moduli and specialization vectors are integers by
 construction (non-integrality raises rather than rounds), and exponents are
@@ -64,6 +66,10 @@ __all__ = [
     "verify",
     "verify_proposition",
 ]
+
+
+# a route's Euler-product factors, (scale, power) ints
+_Factors = tuple[tuple[int, int], ...]
 
 
 def _validate_parts(parts: Sequence[int]) -> tuple[int, ...]:
@@ -314,11 +320,12 @@ def _translated(window: QSeries, delta: Fraction, grid: int, order: Fraction) ->
 def specialized_character(parts: Sequence[int], k: int) -> Side:
     """The character side for a partition and weight index: its numerator
     chain over 1/phi(q^N)^(n-1) (see _character_parts)."""
-    return _character_parts(PartitionData.from_parts(parts), k)
+    chain, factors = _character_parts(PartitionData.from_parts(parts), k)
+    return Side(chain, ProductSpec(factors))
 
 
-def _character_parts(data: PartitionData, k: int) -> Side:
-    """The character route's side: integer numerator chain over its denominator.
+def _character_parts(data: PartitionData, k: int) -> tuple[LatticeSum, _Factors]:
+    """The character route: integer numerator chain and its quotient's factors.
 
     Writing gamma = kvec + c with c the fundamental-weight coefficients, the
     numerator exponent is (N/2)(gamma|gamma) - sum s_i gamma_i.  Expanding
@@ -330,8 +337,8 @@ def _character_parts(data: PartitionData, k: int) -> Side:
     kappa(c) = (c|c)/2 = c_k/2 = k(n-k)/(2n), and n*c_i = min(i,k)(n -
     max(i,k)) is integral, so the constant 2n(N kappa(c) - s.c) is
     N k(n-k) - 2 s.(nc).  It is the chain (diag, off, lin, const) over
-    denom = 2n, which LatticeSum reduces; the product is the quotient's
-    1/phi(q^N)^(n-1), empty at n = 1.
+    denom = 2n, which LatticeSum reduces; the factors, as (scale, power)
+    ints, are the quotient's 1/phi(q^N)^(n-1), a zero power at n = 1.
     """
     n, big = data.n, data.N
     nc = _weight_numerators(n, k)
@@ -342,11 +349,11 @@ def _character_parts(data: PartitionData, k: int) -> Side:
         lin[k - 1] += grid * big
     const = big * k * (n - k) - 2 * sum(map(mul, tail, nc))
     chain = LatticeSum((grid * big,) * (n - 1), (-grid * big,) * max(n - 2, 0), lin, const, grid)
-    return Side(chain, ProductSpec(((big, 1 - n),)))
+    return chain, ((big, 1 - n),)
 
 
-def _trace_parts(data: PartitionData, k: int) -> Side:
-    """The trace route's side: integer theta chain times its Euler-product correction.
+def _trace_parts(data: PartitionData, k: int) -> tuple[LatticeSum, _Factors]:
+    """The trace route: integer theta chain and its Euler-product correction's factors.
 
     phi(q^N) times the sum of q^((N/2) sum k_i^2/n_i) over integer r-tuples
     with sum k, divided by one phi(q^(N/n_i)) per part.  In the partial sums
@@ -354,7 +361,7 @@ def _trace_parts(data: PartitionData, k: int) -> Side:
     (N/2) sum_i (s_i - s_(i-1))^2 / n_i: a chain in s_1..s_(r-1), in
     bijection with the r-tuples, and twice it is integral because every N/n_i
     is, so the chain carries denom 2.  r = 1 degenerates to a single
-    monomial.
+    monomial.  The factors are (scale, power) ints, as _character_parts'.
     """
     _check_index(data.n, k)
     big = data.N
@@ -363,7 +370,7 @@ def _trace_parts(data: PartitionData, k: int) -> Side:
     off = tuple(map(mul, steps[1:-1], repeat(-2)))
     lin = (0,) * (len(diag) - 1) + (-2 * k * steps[-1],) if diag else ()
     chain = LatticeSum(diag, off, lin, k * k * steps[-1], 2)
-    return Side(chain, ProductSpec(((big, 1), *zip(steps, repeat(-1)))))
+    return chain, ((big, 1), *zip(steps, repeat(-1)))
 
 
 def specialized_character_series(parts: Sequence[int], k: int, bound) -> QSeries:
@@ -377,28 +384,29 @@ def specialized_character_series(parts: Sequence[int], k: int, bound) -> QSeries
 
 def trace_series(parts: Sequence[int], k: int, bound) -> QSeries:
     """Trace route: constrained theta sum with Euler-product corrections."""
-    return _trace_parts(PartitionData.from_parts(parts), k).series(bound)
+    chain, factors = _trace_parts(PartitionData.from_parts(parts), k)
+    return Side(chain, ProductSpec(factors)).series(bound)
 
 
 def _proposition(parts: Sequence[int], k: int) -> tuple[Side, Side]:
     """The proposition's two sides for (parts, k): numerator * P_1/P_2 and
     the trace theta.
 
-    The partition is validated once and both routes built from it.  Both
-    routes divided by P_2, so one product, phi(q^N)^(-n) prod_i
-    phi(q^(N/n_i)), remains.  For (1^n) it cancels, and the sides are one
-    lattice: N = 1 and s = (1, 0, ..., 0), so the numerator is
-    kappa(x) + x_k + k(n-k)/(2n) (no x_k at k = 0), and the theta, in
-    partial sums with s_0 = 0 and s_n = k, is kappa(x) - k x_(n-1) + k^2/2.
-    At x + v, v_i = min(i, k), the theta is the numerator plus k^2/(2n), and
-    verify proves that translation (_translation) and walks the theta alone.
+    The partition is validated once and both routes built from it, their
+    factors merged into one ProductSpec.  Both routes divided by P_2, so
+    one product, phi(q^N)^(-n) prod_i phi(q^(N/n_i)), remains.  For (1^n)
+    it cancels, and the sides are one lattice: N = 1 and
+    s = (1, 0, ..., 0), so the numerator is kappa(x) + x_k + k(n-k)/(2n)
+    (no x_k at k = 0), and the theta, in partial sums with s_0 = 0 and
+    s_n = k, is kappa(x) - k x_(n-1) + k^2/2.  At x + v, v_i = min(i, k),
+    the theta is the numerator plus k^2/(2n), and verify proves that
+    translation (_translation) and walks the theta alone.
     """
     data = PartitionData.from_parts(parts)
-    char, trace = _character_parts(data, k), _trace_parts(data, k)
-    ratio = ProductSpec(
-        char.product.factors + tuple((scale, -power) for scale, power in trace.product.factors)
-    )
-    return Side(char.lattice, ratio if ratio.factors else None), Side(trace.lattice)
+    numerator, up = _character_parts(data, k)
+    theta, down = _trace_parts(data, k)
+    ratio = ProductSpec(up + tuple((scale, -power) for scale, power in down))
+    return Side(numerator, ratio if ratio.factors else None), Side(theta)
 
 
 def verify_proposition(parts: Sequence[int], k: int, bound) -> VerifyReport:

@@ -26,11 +26,12 @@ builds one theta per residue that a prefix reaches, from the last level
 back, each a sum of shift-adds of the next level's thetas, and its work
 per level does not grow with the number of values of the coordinate
 before.  Suffixes after one prefix spend amounts congruent modulo sigma
-times the suffix's own stride, so each theta is packed at that stride;
-each is cut at the budget the least prefix reaching its residue leaves, so
-every slot it keeps is at most a window count.  A one-dimensional chain has
-one residue and every term is a point, so its walk adds each term straight
-into the window.
+times the suffix's own stride, so each theta is packed at that stride, down
+from the greatest such spend within the budget the least prefix reaching
+its residue leaves: a child lands in its parent by one shift, which drops
+the child's slots above the parent's budget, and every slot is at most a
+window count.  A one-dimensional chain has one residue and every term is a
+point, so its walk adds each term straight into the window.
 
 Both routes of qchar.affine and the identities build their LatticeSums as
 integer chains.  A LatticeSum completes its squares once, on first use,
@@ -54,7 +55,6 @@ from typing import Optional
 from .qseries import (
     QSeries,
     RationalLike,
-    _cut,
     _pack,
     _series,
     _slot_width,
@@ -256,8 +256,8 @@ def _level_range(k: int, w: int, p: int, budget: int) -> range:
 def _count_bound(form: _ScaledForm, weight, budget: int) -> int:
     """A bound on the magnitude of every count a walk through budget keeps.
 
-    Every count the walk keeps, in a theta's kept slot, in a partial sum of
-    one or in the window, weighs points within the budget that spend one
+    Every count the walk keeps, in a theta's slot, in a partial sum of one
+    or in the window, weighs points within the budget that spend one
     amount s, at most max|weight| each (see _walk_residues).  No room
     exceeds the budget, so given x_0..x_(j-1), x_j lies among the x with
     |W_j x + p| <= isqrt(budget // K_j) for its p: at most
@@ -349,45 +349,55 @@ def _walk_residues(form: _ScaledForm, weight, units: int, budget: int, w: int) -
     runs through the last level, whose terms all lead to the empty suffix,
     so it reaches that one residue at the least spend of any point.
 
-    Thetas: from the last level back, T_i(r) is a pair (s0, packed), s0 its
-    least spend and slot j of packed the number of suffixes spending
-    s0 + sigma*strides[i]*j, kept through the budget left at s_r: the sum
-    over r's terms of T_(i+1)(rho) shifted by the level's spend, one
-    shift-add per term whose child exists and fits, then one _cut.  A child
-    was kept through budget - s_rho >= budget - s_r - K_i (W_i x + r)^2,
-    since r's least prefix and x reach rho, so every slot the parent keeps
-    is exact.  At l = 1 there is one residue and every term is a point, so
-    each term's weight goes straight into the window instead, with no
-    forward pass, pack, _cut or _unpack.
+    Thetas: from the last level back, T_i(r) is a pair (top, packed), with
+    step = sigma*strides[i] and room = budget - s_r: top is the greatest
+    spend of r's class mod step that is at most room, and slot j of packed
+    counts the suffixes spending top - step*j.  It is the sum over r's
+    terms of T_(i+1)(rho) moved by the level's spend, one shift per term:
+    a child (ctop, p) of a term of cost c spends c + ctop at its slot 0,
+    d = (room - c - ctop) // step slots below top (exactly, as top and
+    c + ctop share a class), so p lands by p << d*w, or by p >> -d*w when
+    d < 0, which drops exactly the child's slots above room.  Any term with
+    a child fixes top = room - (room - c - ctop) % step.  A child that
+    shifts to 0 completes no point and is skipped, so the walk adds once per
+    completing term, and a residue whose sum is 0 keeps no theta.  A child
+    was kept through budget - s_rho >= room - c, since r's least prefix and
+    x reach rho, so every slot the parent keeps is exact.  At l = 1 there
+    is one residue and every term is a point, so each term's weight goes
+    straight into the window instead, with no forward pass, pack or
+    _unpack.
 
     Stride: two suffixes from one prefix spend amounts that differ by sigma
     times the difference of the integer chain grid*E, whose differing terms
     are a_j x_j^2 + l_j x_j = a_j (x_j^2 - x_j) + (a_j + l_j) x_j for j >= i
     and b_j x_j x_(j+1) for j >= i - 1 (x_(i-1) is fixed); so every spend
     of T_i(r), which by periodicity is the suffix sum of any real prefix
-    reaching r, is congruent to s0 mod sigma*strides[i], strides[i] the gcd
-    of 2a_j, a_j + l_j (j >= i) and b_j (j >= i - 1).  strides[i] divides
-    strides[i+1], so a child is spread to the finer step, slot j to slot
-    j*strides[i+1]/strides[i], before its level sums it.  Level 0's step is
-    the window's: every point's exponent lies on the grid, so the spends
-    base + s0 + sigma*strides[0]*j land in grid slots lo + strides[0]*j.
+    reaching r, is congruent to top mod sigma*strides[i], strides[i] the
+    gcd of 2a_j, a_j + l_j (j >= i) and b_j (j >= i - 1).  strides[i]
+    divides strides[i+1], so a child is spread to the finer step, slot j to
+    slot j*strides[i+1]/strides[i], before its level sums it; its top stays,
+    and its slot count is read off the packed int's bit length.  Level 0's
+    step is the window's: every point's exponent lies on the grid, so the
+    spends base + top - sigma*strides[0]*j land in grid slots
+    hi - strides[0]*j, hi = (base + top) // sigma.
 
-    Width: the thetas of levels i >= 1 are unweighted, so a kept slot of
+    Width: the thetas of levels i >= 1 are unweighted, so every slot of
     T_i(r), and any partial sum of it, counts suffixes that complete r's
-    least prefix to points within the budget that spend one amount, at most
-    one window count under no weight, which _count_bound bounds; level 0's
-    weighted slots and partial sums are at most max|weight| times that.
-    Above the cut nothing is bounded, but the int is exactly
-    sum_j A_j 2^(w*j) with integer A_j and carries move only up; a child's
-    slots above its cut land, shifted, above the parent's, whose _cut reads
-    only its kept slots as a residue mod 2^(w*n).  So _count_bound's width
-    holds.
+    least prefix to points within room that spend one amount, at most one
+    window count under no weight, which _count_bound bounds.  Their slots
+    lie in [0, 2^(w-1)), so no borrow crosses a slot, and a shift moves or
+    drops whole slots exactly.  Level 0 multiplies each child by its weight
+    after the shift, never before, so its weighted slots and partial sums
+    are at most max|weight| times that.  So _count_bound's width holds.
 
-    Least slot: the forward pass's least spend of any point within the
-    budget, whatever the weights, is s0 of T_0 too, since each level keeps
-    the least over its terms; so lo = (base + s0) // sigma is grid*min(E)
-    whenever some point lies within units, even where weights cancel, and
-    the walk records it on the form.  At l = 1 that spend is the cheapest
+    Least slot: the forward pass reaches the empty suffix at the least spend
+    of any point within the budget, whatever the weights, so
+    lo = (base + that spend) // sigma is grid*min(E) whenever some point
+    lies within units, even where weights cancel, and the walk records it on
+    the form.  The root's slots run from grid slot hi down to lo, so the
+    walk unpacks (hi - lo) // strides[0] + 1 of them and reverses them into
+    the window; a root whose weights cancel in every slot keeps no theta,
+    and its window is zero.  At l = 1 the least spend is the cheapest
     term's, K_0 min(p mod W_0, -p mod W_0)^2 at p = w0_0.
     """
     K, W, c, t = form.K, form.W, form.w_prev, form.w0
@@ -433,33 +443,36 @@ def _walk_residues(form: _ScaledForm, weight, units: int, budget: int, w: int) -
     for i in range(last, -1, -1):
         step = sigma * g[i]
         if i < last and g[i + 1] > g[i]:
-            k, seen = g[i + 1] // g[i], reach[i + 1]
-            thetas = {r: (s0, _spread(packed, (budget - seen[r] - s0) // (step * k) + 1, k, w))
-                      for r, (s0, packed) in thetas.items()}
+            k = g[i + 1] // g[i]
+            thetas = {r: (top, _spread(packed, -(-packed.bit_length() // w), k, w))
+                      for r, (top, packed) in thetas.items()}
         weighted = i == 0 and weight is not None
         seen, nxt = reach[i], {}
         for r, terms in levels[i].items():
-            top = budget - seen[r]
-            kept = []
+            room, acc = budget - seen[r], 0
             for cost, rho, x in terms:
                 child = thetas.get(rho)
-                if child is not None and cost + child[0] <= top:
-                    kept.append((cost + child[0], child[1], x))
-            if kept:
-                s0 = min(term[0] for term in kept)
-                acc = 0
-                for spend, packed, x in kept:
-                    if weighted:
-                        packed *= _weight_value(weight, (x,))
-                    acc += packed << (spend - s0) // step * w
-                nxt[r] = (s0, _cut(acc, 0, (top - s0) // step + 1, w))
+                if child:
+                    top, packed = child
+                    spend = cost + top
+                    # the child lands d slots down; d < 0 drops its slots above the room
+                    d = (room - spend) // step
+                    packed = packed << d * w if d >= 0 else packed >> -d * w
+                    if packed:
+                        if weighted:
+                            packed *= _weight_value(weight, (x,))
+                        acc += packed
+            if acc:
+                # every child's spend lies in r's class, so the last one fixes top
+                nxt[r] = (room - (room - spend) % step, acc)
         thetas = nxt
-    # the root's s0 is the cheapest point's spend, so base + s0 = sigma*lo and
-    # the root's cut at budget - s0 = sigma*(units - lo) kept exactly these k slots
-    n = units - lo + 1
-    window = [0] * n
-    k = len(range(0, n, g[0]))
-    window[:: g[0]] = _unpack(thetas[t[0]][1], k, w)
+    root = thetas.get(t[0])
+    if root is None:  # weights cancelled in every slot
+        return _series(form.grid, units, (0,), units)
+    # the root's slots run down from grid slot hi to lo, the cheapest point's
+    hi = (form.base + root[0]) // sigma
+    window = [0] * (units - lo + 1)
+    window[: hi - lo + 1 : g[0]] = _unpack(root[1], (hi - lo) // g[0] + 1, w)[::-1]
     return _window(form.grid, lo, window, units)
 
 

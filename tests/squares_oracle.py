@@ -81,8 +81,8 @@ def route_chains(n_max):
             data = PartitionData.from_parts(parts)
             for k in range(n):
                 rational = rational_chain(character_data(parts, k)[0])
-                yield ("character", parts, k), _character_parts(data, k).lattice, rational
-                yield ("trace", parts, k), _trace_parts(data, k).lattice, trace_chain(parts, k)
+                yield ("character", parts, k), _character_parts(data, k)[0], rational
+                yield ("trace", parts, k), _trace_parts(data, k)[0], trace_chain(parts, k)
 
 
 def rational_chain(s):

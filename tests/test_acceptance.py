@@ -214,7 +214,7 @@ def test_proposition_product_specs_match_literal_oracle():
             inverse = specialized_character(parts, 0).product
             specs.add(ProductSpec(tuple((s, -p) for s, p in inverse.factors)))
             specs.add(inverse)
-            specs.add(_trace_parts(PartitionData.from_parts(parts), 0).product)
+            specs.add(ProductSpec(_trace_parts(PartitionData.from_parts(parts), 0)[1]))
     for spec in specs:
         assert _window(product_series(spec, 30)) == _window(
             product_oracle(spec, 30)

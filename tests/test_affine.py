@@ -309,13 +309,13 @@ def test_route_windows_below_q0_reach_as_far_as_their_lattice_factor():
         for parts in partitions(n):
             data = PartitionData.from_parts(parts)
             for k in range(n):
-                for route, side in (
+                for route, (chain, _) in (
                     (specialized_character_series, _character_parts(data, k)),
                     (trace_series, _trace_parts(data, k)),
                 ):
                     for bound in (Fraction(-3), Fraction(-1, 2)):
                         got = route(parts, k, bound)
-                        lattice = lattice_sum_series(side.lattice, bound)
+                        lattice = lattice_sum_series(chain, bound)
                         assert got.order * lattice.denom == lattice.order * got.denom, (
                             route.__name__, parts, k, bound
                         )
@@ -415,7 +415,7 @@ def test_trace_theta_matches_box_scan():
             # the tuple (0, ..., 0, k) bounds the minimum from above
             top = Fraction(modulus(parts) * k * k, 2 * parts[-1])
             scanned = min(e for e, _ in box_theta_terms(parts, k, top))
-            chain = _trace_parts(PartitionData.from_parts(parts), k).lattice
+            chain = _trace_parts(PartitionData.from_parts(parts), k)[0]
             assert lattice_sum_above(chain, 0)[0] == scanned, (parts, k)
 
 
@@ -450,10 +450,10 @@ def test_route_chains_match_their_fraction_formulas():
                 inverse = ProductSpec(tuple((sc, -p) for sc, p in denominator.factors))
                 want = Side(numerator, inverse)
                 assert specialized_character(parts, k) == want, (parts, k)
-                side = _character_parts(data, k)
-                assert rational_chain(side.lattice) == rational_chain(numerator)
-                assert side.product == inverse, (parts, k)
-                chain = _trace_parts(data, k).lattice
+                chain, factors = _character_parts(data, k)
+                assert rational_chain(chain) == rational_chain(numerator)
+                assert ProductSpec(factors) == inverse, (parts, k)
+                chain = _trace_parts(data, k)[0]
                 assert rational_chain(chain) == tuple(trace_chain(parts, k)), (parts, k)
 
 
@@ -461,10 +461,11 @@ def test_route_chains_and_forms_hold_plain_ints():
     for parts, k in (((1,), 0), ((1, 3), 1), ((1, 1, 2), 0), ((2, 3, 4), 5), ((1, 1, 6), 7)):
         data = PartitionData.from_parts(parts)
         for route_parts in (_character_parts, _trace_parts):
-            chain = route_parts(data, k).lattice
+            chain, factors = route_parts(data, k)
             diag, off, lin, const, denom = astuple(chain)[:5]
             form = chain._form
             values = (*diag, *off, *lin, const, denom, form.grid, form.sigma, form.base)
+            values += tuple(v for factor in factors for v in factor)
             values += (*form.K, *form.W, *form.w_prev, *form.w0)
             assert all(type(v) is int for v in values), (parts, k, route_parts)
 
@@ -681,7 +682,9 @@ def pairing_oracle(parts, k, order):
     """The two-product pairing: the character route, numerator * P_1,
     against the trace route, theta * P_2, each side in full."""
     data = PartitionData.from_parts(parts)
-    return verify(_character_parts(data, k), _trace_parts(data, k), order)
+    char, trace = (Side(chain, ProductSpec(factors)) for chain, factors in
+                   (_character_parts(data, k), _trace_parts(data, k)))
+    return verify(char, trace, order)
 
 
 def test_proposition_equals_the_two_product_pairing():

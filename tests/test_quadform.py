@@ -545,8 +545,8 @@ def workload_lattice_sides():
         for parts in partitions(n):
             data = PartitionData.from_parts(parts)
             for k in range(n):
-                yield _character_parts(data, k).lattice, 30
-                yield _trace_parts(data, k).lattice, 30
+                yield _character_parts(data, k)[0], 30
+                yield _trace_parts(data, k)[0], 30
     for make, m, order in ((class1_identity, 1, 800), (class1_identity, 2, 160),
                            (class1_identity, 3, 56), (class2_identity, 1, 800),
                            (class2_identity, 2, 100)):

@@ -96,7 +96,7 @@ def test_all_ones_character_walks_match_the_dict_walk(walks):
     for n in range(1, 8):
         data = PartitionData.from_parts((1,) * n)
         for k in range(n):
-            lattice_sum_above(_character_parts(data, k).lattice, 30)
+            lattice_sum_above(_character_parts(data, k)[0], 30)
     assert len(walks) == 28
     assert_matches_oracle(walks)
 
@@ -122,6 +122,11 @@ def test_classical_walks_match_the_dict_walk(walks):
         assert verify_identity(classical_identity(name), 3000).match
     assert len(walks) == 4
     assert_matches_oracle(walks)
+
+
+# the walk of this weighted sum is zero at every order: x_0 -> 3 - x_0 keeps
+# every exponent and flips the sign, so its root theta cancels in every slot
+CANCELLING = LatticeSum((1, 1), (0,), (-3, -3), 0, 2, WEIGHT_ALTERNATING)
 
 
 @st.composite
@@ -150,6 +155,10 @@ def chains(draw, top=4, scale=1):
                        strides=(2,), periods=(2,)), WEIGHT_FOUR_K_PLUS_ONE),
     extra=0,
 )
+@example(  # x_0 -> 3 - x_0 flips the sign: the root cancels in every slot
+    chain=(CANCELLING._form, WEIGHT_ALTERNATING),
+    extra=0,
+)
 def test_property_packed_walk_matches_dict_walk(chain, extra):
     # units from the nearest-plane bound of lattice_sum_above, so some walks
     # start below the minimum and come out zero
@@ -173,9 +182,10 @@ SIGNED_SUMS = (
 @pytest.mark.parametrize("weight", (WEIGHT_ALTERNATING, WEIGHT_FOUR_K_PLUS_ONE))
 @pytest.mark.parametrize("s", SIGNED_SUMS, ids=lambda s: f"l{s.l}")
 def test_weighted_walks_cut_signed_rows_like_the_dict_walk(s, weight):
-    # the weight enters at level 0, so the root theta holds negative slots
-    # and its _cut, which drops the slots above the budget, must leave the
-    # kept slots balanced
+    # the weight enters at level 0, after each child's shift, so the root
+    # theta holds negative slots, which the window must read back balanced;
+    # a child weighted before its shift would floor a negative int there,
+    # borrowing from the slots it keeps
     s = replace(s, weight=weight)
     bound = lattice_sum_above(s, 0)[0] + 12
     got = lattice_sum_series(s, bound)
@@ -235,7 +245,7 @@ def test_stride_seven_rows_match_the_dict_walk(monkeypatch):
     for parts in partitions(7):
         data = PartitionData.from_parts(parts)
         for k in range(1, 7):
-            chain = _character_parts(data, k).lattice
+            chain = _character_parts(data, k)[0]
             form = chain._form
             if form.strides[0] == 7:
                 strided += 1
@@ -254,7 +264,7 @@ def sampled_forms():
             data = PartitionData.from_parts(parts)
             for k in range(n):
                 for route in (_character_parts, _trace_parts):
-                    chain = route(data, k).lattice
+                    chain = route(data, k)[0]
                     units = floor((lattice_sum_above(chain, 0)[0] + 12) * chain._form.grid)
                     out.append((chain._form, units))
     for s in SIGNED_SUMS:
@@ -318,6 +328,16 @@ def test_dimension_3_counts_that_cancel_at_the_least_slot_match_the_dict_walk(we
         assert got[0] == lead * form.grid < got[1].lo == 0
 
 
+def test_a_weighted_walk_that_cancels_everywhere_is_zero():
+    # the walk keeps no root theta, yet still records the least slot, -4
+    form = CANCELLING._form
+    got = walked(form, CANCELLING.weight, -4)
+    assert got == dict_walk(form, CANCELLING.weight, -4)
+    assert got[0] == -4 and got[1].coeffs == (0,)
+    lead, series = lattice_sum_above(CANCELLING, 5)
+    assert lead == -2 and series.coeffs == (0,) and series.order == 3 * form.grid
+
+
 @settings(max_examples=200, deadline=None)
 @given(chains(top=5, scale=4), st.integers(min_value=-6, max_value=40))
 @example(  # dimension 5, every stride 2, alternating
@@ -350,7 +370,7 @@ LEMMA_SUMS = (
     *((s, 8) for s in SIGNED_SUMS),
     (class1_identity(1).rhs, 30),
     (class2_identity(2).rhs, 6),
-    (_character_parts(PartitionData.from_parts((1, 6)), 3).lattice, 6),
+    (_character_parts(PartitionData.from_parts((1, 6)), 3)[0], 6),
 )
 
 
@@ -459,7 +479,7 @@ def test_residue_thetas_spread_where_the_suffix_stride_refines(monkeypatch):
     for parts in partitions(7):
         data = PartitionData.from_parts(parts)
         for k in range(1, 7):
-            chain = _character_parts(data, k).lattice
+            chain = _character_parts(data, k)[0]
             form = chain._form
             if len(set(form.strides)) > 1:
                 units = floor((lattice_sum_above(chain, 0)[0] + 30) * form.grid)
@@ -471,15 +491,15 @@ def test_residue_thetas_spread_where_the_suffix_stride_refines(monkeypatch):
 @pytest.mark.parametrize(
     "make",
     [
-        lambda: class1_identity(3).rhs,
-        lambda: _character_parts(PartitionData.from_parts((1,) * 8), 0).lattice,
-        lambda: _character_parts(PartitionData.from_parts((2, 2, 2, 2)), 1).lattice,
+        lambda: _character_parts(PartitionData.from_parts((1,) * 8), 0)[0],
+        lambda: _character_parts(PartitionData.from_parts((2, 2, 2, 2)), 1)[0],
     ],
-    ids=["class1-m3", "ones8-k0", "twos4-k1"],
+    ids=["ones8-k0", "twos4-k1"],
 )
-def test_residue_walk_matches_the_rows_at_order_1000(make):
+def test_long_thetas_at_order_1000_match_the_dict_walk(make):
     # the frontier the residue walk is for, where its thetas are few and
-    # long: it gives the dict walk's window and least slot
+    # long: it gives the dict walk's window and least slot (class1 m = 3 at
+    # this order is test_class1_m3_walk_at_order_1000_matches_the_dict_walk)
     s = make()
     form = s._form
     units = floor((lattice_sum_above(s, 0)[0] + 1000) * form.grid)

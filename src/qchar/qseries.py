@@ -473,14 +473,14 @@ class ProductSpec:
 
 # Balanced w-bit slots: v_j in [-2^(w-1), 2^(w-1)) pack into one int, slot j at
 # bit w*j on any machine; xor with the lift flips a two's complement word's top
-# bit, adding 2^(w-1).  Widths with an array typecode move through one array.
-# Wider slots, multiples of 64, decode as q 64-bit words each: one strided
-# array per place, joined by C-level maps.  They encode one to_bytes a slot,
-# which measured faster than building the word arrays from Python ints.  The
-# certificate packs, and the lattice walk decodes, at any whole number of
-# bytes; below 64 bits a slot is the low bytes of a 64-bit word, copied one
-# byte plane at a time, and a slot of other whole bytes decodes widened to
-# whole 64-bit words the same way, its top byte's sign filling the bytes above.
+# bit, adding 2^(w-1).  Every packed int, the lattice walk's, _convolve's and
+# the certificate's, takes its width from _slot_width, the fewest whole bytes.
+# Widths with an array typecode, 8, 16, 32 and 64 bits, move through one array.
+# Below 64 bits a slot is the low bytes of a 64-bit word, copied one byte plane
+# at a time.  Wider slots encode one to_bytes a slot, which measured faster
+# than building word arrays from Python ints, and decode widened to whole
+# 64-bit words, the top byte's sign filling the bytes above: one strided array
+# per place, joined by C-level maps.
 _BLOCK = 32
 _PUSH = 8  # the nonzero count that pushes a half; product_series says why
 _SPARSE = 8  # the density at which _convolve scatters instead of multiplying
@@ -489,9 +489,8 @@ _SIGN_FILL = bytes(0xFF if b >> 7 else 0 for b in range(256))  # a top byte's si
 
 
 def _slot_width(bound: int) -> int:
-    """The narrowest of 8, 16, 32, 64 or a multiple of 64 with bound < 2^(w-1)."""
-    need = bound.bit_length() + 1
-    return next((w for w in (8, 16, 32, 64) if need <= w), -(-need // 64) * 64)
+    """The fewest whole bytes w with bound < 2^(w-1): the width of every packed int."""
+    return 8 * (bound.bit_length() // 8 + 1)
 
 
 def _lift(k: int, w: int) -> int:
@@ -795,8 +794,8 @@ def _certify(c: tuple[int, ...], pack: Callable[[int, bool], int], lmax: int) ->
 
     Width.  With n = sum |c_j| over c_0..c_units, |S_m| <= n lmax and
     |m c_m| <= units n, so each d_m, and each L_k, c_j, m c_m and partial
-    sum of the c_j that is packed, is at most n (lmax + units) in size.  w
-    is the fewest whole bytes that put that bound below h = 2^(w-1).
+    sum of the c_j that is packed, is at most n (lmax + units) in size, and
+    _slot_width puts that bound below h = 2^(w-1).
 
     Equality.  Digits with |d_s| < h over k slots sum to less than
     2^(w k - 1) in size, so the sum is 0 modulo 2^(w k) only when it is 0,
@@ -820,7 +819,7 @@ def _certify(c: tuple[int, ...], pack: Callable[[int, bool], int], lmax: int) ->
     units = len(c) - 1
     if c[0] != 1 or not units:  # with no m >= 1, c_0 = 1 is the whole check
         return c[0] == 1
-    w = 8 * ((sum(map(abs, compress(c, c))) * (lmax + units)).bit_length() // 8 + 1)
+    w = _slot_width(sum(map(abs, compress(c, c))) * (lmax + units))
     return not _defect(c, pack, w, (units - c[:units].count(0)) * _SPARSE <= units)
 
 

@@ -26,12 +26,12 @@ builds one theta per residue that a prefix reaches, from the last level
 back, each a sum of shift-adds of the next level's thetas, and its work
 per level does not grow with the number of values of the coordinate
 before.  Suffixes after one prefix spend amounts congruent modulo sigma
-times the suffix's own stride, so each theta is packed at that stride, down
-from the greatest such spend within the budget the least prefix reaching
-its residue leaves: a child lands in its parent by one shift, which drops
-the child's slots above the parent's budget, and every slot is at most a
-window count.  A one-dimensional chain has one residue and every term is a
-point, so its walk adds each term straight into the window.
+times the chain's stride, so every theta of the walk is packed at that one
+step, down from the greatest such spend within the budget the least prefix
+reaching its residue leaves: a child lands in its parent by one shift,
+which drops the child's slots above the parent's budget, and every slot is
+at most a window count.  A one-dimensional chain has one residue and every
+term is a point, so its walk adds each term straight into the window.
 
 Both routes of qchar.affine and the identities build their LatticeSums as
 integer chains.  A LatticeSum completes its squares once, on first use,
@@ -55,7 +55,6 @@ from typing import Optional
 from .qseries import (
     QSeries,
     RationalLike,
-    _pack,
     _series,
     _slot_width,
     _unpack,
@@ -171,10 +170,10 @@ class _ScaledForm:
     so a walk through any bound t needs only units = floor(t*grid): every
     exponent lies on the grid, the budget is sigma*units - base, and a spend
     lands in grid slot (base + spend) // sigma exactly.  The suffix spends
-    of levels i..l-1 share a residue mod sigma*strides[i], and depend on
-    the prefix only through p_i = w0_i + w_prev_i x_(i-1) mod periods[i]
-    (see _walk_residues).  least, set by any walk that reaches a point, is
-    grid*min(E).
+    of levels i..l-1 share a residue mod sigma*stride, one step for every
+    level, and depend on the prefix only through
+    p_i = w0_i + w_prev_i x_(i-1) mod periods[i] (see _walk_residues).
+    least, set by any walk that reaches a point, is grid*min(E).
     """
 
     grid: int
@@ -184,7 +183,7 @@ class _ScaledForm:
     W: tuple[int, ...]
     w_prev: tuple[int, ...]
     w0: tuple[int, ...]
-    strides: tuple[int, ...]
+    stride: int
     periods: tuple[int, ...]
 
 
@@ -211,19 +210,19 @@ def _complete_squares(a, b, l, c, grid) -> _ScaledForm:
     (W, w_prev, w0) is its primitive linear form with W > 0, and sigma is the
     least scale that makes every K_i integral.  No square reads the
     remainder's constant, so the elimination drops it and base is read off
-    x = 0 instead.  strides[i], the gcd of 2a_j and a_j + l_j over j >= i
-    and of b_j over j >= i - 1, and periods[i] = P_i, with P_(l-1) = W_(l-1)
-    and P_i = W_i P_(i+1) / gcd(w_prev_(i+1), P_(i+1)), step and key the
-    walk's thetas (see _walk_residues).  Raises if any pivot fails to be
+    x = 0 instead.  stride, the gcd of 2a_j, a_j + l_j and b_j over the
+    whole chain, and periods[i] = P_i, with P_(l-1) = W_(l-1) and
+    P_i = W_i P_(i+1) / gcd(w_prev_(i+1), P_(i+1)), step and key the walk's
+    thetas (see _walk_residues).  Raises if any pivot fails to be
     positive.
     """
     n = len(a)
     W, w_prev, w0, squares = [0] * n, [0] * n, [0] * n, [0] * n
-    strides, periods = [0] * n, [0] * n
+    periods = [0] * n
     m = s = sigma = 1
-    da = dl = suffix = 0
+    da = dl = stride = 0
     for i in range(n - 1, -1, -1):
-        suffix = strides[i] = gcd(suffix, 2 * a[i], a[i] + l[i], b[i - 1] if i else 0)
+        stride = gcd(stride, 2 * a[i], a[i] + l[i], b[i - 1] if i else 0)
         ai, li = s * a[i] + da, s * l[i] + dl
         if ai <= 0:
             raise ValueError("indefinite exponent function")
@@ -244,7 +243,7 @@ def _complete_squares(a, b, l, c, grid) -> _ScaledForm:
     # sigma*grid*E(0) = sigma*c = base + sum K_i w0_i^2, all integers
     base = sigma * c - sum(map(mul, K, map(mul, w0, w0)))
     return _ScaledForm(grid, sigma, base, K, tuple(W), tuple(w_prev), tuple(w0),
-                       tuple(strides), tuple(periods))
+                       stride, tuple(periods))
 
 
 def _level_range(k: int, w: int, p: int, budget: int) -> range:
@@ -277,13 +276,6 @@ def _count_bound(form: _ScaledForm, weight, budget: int) -> int:
     return bound
 
 
-def _walk_width(bound: int) -> int:
-    """The walk's slot width for counts up to bound: _slot_width's 8, 16, 32
-    or 64 bits, and above 64 the fewest whole bytes with bound < 2^(w-1)."""
-    need = bound.bit_length() + 1
-    return _slot_width(bound) if need <= 64 else -(-need // 8) * 8
-
-
 def _walk(form: _ScaledForm, weight, units: int) -> QSeries:
     """The one lattice engine: walk a _ScaledForm through units grid slots.
 
@@ -292,12 +284,13 @@ def _walk(form: _ScaledForm, weight, units: int) -> QSeries:
     a plain int.  Counts are packed (Kronecker substitution; Harvey, J.
     Symb. Comput. 44, 2009) in balanced slots of one width w, from
     _count_bound: every count the walk keeps lies under it, so slots under
-    2^(w-1) never carry.  Up to 64 bits w is 8, 16, 32 or 64, above that
-    the fewest whole bytes (_walk_width), which _unpack decodes.  The walk
-    is _walk_residues: at level i it keeps one theta per residue of p_i mod
-    P_i that a prefix reaches, at most P_i / gcd(w_prev_i, P_i) of them
+    2^(w-1) never carry.  w is _slot_width's, the fewest whole bytes, as
+    for every packed int: _unpack decodes 8, 16, 32 or 64 bits through one
+    array, and the whole bytes between and above them by byte planes.  The
+    walk is _walk_residues: at level i it keeps one theta per residue of p_i
+    mod P_i that a prefix reaches, at most P_i / gcd(w_prev_i, P_i) of them
     however high the order, and pays one shift-add per value of x_i in
-    range at each.
+    range at each, every theta at one step.
     """
     grid, sigma, base = form.grid, form.sigma, form.base
     budget = sigma * units - base
@@ -308,14 +301,7 @@ def _walk(form: _ScaledForm, weight, units: int) -> QSeries:
         lo = base // sigma
         object.__setattr__(form, "least", lo)
         return _series(grid, lo, (1,) + (0,) * (units - lo), units)
-    return _walk_residues(form, weight, units, budget, _walk_width(_count_bound(form, weight, budget)))
-
-
-def _spread(packed: int, n: int, k: int, w: int) -> int:
-    """The n w-bit slots of packed, slot j moved to slot k*j."""
-    slots = [0] * (k * (n - 1) + 1)
-    slots[::k] = _unpack(packed, n, w)
-    return _pack(slots, w)
+    return _walk_residues(form, weight, units, budget, _slot_width(_count_bound(form, weight, budget)))
 
 
 def _walk_residues(form: _ScaledForm, weight, units: int, budget: int, w: int) -> QSeries:
@@ -350,12 +336,12 @@ def _walk_residues(form: _ScaledForm, weight, units: int, budget: int, w: int) -
     so it reaches that one residue at the least spend of any point.
 
     Thetas: from the last level back, T_i(r) is a pair (top, packed), with
-    step = sigma*strides[i] and room = budget - s_r: top is the greatest
-    spend of r's class mod step that is at most room, and slot j of packed
-    counts the suffixes spending top - step*j.  It is the sum over r's
-    terms of T_(i+1)(rho) moved by the level's spend, one shift per term:
-    a child (ctop, p) of a term of cost c spends c + ctop at its slot 0,
-    d = (room - c - ctop) // step slots below top (exactly, as top and
+    one step = sigma*stride for every level and room = budget - s_r: top is
+    the greatest spend of r's class mod step that is at most room, and slot
+    j of packed counts the suffixes spending top - step*j.  It is the sum
+    over r's terms of T_(i+1)(rho) moved by the level's spend, one shift per
+    term: a child (ctop, p) of a term of cost c spends c + ctop at its slot
+    0, d = (room - c - ctop) // step slots below top (exactly, as top and
     c + ctop share a class), so p lands by p << d*w, or by p >> -d*w when
     d < 0, which drops exactly the child's slots above room.  Any term with
     a child fixes top = room - (room - c - ctop) % step.  A child that
@@ -372,14 +358,13 @@ def _walk_residues(form: _ScaledForm, weight, units: int, budget: int, w: int) -
     are a_j x_j^2 + l_j x_j = a_j (x_j^2 - x_j) + (a_j + l_j) x_j for j >= i
     and b_j x_j x_(j+1) for j >= i - 1 (x_(i-1) is fixed); so every spend
     of T_i(r), which by periodicity is the suffix sum of any real prefix
-    reaching r, is congruent to top mod sigma*strides[i], strides[i] the
-    gcd of 2a_j, a_j + l_j (j >= i) and b_j (j >= i - 1).  strides[i]
-    divides strides[i+1], so a child is spread to the finer step, slot j to
-    slot j*strides[i+1]/strides[i], before its level sums it; its top stays,
-    and its slot count is read off the packed int's bit length.  Level 0's
-    step is the window's: every point's exponent lies on the grid, so the
-    spends base + top - sigma*strides[0]*j land in grid slots
-    hi - strides[0]*j, hi = (base + top) // sigma.
+    reaching r, is congruent to top mod sigma times the gcd of 2a_j,
+    a_j + l_j (j >= i) and b_j (j >= i - 1).  stride, that gcd over the
+    whole chain, divides it at every level, so one step = sigma*stride
+    holds for every theta, and a child lands in its parent's slots as it
+    is.  The step is the window's too: every point's exponent lies on the
+    grid, so the root's spends base + top - step*j land in grid slots
+    hi - stride*j, hi = (base + top) // sigma.
 
     Width: the thetas of levels i >= 1 are unweighted, so every slot of
     T_i(r), and any partial sum of it, counts suffixes that complete r's
@@ -395,13 +380,13 @@ def _walk_residues(form: _ScaledForm, weight, units: int, budget: int, w: int) -
     lo = (base + that spend) // sigma is grid*min(E) whenever some point
     lies within units, even where weights cancel, and the walk records it on
     the form.  The root's slots run from grid slot hi down to lo, so the
-    walk unpacks (hi - lo) // strides[0] + 1 of them and reverses them into
+    walk unpacks (hi - lo) // stride + 1 of them and reverses them into
     the window; a root whose weights cancel in every slot keeps no theta,
     and its window is zero.  At l = 1 the least spend is the cheapest
     term's, K_0 min(p mod W_0, -p mod W_0)^2 at p = w0_0.
     """
     K, W, c, t = form.K, form.W, form.w_prev, form.w0
-    sigma, g, P, last = form.sigma, form.strides, form.periods, len(K) - 1
+    sigma, stride, P, last = form.sigma, form.stride, form.periods, len(K) - 1
     if not last:
         # one level: every term is a point, added straight into the window
         k, wi, p = K[0], W[0], t[0]
@@ -440,12 +425,8 @@ def _walk_residues(form: _ScaledForm, weight, units: int, budget: int, w: int) -
     lo = (form.base + reach[-1][0]) // sigma
     object.__setattr__(form, "least", lo)
     thetas: dict[int, tuple[int, int]] = {0: (0, 1)}  # T_l, the empty suffix
+    step = sigma * stride
     for i in range(last, -1, -1):
-        step = sigma * g[i]
-        if i < last and g[i + 1] > g[i]:
-            k = g[i + 1] // g[i]
-            thetas = {r: (top, _spread(packed, -(-packed.bit_length() // w), k, w))
-                      for r, (top, packed) in thetas.items()}
         weighted = i == 0 and weight is not None
         seen, nxt = reach[i], {}
         for r, terms in levels[i].items():
@@ -472,7 +453,7 @@ def _walk_residues(form: _ScaledForm, weight, units: int, budget: int, w: int) -
     # the root's slots run down from grid slot hi to lo, the cheapest point's
     hi = (form.base + root[0]) // sigma
     window = [0] * (units - lo + 1)
-    window[: hi - lo + 1 : g[0]] = _unpack(root[1], (hi - lo) // g[0] + 1, w)[::-1]
+    window[: hi - lo + 1 : stride] = _unpack(root[1], (hi - lo) // stride + 1, w)[::-1]
     return _window(form.grid, lo, window, units)
 
 

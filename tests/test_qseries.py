@@ -710,12 +710,12 @@ def test_unpack_at_whole_bytes_between_the_typecodes(w):
         assert list(qseries._unpack(packed, len(values), w)) == values
 
 
-@pytest.mark.parametrize("w", (8, 16, 32, 64, 128, 192))
+@pytest.mark.parametrize("w", (8, 16, 32, 56, 64, 128, 192))
 def test_slot_width_at_each_boundary(w):
-    """A bound fits w bits while it is below 2^(w-1), the balanced slot's top."""
-    wider = {8: 16, 16: 32, 32: 64, 64: 128, 128: 192, 192: 256}[w]
+    """A bound fits w bits while it is below 2^(w-1), the balanced slot's
+    top, and the next bound takes one more byte, typecode width or not."""
     assert qseries._slot_width((1 << (w - 1)) - 1) == w
-    assert qseries._slot_width(1 << (w - 1)) == wider
+    assert qseries._slot_width(1 << (w - 1)) == w + 8
     assert qseries._slot_width(0) == 8
 
 
@@ -735,7 +735,7 @@ def test_packed_product_decodes_at_the_width_bound():
         assert max(want) == -min(want) == B * a * c
 
 
-@pytest.mark.parametrize("w", (8, 16, 32, 64, 128, 192))
+@pytest.mark.parametrize("w", (8, 16, 24, 32, 40, 64, 72, 128, 136, 192))
 @pytest.mark.parametrize("nonzero", (4, 20))
 def test_convolve_matches_the_schoolbook(convolves, w, nonzero):
     """_convolve against the schoolbook on random c and L: 4 nonzero c_j in
@@ -767,7 +767,7 @@ def test_convolve_matches_the_schoolbook(convolves, w, nonzero):
 SPARSE_JS, DENSE_JS = (100, 110, 120, 127), range(64, 128)
 
 
-@pytest.mark.parametrize("w", (16, 32, 64, 128))
+@pytest.mark.parametrize("w", (16, 24, 32, 64, 72, 128))
 @pytest.mark.parametrize(
     "js, unit",
     ((SPARSE_JS, False), (DENSE_JS, False), (SPARSE_JS, True), (DENSE_JS, True)),

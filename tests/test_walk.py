@@ -2,7 +2,7 @@
 
 from dataclasses import replace
 from fractions import Fraction
-from math import floor
+from math import floor, gcd
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -30,14 +30,14 @@ from qchar.quadform import (
     _count_bound,
     _ScaledForm,
     _walk,
-    _walk_width,
     lattice_sum_above,
     lattice_sum_series,
 )
+from qchar.qseries import _slot_width
 from box_oracle import lattice_enumerate_oracle
 from point_oracle import _scaled_points
 from squares_oracle import kappa_sum
-from test_quadform import INPLACE_OPS, counting, line_hits
+from test_quadform import INPLACE_OPS, line_hits
 from walk_oracle import dict_levels, dict_walk
 
 WEIGHTS = (None, WEIGHT_ALTERNATING, WEIGHT_FOUR_K_PLUS_ONE)
@@ -132,7 +132,7 @@ CANCELLING = LatticeSum((1, 1), (0,), (-3, -3), 0, 2, WEIGHT_ALTERNATING)
 @st.composite
 def chains(draw, top=4, scale=1):
     """A positive-definite integer chain in dimensions 0-top whose quadratic
-    and linear entries share a factor 1-scale, so that its strides may pass
+    and linear entries share a factor 1-scale, so that its stride may pass
     1, and a weight shape."""
     l = draw(st.integers(min_value=0, max_value=top))
     f = draw(st.integers(min_value=1, max_value=scale))
@@ -152,7 +152,7 @@ def chains(draw, top=4, scale=1):
 @given(chains(), st.integers(min_value=-6, max_value=40))
 @example(  # keyed by p mod W, the weighted 1-D walk read -2 here instead of 6
     chain=(_ScaledForm(grid=1, sigma=4, base=-1, K=(1,), W=(2,), w_prev=(0,), w0=(-1,),
-                       strides=(2,), periods=(2,)), WEIGHT_FOUR_K_PLUS_ONE),
+                       stride=2, periods=(2,)), WEIGHT_FOUR_K_PLUS_ONE),
     extra=0,
 )
 @example(  # x_0 -> 3 - x_0 flips the sign: the root cancels in every slot
@@ -204,7 +204,7 @@ def test_width_above_64_bits_matches_the_dict_walk(monkeypatch):
     units = floor((lattice_sum_above(s, 0)[0] + 400) * form.grid)
     budget = form.sigma * units - form.base
     assert _count_bound(form, s.weight, budget).bit_length() == 68
-    assert _walk_width(_count_bound(form, s.weight, budget)) == 72
+    assert _slot_width(_count_bound(form, s.weight, budget)) == 72
     widths = []
     inner = quadform._unpack
 
@@ -247,7 +247,7 @@ def test_stride_seven_rows_match_the_dict_walk(monkeypatch):
         for k in range(1, 7):
             chain = _character_parts(data, k)[0]
             form = chain._form
-            if form.strides[0] == 7:
+            if form.stride == 7:
                 strided += 1
                 units = floor((lattice_sum_above(chain, 0)[0] + 30) * form.grid)
                 got = walked(form, None, units)
@@ -340,13 +340,13 @@ def test_a_weighted_walk_that_cancels_everywhere_is_zero():
 
 @settings(max_examples=200, deadline=None)
 @given(chains(top=5, scale=4), st.integers(min_value=-6, max_value=40))
-@example(  # dimension 5, every stride 2, alternating
+@example(  # dimension 5, stride 2, alternating
     chain=(LatticeSum((4, 6, 4, 6, 4), (-2, 2, -2, 2), (2, 0, -2, 4, 0), 1, 3)._form,
            WEIGHT_ALTERNATING),
     extra=12,
 )
-def test_property_each_path_matches_dict_walk(chain, extra):
-    # chains whose strides pass 1, from below the minimum (a zero window)
+def test_property_strided_walk_matches_dict_walk(chain, extra):
+    # chains whose stride may pass 1, from below the minimum (a zero window)
     # to 40 grid slots above the nearest-plane bound
     form, weight = chain
     pivots = sum(k * w * w for k, w in zip(form.K, form.W))
@@ -356,12 +356,12 @@ def test_property_each_path_matches_dict_walk(chain, extra):
 
 def suffix_form(form, i, p, paid):
     """Levels i..l-1 of form entered at p_i = p after a prefix that spent
-    paid, so that its points' exponents are the whole chain's; every stride
-    1, which any two spends share."""
+    paid, so that its points' exponents are the whole chain's; stride 1,
+    which any two spends share."""
     return _ScaledForm(
         grid=form.grid, sigma=form.sigma, base=form.base + paid,
         K=form.K[i:], W=form.W[i:], w_prev=(0,) + form.w_prev[i + 1 :],
-        w0=(p,) + form.w0[i + 1 :], strides=(1,) * (len(form.K) - i),
+        w0=(p,) + form.w0[i + 1 :], stride=1,
         periods=form.periods[i:],
     )
 
@@ -404,16 +404,16 @@ def test_suffix_thetas_repeat_with_period_P_i():
     assert checked == (5420, 658)
 
 
-def test_suffix_spends_share_a_residue_mod_sigma_strides():
+def test_suffix_spends_share_a_residue_mod_sigma_stride():
     # the spends of levels i..l-1 after any prefix reaching one residue of
-    # p_i mod P_i are congruent mod sigma*strides[i]
+    # p_i mod P_i are congruent mod sigma*stride, the walk's one step
     for form, units in sampled_forms():
         residues = {}
         for point, total in _scaled_points(form, units):
             paid, prev = form.base, 0
             for i, x in enumerate(point):
                 p = form.w0[i] + form.w_prev[i] * prev
-                step = form.sigma * form.strides[i]
+                step = form.sigma * form.stride
                 residues.setdefault((i, p % form.periods[i]), set()).add((total - paid) % step)
                 v = form.W[i] * x + p
                 paid += form.K[i] * v * v
@@ -470,22 +470,33 @@ def test_residue_walk_shift_adds_once_per_completing_term():
     assert adds == 9608
 
 
-def test_residue_thetas_spread_where_the_suffix_stride_refines(monkeypatch):
-    # n = 7 character chains whose strides fall toward level 0, such as
-    # 7, 7, 7, 42, 42, 42: the residue walk spreads a child's slots to its
-    # parent's finer step before the level sums it
-    spreads = counting(monkeypatch, "_spread")
+def suffix_gcds(s):
+    """The gcd of 2a_j, a_j + l_j (j >= i) and b_j (j >= i - 1) of a chain at
+    each level i, the step its suffix spends share from level i on."""
+    out, g = [], 0
+    for i in range(s.l - 1, -1, -1):
+        g = gcd(g, 2 * s.diag[i], s.diag[i] + s.lin[i], s.off[i - 1] if i else 0)
+        out.append(g)
+    return out[::-1]
+
+
+def test_residue_thetas_at_one_step_where_the_suffix_stride_refines():
+    # n = 7 character chains whose suffix gcds fall toward level 0, such as
+    # 7, 7, 7, 42, 42, 42: every theta steps by the level-0 gcd, so a deep
+    # theta holds the slots its finer classes leave empty
     refined = 0
     for parts in partitions(7):
         data = PartitionData.from_parts(parts)
         for k in range(1, 7):
             chain = _character_parts(data, k)[0]
             form = chain._form
-            if len(set(form.strides)) > 1:
+            gcds = suffix_gcds(chain)
+            assert form.stride == gcds[0]
+            if len(set(gcds)) > 1:
                 units = floor((lattice_sum_above(chain, 0)[0] + 30) * form.grid)
                 assert walked(form, None, units) == dict_walk(form, None, units)
                 refined += 1
-    assert refined == 60 and spreads[0] > 0
+    assert refined == 60
 
 
 @pytest.mark.parametrize(
@@ -493,13 +504,16 @@ def test_residue_thetas_spread_where_the_suffix_stride_refines(monkeypatch):
     [
         lambda: _character_parts(PartitionData.from_parts((1,) * 8), 0)[0],
         lambda: _character_parts(PartitionData.from_parts((2, 2, 2, 2)), 1)[0],
+        lambda: _character_parts(PartitionData.from_parts((2, 3, 5)), 4)[0],
     ],
-    ids=["ones8-k0", "twos4-k1"],
+    ids=["ones8-k0", "twos4-k1", "p235-k4"],
 )
 def test_long_thetas_at_order_1000_match_the_dict_walk(make):
     # the frontier the residue walk is for, where its thetas are few and
     # long: it gives the dict walk's window and least slot (class1 m = 3 at
-    # this order is test_class1_m3_walk_at_order_1000_matches_the_dict_walk)
+    # this order is test_class1_m3_walk_at_order_1000_matches_the_dict_walk);
+    # (2,3,5) at k = 4 refines deeply, its suffix gcds 1,1,4,4,4,12,12,12,12,
+    # so its deep thetas hold 12 times the slots their classes fill
     s = make()
     form = s._form
     units = floor((lattice_sum_above(s, 0)[0] + 1000) * form.grid)

@@ -3,7 +3,8 @@
 It walks the same completed form level by level, but keeps, for each value
 of the current coordinate, a dict from exact spend to weighted count and
 merges one spend at a time, so it shares neither the residue classes, the
-packed thetas, their strides and width, nor the unpacking with the engine.
+packed thetas, their one step and whole-byte width, nor the unpacking with
+the engine.
 """
 
 from typing import Iterator, Optional

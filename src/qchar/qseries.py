@@ -12,12 +12,13 @@ coefficients.  Handed a candidate window, such as an identity's lattice
 side, it first certifies the candidate against the recurrence, and returns
 it when it passes, since the recurrence has one solution.  Pushes and
 series_mul share one packed kernel, _convolve; the certificate, _certify,
-packs the log-derivative straight from the divisor sums and settles every
-coefficient with one integer equality.  Both scatter shifted packed slots
-for sparse coefficients and multiply once for dense ones.  The divisor sums
-sigma(k) behind the recurrence come from one table per process, sieved on
-the first product that needs it, never at import, and sieved again, longer,
-when a product reaches past its end.
+settles every coefficient with one integer equality.  Both scatter shifted
+packed slots for sparse coefficients and multiply once for dense ones.  The
+recurrence's log-derivative L has one source, _sieve_packer, which packs it
+straight from the divisor sums: the certificate reads that int, and the
+solve unpacks it into its list.  The divisor sums sigma(k) come from one
+table per process, sieved on the first product that needs it, never at
+import, and sieved again, longer, when a product reaches past its end.
 
 A series is checked once, where it enters: QSeries(...), QSeries.from_window
 and QSeries.zero scan every field and coefficient.  The windows the program
@@ -37,7 +38,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import floor, gcd, isqrt, lcm
 from itertools import accumulate, compress, repeat
-from operator import add, lshift, mul, sub
+from operator import add, lshift, mul
 from typing import Callable, Iterable, Optional, Union
 
 RationalLike = Union[int, str, Fraction]
@@ -547,74 +548,49 @@ def _unpack(x: int, k: int, w: int):
     return list(slots)
 
 
-# sigma(0..n), sieved on first use; a longer table replaces it, so a list that
-# a caller holds never changes, and threads that race to grow it at worst
-# sieve twice
-_SIGMA = [0]
-# (a table _divisor_sums returned, its running maximum, its values as 8-byte
-# words): made once a table, replaced with it, never changed
-_SIGMA_VIEWS = ([0], [0], bytes(8))
+# (max sigma(1..k) for each k, sigma(0..n) as 8-byte words), sieved on first
+# use; a longer table replaces both whole, so views a caller holds never
+# change, and threads that race to grow them at worst sieve twice
+_SIGMA = ([0], bytes(8))
 
 
-def _divisor_sums(top: int) -> list[int]:
-    """sigma(0..n) for some n >= top: the process's one table, sieved again up
-    to max(top, 2n) when top passes its end."""
+def _divisor_sums(top: int) -> tuple[list[int], bytes]:
+    """The process's one divisor-sum table, for some n >= top: the running
+    maximum peak[k] = max sigma(1..k) and the values sigma(0..n) as
+    little-endian 8-byte words, the two views _sieve_packer reads.  Sieved
+    again, up to max(top, 2n), when top passes its end; the list of sigma
+    lives only in the sieve."""
     global _SIGMA
-    sigma = _SIGMA
-    if top >= len(sigma):
-        n = max(top, 2 * (len(sigma) - 1))
+    table = _SIGMA
+    if top >= len(table[0]):
+        n = max(top, 2 * (len(table[0]) - 1))
         sigma = [0] * (n + 1)
         for e in range(1, isqrt(n) + 1):
             # k = e*f with f >= e gains e + f; the square e*e gains e once
             sigma[e * e :: e] = map(add, sigma[e * e :: e], range(2 * e, n // e + e + 1))
             sigma[e * e] -= e
-        _SIGMA = sigma
-    return sigma
-
-
-def _sigma_views(top: int) -> tuple[list[int], list[int], bytes]:
-    """_divisor_sums(top), max sigma(1..k) for each k, and sigma's values as
-    little-endian 8-byte words, the last two made once a table."""
-    global _SIGMA_VIEWS
-    sigma = _divisor_sums(top)
-    views = _SIGMA_VIEWS
-    if views[0] is not sigma:
-        views = sigma, list(accumulate(sigma, max)), _words("q", sigma).tobytes()
-        _SIGMA_VIEWS = views
-    return views
-
-
-def _steps(spec: ProductSpec, d: int) -> list[tuple[int, int]]:
-    """(t, p) for each factor phi(x^t)^p of the product on the grid x = q^(1/d)."""
-    return [(s.numerator * (d // s.denominator), p) for s, p in spec.factors]
-
-
-def _log_derivative(spec: ProductSpec, d: int, units: int) -> list[int]:
-    """L_0..L_units on the grid of 1/d, sliced out of _divisor_sums: L_k takes
-    -p t sigma(k/t) from each factor phi(x^t)^p with t dividing k."""
-    steps = _steps(spec, d)
-    logd = [0] * (units + 1)
-    sigma = _divisor_sums(units // min(steps)[0] if steps else 0)
-    for t, p in steps:
-        logd[t::t] = map(sub, logd[t::t], map((p * t).__mul__, sigma[1 : units // t + 1]))
-    return logd
+        table = _SIGMA = list(accumulate(sigma, max)), _words("q", sigma).tobytes()
+    return table
 
 
 def _sieve_packer(spec: ProductSpec, d: int, units: int):
-    """(pack, lmax) for L_1..L_units on the grid of 1/d, as _certify takes
-    them, with no list of L built.
+    """(pack, lmax) for L_1..L_units on the grid of 1/d: the one source of L,
+    for the certificate and the solve, with no list of L built.
 
-    lmax = sum |p| t max sigma(1..units // t) over the factors bounds |L_k|,
-    read off the running maximum of the table.  pack(w, reverse) is the int
-    of L_1..L_units in w-bit slots, L_k at slot k - 1 or, reversed, at
-    units - k.  The int of slots v_i is sum v_i 2^(w i), linear in v, so it
-    adds -p t times the int of each factor's sigma(k/t) at the slots of its
-    multiples k of t.  Those are written into zeroed bytes one byte plane at
-    a time, each plane one strided slice copy out of the table's 8-byte
-    words; sigma <= lmax < 2^(w-1), so the bytes above a value are zero.
+    L_k takes -p t sigma(k/t) from each factor phi(x^t)^p, x = q^(1/d), with
+    t dividing k.  lmax = sum |p| t max sigma(1..units // t) over the
+    factors bounds |L_k|, read off the running maximum of the table.
+    pack(w, reverse) is the int of L_1..L_units in w-bit slots, for any w
+    with lmax < 2^(w-1), L_k at slot k - 1 or, reversed, at units - k.  The
+    int of slots v_i is sum v_i 2^(w i), linear in v, so it adds -p t times
+    the int of each factor's sigma(k/t) at the slots of its multiples k of
+    t.  Those are written into zeroed bytes one byte plane at a time, each
+    plane one strided slice copy out of the table's 8-byte words;
+    sigma <= lmax < 2^(w-1), so the bytes above a value are zero.
     """
-    steps = [(t, p) for t, p in _steps(spec, d) if t <= units]
-    _, peak, words = _sigma_views(units // min(steps)[0] if steps else 0)
+    # (t, p) for each factor phi(x^t)^p that reaches x^units
+    steps = [(t, p) for s, p in spec.factors if (t := s.numerator * (d // s.denominator)) <= units]
+    peak, words = _divisor_sums(units // min(steps)[0] if steps else 0)
     lmax = sum(abs(p) * t * peak[units // t] for t, p in steps)
 
     def pack(w: int, reverse: bool) -> int:
@@ -737,16 +713,18 @@ def product_series(spec: ProductSpec, order: RationalLike,
     candidate is discarded, and the recurrence is solved as below, so it
     costs one check on top of the solve.
 
-    L slices each factor's share out of _divisor_sums, the process's one
-    table of sigma, sieved by divisor pairs (e, k/e), e <= sqrt(k), on first
-    use and again, at least twice as long, when a product reaches past its
-    end.  Up to 2B = 64 slots each F_m is pulled in turn; longer windows
-    solve [l, r) = [0, n + 1) by halves (online convolution; van der
-    Hoeven, J. Symb. Comput. 34, 2002): solve [l, mid);
-    push its k nonzero F_j into [mid, r) or not; solve [mid, r).  Ranges of
-    at most B = 32 slots or in the first 2B are pulled over the support,
-    the nonzero F_j < m that no push covered: a pushed half leaves it while
-    its sibling is solved, then rejoins it.
+    L has one source, _sieve_packer, called once a product: the certificate
+    reads its int, and the solve unpacks that int at the width lmax proves
+    into the list it reads.  It packs each factor's share out of
+    _divisor_sums, the process's one table of sigma, sieved by divisor pairs
+    (e, k/e), e <= sqrt(k), on first use and again, at least twice as long,
+    when a product reaches past its end.  Up to 2B = 64 slots each F_m is
+    pulled in turn; longer windows solve [l, r) = [0, n + 1) by halves
+    (online convolution; van der Hoeven, J. Symb. Comput. 34, 2002): solve
+    [l, mid); push its k nonzero F_j into [mid, r) or not; solve [mid, r).
+    Ranges of at most B = 32 slots or in the first 2B are pulled over the
+    support, the nonzero F_j < m that no push covered: a pushed half leaves
+    it while its sibling is solved, then rejoins it.
 
     A half with k nonzero F_j is pushed when k >= _PUSH = 8.  A push is one
     _convolve of F_l..F_(mid-1) with L, whose slots mid - l - 1 to
@@ -761,14 +739,15 @@ def product_series(spec: ProductSpec, order: RationalLike,
     units = t.numerator * d // t.denominator
     if units < 0:
         return QSeries.zero(t, d)
+    pack, lmax = _sieve_packer(spec, d, units)
     if candidate is not None:
         coeffs = _window_on_grid(candidate, d, units)
-        if coeffs and _certify(coeffs, *_sieve_packer(spec, d, units)):
+        if coeffs and _certify(coeffs, pack, lmax):
             return _series(d, 0, coeffs, units)
-    logd = _log_derivative(spec, d, units)
-    lmax = max(map(abs, logd))
+    w = _slot_width(lmax)
+    logd = [0, *_unpack(pack(w, False), units, w)]
     coeffs = [1] + [0] * units
-    _solve(logd, lmax, coeffs, [0], 0, units + 1)
+    _solve(logd, max(map(abs, logd)), coeffs, [0], 0, units + 1)
     return _series(d, 0, tuple(coeffs), units)
 
 

@@ -10,8 +10,10 @@ import os
 import random
 import subprocess
 import sys
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import floor, gcd, isqrt, lcm
 from pathlib import Path
 
@@ -593,6 +595,26 @@ def test_huge_power_matches_oracle_through_wide_pushes(pushes):
     assert min(p.w for p in pushes) > 1024
 
 
+@pytest.mark.parametrize(
+    "scale, power, order, w, pushed",
+    [(1, 10**20, 40, 80, False),
+     (Fraction(1, 2), -10**20, Fraction(81, 2), 80, True),
+     (3, 7 * 10**25, 90, 96, True)],
+)
+def test_solve_unpacks_l_wider_than_64_bits(pushes, scale, power, order, w, pushed):
+    """L of 80 and 96 bits a slot reaches the solve through _unpack's
+    widened decode of the packer's int; each product against Miller's
+    recurrence on the literal factor, which uses no sieve."""
+    spec = ProductSpec(((scale, power),))
+    d = Fraction(scale).denominator
+    units = floor(order * d)
+    assert qseries._slot_width(qseries._sieve_packer(spec, d, units)[1]) == w
+    got = product_series(spec, order)
+    assert same_window(got, power_oracle(phi_oracle(scale, order, d), power))
+    assert pushed_halves(pushes) == counted_halves(got)
+    assert bool(pushes) == pushed
+
+
 def test_blocked_product_matches_oracle_on_random_fractional_specs(pushes):
     """Negative powers on grids d > 1, orders 150 to 400."""
     rng = random.Random(20261018)
@@ -1135,10 +1157,20 @@ def test_certify_matches_the_schoolbook_on_every_perturbed_slot(certificates):
 # -- the sieve for L and sigma ----------------------------------------------------
 
 
+def sieved_log_derivative(spec, d, units, w=None, reverse=False):
+    """L_0..L_units unpacked from _sieve_packer's int at w bits, by default
+    at the width product_series unpacks it at, _slot_width(lmax); reversed,
+    L_k is read from slot units - k."""
+    pack, lmax = qseries._sieve_packer(spec, d, units)
+    w = w or qseries._slot_width(lmax)
+    slots = list(qseries._unpack(pack(w, reverse), units, w))
+    return [0, *(slots[::-1] if reverse else slots)]
+
+
 def test_divisor_sums_match_brute_force():
     """1/phi(q) has L_k = sigma(k)."""
     want = [0] + [sum(e for e in range(1, k + 1) if k % e == 0) for k in range(1, 2001)]
-    assert qseries._log_derivative(ProductSpec(((1, -1),)), 1, 2000) == want
+    assert sieved_log_derivative(ProductSpec(((1, -1),)), 1, 2000) == want
 
 
 def sigma_by_trial_division(n):
@@ -1149,25 +1181,41 @@ def sigma_by_trial_division(n):
     ]
 
 
+def little_endian_words(raw):
+    """The signed little-endian 8-byte words of raw, as ints."""
+    words = array("q", raw)
+    if sys.byteorder == "big":
+        words.byteswap()
+    return list(words)
+
+
+EMPTY_TABLE = ([0], bytes(8))
+
+
 def test_divisor_sums_grow_one_table(monkeypatch):
     """From an empty table, tops 3000, 30, 6001, 0, 7 and 6002: the first
     sieves 0..3000, 30, 0 and 7 read a prefix, 6001 lies past twice the end
     and sieves to itself, 6002 doubles the table to 12002.  Each table is
-    the new module table, and a list taken before a growth keeps its values."""
-    monkeypatch.setattr(qseries, "_SIGMA", [0])
+    the new module table, its words are sigma by trial division and its peak
+    their running maximum, and views taken before a growth keep their values."""
+    monkeypatch.setattr(qseries, "_SIGMA", EMPTY_TABLE)
     want = sigma_by_trial_division(12002)
     held = []
     for top, end in ((3000, 3000), (30, 3000), (6001, 6001), (0, 6001), (7, 6001), (6002, 12002)):
-        sigma = qseries._divisor_sums(top)
-        assert sigma is qseries._SIGMA and sigma == want[: end + 1], top
-        held.append((sigma, list(sigma)))
-    assert all(sigma == values for sigma, values in held)
+        table = qseries._divisor_sums(top)
+        peak, words = table
+        assert table is qseries._SIGMA, top
+        assert little_endian_words(words) == want[: end + 1], top
+        assert peak == list(accumulate(want[: end + 1], max)), top
+        held.append((table, (list(peak), bytes(words))))
+    assert all((list(peak), words) == values for (peak, words), values in held)
 
 
-def test_log_derivative_matches_oracle(monkeypatch):
-    """The divisor-pair sieve against the multiples loop, at windows past 2B
-    slots and under it: each case from an empty table, then every case from
-    a table warmed up to 10^4."""
+def test_sieve_packer_matches_oracle_at_every_width(monkeypatch):
+    """The divisor-pair sieve's packed L against the multiples loop, forward
+    and reversed, unpacked at the packer's own width and at every wider
+    width of FORCED_WIDTHS, at windows past 2B slots and under it: each case
+    from an empty table, then every case from a table warmed up to 10^4."""
     rng = random.Random(20261018)
     cases = []
     for spec, order in random_fractional_specs(rng):
@@ -1177,29 +1225,38 @@ def test_log_derivative_matches_oracle(monkeypatch):
     above = ProductSpec(((Fraction(50), 3), (Fraction(1, 2), -1)))
     cases += [(above, 2, 90), (above, 2, 40), (ProductSpec(()), 1, 70), (ProductSpec(()), 1, 9)]
     cases += [(spec, d, units % (2 * B)) for spec, d, units in cases[:5]]
-    for spec, d, units in cases:
-        monkeypatch.setattr(qseries, "_SIGMA", [0])
-        assert qseries._log_derivative(spec, d, units) == log_derivative_oracle(spec, d, units)
+    checks = [(case, log_derivative_oracle(*case)) for case in cases]
+
+    def check(spec, d, units, want):
+        own = qseries._slot_width(qseries._sieve_packer(spec, d, units)[1])
+        for w in [own] + [w for w in FORCED_WIDTHS if w > own]:
+            for reverse in (False, True):
+                got = sieved_log_derivative(spec, d, units, w, reverse)
+                assert got == want, (spec, d, units, w, reverse)
+
+    for case, want in checks:
+        monkeypatch.setattr(qseries, "_SIGMA", EMPTY_TABLE)
+        check(*case, want)
     qseries._divisor_sums(10**4)
-    for spec, d, units in cases:
-        assert qseries._log_derivative(spec, d, units) == log_derivative_oracle(spec, d, units)
-    assert len(qseries._SIGMA) == 10**4 + 1
+    for case, want in checks:
+        check(*case, want)
+    assert len(qseries._SIGMA[0]) == 10**4 + 1
 
 
 def test_classical_four_report_the_same_from_a_fresh_and_a_grown_table(monkeypatch, certificates):
-    """L sliced from one sigma table as it is sieved (3000), read as a prefix
+    """L packed from one sigma table as it is sieved (3000), read as a prefix
     (30) and sieved again past twice its end (6001), against the multiples
     loop; then the classical four at 3000 in three rounds: from an emptied
     table, from the table the first round left and from one grown to 10^4.
     The reports are byte-identical, the certificates take the same kernels
-    and widths to the same verdicts, and the table and its views that a
-    round held keep their values while later rounds grow new ones."""
-    monkeypatch.setattr(qseries, "_SIGMA", [0])
+    and widths to the same verdicts, and the table views that a round held
+    keep their values while later rounds grow new ones."""
+    monkeypatch.setattr(qseries, "_SIGMA", EMPTY_TABLE)
     specs = [classical_identity("euler").lhs, ProductSpec(((8, -3),))]
     for units in (3000, 30, 6001):
         for spec in specs:
-            assert qseries._log_derivative(spec, 1, units) == log_derivative_oracle(spec, 1, units)
-    monkeypatch.setattr(qseries, "_SIGMA", [0])
+            assert sieved_log_derivative(spec, 1, units) == log_derivative_oracle(spec, 1, units)
+    monkeypatch.setattr(qseries, "_SIGMA", EMPTY_TABLE)
     rounds, held = [], []
     for grow in (0, 0, 10**4):
         qseries._divisor_sums(grow)
@@ -1207,7 +1264,7 @@ def test_classical_four_report_the_same_from_a_fresh_and_a_grown_table(monkeypat
         reports = [json.dumps(verify_identity(classical_identity(name), 3000).to_json())
                    for name in CLASSICAL_NAMES]
         rounds.append((reports, certificates[before:]))
-        views = qseries._SIGMA_VIEWS
+        views = qseries._SIGMA
         held.append((views, [list(view) for view in views]))
     assert rounds[0] == rounds[1] == rounds[2]
     assert all(json.loads(report)["match"] for report in rounds[0][0])
@@ -1229,7 +1286,7 @@ def test_import_and_identity_specs_sieve_nothing():
         "print(qseries._SIGMA)"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
-    assert (proc.returncode, proc.stdout) == (0, "[0]\n"), proc.stderr
+    assert (proc.returncode, proc.stdout) == (0, f"{EMPTY_TABLE}\n"), proc.stderr
 
 
 # -- normalization and comparison ----------------------------------------------
